@@ -1,9 +1,11 @@
 // Kernel microbenchmarks (google-benchmark): the hot primitives every
-// training loop and the evaluator are built on.
+// training loop and the evaluator are built on, plus the CRC-32 that
+// validates every mapped index region on restart.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/facet_store.h"
 #include "common/kernels.h"
 #include "common/kernels_detail.h"
@@ -598,6 +600,20 @@ void BM_EvaluateUser(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateUser);
+
+// Restart validates each MRSI region with Crc32 before serving from it;
+// bytes/s here bounds how fast a mapped index can come up.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(9);
+  std::vector<uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), n));
+  }
+  state.SetBytesProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Crc32)->Arg(1 << 20);
 
 }  // namespace
 }  // namespace mars

@@ -11,9 +11,9 @@
 #include "ann/vp_tree_index.h"
 #include "common/binary_io.h"
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/logging.h"
 #include "common/mapped_store.h"
-#include "net/protocol.h"
 
 namespace mars {
 

@@ -116,6 +116,8 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   // (see ROADMAP "shard/ownership model").
   ParallelTrainer trainer(options, &rng);
   WriteTracker* const tracker = options.write_tracker;
+  // Initialisation rewrote every row: the first publish must refresh all.
+  if (tracker != nullptr) tracker->MarkAll();
   struct Scratch {
     std::vector<float> uf, vpf, vqf;
     std::vector<float> u_scale, vp_scale, vq_scale;
@@ -167,8 +169,7 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
       if (param_mode_ == FacetParam::kProjected) {
         // Every step writes the shared projection matrices, through which
         // every user and item is scored.
-        tracker->MarkAllUsers();
-        tracker->MarkAllItems();
+        tracker->MarkAll();
       } else {
         tracker->MarkUser(t.user);
         tracker->MarkItem(t.positive);

@@ -106,6 +106,8 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     std::vector<float> gu, gvp, gvq, theta, coeff, sp, sq;
   };
   WriteTracker* const tracker = options.write_tracker;
+  // Initialisation rewrote every row: the first publish must refresh all.
+  if (tracker != nullptr) tracker->MarkAll();
   std::vector<Scratch> scratch(trainer.num_workers());
   for (Scratch& sc : scratch) {
     sc.gu.resize(kf * d);

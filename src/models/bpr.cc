@@ -34,6 +34,8 @@ void Bpr::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   // factor tables directly.
   ParallelTrainer trainer(options, &rng);
   WriteTracker* const tracker = options.write_tracker;
+  // Initialisation rewrote every row: the first publish must refresh all.
+  if (tracker != nullptr) tracker->MarkAll();
   float lr = 0.0f;  // per-epoch, set before steps fan out
 
   const auto step = [&](size_t, Rng& wrng) {

@@ -110,6 +110,8 @@ void Lrml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     sc.grad_e.resize(d);
   }
   WriteTracker* const tracker = options.write_tracker;
+  // Initialisation rewrote every row: the first publish must refresh all.
+  if (tracker != nullptr) tracker->MarkAll();
   float lr = 0.0f;  // per-epoch, set before steps fan out
 
   const auto step = [&](size_t worker, Rng& wrng) {
@@ -129,8 +131,7 @@ void Lrml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     if (tracker != nullptr) {
       // BackwardPair also writes the global key/memory matrices, which
       // enter the relation of *every* pair — the whole catalog is dirty.
-      tracker->MarkAllUsers();
-      tracker->MarkAllItems();
+      tracker->MarkAll();
     }
 
     Relation(u, vp, a.data(), rp.data());

@@ -66,6 +66,8 @@ void TransCf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     sc.eq.resize(d);
   }
   WriteTracker* const tracker = options.write_tracker;
+  // Initialisation rewrote every row: the first publish must refresh all.
+  if (tracker != nullptr) tracker->MarkAll();
   float lr = 0.0f;  // per-epoch, set before steps fan out
 
   const auto step = [&](size_t worker, Rng& wrng) {
@@ -135,8 +137,7 @@ void TransCf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
         // The refreshed means enter every pair's score: the whole catalog
         // (and every user) is effectively rewritten each epoch.
         if (tracker != nullptr) {
-          tracker->MarkAllUsers();
-          tracker->MarkAllItems();
+          tracker->MarkAll();
         }
         lr = static_cast<float>(lr_d);
         trainer.RunEpoch(steps, step);

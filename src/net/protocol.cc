@@ -31,34 +31,7 @@ constexpr size_t kResponseHeadBytes = 8 + 1 + 1 + 2 + 8 + 4;
 /// Error payload: request_id + code.
 constexpr size_t kErrorPayloadBytes = 8 + 4;
 
-struct Crc32TableHolder {
-  uint32_t v[256];
-  Crc32TableHolder() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
-      }
-      v[i] = c;
-    }
-  }
-};
-
-const uint32_t* Crc32Table() {
-  static const Crc32TableHolder holder;
-  return holder.v;
-}
-
 }  // namespace
-
-uint32_t Crc32(const uint8_t* data, size_t n) {
-  const uint32_t* table = Crc32Table();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void AppendFrame(FrameType type, std::span<const uint8_t> payload,
                  std::vector<uint8_t>* out) {

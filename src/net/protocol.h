@@ -13,9 +13,10 @@
 //   [payload_len bytes of payload]
 //
 // All integers little-endian, matching common/binary_io.h and the
-// FORMAT.md files. The checksum covers the payload only — the header is
-// validated structurally (magic, version, reserved, bounded length), the
-// payload cryptographically-not-at-all but corruption-detectably.
+// FORMAT.md files. The checksum (common/crc32.h, the same CRC-32 as the
+// MRSI index regions) covers the payload only — the header is validated
+// structurally (magic, version, reserved, bounded length), the payload
+// cryptographically-not-at-all but corruption-detectably.
 //
 // Error handling splits by what can still be trusted:
 //
@@ -38,6 +39,7 @@
 #include <span>
 #include <vector>
 
+#include "common/crc32.h"
 #include "serve/request.h"
 
 namespace mars {
@@ -85,9 +87,6 @@ enum class WireStatus : uint8_t {
 inline WireStatus WireStatusOf(TopKStatus s) {
   return static_cast<WireStatus>(static_cast<uint8_t>(s));
 }
-
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) over `data`.
-uint32_t Crc32(const uint8_t* data, size_t n);
 
 /// One decoded frame: type + raw payload, checksum already verified.
 struct Frame {

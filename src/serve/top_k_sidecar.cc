@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/logging.h"
+#include "common/mapped_store.h"
 
 namespace mars {
 namespace {
@@ -20,6 +23,33 @@ constexpr uint32_t kSidecarVersion = 1;
 //   num_entries u64, then per entry: user u32, count u32, count floats
 //   (scores), count u32s (items). Entries are ordered most recently used
 //   first, matching ForEachCached.
+
+// Cursor over the sidecar bytes. Every read checks its length against the
+// bytes that remain before copying, so a truncated or lying file fails the
+// read instead of running off the buffer.
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size) : at_(data), left_(size) {}
+
+  template <typename T>
+  bool Read(T* v) {
+    return ReadArray(v, 1);
+  }
+
+  template <typename T>
+  bool ReadArray(T* v, size_t n) {
+    if (n > left_ / sizeof(T)) return false;
+    const size_t len = n * sizeof(T);
+    if (len > 0) std::memcpy(v, at_, len);
+    at_ += len;
+    left_ -= len;
+    return true;
+  }
+
+ private:
+  const uint8_t* at_;
+  size_t left_;
+};
 
 }  // namespace
 
@@ -62,23 +92,27 @@ bool SaveTopKSidecar(const TopKServer& server, const std::string& path) {
 }
 
 size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) {
+  // Map the file once and parse it in place; every read below is bounded
+  // by the mapped size, never by a length the file claims.
+  const std::shared_ptr<MappedFile> file = MappedFile::Open(path);
+  if (file == nullptr) {
     MARS_LOG(ERROR) << "WarmFromSidecar: cannot open " << path;
     return 0;
   }
+  ByteReader r(file->data(), file->size());
+
   uint32_t magic = 0, version = 0;
-  if (!ReadU32(in, &magic) || magic != kSidecarMagic) {
+  if (!r.Read(&magic) || magic != kSidecarMagic) {
     MARS_LOG(ERROR) << "WarmFromSidecar: bad magic in " << path;
     return 0;
   }
-  if (!ReadU32(in, &version) || version != kSidecarVersion) {
+  if (!r.Read(&version) || version != kSidecarVersion) {
     MARS_LOG(ERROR) << "WarmFromSidecar: unsupported sidecar version";
     return 0;
   }
   uint64_t k = 0, n_users = 0, n_items = 0, n_entries = 0;
-  if (!ReadU64(in, &k) || !ReadU64(in, &n_users) || !ReadU64(in, &n_items) ||
-      !ReadU64(in, &n_entries)) {
+  if (!r.Read(&k) || !r.Read(&n_users) || !r.Read(&n_items) ||
+      !r.Read(&n_entries)) {
     MARS_LOG(ERROR) << "WarmFromSidecar: truncated header in " << path;
     return 0;
   }
@@ -109,7 +143,7 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
   entries.reserve(n_entries);
   for (uint64_t i = 0; i < n_entries; ++i) {
     uint32_t user = 0, count = 0;
-    if (!ReadU32(in, &user) || !ReadU32(in, &count) || user >= n_users ||
+    if (!r.Read(&user) || !r.Read(&count) || user >= n_users ||
         count > max_count) {
       MARS_LOG(ERROR) << "WarmFromSidecar: corrupt entry " << i << " in "
                       << path;
@@ -119,17 +153,13 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
     e.user = user;
     e.scores.resize(count);
     e.items.resize(count);
-    if (!ReadFloats(in, e.scores.data(), count)) {
+    if (!r.ReadArray(e.scores.data(), count) ||
+        !r.ReadArray(e.items.data(), count)) {
       MARS_LOG(ERROR) << "WarmFromSidecar: truncated entry " << i << " in "
                       << path;
       return 0;
     }
-    for (ItemId& v : e.items) {
-      if (!ReadU32(in, &v)) {
-        MARS_LOG(ERROR) << "WarmFromSidecar: truncated entry " << i
-                        << " in " << path;
-        return 0;
-      }
+    for (const ItemId v : e.items) {
       if (v >= n_items) {
         MARS_LOG(ERROR) << "WarmFromSidecar: out-of-catalog item in entry "
                         << i << " of " << path;

@@ -63,6 +63,11 @@ class WriteTracker {
   /// Global-table writes: every user / item score is affected.
   void MarkAllUsers() { all_users_.store(1, std::memory_order_relaxed); }
   void MarkAllItems() { all_items_.store(1, std::memory_order_relaxed); }
+  /// Every row rewritten — e.g. Fit's initialisation replaced both tables.
+  void MarkAll() {
+    MarkAllUsers();
+    MarkAllItems();
+  }
 
   // --- Reading side: quiesced only (no concurrent Mark*). -----------------
 

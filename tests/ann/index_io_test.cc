@@ -22,11 +22,11 @@
 
 #include "ann/ivf_index.h"
 #include "ann/vp_tree_index.h"
+#include "common/crc32.h"
 #include "common/facet_store.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "eval/scorer.h"
-#include "net/protocol.h"
 #include "serve/top_k_server.h"
 
 namespace mars {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -204,6 +205,126 @@ TEST_F(SidecarFixture, RejectsGarbageAndTruncation) {
     out.write(corrupt.data(), static_cast<std::streamsize>(corrupt.size()));
   }
   EXPECT_EQ(WarmFromSidecar(&fresh, path_), 0u);
+}
+
+/// Reads a whole file into a string.
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteAll(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+template <typename T>
+void Append(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Hand-assembles a sidecar (layout in serve/top_k_sidecar.cc), so a test
+/// can state exactly which field is wrong. Every entry ranks `count`
+/// in-catalog items, 0..count-1, by descending score.
+struct SidecarEntry {
+  uint32_t user;
+  uint32_t count;
+};
+std::string BuildSidecar(uint64_t k, uint64_t users, uint64_t items,
+                         uint64_t n_entries,
+                         const std::vector<SidecarEntry>& entries) {
+  std::string b;
+  Append<uint32_t>(&b, 0x4B53524Du);  // "MRSK"
+  Append<uint32_t>(&b, 1u);
+  Append<uint64_t>(&b, k);
+  Append<uint64_t>(&b, users);
+  Append<uint64_t>(&b, items);
+  Append<uint64_t>(&b, n_entries);
+  for (const SidecarEntry& e : entries) {
+    Append<uint32_t>(&b, e.user);
+    Append<uint32_t>(&b, e.count);
+    for (uint32_t i = 0; i < e.count; ++i) Append<float>(&b, 1.0f - 0.01f * i);
+    for (uint32_t i = 0; i < e.count; ++i) Append<uint32_t>(&b, i);
+  }
+  return b;
+}
+
+TEST_F(SidecarFixture, HandBuiltSidecarLoads) {
+  // Pins BuildSidecar against the real layout, so the rejections below
+  // fail for the one field each one breaks.
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  WriteAll(path_, BuildSidecar(10, users, items, 3,
+                               {{4, 10}, {7, 3}, {9, 0}}));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 3u);
+  EXPECT_EQ(server.stats().cached_users, 3u);
+  const TopKResponse r = server.TopK(7);
+  EXPECT_TRUE(r.from_cache);
+  EXPECT_EQ(r.items, (std::vector<ItemId>{0, 1, 2}));
+}
+
+TEST_F(SidecarFixture, TruncationAtEveryLengthLoadsNothing) {
+  TopKServer hot = MakeServer();
+  for (UserId u = 0; u < 6; ++u) hot.TopK(u);
+  ASSERT_TRUE(SaveTopKSidecar(hot, path_));
+  const std::string bytes = ReadAll(path_);
+  ASSERT_GT(bytes.size(), 40u);
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteAll(path_, bytes.substr(0, len));
+    TopKServer fresh = MakeServer();
+    ASSERT_EQ(WarmFromSidecar(&fresh, path_), 0u) << "len=" << len;
+    ASSERT_EQ(fresh.stats().cached_users, 0u) << "len=" << len;
+  }
+  WriteAll(path_, bytes);
+  TopKServer whole = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&whole, path_), 6u);
+}
+
+TEST_F(SidecarFixture, RejectsEntryLongerThanK) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  WriteAll(path_, BuildSidecar(10, users, items, 2, {{1, 10}, {2, 11}}));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+  EXPECT_EQ(server.stats().cached_users, 0u);
+}
+
+TEST_F(SidecarFixture, RejectsOutOfRangeUser) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  WriteAll(path_, BuildSidecar(10, users, items, 2,
+                               {{1, 4}, {static_cast<uint32_t>(users), 4}}));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+  EXPECT_EQ(server.stats().cached_users, 0u);
+}
+
+TEST_F(SidecarFixture, RejectsMoreEntriesThanUsers) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  // users + 1 well-formed entries (one user repeats): only the header's
+  // entry count is implausible.
+  std::vector<SidecarEntry> entries;
+  for (size_t i = 0; i <= users; ++i) {
+    entries.push_back({static_cast<uint32_t>(i % users), 2});
+  }
+  WriteAll(path_, BuildSidecar(10, users, items, users + 1, entries));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+  EXPECT_EQ(server.stats().cached_users, 0u);
+}
+
+TEST_F(SidecarFixture, TrailingBytesAfterTheLastEntryAreIgnored) {
+  TopKServer hot = MakeServer();
+  for (UserId u = 0; u < 4; ++u) hot.TopK(u);
+  ASSERT_TRUE(SaveTopKSidecar(hot, path_));
+  WriteAll(path_, ReadAll(path_) + std::string("trailing junk\0\xff", 15));
+  TopKServer fresh = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&fresh, path_), 4u);
+  EXPECT_EQ(fresh.stats().cached_users, 4u);
+  for (UserId u = 0; u < 4; ++u) {
+    const TopKResponse warm = fresh.TopK(u);
+    EXPECT_TRUE(warm.from_cache) << "u=" << u;
+    EXPECT_EQ(warm.items, hot.TopK(u).items) << "u=" << u;
+  }
 }
 
 TEST_F(SidecarFixture, PrimeValidatesInput) {
