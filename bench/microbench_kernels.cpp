@@ -217,6 +217,30 @@ void BM_DotBatchMulti(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatchMulti)->Args({32, 2})->Args({32, 4})->Args({32, 8});
 
+// The IVF build's dominant stage: every Lloyd iteration (and the final
+// full-catalog assignment) is one NearestCentroidDotBatch. Args are
+// (rows, centroids, dim): the cold_misses k-means shape (16384-row sample,
+// 4·sqrt(50k) centroids, K·d = 4·32 floats) and the hot_hits one (2000
+// items, 4·sqrt(2000) centroids). Items are rows assigned.
+void BM_NearestCentroidDotBatch(benchmark::State& state) {
+  const size_t count = static_cast<size_t>(state.range(0));
+  const size_t ncent = static_cast<size_t>(state.range(1));
+  const size_t d = static_cast<size_t>(state.range(2));
+  const auto rows = RandomBlock(count, d, 32);
+  const auto centroids = RandomBlock(ncent, d, 33);
+  std::vector<uint32_t> out(count);
+  for (auto _ : state) {
+    NearestCentroidDotBatch(rows.data(), count, d, centroids.data(), ncent,
+                            d, d, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * count);
+}
+BENCHMARK(BM_NearestCentroidDotBatch)
+    ->Args({16384, 896, 128})
+    ->Args({2000, 180, 128})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SquaredDistanceBatchRepeatedSingle(benchmark::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const size_t B = static_cast<size_t>(state.range(1));

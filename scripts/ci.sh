@@ -106,6 +106,12 @@ if [ -n "$SANITIZER" ]; then
     # that the checksum's 16-byte loads never read past an input's tail.
     FILTER="$FILTER:PersistenceFixture.*:MappedStoreFixture.*:SidecarFixture.*"
     FILTER="$FILTER:IndexIoFixture.*:IndexIoRejectFixture.*:Crc32*"
+    # The k-means assignment kernel scores rows in quads and forms four row
+    # pointers at every count: these suites (every tail length, padded
+    # strides) prove it never reads past the last row. SyntheticTest covers
+    # the generator's flat latent store.
+    FILTER="$FILTER:*BatchKernelShapes.NearestCentroid*"
+    FILTER="$FILTER:KernelsTest.NearestCentroid*:SyntheticTest.*"
   fi
   echo "== $SANITIZER-sanitized tests ($FILTER) =="
   if [ "$SANITIZER" = thread ]; then

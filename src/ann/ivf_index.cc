@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -37,22 +38,24 @@ void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
                           num_centroids, dim, dim, assign + begin);
 }
 
-/// Full-catalog assignment, fanned over balanced contiguous chunks.
-void AssignAll(const ItemScorer& model, size_t num_items,
-               const float* centroids, size_t num_centroids, size_t dim,
-               ThreadPool* pool, uint32_t* assign) {
+/// Runs `fn(begin, end)` over balanced contiguous chunks of [0, count),
+/// fanned over the pool when it can take work and serially otherwise.
+/// Per-row results land in disjoint slices, so the output does not depend
+/// on the chunking.
+void ForEachChunk(size_t count, ThreadPool* pool,
+                  const std::function<void(size_t, size_t)>& fn) {
   const size_t chunks =
       CanFanOut(pool)
-          ? std::max<size_t>(1, std::min(num_items, 4 * pool->num_threads()))
+          ? std::max<size_t>(1, std::min(count, 4 * pool->num_threads()))
           : 1;
-  const auto assign_chunk = [&](size_t c) {
-    const auto [begin, end] = FacetStore::ShardRange(num_items, c, chunks);
-    AssignRange(model, begin, end, centroids, num_centroids, dim, assign);
+  const auto run_chunk = [&](size_t c) {
+    const auto [begin, end] = FacetStore::ShardRange(count, c, chunks);
+    fn(begin, end);
   };
   if (chunks > 1) {
-    pool->RunBatch(chunks, assign_chunk);
+    pool->RunBatch(chunks, run_chunk);
   } else {
-    assign_chunk(0);
+    run_chunk(0);
   }
 }
 
@@ -129,9 +132,14 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   std::vector<float> sums(ncent * dim);
   std::vector<uint32_t> counts(ncent);
   for (size_t iter = 0; iter < options.kmeans_iters; ++iter) {
-    NearestCentroidDotBatch(sample.data(), sample_count, dim,
-                            centroids.data(), ncent, dim, dim,
-                            sample_assign.data());
+    // The assignment step fans out over the pool; the accumulation below
+    // stays serial and in sample order, so the centroids' float sums (and
+    // so every later bit of the index) do not depend on the pool.
+    ForEachChunk(sample_count, pool, [&](size_t begin, size_t end) {
+      NearestCentroidDotBatch(sample.data() + begin * dim, end - begin, dim,
+                              centroids.data(), ncent, dim, dim,
+                              sample_assign.data() + begin);
+    });
     std::fill(sums.begin(), sums.end(), 0.0f);
     std::fill(counts.begin(), counts.end(), 0u);
     for (size_t i = 0; i < sample_count; ++i) {
@@ -154,8 +162,10 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   }
 
   index->assign_.mutable_vec().resize(num_items);
-  AssignAll(model, num_items, centroids.data(), ncent, dim, pool,
-            index->assign_.mutable_data());
+  uint32_t* assign = index->assign_.mutable_data();
+  ForEachChunk(num_items, pool, [&](size_t begin, size_t end) {
+    AssignRange(model, begin, end, centroids.data(), ncent, dim, assign);
+  });
   index->RebuildLists();
   return index;
 }

@@ -218,10 +218,37 @@ MARS_AVX2_FN void WeightedFacetSquaredDistanceBatchMultiAvx2(
   }
 }
 
+// Rows in quads: each centroid row is loaded once per four sample rows
+// (DotRowAvx2X4 shares its vector loads across four FMA chains and gives
+// every lane the DotRowAvx2 bits), and each lane keeps its own strict-'>'
+// running argmax in one vector compare-and-blend, so ties still resolve to
+// the lowest centroid index. The count mod 4 tail rows run the single-row
+// loop.
 MARS_AVX2_FN void NearestCentroidDotBatchAvx2(
     const float* rows, size_t count, size_t stride, const float* centroids,
     size_t num_centroids, size_t centroid_stride, size_t n, uint32_t* out) {
-  for (size_t r = 0; r < count; ++r) {
+  const size_t quads = count & ~static_cast<size_t>(3);
+  size_t r = 0;
+  for (; r < quads; r += 4) {
+    const float* const quad[4] = {rows + r * stride, rows + (r + 1) * stride,
+                                  rows + (r + 2) * stride,
+                                  rows + (r + 3) * stride};
+    float d[4];
+    DotRowAvx2X4(quad, centroids, n, d);
+    __m128 best = _mm_loadu_ps(d);
+    __m128i best_c = _mm_setzero_si128();
+    for (size_t c = 1; c < num_centroids; ++c) {
+      DotRowAvx2X4(quad, centroids + c * centroid_stride, n, d);
+      const __m128 dv = _mm_loadu_ps(d);
+      const __m128 better = _mm_cmp_ps(dv, best, _CMP_GT_OQ);  // d > best
+      best = _mm_blendv_ps(best, dv, better);
+      best_c = _mm_blendv_epi8(best_c,
+                               _mm_set1_epi32(static_cast<int32_t>(c)),
+                               _mm_castps_si128(better));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), best_c);
+  }
+  for (; r < count; ++r) {
     const float* row = rows + r * stride;
     float best = DotRowAvx2(row, centroids, n);
     uint32_t best_c = 0;

@@ -114,6 +114,28 @@ MARS_AVX2_FN inline float Hsum256(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+/// Four Hsum256 reductions at once: lane j of the result is bit-identical
+/// to Hsum256(v[j]). Each lane keeps Hsum256's pairing
+/// ((v0+v4)+(v2+v6)) + ((v1+v5)+(v3+v7)); the 128-bit halves and the
+/// element pairs are moved across registers with shuffles instead of
+/// being reduced one register at a time (IEEE addition is commutative, so
+/// only the pairing matters for the bits).
+MARS_AVX2_FN inline __m128 Hsum256X4(const __m256* v) {
+  // [v0.lo + v0.hi | v1.lo + v1.hi] and the same for v2, v3: per 128-bit
+  // half, x_i = v_i + v_{i+4}.
+  const __m256 x01 = _mm256_add_ps(_mm256_permute2f128_ps(v[0], v[1], 0x20),
+                                   _mm256_permute2f128_ps(v[0], v[1], 0x31));
+  const __m256 x23 = _mm256_add_ps(_mm256_permute2f128_ps(v[2], v[3], 0x20),
+                                   _mm256_permute2f128_ps(v[2], v[3], 0x31));
+  // Halves [x0+x2 of v0, of v2, x1+x3 of v0, of v2 | same for v1, v3].
+  const __m256 y = _mm256_add_ps(_mm256_unpacklo_ps(x01, x23),
+                                 _mm256_unpackhi_ps(x01, x23));
+  // (x0+x2) + (x1+x3): halves [v0, v2, v0, v2 | v1, v3, v1, v3].
+  const __m256 z = _mm256_add_ps(y, _mm256_permute_ps(y, 0x4E));
+  return _mm_unpacklo_ps(_mm256_castps256_ps128(z),
+                         _mm256_extractf128_ps(z, 1));
+}
+
 MARS_AVX2_FN inline float DotRowAvx2(const float* a, const float* b,
                                      size_t n) {
   __m256 acc0 = _mm256_setzero_ps();
@@ -164,9 +186,10 @@ MARS_AVX2_FN inline float SquaredDistanceRowAvx2(const float* a,
 // register-blocked — the row's vectors are loaded once per 16-float stride
 // and fed to all four users' FMA chains (8 ymm accumulators + 2 row
 // registers). Per user, the op sequence is *identical* to the single-user
-// primitive (same two-accumulator FMA chains, same Hsum256, same scalar
-// tail), so each lane of `out` is bit-identical to the corresponding solo
-// call — the batch≡solo contract the serving coalescer pins.
+// primitive (same two-accumulator FMA chains, the Hsum256 pairing via
+// Hsum256X4, same scalar tail), so each lane of `out` is bit-identical to
+// the corresponding solo call — the batch≡solo contract the serving
+// coalescer pins.
 
 MARS_AVX2_FN inline void DotRowAvx2X4(const float* const* a, const float* b,
                                       size_t n, float* out) {
@@ -189,8 +212,13 @@ MARS_AVX2_FN inline void DotRowAvx2X4(const float* const* a, const float* b,
       acc0[j] = _mm256_fmadd_ps(_mm256_loadu_ps(a[j] + i), b0, acc0[j]);
     }
   }
+  for (size_t j = 0; j < 4; ++j) acc0[j] = _mm256_add_ps(acc0[j], acc1[j]);
+  // One 16-byte store, so a caller that reloads `out` as a vector gets it
+  // forwarded; lanes are patched only when there is a scalar tail.
+  _mm_storeu_ps(out, Hsum256X4(acc0));
+  if (i == n) return;
   for (size_t j = 0; j < 4; ++j) {
-    float s = Hsum256(_mm256_add_ps(acc0[j], acc1[j]));
+    float s = out[j];
     for (size_t t = i; t < n; ++t) s += a[j][t] * b[t];
     out[j] = s;
   }
@@ -221,8 +249,11 @@ MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
       acc0[j] = _mm256_fmadd_ps(d0, d0, acc0[j]);
     }
   }
+  for (size_t j = 0; j < 4; ++j) acc0[j] = _mm256_add_ps(acc0[j], acc1[j]);
+  _mm_storeu_ps(out, Hsum256X4(acc0));
+  if (i == n) return;
   for (size_t j = 0; j < 4; ++j) {
-    float s = Hsum256(_mm256_add_ps(acc0[j], acc1[j]));
+    float s = out[j];
     for (size_t t = i; t < n; ++t) {
       const float dlt = a[j][t] - b[t];
       s += dlt * dlt;

@@ -5,6 +5,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
+#include "common/facet_store.h"
 #include "common/rng.h"
 #include "common/vec.h"
 
@@ -19,16 +20,15 @@ std::vector<float> RandomUnitVector(Rng* rng, size_t d) {
   return v;
 }
 
-/// Draws a unit vector near `mean` with the given isotropic noise; this is
-/// a cheap stand-in for a vMF draw with concentration ~ 1/noise^2.
-std::vector<float> NoisyUnitVector(Rng* rng, const std::vector<float>& mean,
-                                   double noise) {
-  std::vector<float> v(mean.size());
-  for (size_t i = 0; i < mean.size(); ++i) {
-    v[i] = mean[i] + static_cast<float>(rng->Normal(0.0, noise));
+/// Writes to `out` a unit vector near `mean` (both `d` floats) with the
+/// given isotropic noise; this is a cheap stand-in for a vMF draw with
+/// concentration ~ 1/noise^2.
+void NoisyUnitVector(Rng* rng, const float* mean, size_t d, double noise,
+                     float* out) {
+  for (size_t i = 0; i < d; ++i) {
+    out[i] = mean[i] + static_cast<float>(rng->Normal(0.0, noise));
   }
-  if (!NormalizeInPlace(v.data(), v.size())) v[0] = 1.0f;
-  return v;
+  if (!NormalizeInPlace(out, d)) out[0] = 1.0f;
 }
 
 }  // namespace
@@ -116,16 +116,18 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
     }
   }
   // Per-facet item latents: tight around the prototype in the anchor facet,
-  // looser in the others.
-  std::vector<std::vector<std::vector<float>>> item_latent(
-      n_items, std::vector<std::vector<float>>(n_facets));
+  // looser in the others. One [item][facet][dim] block with cache-line
+  // rows: scoring a random candidate touches one row, not a chain of
+  // nested vectors.
+  FacetStore item_latent(n_items, n_facets, d);
   for (ItemId v = 0; v < n_items; ++v) {
     const int c = item_category[v];
     for (int k = 0; k < n_facets; ++k) {
       const double noise = (k == category_facet[c])
                                ? config.item_cluster_noise
                                : config.item_cluster_noise * 4.0;
-      item_latent[v][k] = NoisyUnitVector(&rng, proto[c][k], noise);
+      NoisyUnitVector(&rng, proto[c][k].data(), d, noise,
+                      item_latent.Row(v, k));
     }
   }
   // Items grouped by category, with a Zipf-ish within-category popularity
@@ -157,7 +159,8 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
         Axpy(static_cast<float>(user_cat_pref[u][k][ci]),
              proto[cats[ci]][k].data(), taste.data(), d);
       }
-      user_taste[u][k] = NoisyUnitVector(&rng, taste, 0.15);
+      user_taste[u][k].resize(d);
+      NoisyUnitVector(&rng, taste.data(), d, 0.15, user_taste[u][k].data());
     }
   }
 
@@ -207,13 +210,17 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
   };
 
   // Softmax pick among candidate items scored against a reference latent.
-  auto pick_by_affinity = [&](const std::vector<ItemId>& cand,
-                              const std::vector<float>& reference, int facet) {
-    std::vector<double> logits(cand.size());
+  // The candidate and logit buffers are reused across draws.
+  std::vector<ItemId> cand;
+  std::vector<double> logits;
+  auto pick_by_affinity = [&](const float* reference, int facet) {
+    // Candidates are random rows of a catalog-sized store: start every
+    // row's cache miss before the first Cosine waits on one.
+    for (const ItemId v : cand) __builtin_prefetch(item_latent.Row(v, facet));
+    logits.resize(cand.size());
     for (size_t i = 0; i < cand.size(); ++i) {
       logits[i] = config.affinity_sharpness *
-                  Cosine(reference.data(), item_latent[cand[i]][facet].data(),
-                         d);
+                  Cosine(reference, item_latent.Row(cand[i], facet), d);
     }
     double max_logit = logits[0];
     for (double l : logits) max_logit = std::max(max_logit, l);
@@ -247,8 +254,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
         // neighbors included).
         const ItemId anchor = consumed[rng.UniformInt(consumed.size())];
         const int k = category_facet[item_category[anchor]];
-        std::vector<ItemId> cand;
-        cand.reserve(config.candidate_pool * 2);
+        cand.clear();
         const auto& same_cat = category_items[item_category[anchor]];
         for (size_t i = 0; i < config.candidate_pool && i < same_cat.size();
              ++i) {
@@ -257,7 +263,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
         for (size_t i = 0; i < config.candidate_pool; ++i) {
           cand.push_back(static_cast<ItemId>(rng.UniformInt(n_items)));
         }
-        v = pick_by_affinity(cand, item_latent[anchor][k], k);
+        v = pick_by_affinity(item_latent.Row(anchor, k), k);
       } else {
         // --- Taste-driven interaction: facet ~ user mixture, category ~
         // per-facet preference, item ~ affinity within the category.
@@ -270,7 +276,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
           continue;
         }
         const size_t pool_n = std::min(config.candidate_pool, items.size());
-        std::vector<ItemId> cand(pool_n);
+        cand.resize(pool_n);
         for (size_t i = 0; i < pool_n; ++i) {
           // Popularity-skewed index within the category.
           const double z = rng.Uniform();
@@ -279,7 +285,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
               static_cast<double>(items.size()));
           cand[i] = items[std::min(idx, items.size() - 1)];
         }
-        v = pick_by_affinity(cand, user_taste[u][k], k);
+        v = pick_by_affinity(user_taste[u][k].data(), k);
       }
       if (!seen.insert(encode(u, v)).second) {
         ++failures;

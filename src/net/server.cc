@@ -22,6 +22,9 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+/// The descriptor NetServer holds back for shedding under fd exhaustion.
+int OpenReserveFd() { return open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
 }  // namespace
 
 NetServer::NetServer(TopKServer* server, NetServerOptions options)
@@ -39,6 +42,7 @@ NetServer::~NetServer() {
   Stop();
   if (listen_fd_ >= 0) close(listen_fd_);
   if (stop_fd_ >= 0) close(stop_fd_);
+  if (reserve_fd_ >= 0) close(reserve_fd_);
 }
 
 bool NetServer::Start() {
@@ -79,6 +83,8 @@ bool NetServer::Start() {
 
   stop_fd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
   if (stop_fd_ < 0) return false;
+  if (reserve_fd_ < 0) reserve_fd_ = OpenReserveFd();
+  if (reserve_fd_ < 0) return false;
 
   if (!reactor_->Add(listen_fd_, /*read=*/true, /*write=*/false) ||
       !reactor_->Add(stop_fd_, /*read=*/true, /*write=*/false)) {
@@ -191,6 +197,9 @@ void NetServer::AcceptReady() {
         accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
+      if ((errno == EMFILE || errno == ENFILE) && ShedWithReserveFd()) {
+        continue;
+      }
       return;  // EAGAIN (drained) or transient accept failure
     }
     if (connections_.size() >= options_.max_connections) {
@@ -208,6 +217,24 @@ void NetServer::AcceptReady() {
     connections_.emplace(
         fd, std::make_unique<Connection>(fd, options_.max_frame_payload));
   }
+}
+
+bool NetServer::ShedWithReserveFd() {
+  // Out of descriptors, the pending connection stays queued and the
+  // listener stays readable: without a free slot the loop would spin on
+  // it forever. Spend the reserve slot to take the connection off the
+  // queue and close it (the peer sees EOF), then hold the slot again.
+  if (reserve_fd_ < 0) return false;
+  close(reserve_fd_);
+  const int fd =
+      accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const bool shed = fd >= 0;
+  if (shed) {
+    close(fd);
+    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+  }
+  reserve_fd_ = OpenReserveFd();
+  return shed;
 }
 
 void NetServer::ServeDecoded(

@@ -73,7 +73,10 @@ struct NetServerOptions {
 
 struct NetServerStats {
   uint64_t connections_accepted = 0;
-  uint64_t connections_dropped = 0;  // over max_connections
+  /// Accepted and closed at once: over max_connections, or taken off the
+  /// listen queue with the reserve descriptor while the process was out
+  /// of file descriptors.
+  uint64_t connections_dropped = 0;
   /// Connections shed for exceeding max_queued_response_bytes.
   uint64_t backpressure_closes = 0;
   uint64_t frames_decoded = 0;
@@ -125,6 +128,10 @@ class NetServer {
  private:
   void RunLoop();
   void AcceptReady();
+  /// On EMFILE/ENFILE: closes the reserve descriptor, accepts and closes
+  /// one pending connection, and reopens the reserve. True when a
+  /// connection was shed (the caller keeps draining the queue).
+  bool ShedWithReserveFd();
   /// Serves every request decoded this wake-up: TopKBatch in
   /// max_wire_batch chunks, responses queued to their connections.
   void ServeDecoded(std::vector<std::pair<int, WireRequest>>* decoded);
@@ -137,6 +144,7 @@ class NetServer {
   std::unique_ptr<Reactor> reactor_;
   int listen_fd_ = -1;
   int stop_fd_ = -1;  // eventfd the reactor also waits on
+  int reserve_fd_ = -1;  // held back for ShedWithReserveFd
   uint16_t port_ = 0;
   std::string backend_name_;
   std::thread loop_;

@@ -71,6 +71,10 @@ void ExpectSameIndex(const SphericalIvfIndex& a, const SphericalIvfIndex& b) {
     ASSERT_EQ(la.size(), lb.size()) << "list " << c;
     EXPECT_TRUE(std::equal(la.begin(), la.end(), lb.begin())) << "list " << c;
   }
+  const auto ca = a.centroids();
+  const auto cb = b.centroids();
+  ASSERT_EQ(ca.size(), cb.size());
+  EXPECT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin()));
 }
 
 TEST(SphericalIvfIndexTest, ListsPartitionCatalogAscending) {
@@ -160,6 +164,19 @@ TEST(SphericalIvfIndexTest, BuildIsDeterministicAndParallelMatchesSerial) {
   const auto c =
       SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, &pool);
   ExpectSameIndex(*a, *c);
+
+  // The MARS index shape (K·d = 128 floats per row) with a sample and a
+  // catalog that split into uneven, non-quad-aligned chunks: every Lloyd
+  // assignment step really fans out, and the serial in-order centroid
+  // update keeps the pooled build bit-identical to the serial one.
+  const size_t kWideItems = 5003, kWideDim = 128;
+  DotScorer wide(4, kWideItems, kWideDim, 6);
+  AnnIndexOptions opts;
+  opts.kmeans_sample = 4099;
+  const auto serial = SphericalIvfIndex::Build(wide, kWideItems, opts, nullptr);
+  ThreadPool pool4(4);
+  const auto pooled = SphericalIvfIndex::Build(wide, kWideItems, opts, &pool4);
+  ExpectSameIndex(*serial, *pooled);
 }
 
 TEST(SphericalIvfIndexTest, RebuiltDirtyShardsEqualsRebuiltAll) {

@@ -491,5 +491,69 @@ TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesToLowestIndex) {
   for (size_t r = 0; r < count; ++r) EXPECT_EQ(got[r], 0u) << "row " << r;
 }
 
+/// Strict-'>' argmax over the public DotBatch scores of `row` against the
+/// centroid block: the oracle the assignment kernel must match exactly.
+uint32_t DotBatchArgmax(const float* row, const float* centroids,
+                        size_t num_centroids, size_t centroid_stride,
+                        size_t n) {
+  std::vector<float> dots(num_centroids);
+  DotBatch(row, centroids, num_centroids, centroid_stride, n, dots.data());
+  uint32_t best = 0;
+  for (size_t c = 1; c < num_centroids; ++c) {
+    if (dots[c] > dots[best]) best = static_cast<uint32_t>(c);
+  }
+  return best;
+}
+
+TEST(KernelsTest, NearestCentroidDotBatchMatchesDotBatchArgmax) {
+  // Exact equality, no tolerance: the assignment kernel scores rows in
+  // quads, and each lane must carry the same bits as the single-row dot
+  // DotBatch uses. n covers the 16-, 8- and scalar-tail paths of the row
+  // primitive; counts cover whole quads plus every tail length.
+  const size_t num_centroids = 13;
+  for (const size_t n : {5, 8, 16, 19, 32, 37, 128}) {
+    for (const size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33}) {
+      const size_t stride = n + 3, centroid_stride = n + 1;
+      Rng rng(100 * n + count);
+      const auto rows = RandomBlock(&rng, count, stride, n);
+      const auto centroids =
+          RandomBlock(&rng, num_centroids, centroid_stride, n);
+      std::vector<uint32_t> got(count, 0xFFFFFFFFu);
+      NearestCentroidDotBatch(rows.data(), count, stride, centroids.data(),
+                              num_centroids, centroid_stride, n, got.data());
+      for (size_t r = 0; r < count; ++r) {
+        EXPECT_EQ(got[r],
+                  DotBatchArgmax(rows.data() + r * stride, centroids.data(),
+                                 num_centroids, centroid_stride, n))
+            << "n=" << n << " count=" << count << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesPerLaneInsideAQuad) {
+  // Centroids {a, b, b, b, e}: the three copies of b tie exactly. One quad
+  // of rows {a, b, b, e} has lanes whose winners differ and two lanes that
+  // tie — each lane must keep its own lowest-index winner.
+  const size_t n = 37, num_centroids = 5;
+  Rng rng(23);
+  auto centroids = RandomBlock(&rng, num_centroids, n, n);
+  Copy(centroids.data() + 1 * n, centroids.data() + 2 * n, n);
+  Copy(centroids.data() + 1 * n, centroids.data() + 3 * n, n);
+  std::vector<float> rows(4 * n);
+  const size_t source[4] = {0, 1, 1, 4};
+  for (size_t r = 0; r < 4; ++r) {
+    Copy(centroids.data() + source[r] * n, rows.data() + r * n, n);
+  }
+  std::vector<uint32_t> got(4, 0xFFFFFFFFu);
+  NearestCentroidDotBatch(rows.data(), 4, n, centroids.data(), num_centroids,
+                          n, n, got.data());
+  EXPECT_EQ(got, (std::vector<uint32_t>{0, 1, 1, 4}));
+  for (size_t r = 0; r < 4; ++r) {
+    EXPECT_EQ(got[r], DotBatchArgmax(rows.data() + r * n, centroids.data(),
+                                     num_centroids, n, n));
+  }
+}
+
 }  // namespace
 }  // namespace mars

@@ -12,7 +12,16 @@
 //    unknown type, malformed payload) are answered per protocol.h's
 //    trust split — error frame + close for stream-level violations,
 //    error frame + live connection for frame-level ones — and a
-//    byte-at-a-time sender is reassembled correctly.
+//    byte-at-a-time sender is reassembled correctly. A process out of file
+//    descriptors sheds a pending connection (the peer sees EOF) instead
+//    of spinning on the readable listener.
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -319,6 +328,58 @@ TEST_P(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
   ASSERT_TRUE(server.Start());
   server.Stop();
   server.Stop();  // second stop is a no-op, not a crash/hang
+}
+
+TEST_P(NetServerTest, FdExhaustionShedsThePendingClient) {
+  ToyScorer scorer;
+  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetOptions());
+  ASSERT_TRUE(server.Start());
+
+  // The client socket exists before descriptors run out; connecting
+  // needs no new one on this side.
+  const int client = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(client, 0);
+  const timeval one_second{1, 0};
+  ASSERT_EQ(setsockopt(client, SOL_SOCKET, SO_RCVTIMEO, &one_second,
+                       sizeof(one_second)),
+            0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+
+  // A soft limit at the lowest free descriptor makes every new one in
+  // this process fail with EMFILE, the server's accept4 included.
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &saved), 0);
+  const int lowest_free = dup(client);
+  ASSERT_GE(lowest_free, 0);
+  close(lowest_free);
+  rlimit exhausted = saved;
+  exhausted.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &exhausted), 0);
+  const int connected =
+      connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
+  char byte = 0;
+  const ssize_t got = connected == 0 ? recv(client, &byte, 1, 0) : -1;
+  const int recv_errno = errno;
+  ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);  // before any bail-out
+  close(client);
+
+  ASSERT_EQ(connected, 0);
+  EXPECT_EQ(got, 0) << "no EOF within 1 s (errno " << recv_errno
+                    << "): the pending client was neither served nor shed";
+  EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_EQ(server.stats().connections_accepted, 0u);
+
+  // With descriptors back, the same server serves normally.
+  NetClient next;
+  ASSERT_TRUE(next.Connect("127.0.0.1", server.port()));
+  WireResponse wire;
+  ASSERT_TRUE(next.TopK(TopKRequest{.user = 3}, &wire));
+  EXPECT_EQ(wire.response.items, top_k.TopK(3).items);
+  server.Stop();
 }
 
 TEST_P(NetServerTest, BackpressureShedsUndrainedConnection) {
