@@ -19,8 +19,8 @@
 //      several frontend threads query the same server — every response is
 //      then verified to match one of the published snapshots exactly,
 //   8. serve the same answers *over TCP*: a NetServer fronts the server
-//      with the MRSN wire protocol (docs/PROTOCOL.md) on an io_uring or
-//      epoll reactor, and a pipelined client burst — decoded in one
+//      with the MRSN wire protocol (docs/PROTOCOL.md) on an epoll
+//      reactor, and a pipelined client burst — decoded in one
 //      reactor wake-up, served as one TopKBatch — is verified
 //      bit-identical to the in-process API.
 #include <atomic>
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   //    reactor decodes them in one wake-up and serves them as one
   //    TopKBatch — the wire feeds the coalesced multi-user kernels with
   //    no artificial delay. k = 0 asks for the server's configured depth.
-  NetServerOptions net_opts;  // loopback, ephemeral port, auto backend
+  NetServerOptions net_opts;  // loopback, ephemeral port
   NetServer net(&live, net_opts);
   if (!net.Start()) {
     std::fprintf(stderr, "failed to start the TCP front-end\n");

@@ -84,18 +84,15 @@ if [ -n "$SANITIZER" ]; then
   FILTER="$FILTER:WriteTrackerTest.*:TopKServer*:SnapshotHandle*"
   FILTER="$FILTER:ThreadPoolTest.*:SphericalIvfIndex*:VpTreeIndex*"
   # The wire front-end: reactor thread vs Stop(), per-connection state
-  # machines, and the codec. The parameterized Net suites cover BOTH
-  # reactor backends — epoll always runs (io_uring variants skip, not
-  # pass, where the kernel refuses a ring), so the fallback path is
-  # exercised in CI regardless of io_uring support. Zero suppressions.
+  # machines, and the codec, over the epoll reactor. Zero suppressions.
   FILTER="$FILTER:Protocol*:Net*:*NetServerTest*:RequestApi*"
   # The scenario harness: whole-stack traffic scenarios (trainer thread
   # publishing epochs, actor threads over loopback TCP, restart
   # teardown) with every invariant checker armed — publish_storm and
   # flash_crowd are the densest publish-vs-serve races in the repo.
   # Suite names are prefixed Scenario; the leading * also catches the
-  # parameterized instantiations (Catalog/..., Backends/...). Zero
-  # suppressions, like the rest of the serve/net layers.
+  # parameterized instantiations (Catalog/...). Zero suppressions, like
+  # the rest of the serve/net layers.
   FILTER="$FILTER:*Scenario*"
   if [ "$SANITIZER" = address ]; then
     # mmap'd serving is a classic lifetime-bug nest (views into unmapped
@@ -129,7 +126,11 @@ BUILD_DIR="${BUILD_DIR:-build}"
 check_build_dir "$BUILD_DIR"
 
 echo "== configure =="
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
+# Warnings fail the gate (CMake >= 3.24 maps this to -Werror); set here,
+# not as a project option, so a local build is never broken by a newer
+# compiler's new warning.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 
 echo "== build =="
 cmake --build "$BUILD_DIR" -j"$(nproc)"

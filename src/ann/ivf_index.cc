@@ -244,6 +244,12 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
                                    const size_t* want,
                                    std::vector<std::vector<ItemId>>* out) const {
   if (num_queries == 0) return;
+  if (num_queries == 1) {
+    // A lone query takes the single-query scan: DotBatch runs faster than
+    // DotBatchMulti's one-user tail and yields the same candidate set.
+    Probe(queries, want[0], &(*out)[0]);
+    return;
+  }
   // One multi-query pass over the centroid matrix scores every query's
   // centroid dots (each centroid row is loaded once per query quad); the
   // per-query list walk is then identical to Probe, so each query's

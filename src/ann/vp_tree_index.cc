@@ -167,7 +167,7 @@ void VpTreeIndex::BuildTree(ThreadPool* pool) {
   std::vector<std::pair<size_t, size_t>> next;
   for (size_t depth = 0; depth < parallel_depth_; ++depth) {
     next.clear();
-    for (const auto [begin, end] : frontier) {
+    for (const auto& [begin, end] : frontier) {
       if (end - begin <= leaf_size_) continue;
       const auto [near, far] = PartitionNode(begin, end);
       next.push_back(near);

@@ -20,8 +20,8 @@ bool Connection::ReadAndDecode(std::vector<WireRequest>* out) {
   // full delivers full chunks forever and one connection monopolizes
   // the event loop — starving every other connection and deferring the
   // response/backpressure cycle for the duration of its backlog. Under
-  // level-triggered readiness (epoll) or the reactor's lazy oneshot
-  // re-arm (io_uring), leftover bytes simply fire the next wake-up.
+  // the reactor's level-triggered readiness, leftover bytes simply fire
+  // the next wake-up.
   constexpr size_t kMaxBytesPerWake = 16 * sizeof(chunk);  // 256 KiB
   size_t consumed = 0;
   while (consumed < kMaxBytesPerWake) {

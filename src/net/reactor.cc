@@ -1,371 +1,62 @@
 #include "net/reactor.h"
 
 #include <errno.h>
-#include <poll.h>
-#include <string.h>
 #include <sys/epoll.h>
 #include <unistd.h>
 
-#include <unordered_map>
-
-#if __has_include(<linux/io_uring.h>)
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#if defined(__NR_io_uring_setup) && defined(__NR_io_uring_enter)
-#define MARS_HAS_IO_URING 1
-#endif
-#endif
+#include <cstdint>
 
 namespace mars {
 
 namespace {
 
-// ---------------------------------------------------------------------
-// epoll backend: level-triggered, the interface's semantics verbatim.
-
-class EpollReactor : public Reactor {
- public:
-  EpollReactor() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
-  ~EpollReactor() override {
-    if (epfd_ >= 0) close(epfd_);
-  }
-
-  bool ok() const { return epfd_ >= 0; }
-  const char* name() const override { return "epoll"; }
-
-  bool Add(int fd, bool read, bool write) override {
-    epoll_event ev{};
-    ev.events = Mask(read, write);
-    ev.data.fd = fd;
-    return epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-
-  bool Modify(int fd, bool read, bool write) override {
-    epoll_event ev{};
-    ev.events = Mask(read, write);
-    ev.data.fd = fd;
-    return epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-
-  void Remove(int fd) override {
-    epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  int Wait(std::vector<ReactorEvent>* events, int timeout_ms) override {
-    epoll_event raw[64];
-    int n;
-    do {
-      n = epoll_wait(epfd_, raw, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return -1;
-    for (int i = 0; i < n; ++i) {
-      ReactorEvent ev;
-      ev.fd = raw[i].data.fd;
-      ev.readable = (raw[i].events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0;
-      ev.writable = (raw[i].events & EPOLLOUT) != 0;
-      ev.error = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(ev);
-    }
-    return n;
-  }
-
- private:
-  static uint32_t Mask(bool read, bool write) {
-    uint32_t m = EPOLLRDHUP;
-    if (read) m |= EPOLLIN;
-    if (write) m |= EPOLLOUT;
-    return m;
-  }
-
-  int epfd_;
-};
-
-#ifdef MARS_HAS_IO_URING
-
-// ---------------------------------------------------------------------
-// io_uring backend: raw rings, no liburing (the container bakes in the
-// uapi header only). Readiness is oneshot IORING_OP_POLL_ADD per
-// registered fd, re-armed lazily at the top of every Wait; a Wait is
-// therefore exactly one io_uring_enter that both submits the batch of
-// re-arms and blocks for completions — the two rings' intended rhythm.
-//
-// Single-threaded by the Reactor contract, which collapses the ring
-// discipline to: we are the only SQ producer (plain writes + release
-// publish of the tail) and the only CQ consumer (acquire read of the
-// tail, release publish of the head).
-
-int SysIoUringSetup(unsigned entries, io_uring_params* p) {
-  return static_cast<int>(syscall(__NR_io_uring_setup, entries, p));
+uint32_t Mask(bool read, bool write) {
+  uint32_t m = EPOLLRDHUP;
+  if (read) m |= EPOLLIN;
+  if (write) m |= EPOLLOUT;
+  return m;
 }
-
-int SysIoUringEnter(int fd, unsigned to_submit, unsigned min_complete,
-                    unsigned flags) {
-  return static_cast<int>(syscall(__NR_io_uring_enter, fd, to_submit,
-                                  min_complete, flags, nullptr, 0));
-}
-
-class IoUringReactor : public Reactor {
- public:
-  IoUringReactor() {
-    io_uring_params params{};
-    ring_fd_ = SysIoUringSetup(kEntries, &params);
-    if (ring_fd_ < 0) return;
-
-    sq_size_ = params.sq_off.array + params.sq_entries * sizeof(uint32_t);
-    cq_size_ =
-        params.cq_off.cqes + params.cq_entries * sizeof(io_uring_cqe);
-    if (params.features & IORING_FEAT_SINGLE_MMAP) {
-      sq_size_ = cq_size_ = sq_size_ > cq_size_ ? sq_size_ : cq_size_;
-    }
-    sq_ring_ = static_cast<uint8_t*>(
-        mmap(nullptr, sq_size_, PROT_READ | PROT_WRITE,
-             MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING));
-    if (sq_ring_ == MAP_FAILED) {
-      sq_ring_ = nullptr;
-      return;
-    }
-    if (params.features & IORING_FEAT_SINGLE_MMAP) {
-      cq_ring_ = sq_ring_;
-    } else {
-      cq_ring_ = static_cast<uint8_t*>(
-          mmap(nullptr, cq_size_, PROT_READ | PROT_WRITE,
-               MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_CQ_RING));
-      if (cq_ring_ == MAP_FAILED) {
-        cq_ring_ = nullptr;
-        return;
-      }
-    }
-    sqes_size_ = params.sq_entries * sizeof(io_uring_sqe);
-    sqes_ = static_cast<io_uring_sqe*>(
-        mmap(nullptr, sqes_size_, PROT_READ | PROT_WRITE,
-             MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES));
-    if (sqes_ == MAP_FAILED) {
-      sqes_ = nullptr;
-      return;
-    }
-
-    sq_head_ = RingU32(sq_ring_, params.sq_off.head);
-    sq_tail_ = RingU32(sq_ring_, params.sq_off.tail);
-    sq_mask_ = *RingU32(sq_ring_, params.sq_off.ring_mask);
-    sq_entries_ = *RingU32(sq_ring_, params.sq_off.ring_entries);
-    sq_array_ = RingU32(sq_ring_, params.sq_off.array);
-    cq_head_ = RingU32(cq_ring_, params.cq_off.head);
-    cq_tail_ = RingU32(cq_ring_, params.cq_off.tail);
-    cq_mask_ = *RingU32(cq_ring_, params.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<io_uring_cqe*>(cq_ring_ + params.cq_off.cqes);
-    ok_ = true;
-  }
-
-  ~IoUringReactor() override {
-    if (sqes_ != nullptr) munmap(sqes_, sqes_size_);
-    if (cq_ring_ != nullptr && cq_ring_ != sq_ring_) {
-      munmap(cq_ring_, cq_size_);
-    }
-    if (sq_ring_ != nullptr) munmap(sq_ring_, sq_size_);
-    if (ring_fd_ >= 0) close(ring_fd_);
-  }
-
-  bool ok() const { return ok_; }
-  const char* name() const override { return "io_uring"; }
-
-  bool Add(int fd, bool read, bool write) override {
-    fds_[fd] = Interest{read, write, /*armed=*/false};
-    return true;
-  }
-
-  bool Modify(int fd, bool read, bool write) override {
-    auto it = fds_.find(fd);
-    if (it == fds_.end()) return false;
-    it->second.read = read;
-    it->second.write = write;
-    if (it->second.armed) {
-      // The in-flight oneshot poll watches the old mask; cancel it and
-      // let the next Wait re-arm with the new one. A poll that already
-      // completed (cancel → -ENOENT) just delivers one event under the
-      // old mask — spurious, harmless under level-triggered semantics.
-      CancelPoll(fd);
-      it->second.armed = false;
-    }
-    return true;
-  }
-
-  void Remove(int fd) override {
-    auto it = fds_.find(fd);
-    if (it == fds_.end()) return;
-    if (it->second.armed) CancelPoll(fd);
-    fds_.erase(it);
-  }
-
-  int Wait(std::vector<ReactorEvent>* events, int timeout_ms) override {
-    // Arm every registered fd that has no poll in flight.
-    for (auto& [fd, interest] : fds_) {
-      if (interest.armed || (!interest.read && !interest.write)) continue;
-      io_uring_sqe* sqe = GetSqe();
-      if (sqe == nullptr) return -1;
-      sqe->opcode = IORING_OP_POLL_ADD;
-      sqe->fd = fd;
-      uint16_t mask = POLLRDHUP;
-      if (interest.read) mask |= POLLIN;
-      if (interest.write) mask |= POLLOUT;
-      sqe->poll_events = mask;
-      sqe->user_data = static_cast<uint64_t>(fd);
-      interest.armed = true;
-    }
-    // A bounded wait rides a timeout op in the same submission; its
-    // completion (-ETIME) is what unblocks the enter.
-    if (timeout_ms >= 0) {
-      io_uring_sqe* sqe = GetSqe();
-      if (sqe == nullptr) return -1;
-      timeout_ts_.tv_sec = timeout_ms / 1000;
-      timeout_ts_.tv_nsec = int64_t{timeout_ms % 1000} * 1000000;
-      sqe->opcode = IORING_OP_TIMEOUT;
-      sqe->fd = -1;
-      sqe->addr = reinterpret_cast<uint64_t>(&timeout_ts_);
-      sqe->len = 1;
-      sqe->user_data = kTimeoutData;
-    }
-
-    int rc;
-    do {
-      rc = SysIoUringEnter(ring_fd_, to_submit_, /*min_complete=*/1,
-                           IORING_ENTER_GETEVENTS);
-    } while (rc < 0 && errno == EINTR);
-    if (rc < 0) return -1;
-    to_submit_ = 0;
-
-    int appended = 0;
-    uint32_t head = __atomic_load_n(cq_head_, __ATOMIC_RELAXED);
-    const uint32_t tail = __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE);
-    for (; head != tail; ++head) {
-      const io_uring_cqe& cqe = cqes_[head & cq_mask_];
-      if (cqe.user_data == kTimeoutData || cqe.user_data == kCancelData) {
-        continue;  // timer fired / cancel op result — not fd events
-      }
-      const int fd = static_cast<int>(cqe.user_data);
-      auto it = fds_.find(fd);
-      if (it == fds_.end()) continue;  // stale completion after Remove
-      it->second.armed = false;
-      if (cqe.res == -ECANCELED) continue;  // Modify() rearm in progress
-      ReactorEvent ev;
-      ev.fd = fd;
-      if (cqe.res < 0) {
-        ev.error = true;
-        ev.readable = true;  // let the read path observe the failure
-      } else {
-        const uint32_t mask = static_cast<uint32_t>(cqe.res);
-        ev.readable = (mask & (POLLIN | POLLHUP | POLLRDHUP)) != 0;
-        ev.writable = (mask & POLLOUT) != 0;
-        ev.error = (mask & (POLLERR | POLLHUP)) != 0;
-      }
-      events->push_back(ev);
-      ++appended;
-    }
-    __atomic_store_n(cq_head_, head, __ATOMIC_RELEASE);
-    return appended;
-  }
-
- private:
-  static constexpr unsigned kEntries = 256;
-  static constexpr uint64_t kTimeoutData = ~uint64_t{0};
-  static constexpr uint64_t kCancelData = ~uint64_t{0} - 1;
-
-  struct Interest {
-    bool read = false;
-    bool write = false;
-    bool armed = false;
-  };
-
-  static uint32_t* RingU32(uint8_t* base, uint32_t off) {
-    return reinterpret_cast<uint32_t*>(base + off);
-  }
-
-  /// Next free SQE (zeroed), flushing with a submit-only enter when the
-  /// ring is full. nullptr only if that flush fails.
-  io_uring_sqe* GetSqe() {
-    uint32_t tail = *sq_tail_;  // sole producer: plain read is ours
-    const uint32_t head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-    if (tail - head >= sq_entries_) {
-      int rc;
-      do {
-        rc = SysIoUringEnter(ring_fd_, to_submit_, 0, 0);
-      } while (rc < 0 && errno == EINTR);
-      if (rc < 0) return nullptr;
-      to_submit_ = 0;
-    }
-    const uint32_t idx = tail & sq_mask_;
-    io_uring_sqe* sqe = &sqes_[idx];
-    memset(sqe, 0, sizeof(*sqe));
-    sq_array_[idx] = idx;
-    __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-    ++to_submit_;
-    return sqe;
-  }
-
-  void CancelPoll(int fd) {
-    io_uring_sqe* sqe = GetSqe();
-    if (sqe == nullptr) return;
-    sqe->opcode = IORING_OP_ASYNC_CANCEL;
-    sqe->fd = -1;
-    sqe->addr = static_cast<uint64_t>(fd);  // user_data of the poll
-    sqe->user_data = kCancelData;
-  }
-
-  bool ok_ = false;
-  int ring_fd_ = -1;
-  uint8_t* sq_ring_ = nullptr;
-  uint8_t* cq_ring_ = nullptr;
-  io_uring_sqe* sqes_ = nullptr;
-  size_t sq_size_ = 0;
-  size_t cq_size_ = 0;
-  size_t sqes_size_ = 0;
-  uint32_t* sq_head_ = nullptr;
-  uint32_t* sq_tail_ = nullptr;
-  uint32_t* sq_array_ = nullptr;
-  uint32_t sq_mask_ = 0;
-  uint32_t sq_entries_ = 0;
-  uint32_t* cq_head_ = nullptr;
-  uint32_t* cq_tail_ = nullptr;
-  uint32_t cq_mask_ = 0;
-  io_uring_cqe* cqes_ = nullptr;
-  unsigned to_submit_ = 0;
-  __kernel_timespec timeout_ts_{};
-  std::unordered_map<int, Interest> fds_;
-};
-
-#endif  // MARS_HAS_IO_URING
 
 }  // namespace
 
-bool IoUringAvailable() {
-#ifdef MARS_HAS_IO_URING
-  static const bool available = [] {
-    io_uring_params params{};
-    const int fd = SysIoUringSetup(4, &params);
-    if (fd < 0) return false;
-    close(fd);
-    return true;
-  }();
-  return available;
-#else
-  return false;
-#endif
+Reactor::Reactor() : epfd_(epoll_create1(EPOLL_CLOEXEC)) {}
+
+Reactor::~Reactor() {
+  if (epfd_ >= 0) close(epfd_);
 }
 
-std::unique_ptr<Reactor> Reactor::Create(NetBackend backend) {
-#ifdef MARS_HAS_IO_URING
-  if (backend == NetBackend::kIoUring ||
-      (backend == NetBackend::kAuto && IoUringAvailable())) {
-    auto ring = std::make_unique<IoUringReactor>();
-    if (ring->ok()) return ring;
-    if (backend == NetBackend::kIoUring) return nullptr;
+bool Reactor::Add(int fd, bool read, bool write) {
+  epoll_event ev{};
+  ev.events = Mask(read, write);
+  ev.data.fd = fd;
+  return epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) == 0;
+}
+
+bool Reactor::Modify(int fd, bool read, bool write) {
+  epoll_event ev{};
+  ev.events = Mask(read, write);
+  ev.data.fd = fd;
+  return epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) == 0;
+}
+
+void Reactor::Remove(int fd) { epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr); }
+
+int Reactor::Wait(std::vector<ReactorEvent>* events, int timeout_ms) {
+  epoll_event raw[64];
+  int n;
+  do {
+    n = epoll_wait(epfd_, raw, 64, timeout_ms);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0) return -1;
+  for (int i = 0; i < n; ++i) {
+    ReactorEvent ev;
+    ev.fd = raw[i].data.fd;
+    ev.readable = (raw[i].events & (EPOLLIN | EPOLLHUP | EPOLLRDHUP)) != 0;
+    ev.writable = (raw[i].events & EPOLLOUT) != 0;
+    ev.error = (raw[i].events & (EPOLLERR | EPOLLHUP)) != 0;
+    events->push_back(ev);
   }
-#else
-  if (backend == NetBackend::kIoUring) return nullptr;
-#endif
-  auto ep = std::make_unique<EpollReactor>();
-  if (!ep->ok()) return nullptr;
-  return ep;
+  return n;
 }
 
 }  // namespace mars

@@ -1,22 +1,9 @@
-// Readiness reactors for the TCP front-end: one interface, two
-// backends.
+// The readiness reactor of the TCP front-end: level-triggered epoll.
 //
-//  * EpollReactor — level-triggered epoll. Always available; the
-//    fallback and the CI-pinned path.
-//  * IoUringReactor — io_uring submission/completion rings driven with
-//    raw syscalls (io_uring_setup / io_uring_enter + mmap'd rings; the
-//    toolchain here has <linux/io_uring.h> but no liburing). Readiness
-//    is modeled as oneshot IORING_OP_POLL_ADD entries, re-armed per
-//    Wait: the server loop's batched rhythm (arm every interest, one
-//    enter syscall, drain every completion) is exactly the
-//    submit/complete-in-batches discipline the rings are built for.
-//    user_data carries the fd, so completions map back without a table.
-//
-// Both backends are level-triggered from the caller's point of view: a
-// Wait returns an fd as readable for as long as unread bytes remain, so
-// the connection state machine never needs the drain-to-EAGAIN
-// discipline edge-triggering would force (it still drains — for
-// batching, not correctness).
+// Level-triggered from the caller's point of view: a Wait returns an fd
+// as readable for as long as unread bytes remain, so the connection state
+// machine never needs the drain-to-EAGAIN discipline edge-triggering
+// would force (it still drains — for batching, not correctness).
 //
 // Threading: a reactor belongs to the single thread that Waits on it.
 // Add/Modify/Remove must come from that thread (the server loop owns
@@ -24,16 +11,9 @@
 #ifndef MARS_NET_REACTOR_H_
 #define MARS_NET_REACTOR_H_
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace mars {
-
-/// Which reactor to run. kAuto probes the kernel once and picks
-/// io_uring when a ring can actually be set up (not merely compiled
-/// against), epoll otherwise.
-enum class NetBackend : uint8_t { kAuto = 0, kEpoll = 1, kIoUring = 2 };
 
 /// One readiness event. `error` covers hangup/error conditions; the
 /// caller treats it like readability (the next read reports the close).
@@ -46,31 +26,34 @@ struct ReactorEvent {
 
 class Reactor {
  public:
-  virtual ~Reactor() = default;
+  Reactor();
+  ~Reactor();
 
-  /// Backend name for stats/logs ("epoll" / "io_uring").
-  virtual const char* name() const = 0;
+  Reactor(const Reactor&) = delete;
+  Reactor& operator=(const Reactor&) = delete;
+
+  /// False when the epoll instance could not be created.
+  bool ok() const { return epfd_ >= 0; }
+
+  /// Backend name for stats/logs.
+  const char* name() const { return "epoll"; }
 
   /// Registers `fd` with the given interest set. False on failure.
-  virtual bool Add(int fd, bool read, bool write) = 0;
+  bool Add(int fd, bool read, bool write);
 
   /// Changes the interest set of a registered fd.
-  virtual bool Modify(int fd, bool read, bool write) = 0;
+  bool Modify(int fd, bool read, bool write);
 
   /// Unregisters `fd`. Safe to call just before closing it.
-  virtual void Remove(int fd) = 0;
+  void Remove(int fd);
 
   /// Blocks up to `timeout_ms` (-1 = forever) and appends ready events.
   /// Returns the number appended, 0 on timeout, -1 on reactor failure.
-  virtual int Wait(std::vector<ReactorEvent>* events, int timeout_ms) = 0;
+  int Wait(std::vector<ReactorEvent>* events, int timeout_ms);
 
-  /// Builds the requested backend; nullptr when kIoUring was demanded
-  /// on a kernel that cannot set a ring up.
-  static std::unique_ptr<Reactor> Create(NetBackend backend);
+ private:
+  int epfd_;
 };
-
-/// True when this kernel accepts io_uring_setup (probed once, cached).
-bool IoUringAvailable();
 
 }  // namespace mars
 

@@ -48,8 +48,8 @@ NetServer::~NetServer() {
 bool NetServer::Start() {
   if (running_) return false;
 
-  reactor_ = Reactor::Create(options_.backend);
-  if (reactor_ == nullptr) return false;
+  reactor_ = std::make_unique<Reactor>();
+  if (!reactor_->ok()) return false;
   backend_name_ = reactor_->name();
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
@@ -230,8 +230,9 @@ bool NetServer::ShedWithReserveFd() {
       accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
   const bool shed = fd >= 0;
   if (shed) {
-    close(fd);
+    // Count before the close: the peer's EOF must never overtake the stat.
     connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+    close(fd);
   }
   reserve_fd_ = OpenReserveFd();
   return shed;

@@ -1,8 +1,7 @@
 // NetServer: the asynchronous TCP front-end over TopKServer. One
-// reactor thread (io_uring rings where the kernel has them, epoll
-// otherwise — net/reactor.h) accepts connections, reassembles frames
-// (net/connection.h), and answers with the same TopKResponse bytes the
-// in-process API produces.
+// reactor thread (level-triggered epoll — net/reactor.h) accepts
+// connections, reassembles frames (net/connection.h), and answers with
+// the same TopKResponse bytes the in-process API produces.
 //
 // The load-bearing design point is *natural batching*: every request
 // decoded in one reactor wake-up — across all connections — is grouped
@@ -44,8 +43,6 @@ struct NetServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; port() reports the actual one.
   uint16_t port = 0;
-  /// Reactor choice (kAuto probes io_uring, falls back to epoll).
-  NetBackend backend = NetBackend::kAuto;
   /// Per-frame payload cap handed to each connection's decoder.
   size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Accepted connections beyond this are closed immediately.
@@ -105,8 +102,7 @@ class NetServer {
   NetServer& operator=(const NetServer&) = delete;
 
   /// Binds, listens, and spawns the reactor thread. False when the
-  /// bind/listen or reactor setup fails (port busy, kIoUring demanded
-  /// without kernel support).
+  /// bind/listen or reactor setup fails (port busy, no epoll instance).
   bool Start();
 
   /// Signals the reactor thread and joins. Idempotent.
@@ -115,8 +111,7 @@ class NetServer {
   /// The bound port (valid after Start() returned true).
   uint16_t port() const { return port_; }
 
-  /// Reactor backend actually running ("epoll" / "io_uring"; empty
-  /// before Start).
+  /// Reactor backend running ("epoll"; empty before Start).
   const std::string& backend_name() const { return backend_name_; }
 
   /// The wrapped serving layer (for maintenance calls — PublishEpoch,

@@ -37,8 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "net/reactor.h"
-
 namespace mars {
 
 /// What one traffic event asks an actor to do.
@@ -112,7 +110,6 @@ struct ScenarioSpec {
   double p99_bound_ms = 250.0;
 
   // Wire knobs.
-  NetBackend backend = NetBackend::kAuto;
   /// 0 = NetServerOptions default; slow_reader shrinks it so the
   /// backpressure cap trips with test-sized traffic.
   size_t max_queued_response_bytes = 0;

@@ -338,14 +338,13 @@ ScenarioReport ScenarioRunner::Run() {
                                            spec_.num_items, sopts);
 
   NetServerOptions nopts;
-  nopts.backend = spec_.backend;
   if (spec_.max_queued_response_bytes > 0) {
     nopts.max_queued_response_bytes = spec_.max_queued_response_bytes;
   }
   nopts.sndbuf_bytes = spec_.sndbuf_bytes;
   auto net = std::make_unique<NetServer>(topk.get(), nopts);
   if (!net->Start()) {
-    rep.error = "NetServer failed to start (requested backend unavailable?)";
+    rep.error = "NetServer failed to start";
     return rep;
   }
   sh.port.store(net->port(), std::memory_order_release);

@@ -5,8 +5,8 @@
 // way production would run it:
 //
 //   ParallelTrainer ──epoch_callback──▶ TopKServer ◀── NetServer ◀── TCP
-//        (Mars Fit, Hogwild)    PublishEpoch   (ANN full-probe,   (io_uring
-//                                              coalescing, LRU)    /epoll)
+//        (Mars Fit, Hogwild)    PublishEpoch   (ANN full-probe,    (epoll)
+//                                              coalescing, LRU)
 //
 // One actor thread per spec.num_actors drives a NetClient over loopback
 // through its slice of the trace; a trainer thread keeps publishing

@@ -12,12 +12,12 @@ namespace mars {
 
 namespace {
 
-/// Items per scoring block of the multi-user batched sweep: the B score
-/// rows of one block (B · 2048 · 4 bytes) stay cache-resident while the
-/// per-user selection consumes them, and the block's item rows are
-/// streamed from memory exactly once for the whole batch. Blocking is
-/// invisible in the results — selection is exact per block and the merge
-/// is the same bounded-pool merge the solo sweep uses.
+/// Items per scoring block of the exact sweep: the B score rows of one
+/// block (B · 2048 · 4 bytes) stay cache-resident while the per-user
+/// selection consumes them, and the block's item rows are streamed from
+/// memory exactly once for the whole batch. Blocking is invisible in the
+/// results — selection carries across blocks and the per-chunk pools merge
+/// exactly.
 constexpr size_t kBatchBlockItems = 2048;
 
 /// Ranking order of the served lists: score descending, item id ascending
@@ -42,11 +42,11 @@ inline void CompactTopK(std::vector<std::pair<float, ItemId>>* buf,
 
 /// Streaming top-k selection over score ranges: threshold + bounded
 /// append + rare nth_element compaction, one comparison per item in the
-/// steady state. The state object exists so a blocked sweep (BatchSweep
+/// steady state. The state object exists so the blocked sweep (BatchSweep
 /// feeds one block's scores at a time) carries the threshold *across*
 /// blocks — resetting it per block re-warms the candidate buffer every
-/// 2k items, which measurably dominates the batched sweep's non-scoring
-/// cost at large catalogs. The threshold is always a sound rejector
+/// 2k items, which measurably dominates the sweep's non-scoring cost at
+/// large catalogs. The threshold is always a sound rejector
 /// (anything not beating the current k-th best can never make the
 /// top-k), so feeding one range or many yields the same selection.
 class RangeTopKSelector {
@@ -89,18 +89,6 @@ class RangeTopKSelector {
   std::pair<float, ItemId> threshold_{};
   bool has_threshold_ = false;
 };
-
-/// Appends the top-k (unsorted) of items [begin, end) to `out`, given
-/// their scores in `scores[0 .. end-begin)`. One-shot wrapper over
-/// RangeTopKSelector for the solo sweep's single-range calls.
-void SelectRangeTopK(const float* scores, ItemId begin, ItemId end,
-                     UserId u, size_t k, const ImplicitDataset* exclude,
-                     std::vector<std::pair<float, ItemId>>* out) {
-  if (k == 0) return;
-  RangeTopKSelector selector(u, k, exclude);
-  selector.Consume(scores, begin, end);
-  selector.Finish(out);
-}
 
 /// Sorts a candidate pool's k best into the final ranked (items, scores).
 void RankCandidates(std::vector<std::pair<float, ItemId>>* pool, size_t k,
@@ -252,21 +240,14 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
   const bool ann_ok = index != nullptr &&
                       snapshot->index_geometry() != IndexGeometry::kNone &&
                       snapshot->index_dim() == index->dim();
-  if (users.size() == 1) {
-    // A batch of one takes the classic solo path — same kernels, same
-    // scratch reuse, zero batching overhead.
-    TopKResponse& r = (*results)[0];
-    if (ann_ok) {
-      AnnSweep(*snapshot, *index, users[0], &r.items, &r.scores);
-    } else {
-      Sweep(*snapshot, users[0], &r.items, &r.scores);
-    }
+  if (ann_ok) {
+    AnnBatchSweep(*snapshot, *index, users, results);
   } else {
-    if (ann_ok) {
-      AnnBatchSweep(*snapshot, *index, users, results);
-    } else {
-      BatchSweep(*snapshot, users, results);
-    }
+    BatchSweep(*snapshot, users, results);
+  }
+  if (users.size() >= 2) {
+    // The batching counters describe multi-user sweeps only: a batch of
+    // one is a plain miss, however it reached this point.
     batch_sweeps_.fetch_add(1, std::memory_order_relaxed);
     coalesced_misses_.fetch_add(users.size() + extra_requests,
                                 std::memory_order_relaxed);
@@ -345,7 +326,7 @@ TopKResponse TopKServer::CoalescedMiss(UserId u) {
   if (self.done) return std::move(self.result);
 
   // No leader running: this miss leads the next batch. Claim ourselves
-  // plus up to max_coalesced_batch - 1 queued misses, FIFO; anything
+  // plus up to batch.max_batch - 1 queued misses, FIFO; anything
   // beyond the cap stays queued for the next leader.
   batch_leader_active_ = true;
   const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
@@ -368,7 +349,8 @@ TopKResponse TopKServer::CoalescedMiss(UserId u) {
   lock.unlock();
 
   // Dedupe: concurrent misses for one user share a single sweep slot
-  // (solo TopK would sweep them redundantly — wasted work, same answer).
+  // (uncoalesced misses would sweep them redundantly — wasted work, same
+  // answer).
   std::vector<UserId> users;
   std::vector<size_t> slot(batch.size());
   users.reserve(batch.size());
@@ -440,9 +422,10 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
     miss_users.push_back(u);
   }
   if (miss_users.empty()) return out;
-  // Sweep in groups of batch.max_batch — the same cap the coalescer
-  // honors, bounding the per-chunk score buffers for arbitrarily large
-  // requests. Each group pins its own epoch, like consecutive TopK calls.
+  // Misses go out in groups of batch.max_batch — the same cap the
+  // coalescer honors, bounding the per-chunk score buffers for arbitrarily
+  // large requests. Each group pins its own epoch, like consecutive TopK
+  // calls.
   const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
   std::vector<TopKResponse> results(miss_users.size());
   for (size_t base = 0; base < miss_users.size(); base += cap) {
@@ -472,101 +455,6 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
     requests[i].user = users[i];
   }
   return TopKBatch(std::span<const TopKRequest>(requests));
-}
-
-void TopKServer::Sweep(const ItemScorer& model, UserId u,
-                       std::vector<ItemId>* items,
-                       std::vector<float>* scores) {
-  const size_t k = std::min(options_.k, num_items_);
-  const ImplicitDataset* exclude = options_.exclude_interactions;
-
-  const bool parallel_ok = options_.pool != nullptr && model.thread_safe() &&
-                           !options_.pool->IsWorkerThread();
-  const size_t chunks = std::min(
-      num_items_,
-      std::max<size_t>(1, !parallel_ok ? 1
-                          : options_.sweep_shards > 0
-                              ? options_.sweep_shards
-                              : options_.pool->num_threads()));
-
-  // Each chunk scans one contiguous ShardRange — the item blocks inside
-  // it are sequential in memory — and keeps a bounded local top-k.
-  std::vector<std::vector<std::pair<float, ItemId>>> per_chunk(chunks);
-  const auto scan_chunk = [&, k](size_t c) {
-    const auto [begin, end] = FacetStore::ShardRange(num_items_, c, chunks);
-    if (begin == end) return;
-    // Per-thread score buffer: misses on one thread (or successive chunks
-    // on one pool worker) reuse the allocation instead of paying a
-    // catalog-sized malloc per sweep.
-    static thread_local std::vector<float> chunk_scores;
-    chunk_scores.resize(end - begin);
-    model.ScoreItemRange(u, begin, end, chunk_scores.data());
-    SelectRangeTopK(chunk_scores.data(), begin, end, u, k, exclude,
-                    &per_chunk[c]);
-  };
-
-  if (chunks > 1) {
-    options_.pool->RunBatch(chunks, scan_chunk);
-  } else if (!model.thread_safe()) {
-    // A model with shared internal scoring scratch cannot even be swept
-    // serially from two frontend threads at once.
-    std::unique_lock<std::mutex> lock(serial_model_mu_);
-    scan_chunk(0);
-  } else {
-    scan_chunk(0);
-  }
-
-  // Merge the per-chunk winners (≤ k each) into the final ranking.
-  std::vector<std::pair<float, ItemId>> merged;
-  merged.reserve(chunks * k);
-  for (const auto& chunk : per_chunk) {
-    merged.insert(merged.end(), chunk.begin(), chunk.end());
-  }
-  RankCandidates(&merged, k, items, scores);
-}
-
-void TopKServer::AnnSweep(const ItemScorer& model, const CandidateIndex& index,
-                          UserId u, std::vector<ItemId>* items,
-                          std::vector<float>* scores) {
-  const size_t k = std::min(options_.k, num_items_);
-  if (k == 0) {
-    items->clear();
-    scores->clear();
-    return;
-  }
-  const ImplicitDataset* exclude = options_.exclude_interactions;
-  // Per-thread buffers, same rationale as Sweep's chunk scratch.
-  static thread_local std::vector<float> query;
-  static thread_local std::vector<ItemId> cands;
-  static thread_local std::vector<float> cand_scores;
-  query.resize(index.dim());
-  cands.clear();
-  // Overfetch: k·overfetch candidates absorb near-boundary ranking churn;
-  // widening by the user's interaction count guarantees exclusion
-  // filtering alone can never shorten the answer below k (for the exact
-  // VP-tree this keeps the served top-k exactly the brute-force one).
-  const size_t excluded = exclude != nullptr ? exclude->UserDegree(u) : 0;
-  const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
-  const size_t want = std::max(k * overfetch, k + excluded);
-  {
-    // Same guard as Sweep: shared-scratch models are probed and re-ranked
-    // under the serial-model lock.
-    std::unique_lock<std::mutex> model_lock(serial_model_mu_,
-                                            std::defer_lock);
-    if (!model.thread_safe()) model_lock.lock();
-    model.WriteIndexQuery(u, query.data());
-    index.Probe(query.data(), want, &cands);
-    cand_scores.resize(cands.size());
-    model.ScoreItems(u, cands, cand_scores.data());
-  }
-  static thread_local std::vector<std::pair<float, ItemId>> selected;
-  selected.clear();
-  selected.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i) {
-    if (exclude != nullptr && exclude->HasInteraction(u, cands[i])) continue;
-    selected.emplace_back(cand_scores[i], cands[i]);
-  }
-  RankCandidates(&selected, k, items, scores);
 }
 
 void TopKServer::BatchSweep(const ItemScorer& model,
@@ -601,8 +489,7 @@ void TopKServer::BatchSweep(const ItemScorer& model,
     std::vector<float*> outs(B);
     // One selector per user for the whole chunk: the rejection threshold
     // tightens once over the first blocks and then survives block
-    // boundaries, keeping selection at one comparison per item exactly
-    // like the solo sweep's single-range call.
+    // boundaries, keeping selection at one comparison per item.
     std::vector<RangeTopKSelector> selectors;
     selectors.reserve(B);
     for (size_t b = 0; b < B; ++b) {
@@ -616,7 +503,15 @@ void TopKServer::BatchSweep(const ItemScorer& model,
       for (size_t b = 0; b < B; ++b) {
         outs[b] = block_scores.data() + b * (be - bb);
       }
-      model.ScoreItemRangeMulti(users, bb, be, outs.data());
+      if (B == 1) {
+        // A lone user scores through the single-user kernels: their row
+        // loop runs ~30% faster than the multi-user kernels' one-user tail
+        // (DotBatch vs DotBatchMulti, dim 32), and the ScoreItemRangeMulti
+        // contract makes the two bit-identical.
+        model.ScoreItemRange(users[0], bb, be, outs[0]);
+      } else {
+        model.ScoreItemRangeMulti(users, bb, be, outs.data());
+      }
       for (size_t b = 0; b < B; ++b) {
         selectors[b].Consume(outs[b], bb, be);
       }
@@ -630,7 +525,8 @@ void TopKServer::BatchSweep(const ItemScorer& model,
   if (chunks > 1) {
     options_.pool->RunBatch(chunks, scan_chunk);
   } else if (!model.thread_safe()) {
-    // Same guard as Sweep: shared-scratch models are swept serially.
+    // A model with shared internal scoring scratch cannot even be swept
+    // serially from two frontend threads at once.
     std::unique_lock<std::mutex> lock(serial_model_mu_);
     scan_chunk(0);
   } else {
@@ -655,54 +551,54 @@ void TopKServer::AnnBatchSweep(const ItemScorer& model,
                                std::vector<TopKResponse>* results) {
   const size_t B = users.size();
   const size_t k = std::min(options_.k, num_items_);
-  if (k == 0) {
-    for (TopKResponse& r : *results) {
-      r.items.clear();
-      r.scores.clear();
-    }
-    return;
-  }
   const ImplicitDataset* exclude = options_.exclude_interactions;
-  const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
-  std::vector<size_t> wants(B);
-  std::vector<float> queries(B * index.dim());
-  std::vector<std::vector<ItemId>> cands(B);
-  std::vector<std::vector<float>> cand_scores(B);
-  {
-    // Same guard as AnnSweep: shared-scratch models are probed and
-    // re-ranked under the serial-model lock.
-    std::unique_lock<std::mutex> model_lock(serial_model_mu_,
-                                            std::defer_lock);
-    if (!model.thread_safe()) model_lock.lock();
-    for (size_t b = 0; b < B; ++b) {
-      const size_t excluded =
-          exclude != nullptr ? exclude->UserDegree(users[b]) : 0;
-      wants[b] = std::max(k * overfetch, k + excluded);
-      model.WriteIndexQuery(users[b], queries.data() + b * index.dim());
-    }
-    // One shared probe: the IVF scores all B queries against the centroid
-    // matrix in a single multi-query pass; per query the candidate set is
-    // bit-identical to a solo Probe (the ProbeBatch contract), so the
-    // re-ranked answers match B solo AnnSweeps of this snapshot.
-    index.ProbeBatch(queries.data(), B, wants.data(), &cands);
-    for (size_t b = 0; b < B; ++b) {
-      cand_scores[b].resize(cands[b].size());
-      model.ScoreItems(users[b], cands[b], cand_scores[b].data());
-    }
-  }
-  std::vector<std::pair<float, ItemId>> selected;
+  // Per-thread buffers: successive misses on one frontend thread reuse
+  // the allocations, so a miss allocates nothing beyond its response. The
+  // probe appends to the candidate lists, hence the clears.
+  static thread_local std::vector<size_t> wants;
+  static thread_local std::vector<float> queries;
+  static thread_local std::vector<std::vector<ItemId>> cands;
+  static thread_local std::vector<float> cand_scores;
+  static thread_local std::vector<std::pair<float, ItemId>> selected;
+  wants.resize(B);
+  queries.resize(B * index.dim());
+  if (cands.size() < B) cands.resize(B);
+  for (size_t b = 0; b < B; ++b) cands[b].clear();
+  // Shared-scratch models are probed and re-ranked under the serial-model
+  // lock, like BatchSweep's serial scan.
+  std::unique_lock<std::mutex> model_lock(serial_model_mu_, std::defer_lock);
+  if (!model.thread_safe()) model_lock.lock();
   for (size_t b = 0; b < B; ++b) {
+    wants[b] = AnnWant(users[b]);
+    model.WriteIndexQuery(users[b], queries.data() + b * index.dim());
+  }
+  // One shared probe: the IVF scores all B queries against the centroid
+  // matrix in a single multi-query pass; per query the candidate set is
+  // bit-identical to a lone Probe (the ProbeBatch contract), so a batch of
+  // B re-ranks to the answers of B batches of one.
+  index.ProbeBatch(queries.data(), B, wants.data(), &cands);
+  for (size_t b = 0; b < B; ++b) {
+    cand_scores.resize(cands[b].size());
+    model.ScoreItems(users[b], cands[b], cand_scores.data());
     selected.clear();
-    selected.reserve(cands[b].size());
     for (size_t i = 0; i < cands[b].size(); ++i) {
       if (exclude != nullptr &&
           exclude->HasInteraction(users[b], cands[b][i])) {
         continue;
       }
-      selected.emplace_back(cand_scores[b][i], cands[b][i]);
+      selected.emplace_back(cand_scores[i], cands[b][i]);
     }
-    RankCandidates(&selected, k, &(*results)[b].items, &(*results)[b].scores);
+    RankCandidates(&selected, k, &(*results)[b].items,
+                   &(*results)[b].scores);
   }
+}
+
+size_t TopKServer::AnnWant(UserId u) const {
+  const size_t k = std::min(options_.k, num_items_);
+  const ImplicitDataset* exclude = options_.exclude_interactions;
+  const size_t excluded = exclude != nullptr ? exclude->UserDegree(u) : 0;
+  const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
+  return std::max(k * overfetch, k + excluded);
 }
 
 void TopKServer::RefreshAnnIndex(
@@ -839,16 +735,16 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
   std::pair<float, ItemId> threshold = old_kth;
   bool has_threshold = old_full;
   {
-    // Same guard as Sweep: a model with shared internal scoring scratch
-    // must not be scored here while a frontend miss sweeps it.
+    // Same guard as the miss sweeps: a model with shared internal scoring
+    // scratch must not be scored here while a frontend miss sweeps it.
     std::unique_lock<std::mutex> model_lock(serial_model_mu_,
                                             std::defer_lock);
     if (!model.thread_safe()) model_lock.lock();
     if (ann != nullptr) {
       // ANN candidate path: one probe of the rebuilt index supplies the
       // dirty-shard candidates, and only those few are exact-scored. The
-      // want mirrors the miss path's (k·overfetch, widened by the user's
-      // exclusion count), which is what makes an exhaustive probe
+      // want is the miss path's own (AnnWant: k·overfetch, widened by the
+      // user's exclusion count), which is what makes an exhaustive probe
       // sufficient: any dirty item that can enter the new top-k ranks in
       // the global top-(k + excluded) under the new snapshot, so it is in
       // the probe set; every clean item above the old cutoff is already a
@@ -857,15 +753,10 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
       // decision — match it bit for bit (an approximate probe costs
       // candidate coverage only, the usual ANN recall axis).
       ann_refresh_probes_.fetch_add(1, std::memory_order_relaxed);
-      const size_t overfetch =
-          std::max<size_t>(1, options_.ann.index.overfetch);
-      const size_t excluded =
-          exclude != nullptr ? exclude->UserDegree(u) : 0;
-      const size_t want = std::max(k * overfetch, k + excluded);
       scratch->query.resize(ann->dim());
       model.WriteIndexQuery(u, scratch->query.data());
       scratch->probe_ids.clear();
-      ann->Probe(scratch->query.data(), want, &scratch->probe_ids);
+      ann->Probe(scratch->query.data(), AnnWant(u), &scratch->probe_ids);
       std::vector<ItemId>& dirty_cands = scratch->dirty_cands;
       dirty_cands.clear();
       for (const ItemId v : scratch->probe_ids) {

@@ -151,10 +151,10 @@ struct BatchOptions {
   /// Miss coalescing: concurrent TopK misses that land while another miss
   /// is sweeping queue up and are served together as one multi-user
   /// batched sweep (ScoreItemRangeMulti / ProbeBatch — each item row is
-  /// streamed once per batch instead of once per user). Every batched
-  /// response is bit-identical to its solo sweep against the same pinned
-  /// snapshot, and each user caches under its own pinned-epoch rule, so
-  /// this changes throughput, never answers. An uncontended miss pays one
+  /// streamed once per batch instead of once per user). A batch of B is
+  /// bit-identical to B batches of one against the same pinned snapshot,
+  /// and each user caches under its own pinned-epoch rule, so this
+  /// changes throughput, never answers. An uncontended miss pays one
   /// uncontended mutex hop and sweeps alone — no added latency. Turn off
   /// to restore fully independent concurrent sweeps (e.g. many idle cores,
   /// no pool, compute-bound models). Pool worker threads always bypass the
@@ -180,7 +180,8 @@ struct TopKServerOptions {
   /// Recommendations per query. Results are (score desc, item id asc);
   /// fewer than k come back when the catalog (minus exclusions) is smaller.
   size_t k = 10;
-  /// Sweep fan-out chunks; 0 means one per pool thread (or 1 serial).
+  /// Fan-out chunks of the exact sweep; 0 means one per pool thread (or 1
+  /// serial).
   size_t sweep_shards = 0;
   /// Pool for the parallel sweep (may be null → serial sweep). Models
   /// whose thread_safe() is false are swept serially regardless, and the
@@ -216,7 +217,7 @@ struct TopKServerStats {
                                     // refresh_drops - ann_refresh_probes
                                     // = exact-path refresh attempts.
   // Batching efficacy (the miss coalescer + TopKBatch; a "batch" here is
-  // a multi-user sweep of >= 2 users — solo misses don't count):
+  // a multi-user sweep of >= 2 users — lone misses don't count):
   uint64_t coalesced_misses = 0;  // misses served by a multi-user sweep
                                   // (duplicate concurrent misses for one
                                   // user each count — they were misses)
@@ -278,7 +279,7 @@ class TopKServer {
   /// requests, which cost no sweep) resolve per position exactly as
   /// TopK(request) would; all missing users are swept together against
   /// one pinned snapshot via the multi-user kernels, each response
-  /// bit-identical to a solo TopK against that snapshot and each user
+  /// bit-identical to a lone TopK against that snapshot and each user
   /// cached under its own pinned-epoch rule. Duplicate users in one call
   /// are served by a single sweep (counted as one miss). Concurrency
   /// rights are TopK's: any number of threads, racing maintenance freely.
@@ -430,23 +431,24 @@ class TopKServer {
   /// returns true.
   bool TryCacheHit(UserId u, TopKResponse* out);
 
-  /// Miss-path core shared by TopK, the coalescer and TopKBatch: pins one
-  /// (snapshot, epoch) for the whole batch, sweeps every user against it
-  /// (solo kernels for one user; the multi-user batched sweep for >= 2),
-  /// stamps per-result epochs, and attributes stats. `users` must be
-  /// deduplicated and non-empty; returns the pinned epoch.
-  /// `extra_requests` is the number of duplicate miss *queries* beyond
-  /// the deduped users this sweep also serves (the coalescer counts each
-  /// caller as a miss of its own, so the per-path counters must too —
-  /// `ann_probes + exact_fallbacks == misses` stays exact).
+  /// The one miss path, shared by TopK, the coalescer and TopKBatch: pins
+  /// one (snapshot, epoch) for the whole span of users, runs one exact
+  /// sweep (BatchSweep) or one ANN sweep (AnnBatchSweep) over all of them
+  /// — a lone miss is a span of one — stamps per-result epochs, and
+  /// attributes stats. `users` must be deduplicated and non-empty; returns
+  /// the pinned epoch. `extra_requests` is the number of duplicate miss
+  /// *queries* beyond the deduped users this sweep also serves (the
+  /// coalescer counts each caller as a miss of its own, so the per-path
+  /// counters must too — `ann_probes + exact_fallbacks == misses` stays
+  /// exact). The batching counters see only spans of >= 2 users.
   uint64_t SweepMisses(std::span<const UserId> users,
                        std::vector<TopKResponse>* results,
                        size_t extra_requests = 0);
 
   /// Caches a finished miss for `u` under the pinned-epoch rule (and
-  /// counts the miss) — the tail of the classic TopK miss path, shared
-  /// verbatim by the batched paths so every batch member inserts exactly
-  /// as its solo sweep would.
+  /// counts the miss) — the tail of every miss, shared by TopK, the
+  /// coalescer and TopKBatch so every batch member inserts exactly as a
+  /// lone miss would.
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
 
@@ -455,37 +457,36 @@ class TopKServer {
   /// batch.max_batch queued misses and sweep them as one batch.
   TopKResponse CoalescedMiss(UserId u);
 
-  /// Full-catalog sweep of `model` for `u` into a ranked top-k. Runs
-  /// outside every stripe lock; fans out over the pool when the model
-  /// allows it and the calling thread is not itself a pool worker.
-  void Sweep(const ItemScorer& model, UserId u, std::vector<ItemId>* items,
-             std::vector<float>* scores);
-
-  /// ANN miss path: probe `index` for an overfetched candidate block
-  /// (k·overfetch, widened by the user's exclusion count so filtering
-  /// cannot shorten the answer), re-rank it with the model's exact
-  /// ScoreItems, and apply the usual exclusion + (score desc, id asc)
-  /// ranking. Runs outside every stripe lock, like Sweep.
-  void AnnSweep(const ItemScorer& model, const CandidateIndex& index,
-                UserId u, std::vector<ItemId>* items,
-                std::vector<float>* scores);
-
-  /// Multi-user exact sweep (batch size >= 2): one RunBatch job per item
-  /// chunk scores *all* batched users per block through
-  /// ScoreItemRangeMulti, then runs the per-user bounded selection while
-  /// the block's score rows are cache-hot; per-(user, chunk) pools merge
-  /// exactly as Sweep's per-chunk pools do, so each user's ranking is
-  /// bit-identical to a solo Sweep of the same snapshot.
+  /// Exact full-catalog sweep for B >= 1 users: one RunBatch job per
+  /// item chunk scores *all* users per block through ScoreItemRangeMulti
+  /// (ScoreItemRange for a lone user), then runs the per-user bounded
+  /// selection while the block's score rows are cache-hot; the per-(user,
+  /// chunk) pools merge exactly, so a batch of B ranks bit-identically to
+  /// B batches of one. Runs outside every stripe lock; fans out over the
+  /// pool when the model allows it and the calling thread is not itself a
+  /// pool worker.
   void BatchSweep(const ItemScorer& model, std::span<const UserId> users,
                   std::vector<TopKResponse>* results);
 
-  /// Multi-user ANN path: per-user queries written into one packed
-  /// buffer, one ProbeBatch (the IVF shares a single centroid-matrix scan
-  /// across the batch), then the usual per-user exact re-rank — each
-  /// user's answer is bit-identical to a solo AnnSweep.
+  /// ANN miss path for B >= 1 users: per-user queries written into one
+  /// packed buffer, one ProbeBatch for an overfetched candidate block per
+  /// user (AnnWant; the IVF shares a single centroid-matrix scan across
+  /// the batch), then each block is re-ranked with the model's exact
+  /// ScoreItems under the usual exclusion + (score desc, id asc) ranking.
+  /// A batch of B answers bit-identically to B batches of one. Scratch
+  /// buffers are per thread, so a miss allocates only its response.
   void AnnBatchSweep(const ItemScorer& model, const CandidateIndex& index,
                      std::span<const UserId> users,
                      std::vector<TopKResponse>* results);
+
+  /// Candidates one ANN probe asks for on behalf of `u`: k·overfetch
+  /// absorbs near-boundary ranking churn, and widening to k plus the
+  /// user's interaction count guarantees exclusion filtering alone can
+  /// never shorten the answer below k (for the exact VP-tree this keeps
+  /// the served top-k exactly the brute-force one). The miss path and
+  /// RefreshEntry both ask for this count — the refresh's exactness
+  /// argument requires the two to be equal.
+  size_t AnnWant(UserId u) const;
 
   /// Maintenance-side index refresh against `snapshot`: incremental
   /// (CandidateIndex::Rebuilt over `dirty_items`) when a compatible index

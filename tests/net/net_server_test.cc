@@ -1,6 +1,5 @@
-// Wire-to-wire serving tests, parameterized over both reactor backends
-// (epoll always; io_uring skipped — not silently passed — where the
-// kernel refuses a ring). The contracts under test:
+// Wire-to-wire serving tests over the epoll reactor. The contracts under
+// test:
 //
 //  * Bit-identity: a TCP round-trip returns exactly the bytes the
 //    in-process TopK produces for the same user/epoch — items, float
@@ -35,7 +34,6 @@
 #include "eval/scorer.h"
 #include "net/client.h"
 #include "net/protocol.h"
-#include "net/reactor.h"
 #include "net/server.h"
 #include "serve/top_k_server.h"
 
@@ -58,41 +56,15 @@ TopKServerOptions ServeOptions(size_t k = 8) {
   return opts;
 }
 
-class NetServerTest : public ::testing::TestWithParam<NetBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == NetBackend::kIoUring && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-
-  NetServerOptions NetOptions() {
-    NetServerOptions opts;
-    opts.backend = GetParam();
-    return opts;
-  }
-};
-
-std::string BackendName(
-    const ::testing::TestParamInfo<NetBackend>& info) {
-  return info.param == NetBackend::kIoUring ? "IoUring" : "Epoll";
-}
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetServerTest,
-                         ::testing::Values(NetBackend::kEpoll,
-                                           NetBackend::kIoUring),
-                         BackendName);
-
-TEST_P(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
+TEST(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
   ToyScorer scorer;
   TopKServer wire_side(&scorer, kUsers, kItems, ServeOptions());
   TopKServer in_process(&scorer, kUsers, kItems, ServeOptions());
 
-  NetServer server(&wire_side, NetOptions());
+  NetServer server(&wire_side, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   ASSERT_NE(server.port(), 0);
-  EXPECT_EQ(server.backend_name(),
-            GetParam() == NetBackend::kIoUring ? "io_uring" : "epoll");
+  EXPECT_EQ(server.backend_name(), "epoll");
 
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -115,10 +87,10 @@ TEST_P(NetServerTest, RoundTripIsBitIdenticalToInProcess) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, RequestRejectionsTravelAsResponses) {
+TEST(NetServerTest, RequestRejectionsTravelAsResponses) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions(8));
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -145,11 +117,11 @@ TEST_P(NetServerTest, RequestRejectionsTravelAsResponses) {
   EXPECT_FALSE(ok.response.items.empty());
 }
 
-TEST_P(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
+TEST(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
   TopKServer solo(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -179,10 +151,10 @@ TEST_P(NetServerTest, PipelinedBurstEntersOneTopKBatchSweep) {
   EXPECT_EQ(server.stats().requests_served, burst.size());
 }
 
-TEST_P(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
+TEST(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   struct Case {
@@ -238,10 +210,10 @@ TEST_P(NetServerTest, StreamViolationsGetOneErrorFrameThenClose) {
   EXPECT_GE(server.stats().protocol_errors, cases.size());
 }
 
-TEST_P(NetServerTest, FrameViolationsKeepTheConnection) {
+TEST(NetServerTest, FrameViolationsKeepTheConnection) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -276,11 +248,11 @@ TEST_P(NetServerTest, FrameViolationsKeepTheConnection) {
   EXPECT_FALSE(ok.response.items.empty());
 }
 
-TEST_P(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
+TEST(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
   TopKServer solo(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   NetClient client;
@@ -305,9 +277,9 @@ TEST_P(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
   EXPECT_EQ(got.response.scores, want.scores);
 }
 
-TEST_P(NetServerTest, OwningConstructorBuildsTheServeLayer) {
+TEST(NetServerTest, OwningConstructorBuildsTheServeLayer) {
   auto scorer = std::make_shared<ToyScorer>();
-  NetServerOptions opts = NetOptions();
+  NetServerOptions opts;
   opts.serve.k = 5;
   NetServer server(scorer, kUsers, kItems, opts);
   ASSERT_TRUE(server.Start());
@@ -321,19 +293,19 @@ TEST_P(NetServerTest, OwningConstructorBuildsTheServeLayer) {
   EXPECT_EQ(got.response.items, server.top_k().TopK(3).items);
 }
 
-TEST_P(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
+TEST(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   server.Stop();
   server.Stop();  // second stop is a no-op, not a crash/hang
 }
 
-TEST_P(NetServerTest, FdExhaustionShedsThePendingClient) {
+TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServer server(&top_k, NetOptions());
+  NetServer server(&top_k, NetServerOptions{});
   ASSERT_TRUE(server.Start());
 
   // The client socket exists before descriptors run out; connecting
@@ -382,10 +354,10 @@ TEST_P(NetServerTest, FdExhaustionShedsThePendingClient) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, BackpressureShedsUndrainedConnection) {
+TEST(NetServerTest, BackpressureShedsUndrainedConnection) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts = NetOptions();
+  NetServerOptions opts;
   // Tiny budgets so an undrained client trips the cap with test-sized
   // traffic: shrink the kernel's send buffer (inherited from the
   // listener) and bound the userspace response queue.
@@ -431,10 +403,10 @@ TEST_P(NetServerTest, BackpressureShedsUndrainedConnection) {
   server.Stop();
 }
 
-TEST_P(NetServerTest, UnboundedQueueNeverSheds) {
+TEST(NetServerTest, UnboundedQueueNeverSheds) {
   ToyScorer scorer;
   TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts = NetOptions();
+  NetServerOptions opts;
   opts.max_queued_response_bytes = 0;  // documented opt-out
   opts.sndbuf_bytes = 4096;
   NetServer server(&top_k, opts);
@@ -464,18 +436,6 @@ TEST_P(NetServerTest, UnboundedQueueNeverSheds) {
   EXPECT_EQ(responses, kRounds * kPerBurst);
   EXPECT_EQ(server.stats().backpressure_closes, 0u);
   server.Stop();
-}
-
-TEST(NetReactor, ExplicitIoUringRequestFailsCleanlyWhenUnsupported) {
-  if (IoUringAvailable()) {
-    GTEST_SKIP() << "kernel supports io_uring; nothing to refuse";
-  }
-  ToyScorer scorer;
-  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
-  NetServerOptions opts;
-  opts.backend = NetBackend::kIoUring;
-  NetServer server(&top_k, opts);
-  EXPECT_FALSE(server.Start());
 }
 
 }  // namespace

@@ -2,11 +2,9 @@
 // stream generated from one Rng seed is sent twice — over TCP through
 // NetClient/NetServer, and directly into an identically configured
 // in-process TopKServer — and every response must match bit-for-bit:
-// items, float scores, epoch, and status. Parameterized over both
-// reactor backends (io_uring skipped, not silently passed, where the
-// kernel refuses a ring). This pins the entire wire path — encode,
-// frame, reactor, batch coalescing, decode — as a no-op on serving
-// semantics, under traffic no hand-written case enumerates.
+// items, float scores, epoch, and status. This pins the entire wire
+// path — encode, frame, reactor, batch coalescing, decode — as a no-op
+// on serving semantics, under traffic no hand-written case enumerates.
 #include <cstdint>
 #include <vector>
 
@@ -16,7 +14,6 @@
 #include "eval/scorer.h"
 #include "net/client.h"
 #include "net/protocol.h"
-#include "net/reactor.h"
 #include "net/server.h"
 #include "serve/request.h"
 #include "serve/top_k_server.h"
@@ -70,33 +67,14 @@ void ExpectBitIdentical(const WireResponse& wire, const TopKResponse& want,
   EXPECT_EQ(wire.response.epoch, want.epoch) << "request " << i;
 }
 
-class ScenarioDifferentialTest
-    : public ::testing::TestWithParam<NetBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == NetBackend::kIoUring && !IoUringAvailable()) {
-      GTEST_SKIP() << "io_uring unavailable on this kernel";
-    }
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ScenarioDifferentialTest,
-    ::testing::Values(NetBackend::kEpoll, NetBackend::kIoUring),
-    [](const ::testing::TestParamInfo<NetBackend>& info) {
-      return info.param == NetBackend::kIoUring ? "IoUring" : "Epoll";
-    });
-
-TEST_P(ScenarioDifferentialTest, RandomStreamMatchesInProcessBitwise) {
+TEST(ScenarioDifferentialTest, RandomStreamMatchesInProcessBitwise) {
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = kDepth;
   TopKServer wire_side(&scorer, kUsers, kItems, opts);
   TopKServer in_process(&scorer, kUsers, kItems, opts);
 
-  NetServerOptions nopts;
-  nopts.backend = GetParam();
-  NetServer server(&wire_side, nopts);
+  NetServer server(&wire_side, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
@@ -111,16 +89,14 @@ TEST_P(ScenarioDifferentialTest, RandomStreamMatchesInProcessBitwise) {
   server.Stop();
 }
 
-TEST_P(ScenarioDifferentialTest, PipelinedBurstsMatchInProcessBitwise) {
+TEST(ScenarioDifferentialTest, PipelinedBurstsMatchInProcessBitwise) {
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = kDepth;
   TopKServer wire_side(&scorer, kUsers, kItems, opts);
   TopKServer in_process(&scorer, kUsers, kItems, opts);
 
-  NetServerOptions nopts;
-  nopts.backend = GetParam();
-  NetServer server(&wire_side, nopts);
+  NetServer server(&wire_side, NetServerOptions{});
   ASSERT_TRUE(server.Start());
   NetClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));

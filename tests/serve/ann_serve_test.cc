@@ -331,7 +331,7 @@ TEST(TopKServerAnnTest, InjectedIndexImpliesAnnServing) {
   model.Fit(*data, QuickTrain());
 
   // Build the index by hand (the bench's nprobe-sweep pattern) and
-  // inject it; use_ann is left unset on purpose — injection implies it.
+  // inject it; ann.enable is left unset on purpose — injection implies it.
   auto base = SphericalIvfIndex::Build(model, data->num_items(),
                                        AnnIndexOptions{}, nullptr);
   ASSERT_NE(base, nullptr);
@@ -370,6 +370,50 @@ TEST(TopKServerAnnTest, AnnMissesFillTheCache) {
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
   EXPECT_EQ(st.ann_probes, 1u);  // hits never probe
+}
+
+// Depth 0 ranks nothing on either miss path: the exact sweep and the IVF
+// probe both answer empty, through TopK and through a multi-user
+// TopKBatch, and every query is still attributed as a hit or a miss.
+TEST(TopKServerAnnTest, ZeroDepthServesEmptyOnExactAndIvfPaths) {
+  const auto data = SmallDataset();
+  Bpr model(BprConfig{.dim = 16});
+  model.Fit(*data, QuickTrain());
+
+  for (const bool ann : {false, true}) {
+    TopKServerOptions opts;
+    opts.k = 0;
+    opts.ann.enable = ann;
+    opts.exclude_interactions = data.get();
+    TopKServer server(&model, data->num_users(), data->num_items(), opts);
+    if (ann) {
+      ASSERT_NE(server.AnnIndexSnapshot(), nullptr);
+      EXPECT_STREQ(server.AnnIndexSnapshot()->kind(), "spherical_ivf");
+    }
+    size_t queries = 0;
+    for (const UserId u : {0u, 5u, 0u}) {
+      const TopKResponse r = server.TopK(u);
+      ++queries;
+      EXPECT_TRUE(r.items.empty()) << "ann " << ann << " user " << u;
+      EXPECT_TRUE(r.scores.empty()) << "ann " << ann << " user " << u;
+    }
+    // Three distinct cold users (one multi-user sweep) plus a cached one.
+    const std::vector<UserId> batch = {1, 2, 3, 5};
+    const std::vector<TopKResponse> got = server.TopKBatch(batch);
+    queries += batch.size();
+    ASSERT_EQ(got.size(), batch.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_TRUE(got[i].items.empty()) << "ann " << ann << " position " << i;
+      EXPECT_TRUE(got[i].scores.empty()) << "ann " << ann << " position " << i;
+    }
+    const TopKServerStats st = server.stats();
+    EXPECT_EQ(st.hits + st.misses, queries) << "ann " << ann;
+    EXPECT_EQ(st.hits, 2u) << "ann " << ann;
+    EXPECT_EQ(st.batch_sweeps, 1u) << "ann " << ann;
+    EXPECT_EQ(ann ? st.ann_probes : st.exact_fallbacks, st.misses)
+        << "ann " << ann;
+    EXPECT_EQ(st.ann_probes + st.exact_fallbacks, st.misses) << "ann " << ann;
+  }
 }
 
 TEST(TopKServerAnnTest, PublishEpochRebuildsIndexIncrementally) {
