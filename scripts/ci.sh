@@ -76,13 +76,13 @@ if [ -n "$SANITIZER" ]; then
   # the concurrent read front — snapshot-handle epoch swaps, the striped
   # LRU, RunBatch — raced by the SnapshotHandle*/ThreadPool suites
   # (TopKServer*/SnapshotHandle* include the ANN probe-then-rerank path
-  # and queries racing index swaps). The ANN index suites ride along:
-  # parallel builds fan subtree/assignment work over RunBatch. The
+  # and queries racing index swaps). The ANN index suite rides along:
+  # parallel IVF builds fan assignment work over RunBatch. The
   # serve-layer races have NO suppressions (tsan.supp is scoped to model
   # Fit lambdas); any report from these tests is a real bug.
   FILTER='ShardViewTest.*:ParallelTrainerTest.*:SnapshotFacetStoreTest.*'
   FILTER="$FILTER:WriteTrackerTest.*:TopKServer*:SnapshotHandle*"
-  FILTER="$FILTER:ThreadPoolTest.*:SphericalIvfIndex*:VpTreeIndex*"
+  FILTER="$FILTER:ThreadPoolTest.*:SphericalIvfIndex*"
   # The wire front-end: reactor thread vs Stop(), per-connection state
   # machines, and the codec, over the epoll reactor. Zero suppressions.
   FILTER="$FILTER:Protocol*:Net*:*NetServerTest*:RequestApi*"

@@ -1,23 +1,17 @@
 #include "ann/candidate_index.h"
 
 #include "ann/ivf_index.h"
-#include "ann/vp_tree_index.h"
 
 namespace mars {
 
 std::unique_ptr<CandidateIndex> BuildCandidateIndex(
     const ItemScorer& model, size_t num_items, const AnnIndexOptions& options,
     ThreadPool* pool) {
-  if (num_items == 0 || model.index_dim() == 0) return nullptr;
-  switch (model.index_geometry()) {
-    case IndexGeometry::kDot:
-      return SphericalIvfIndex::Build(model, num_items, options, pool);
-    case IndexGeometry::kL2:
-      return VpTreeIndex::Build(model, num_items, options, pool);
-    case IndexGeometry::kNone:
-      break;
+  if (num_items == 0 || model.index_dim() == 0 ||
+      model.index_geometry() != IndexGeometry::kDot) {
+    return nullptr;
   }
-  return nullptr;
+  return SphericalIvfIndex::Build(model, num_items, options, pool);
 }
 
 }  // namespace mars

@@ -11,17 +11,12 @@
 // (bench/bench_serve.cpp) measures it against the brute-force oracle at
 // every committed nprobe (scripts/check_bench.py gates it).
 //
-// Two implementations cover the two geometries of eval/scorer.h:
-//
-//  * SphericalIvfIndex (ann/ivf_index.h) — dot/cosine models (BPR, MARS
-//    via concatenated facets): spherical k-means coarse centroids with
-//    nprobe-configurable inverted lists. Approximate: probing more lists
-//    trades latency for recall.
-//  * VpTreeIndex (ann/vp_tree_index.h) — L2-metric models (CML, SML,
-//    MetricF): a vantage-point tree with triangle-inequality pruning.
-//    Exact k-NN — recall 1.0 by construction; the speedup comes from
-//    pruning, so it degrades gracefully on high-dimensional or
-//    unclustered embeddings instead of losing recall.
+// One implementation serves the kDot geometry of eval/scorer.h:
+// SphericalIvfIndex (ann/ivf_index.h) for dot/cosine models (BPR, MARS via
+// concatenated facets) — spherical k-means coarse centroids with
+// nprobe-configurable inverted lists. Approximate: probing more lists
+// trades latency for recall. Every other model (the metric baselines
+// included) serves through the exact sweep.
 //
 // Concurrency contract: a built index is immutable — Probe is
 // const-threadsafe and may run from any number of frontend threads.
@@ -63,15 +58,9 @@ struct AnnIndexOptions {
   /// Training-sample bound for k-means (the full catalog is still
   /// assigned to the final centroids).
   size_t kmeans_sample = 16384;
-  /// Seed for centroid init and vantage-point picks; builds are
-  /// deterministic in (vectors, options).
+  /// Seed for centroid init; builds are deterministic in (vectors,
+  /// options).
   uint64_t seed = 0x5eedu;
-  /// VP-tree: subtrees at or below this size are scanned linearly.
-  size_t leaf_size = 32;
-  /// VP-tree: depth down to which subtree builds are fanned out as pool
-  /// tasks (2^depth tasks; subtree ranges are disjoint, so the parallel
-  /// build is race-free and bit-identical to the serial one).
-  size_t vp_parallel_depth = 3;
   /// Serving overfetch: the miss path asks the index for
   /// max(k * overfetch, k + excluded) candidates, so exclusions and
   /// near-boundary items don't eat the returned k.
@@ -100,22 +89,16 @@ class CandidateIndex {
   /// must hold at least num_queries vectors), exactly as
   /// Probe(queries + q·dim(), want[q], &(*out)[q]) would — per query the
   /// candidate set is bit-identical to the solo probe, the contract the
-  /// batched miss path relies on. The default is that loop;
-  /// implementations override it to share cross-query work (the IVF
-  /// ranks centroids for all queries off one pass over the centroid
-  /// matrix).
+  /// batched miss path relies on. Implementations share cross-query work
+  /// (the IVF ranks centroids for all queries off one pass over the
+  /// centroid matrix).
   virtual void ProbeBatch(const float* queries, size_t num_queries,
                           const size_t* want,
-                          std::vector<std::vector<ItemId>>* out) const {
-    for (size_t q = 0; q < num_queries; ++q) {
-      Probe(queries + q * dim_, want[q], &(*out)[q]);
-    }
-  }
+                          std::vector<std::vector<ItemId>>* out) const = 0;
 
   /// Returns a fresh index over `model`'s current item vectors, reusing
-  /// everything the dirty shards don't invalidate (IVF keeps its
-  /// centroids and re-assigns only dirty rows; the VP-tree re-reads dirty
-  /// rows and re-partitions deterministically). `dirty_shards` are sorted
+  /// everything the dirty shards don't invalidate (the IVF keeps its
+  /// centroids and re-assigns only dirty rows). `dirty_shards` are sorted
   /// shard ids under FacetStore::ShardRange(num_items, ·, num_shards) —
   /// the WriteTracker geometry. The receiver is left untouched (in-flight
   /// probes keep it). Quiesced-side only.
@@ -144,8 +127,8 @@ class CandidateIndex {
 };
 
 /// Builds the index matching `model`'s declared geometry: IVF for kDot,
-/// VP-tree for kL2, nullptr for kNone (or an empty catalog) — the caller
-/// keeps the exact-sweep path. `pool` may be null (serial build).
+/// nullptr for kNone (or an empty catalog) — the caller keeps the
+/// exact-sweep path. `pool` may be null (serial build).
 std::unique_ptr<CandidateIndex> BuildCandidateIndex(
     const ItemScorer& model, size_t num_items, const AnnIndexOptions& options,
     ThreadPool* pool);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "ann/ivf_index.h"
-#include "ann/vp_tree_index.h"
 #include "common/binary_io.h"
 #include "common/check.h"
 #include "common/crc32.h"
@@ -23,13 +21,13 @@ namespace {
 // snapshot and "MRSK" sidecar magics.
 constexpr uint32_t kIndexMagic = 0x4953524Du;
 constexpr uint32_t kIndexVersion = 1;
+// The only kind; the loader rejects every other value.
 constexpr uint32_t kKindSphericalIvf = 1;
-constexpr uint32_t kKindVpTree = 2;
 // Fixed header: 72 bytes of fields + a 4-slot region table (24 bytes
 // each), zero-padded to 192 — a 64-byte multiple, so the first region
 // starts cache-line aligned in the file and (mmap being page-aligned)
 // in memory, mirroring the v3 tensor guarantee.
-constexpr size_t kMaxRegions = 4;
+constexpr size_t kNumRegions = 4;
 constexpr uint64_t kIndexHeaderBytes = 192;
 constexpr uint64_t kRegionAlign = 64;
 
@@ -45,41 +43,27 @@ uint64_t AlignUp(uint64_t v) {
 /// recomputes it and requires the stored table to match exactly, so a
 /// crafted table cannot point regions anywhere the geometry doesn't.
 struct IndexLayout {
-  uint32_t kind = 0;
   uint64_t num_items = 0;
   uint64_t dim = 0;
-  // kind-specific build parameters:
-  //   spherical_ivf: {num_centroids, nprobe, 0}
-  //   vp_tree:       {leaf_size, parallel_depth, seed}
-  uint64_t params[3] = {0, 0, 0};
-  size_t num_regions = 0;
-  uint64_t region_offset[kMaxRegions] = {0, 0, 0, 0};
-  uint64_t region_bytes[kMaxRegions] = {0, 0, 0, 0};
+  uint64_t num_centroids = 0;
+  uint64_t nprobe = 0;
+  uint64_t region_offset[kNumRegions] = {0, 0, 0, 0};
+  uint64_t region_bytes[kNumRegions] = {0, 0, 0, 0};
   uint64_t file_bytes = 0;
 };
 
-/// Region payload sizes per kind, in declaration order:
-///   spherical_ivf: centroids f32 | assign u32 | offsets u32 | lists u32
-///   vp_tree:       vectors f32   | ids u32    | radii f32
+/// Region payload sizes, in declaration order:
+///   centroids f32 | assign u32 | offsets u32 | lists u32
 /// Fills offsets (64B-aligned tiling after the header) and file_bytes.
 /// Geometry must already be plausibility-bounded: with num_items ≤ 2³¹
 /// and dim ≤ 65536 no product here can overflow u64.
 void ComputeRegions(IndexLayout* l) {
-  if (l->kind == kKindSphericalIvf) {
-    const uint64_t ncent = l->params[0];
-    l->num_regions = 4;
-    l->region_bytes[0] = ncent * l->dim * sizeof(float);
-    l->region_bytes[1] = l->num_items * sizeof(uint32_t);
-    l->region_bytes[2] = (ncent + 1) * sizeof(uint32_t);
-    l->region_bytes[3] = l->num_items * sizeof(uint32_t);
-  } else {
-    l->num_regions = 3;
-    l->region_bytes[0] = l->num_items * l->dim * sizeof(float);
-    l->region_bytes[1] = l->num_items * sizeof(uint32_t);
-    l->region_bytes[2] = l->num_items * sizeof(float);
-  }
+  l->region_bytes[0] = l->num_centroids * l->dim * sizeof(float);
+  l->region_bytes[1] = l->num_items * sizeof(uint32_t);
+  l->region_bytes[2] = (l->num_centroids + 1) * sizeof(uint32_t);
+  l->region_bytes[3] = l->num_items * sizeof(uint32_t);
   uint64_t at = kIndexHeaderBytes;
-  for (size_t r = 0; r < l->num_regions; ++r) {
+  for (size_t r = 0; r < kNumRegions; ++r) {
     l->region_offset[r] = at;
     at = AlignUp(at + l->region_bytes[r]);
   }
@@ -90,57 +74,40 @@ void ComputeRegions(IndexLayout* l) {
 
 /// Bounds every header-derived extent before any size computation is
 /// trusted (the v3 ShapePlausible discipline): 1 ≤ items ≤ 2³¹,
-/// 1 ≤ dim ≤ 65536, and the kind-specific parameters in sane ranges.
+/// 1 ≤ dim ≤ 65536, 1 ≤ nprobe ≤ num_centroids ≤ items.
 bool LayoutPlausible(const IndexLayout& l, const char* who) {
-  constexpr uint64_t kMaxItems = 1ull << 31;
-  if (l.num_items == 0 || l.num_items > kMaxItems || l.dim == 0 ||
+  if (l.num_items == 0 || l.num_items > (1ull << 31) || l.dim == 0 ||
       l.dim > 65536) {
     MARS_LOG(ERROR) << who << ": implausible geometry";
     return false;
   }
-  if (l.kind == kKindSphericalIvf) {
-    const uint64_t ncent = l.params[0], nprobe = l.params[1];
-    if (ncent == 0 || ncent > l.num_items || nprobe == 0 || nprobe > ncent) {
-      MARS_LOG(ERROR) << who << ": implausible IVF parameters";
-      return false;
-    }
-  } else if (l.kind == kKindVpTree) {
-    const uint64_t leaf = l.params[0], depth = l.params[1];
-    if (leaf == 0 || leaf > kMaxItems || depth > 64) {
-      MARS_LOG(ERROR) << who << ": implausible VP-tree parameters";
-      return false;
-    }
-  } else {
-    MARS_LOG(ERROR) << who << ": unknown index kind " << l.kind;
+  if (l.num_centroids == 0 || l.num_centroids > l.num_items ||
+      l.nprobe == 0 || l.nprobe > l.num_centroids) {
+    MARS_LOG(ERROR) << who << ": implausible IVF parameters";
     return false;
   }
   return true;
 }
 
-bool WriteIndexFile(const std::string& path, IndexLayout l,
+void WriteIndexFile(std::ostream& out, const IndexLayout& l,
                     const std::span<const uint8_t>* regions) {
-  ComputeRegions(&l);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    MARS_LOG(ERROR) << "SaveCandidateIndex: cannot open " << path;
-    return false;
-  }
   WriteU32(out, kIndexMagic);
   WriteU32(out, kIndexVersion);
-  WriteU32(out, l.kind);
+  WriteU32(out, kKindSphericalIvf);
   WriteU32(out, 0u);  // reserved
   WriteU64(out, l.num_items);
   WriteU64(out, l.dim);
-  for (const uint64_t p : l.params) WriteU64(out, p);
+  WriteU64(out, l.num_centroids);
+  WriteU64(out, l.nprobe);
+  WriteU64(out, 0u);  // third kind parameter, unused by the IVF
   WriteU64(out, l.file_bytes);
-  WriteU32(out, static_cast<uint32_t>(l.num_regions));
+  WriteU32(out, static_cast<uint32_t>(kNumRegions));
   WriteU32(out, 0u);  // reserved
-  for (size_t r = 0; r < kMaxRegions; ++r) {
-    const bool live = r < l.num_regions;
-    MARS_CHECK(!live || regions[r].size() == l.region_bytes[r]);
-    WriteU64(out, live ? l.region_offset[r] : 0);
-    WriteU64(out, live ? l.region_bytes[r] : 0);
-    WriteU32(out, live ? Crc32(regions[r].data(), regions[r].size()) : 0u);
+  for (size_t r = 0; r < kNumRegions; ++r) {
+    MARS_CHECK(regions[r].size() == l.region_bytes[r]);
+    WriteU64(out, l.region_offset[r]);
+    WriteU64(out, l.region_bytes[r]);
+    WriteU32(out, Crc32(regions[r].data(), regions[r].size()));
     WriteU32(out, 0u);  // reserved
   }
   const std::vector<char> zeros(kRegionAlign, 0);
@@ -154,18 +121,12 @@ bool WriteIndexFile(const std::string& path, IndexLayout l,
     }
   };
   pad_to(kIndexHeaderBytes);
-  for (size_t r = 0; r < l.num_regions; ++r) {
+  for (size_t r = 0; r < kNumRegions; ++r) {
     pad_to(l.region_offset[r]);
     out.write(reinterpret_cast<const char*>(regions[r].data()),
               static_cast<std::streamsize>(regions[r].size()));
   }
   pad_to(l.file_bytes);
-  out.flush();
-  if (!out) {
-    MARS_LOG(ERROR) << "SaveCandidateIndex: write failed for " << path;
-    return false;
-  }
-  return true;
 }
 
 template <typename T>
@@ -173,32 +134,29 @@ std::span<const uint8_t> Bytes(std::span<const T> s) {
   return {reinterpret_cast<const uint8_t*>(s.data()), s.size_bytes()};
 }
 
-/// CSR sanity for a loaded IVF: offsets tile [0, num_items]
-/// non-decreasingly and every assignment/list id is in range — the
-/// bounds Probe/Rebuilt index with, so a corrupt (checksum-colliding)
-/// file can never read out of the mapping or the model.
+/// CSR sanity for a loaded IVF — the bounds Probe/Rebuilt index with and
+/// the disjointness Probe's unique-ids promise rests on, so a corrupt
+/// (checksum-colliding) file can never read out of the mapping or the
+/// model, nor serve an id twice. One walk over the lists: offsets must
+/// tile [0, num_items] non-decreasingly, and every id must be in range,
+/// filed under the centroid its assign entry names, and above its
+/// predecessor in the list (lists are built ascending). An id can then
+/// sit only in its own centroid's list, and there at most once; so the
+/// num_items slots hold num_items distinct ids — the lists are a
+/// permutation — and every assign entry is a valid centroid.
 bool IvfPayloadValid(const IndexLayout& l, const uint32_t* assign,
                      const uint32_t* offsets, const ItemId* list_ids) {
-  const uint64_t ncent = l.params[0];
+  const uint64_t ncent = l.num_centroids;
   if (offsets[0] != 0 || offsets[ncent] != l.num_items) return false;
   for (uint64_t c = 0; c < ncent; ++c) {
-    if (offsets[c + 1] < offsets[c]) return false;
-  }
-  for (uint64_t v = 0; v < l.num_items; ++v) {
-    if (assign[v] >= ncent) return false;
-    if (list_ids[v] >= l.num_items) return false;
-  }
-  return true;
-}
-
-/// A loaded VP-tree's id array must be a permutation of [0, num_items):
-/// the search gathers vectors by id, so an out-of-range id would read
-/// outside the mapped vector table.
-bool VpPayloadValid(const IndexLayout& l, const ItemId* ids) {
-  std::vector<bool> seen(l.num_items, false);
-  for (uint64_t i = 0; i < l.num_items; ++i) {
-    if (ids[i] >= l.num_items || seen[ids[i]]) return false;
-    seen[ids[i]] = true;
+    if (offsets[c + 1] < offsets[c] || offsets[c + 1] > l.num_items) {
+      return false;
+    }
+    for (uint64_t i = offsets[c]; i < offsets[c + 1]; ++i) {
+      const ItemId v = list_ids[i];
+      if (v >= l.num_items || assign[v] != c) return false;
+      if (i > offsets[c] && v <= list_ids[i - 1]) return false;
+    }
   }
   return true;
 }
@@ -206,33 +164,25 @@ bool VpPayloadValid(const IndexLayout& l, const ItemId* ids) {
 }  // namespace
 
 bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path) {
-  if (const auto* ivf = dynamic_cast<const SphericalIvfIndex*>(&index)) {
-    IndexLayout l;
-    l.kind = kKindSphericalIvf;
-    l.num_items = ivf->num_items();
-    l.dim = ivf->dim();
-    l.params[0] = ivf->num_centroids();
-    l.params[1] = ivf->nprobe();
-    const std::span<const uint8_t> regions[kMaxRegions] = {
-        Bytes(ivf->centroids()), Bytes(ivf->assignments()),
-        Bytes(ivf->offsets()), Bytes(ivf->list_ids())};
-    return WriteIndexFile(path, l, regions);
+  const auto* ivf = dynamic_cast<const SphericalIvfIndex*>(&index);
+  if (ivf == nullptr) {
+    MARS_LOG(ERROR) << "SaveCandidateIndex: unsupported index kind '"
+                    << index.kind() << "'";
+    return false;
   }
-  if (const auto* vp = dynamic_cast<const VpTreeIndex*>(&index)) {
-    IndexLayout l;
-    l.kind = kKindVpTree;
-    l.num_items = vp->num_items();
-    l.dim = vp->dim();
-    l.params[0] = vp->leaf_size();
-    l.params[1] = vp->parallel_depth();
-    l.params[2] = vp->seed();
-    const std::span<const uint8_t> regions[kMaxRegions] = {
-        Bytes(vp->vectors()), Bytes(vp->ids()), Bytes(vp->radii()), {}};
-    return WriteIndexFile(path, l, regions);
-  }
-  MARS_LOG(ERROR) << "SaveCandidateIndex: unsupported index kind '"
-                  << index.kind() << "'";
-  return false;
+  IndexLayout l;
+  l.num_items = ivf->num_items();
+  l.dim = ivf->dim();
+  l.num_centroids = ivf->num_centroids();
+  l.nprobe = ivf->nprobe();
+  ComputeRegions(&l);
+  const std::span<const uint8_t> regions[kNumRegions] = {
+      Bytes(ivf->centroids()), Bytes(ivf->assignments()),
+      Bytes(ivf->offsets()), Bytes(ivf->list_ids())};
+  return WriteFileAtomic(path, "SaveCandidateIndex",
+                         [&l, &regions](std::ostream& out) {
+                           WriteIndexFile(out, l, regions);
+                         });
 }
 
 std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
@@ -266,11 +216,16 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
                     << read_u32(4) << ", expected v" << kIndexVersion;
     return nullptr;
   }
+  if (read_u32(8) != kKindSphericalIvf) {
+    MARS_LOG(ERROR) << who << ": " << path << " holds unknown index kind "
+                    << read_u32(8);
+    return nullptr;
+  }
   IndexLayout l;
-  l.kind = read_u32(8);
   l.num_items = read_u64(16);
   l.dim = read_u64(24);
-  for (size_t p = 0; p < 3; ++p) l.params[p] = read_u64(32 + p * 8);
+  l.num_centroids = read_u64(32);
+  l.nprobe = read_u64(40);
   const uint64_t file_bytes = read_u64(56);
   const uint32_t num_regions = read_u32(64);
 
@@ -278,14 +233,9 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
   // nothing below multiplies unchecked header fields.
   if (!LayoutPlausible(l, who)) return nullptr;
 
-  // The index must pair with the serving model: right geometry kind,
-  // same vector dim, same catalog.
-  const uint32_t want_kind = model.index_geometry() == IndexGeometry::kDot
-                                 ? kKindSphericalIvf
-                                 : model.index_geometry() == IndexGeometry::kL2
-                                       ? kKindVpTree
-                                       : 0;
-  if (l.kind != want_kind) {
+  // The index must pair with the serving model: dot geometry, same
+  // vector dim, same catalog.
+  if (model.index_geometry() != IndexGeometry::kDot) {
     MARS_LOG(ERROR) << who << ": " << path
                     << " holds the wrong index kind for the model's "
                     << "geometry";
@@ -303,14 +253,14 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
   // single region byte is touched, so truncated or size-lying files
   // reject cleanly.
   ComputeRegions(&l);
-  if (num_regions != l.num_regions || file_bytes != l.file_bytes ||
+  if (num_regions != kNumRegions || file_bytes != l.file_bytes ||
       file->size() != l.file_bytes) {
     MARS_LOG(ERROR) << who << ": " << path << " region layout does not "
                     << "match its geometry (truncated or corrupt)";
     return nullptr;
   }
-  uint32_t stored_crc[kMaxRegions];
-  for (size_t r = 0; r < l.num_regions; ++r) {
+  uint32_t stored_crc[kNumRegions];
+  for (size_t r = 0; r < kNumRegions; ++r) {
     const size_t entry = 72 + r * 24;
     if (read_u64(entry) != l.region_offset[r] ||
         read_u64(entry + 8) != l.region_bytes[r]) {
@@ -320,7 +270,7 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
     }
     stored_crc[r] = read_u32(entry + 16);
   }
-  for (size_t r = 0; r < l.num_regions; ++r) {
+  for (size_t r = 0; r < kNumRegions; ++r) {
     if (Crc32(base + l.region_offset[r], l.region_bytes[r]) !=
         stored_crc[r]) {
       MARS_LOG(ERROR) << who << ": " << path << " region " << r
@@ -329,37 +279,21 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
     }
   }
 
-  if (l.kind == kKindSphericalIvf) {
-    const auto* centroids =
-        reinterpret_cast<const float*>(base + l.region_offset[0]);
-    const auto* assign =
-        reinterpret_cast<const uint32_t*>(base + l.region_offset[1]);
-    const auto* offsets =
-        reinterpret_cast<const uint32_t*>(base + l.region_offset[2]);
-    const auto* list_ids =
-        reinterpret_cast<const ItemId*>(base + l.region_offset[3]);
-    if (!IvfPayloadValid(l, assign, offsets, list_ids)) {
-      MARS_LOG(ERROR) << who << ": " << path << " holds corrupt IVF lists";
-      return nullptr;
-    }
-    return SphericalIvfIndex::Borrow(l.num_items, l.dim, l.params[0],
-                                     l.params[1], centroids, assign, offsets,
-                                     list_ids, std::move(file));
-  }
-  const auto* vectors =
+  const auto* centroids =
       reinterpret_cast<const float*>(base + l.region_offset[0]);
-  const auto* ids =
-      reinterpret_cast<const ItemId*>(base + l.region_offset[1]);
-  const auto* radii =
-      reinterpret_cast<const float*>(base + l.region_offset[2]);
-  if (!VpPayloadValid(l, ids)) {
-    MARS_LOG(ERROR) << who << ": " << path
-                    << " holds a corrupt VP-tree permutation";
+  const auto* assign =
+      reinterpret_cast<const uint32_t*>(base + l.region_offset[1]);
+  const auto* offsets =
+      reinterpret_cast<const uint32_t*>(base + l.region_offset[2]);
+  const auto* list_ids =
+      reinterpret_cast<const ItemId*>(base + l.region_offset[3]);
+  if (!IvfPayloadValid(l, assign, offsets, list_ids)) {
+    MARS_LOG(ERROR) << who << ": " << path << " holds corrupt IVF lists";
     return nullptr;
   }
-  return VpTreeIndex::Borrow(l.num_items, l.dim, l.params[0], l.params[1],
-                             l.params[2], vectors, ids, radii,
-                             std::move(file));
+  return SphericalIvfIndex::Borrow(l.num_items, l.dim, l.num_centroids,
+                                   l.nprobe, centroids, assign, offsets,
+                                   list_ids, std::move(file));
 }
 
 }  // namespace mars

@@ -1,9 +1,9 @@
 // Persisted candidate indexes: zero-rebuild restarts for the retrieval
 // tier.
 //
-// A built CandidateIndex is a handful of flat contiguous arrays (the IVF
-// centroids + CSR inverted lists, the VP-tree vector table + node
-// arrays), so persisting it follows the format-v3 playbook
+// A built SphericalIvfIndex is a handful of flat contiguous arrays (the
+// centroids, the per-item assignment and the CSR inverted lists), so
+// persisting it follows the format-v3 playbook
 // (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
 // in-memory stride into a self-describing index file — fixed header
 // (magic "MRSI", version, kind, geometry, build parameters), a region
@@ -33,9 +33,11 @@
 
 namespace mars {
 
-/// Writes `index` to `path` (see docs/FORMAT.md for the byte layout).
-/// Supports the two concrete kinds (SphericalIvfIndex, VpTreeIndex);
-/// returns false with an error log on I/O failure or an unknown kind.
+/// Writes `index` to `path` (see docs/FORMAT.md for the byte layout),
+/// replacing any existing file by rename (common/binary_io.h
+/// WriteFileAtomic), so a server that mapped the old file keeps serving
+/// it intact. Supports SphericalIvfIndex; returns false with an error log
+/// on I/O failure or any other kind.
 bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path);
 
 /// Maps the index at `path` and returns it as an immutable, probe-ready

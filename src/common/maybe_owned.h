@@ -1,9 +1,9 @@
 // Owned-or-borrowed flat buffers: the mapped-index counterpart of the
 // FacetStore BorrowConst idiom, for plain std::vector-shaped state.
 //
-// The ANN indexes (ann/ivf_index.h, ann/vp_tree_index.h) keep their state
-// in flat contiguous arrays — exactly the shape a mapped index file
-// exposes read-only. MaybeOwned<T> lets one member serve both lifecycles:
+// The ANN index (ann/ivf_index.h) keeps its state in flat contiguous
+// arrays — exactly the shape a mapped index file exposes read-only.
+// MaybeOwned<T> lets one member serve both lifecycles:
 // a freshly built index owns a std::vector<T>; an index loaded with
 // LoadCandidateIndexMapped borrows a const span of the mapping (whose
 // lifetime the holder pins with a keepalive shared_ptr, same contract as

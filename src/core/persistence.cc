@@ -148,30 +148,23 @@ bool SaveMars(const Mars& model, const std::string& path) {
     MARS_LOG(ERROR) << "SaveMars: model has not been fit";
     return false;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return false;
+  return WriteFileAtomic(path, "SaveMars", [&model](std::ostream& out) {
+    WriteU32(out, kMagic);
+    WriteU32(out, kVersion);
+    WriteU64(out, model.config_.num_facets);
+    WriteU64(out, model.config_.dim);
+    WriteU64(out, model.user_facets_.num_entities());
+    WriteU64(out, model.item_facets_.num_entities());
+    WriteU32(out, model.mars_options_.learn_radius ? 1 : 0);
+    WriteU32(out, model.mars_options_.calibrated ? 1 : 0);
 
-  const size_t kf = model.config_.num_facets;
-  const size_t d = model.config_.dim;
-  const size_t n_users = model.user_facets_.num_entities();
-  const size_t n_items = model.item_facets_.num_entities();
-
-  WriteU32(out, kMagic);
-  WriteU32(out, kVersion);
-  WriteU64(out, kf);
-  WriteU64(out, d);
-  WriteU64(out, n_users);
-  WriteU64(out, n_items);
-  WriteU32(out, model.mars_options_.learn_radius ? 1 : 0);
-  WriteU32(out, model.mars_options_.calibrated ? 1 : 0);
-
-  WriteFacetStore(out, model.user_facets_);
-  WriteFacetStore(out, model.item_facets_);
-  WriteFloats(out, model.theta_logits_.data(), model.theta_logits_.size());
-  WriteFloats(out, model.radii_.data(), model.radii_.size());
-  WriteU64(out, model.margins_.size());
-  WriteFloats(out, model.margins_.data(), model.margins_.size());
-  return out.good();
+    WriteFacetStore(out, model.user_facets_);
+    WriteFacetStore(out, model.item_facets_);
+    WriteFloats(out, model.theta_logits_.data(), model.theta_logits_.size());
+    WriteFloats(out, model.radii_.data(), model.radii_.size());
+    WriteU64(out, model.margins_.size());
+    WriteFloats(out, model.margins_.data(), model.margins_.size());
+  });
 }
 
 bool SaveMarsV3(const Mars& model, const std::string& path) {
@@ -179,52 +172,50 @@ bool SaveMarsV3(const Mars& model, const std::string& path) {
     MARS_LOG(ERROR) << "SaveMarsV3: model has not been fit";
     return false;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) return false;
+  return WriteFileAtomic(path, "SaveMarsV3", [&model](std::ostream& out) {
+    const FacetStore& users = model.user_facets_;
+    const FacetStore& items = model.item_facets_;
+    const uint64_t kf = model.config_.num_facets;
+    const uint64_t d = model.config_.dim;
+    const uint64_t stride = users.row_stride();
+    const uint64_t user_bytes =
+        users.num_entities() * users.entity_stride() * sizeof(float);
+    const uint64_t item_bytes =
+        items.num_entities() * items.entity_stride() * sizeof(float);
+    const uint64_t user_offset = kV3HeaderBytes;
+    const uint64_t item_offset = user_offset + user_bytes;
+    const uint64_t tail_offset = item_offset + item_bytes;
 
-  const FacetStore& users = model.user_facets_;
-  const FacetStore& items = model.item_facets_;
-  const uint64_t kf = model.config_.num_facets;
-  const uint64_t d = model.config_.dim;
-  const uint64_t stride = users.row_stride();
-  const uint64_t user_bytes =
-      users.num_entities() * users.entity_stride() * sizeof(float);
-  const uint64_t item_bytes =
-      items.num_entities() * items.entity_stride() * sizeof(float);
-  const uint64_t user_offset = kV3HeaderBytes;
-  const uint64_t item_offset = user_offset + user_bytes;
-  const uint64_t tail_offset = item_offset + item_bytes;
+    WriteU32(out, kMagic);
+    WriteU32(out, kVersionV3);
+    WriteU64(out, kf);
+    WriteU64(out, d);
+    WriteU64(out, users.num_entities());
+    WriteU64(out, items.num_entities());
+    WriteU32(out, model.mars_options_.learn_radius ? 1 : 0);
+    WriteU32(out, model.mars_options_.calibrated ? 1 : 0);
+    WriteU64(out, stride);
+    WriteU64(out, user_offset);
+    WriteU64(out, item_offset);
+    WriteU64(out, tail_offset);
+    // Zero the reserved bytes up to the aligned payload boundary.
+    const std::vector<char> zeros(kV3HeaderBytes - (kCommonHeaderBytes + 32),
+                                  0);
+    out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
 
-  WriteU32(out, kMagic);
-  WriteU32(out, kVersionV3);
-  WriteU64(out, kf);
-  WriteU64(out, d);
-  WriteU64(out, users.num_entities());
-  WriteU64(out, items.num_entities());
-  WriteU32(out, model.mars_options_.learn_radius ? 1 : 0);
-  WriteU32(out, model.mars_options_.calibrated ? 1 : 0);
-  WriteU64(out, stride);
-  WriteU64(out, user_offset);
-  WriteU64(out, item_offset);
-  WriteU64(out, tail_offset);
-  // Zero the reserved bytes up to the aligned payload boundary.
-  const std::vector<char> zeros(kV3HeaderBytes - (kCommonHeaderBytes + 32),
-                                0);
-  out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
+    // The in-memory buffers are already padded to the aligned stride (the
+    // padding floats are zero by construction), so each tensor is one bulk
+    // write of the exact bytes a FacetStore holds.
+    WriteFloats(out, users.EntityBlock(0),
+                users.num_entities() * users.entity_stride());
+    WriteFloats(out, items.EntityBlock(0),
+                items.num_entities() * items.entity_stride());
 
-  // The in-memory buffers are already padded to the aligned stride (the
-  // padding floats are zero by construction), so each tensor is one bulk
-  // write of the exact bytes a FacetStore holds.
-  WriteFloats(out, users.EntityBlock(0),
-              users.num_entities() * users.entity_stride());
-  WriteFloats(out, items.EntityBlock(0),
-              items.num_entities() * items.entity_stride());
-
-  WriteFloats(out, model.theta_logits_.data(), model.theta_logits_.size());
-  WriteFloats(out, model.radii_.data(), model.radii_.size());
-  WriteU64(out, model.margins_.size());
-  WriteFloats(out, model.margins_.data(), model.margins_.size());
-  return out.good();
+    WriteFloats(out, model.theta_logits_.data(), model.theta_logits_.size());
+    WriteFloats(out, model.radii_.data(), model.radii_.size());
+    WriteU64(out, model.margins_.size());
+    WriteFloats(out, model.margins_.data(), model.margins_.size());
+  });
 }
 
 std::unique_ptr<Mars> LoadMars(const std::string& path) {

@@ -23,7 +23,9 @@ namespace mars {
 
 /// Writes a trained MARS model to `path` in format v2 (entity-major,
 /// unpadded — the compact interchange layout). Returns false on I/O error.
-/// The model must have been Fit (facet tables populated).
+/// The model must have been Fit (facet tables populated). Both savers
+/// replace an existing file by rename (common/binary_io.h WriteFileAtomic),
+/// so a server that mapped the old file keeps serving it intact.
 bool SaveMars(const Mars& model, const std::string& path);
 
 /// Writes a trained MARS model to `path` in format v3: the facet tensors

@@ -24,13 +24,10 @@ namespace mars {
 ///          bias rides as one appended component against a constant-1 query
 ///          component; MARS concatenates its K facet rows against
 ///          theta-and-radius-scaled user facets).
-///   kL2  — Score(u, v) is strictly decreasing in ||query(u) - item(v)||
-///          (the metric models score exactly -distance²), so ascending
-///          distance order is the score order.
-///   kNone — no such vectorization exists (per-candidate projections,
-///          neural towers, …); the serving layer falls back to the exact
-///          full-catalog sweep.
-enum class IndexGeometry { kNone, kDot, kL2 };
+///   kNone — no dot vectorization is declared (metric models, per-candidate
+///          projections, neural towers, …); the serving layer falls back to
+///          the exact full-catalog sweep.
+enum class IndexGeometry { kNone, kDot };
 
 /// Scores user-item pairs; higher means "more recommended".
 class ItemScorer {
@@ -79,7 +76,7 @@ class ItemScorer {
   virtual bool thread_safe() const { return true; }
 
   // --- ANN index capability (see IndexGeometry above). ---------------------
-  // The contract couples the three overrides: a model returning kDot/kL2
+  // The contract couples the three overrides: a model returning kDot
   // must also implement index_dim(), CopyIndexVectors() and
   // WriteIndexQuery() consistently, and the vectors must describe the
   // *current* weights — the serving layer snapshots the model before

@@ -120,14 +120,4 @@ void Cml::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                                    item_.cols(), config_.dim, out);
 }
 
-void Cml::CopyIndexVectors(ItemId begin, ItemId end, float* out) const {
-  for (ItemId v = begin; v < end; ++v, out += config_.dim) {
-    Copy(item_.Row(v), out, config_.dim);
-  }
-}
-
-void Cml::WriteIndexQuery(UserId u, float* out) const {
-  Copy(user_.Row(u), out, config_.dim);
-}
-
 }  // namespace mars

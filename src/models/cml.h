@@ -45,13 +45,6 @@ class Cml : public Recommender {
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "CML"; }
 
-  // ANN capability: L2 geometry — Score is exactly -||u - v||², strictly
-  // decreasing in distance, so a metric index (VP-tree) is exact here.
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
-
   const Matrix& user_embeddings() const { return user_; }
   const Matrix& item_embeddings() const { return item_; }
 

@@ -47,12 +47,6 @@ class MetricF : public Recommender {
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "MetricF"; }
 
-  // ANN capability: L2 geometry (Score == -distance², same as CML).
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
-
  private:
   MetricFConfig config_;
   Matrix user_;

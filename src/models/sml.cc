@@ -151,14 +151,4 @@ void Sml::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                                    item_.cols(), config_.dim, out);
 }
 
-void Sml::CopyIndexVectors(ItemId begin, ItemId end, float* out) const {
-  for (ItemId v = begin; v < end; ++v, out += config_.dim) {
-    Copy(item_.Row(v), out, config_.dim);
-  }
-}
-
-void Sml::WriteIndexQuery(UserId u, float* out) const {
-  Copy(user_.Row(u), out, config_.dim);
-}
-
 }  // namespace mars

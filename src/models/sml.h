@@ -52,12 +52,6 @@ class Sml : public Recommender {
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "SML"; }
 
-  // ANN capability: L2 geometry (Score == -distance², same as CML).
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return config_.dim; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
-  void WriteIndexQuery(UserId u, float* out) const override;
-
   /// Learned per-user margins (for the ablation study and tests).
   const std::vector<float>& user_margins() const { return user_margin_; }
   const std::vector<float>& item_margins() const { return item_margin_; }

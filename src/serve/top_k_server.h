@@ -134,8 +134,9 @@ struct CacheOptions {
 /// ANN serving knobs (TopKServerOptions::ann).
 struct AnnOptions {
   /// Serve misses through an ANN candidate index when the model declares
-  /// an index geometry (probe → exact re-rank; see the file comment).
-  /// Models with IndexGeometry::kNone silently keep the exact sweep.
+  /// the dot index geometry (probe → exact re-rank; see the file comment).
+  /// Models with IndexGeometry::kNone (the metric models among them)
+  /// silently keep the exact sweep and count in exact_fallbacks.
   bool enable = false;
   /// Index build/probe knobs (used when enable is set and no prebuilt
   /// index is injected).
@@ -482,10 +483,10 @@ class TopKServer {
   /// Candidates one ANN probe asks for on behalf of `u`: k·overfetch
   /// absorbs near-boundary ranking churn, and widening to k plus the
   /// user's interaction count guarantees exclusion filtering alone can
-  /// never shorten the answer below k (for the exact VP-tree this keeps
-  /// the served top-k exactly the brute-force one). The miss path and
-  /// RefreshEntry both ask for this count — the refresh's exactness
-  /// argument requires the two to be equal.
+  /// never shorten the answer below k (under an exhaustive probe, IVF at
+  /// full nprobe, this keeps the served top-k exactly the brute-force
+  /// one). The miss path and RefreshEntry both ask for this count — the
+  /// refresh's exactness argument requires the two to be equal.
   size_t AnnWant(UserId u) const;
 
   /// Maintenance-side index refresh against `snapshot`: incremental
@@ -502,8 +503,8 @@ class TopKServer {
   /// probe cost instead of full shard re-scores — and only those few
   /// candidates are exact-scored; the acceptance threshold, merge, and
   /// exactness cutoff are the exact path's, so under an exhaustive probe
-  /// (VP-tree, or IVF at full nprobe) the refreshed entry and the drop
-  /// decision are bit-identical to `ann == nullptr`. An approximate probe
+  /// (IVF at full nprobe) the refreshed entry and the drop decision are
+  /// bit-identical to `ann == nullptr`. An approximate probe
   /// degrades candidate coverage only — the same recall axis as
   /// ANN-served misses, never a mis-scored item. Returns false when the
   /// merge cannot prove exactness (the k-th-rank cutoff dropped) — the

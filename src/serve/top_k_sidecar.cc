@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -54,11 +53,6 @@ class ByteReader {
 }  // namespace
 
 bool SaveTopKSidecar(const TopKServer& server, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out.is_open()) {
-    MARS_LOG(ERROR) << "SaveTopKSidecar: cannot open " << path;
-    return false;
-  }
   // Collect in one ForEachCached traversal, then write the header with
   // the count actually collected: reading the count and the entries in
   // separate passes could disagree when frontend queries race the save
@@ -74,21 +68,23 @@ bool SaveTopKSidecar(const TopKServer& server, const std::string& path) {
                                   const std::vector<float>& scores) {
     entries.push_back({u, items, scores});
   });
-  WriteU32(out, kSidecarMagic);
-  WriteU32(out, kSidecarVersion);
-  WriteU64(out, server.options().k);
-  WriteU64(out, server.num_users());
-  WriteU64(out, server.num_items());
-  WriteU64(out, entries.size());
-  for (const Entry& e : entries) {
-    WriteU32(out, e.user);
-    WriteU32(out, static_cast<uint32_t>(e.items.size()));
-    WriteFloats(out, e.scores.data(), e.scores.size());
-    // Entries are tiny (<= k ids), so per-element writes through the
-    // shared helper beat a raw byte dump that would bypass it.
-    for (const ItemId v : e.items) WriteU32(out, v);
-  }
-  return out.good();
+  return WriteFileAtomic(
+      path, "SaveTopKSidecar", [&server, &entries](std::ostream& out) {
+        WriteU32(out, kSidecarMagic);
+        WriteU32(out, kSidecarVersion);
+        WriteU64(out, server.options().k);
+        WriteU64(out, server.num_users());
+        WriteU64(out, server.num_items());
+        WriteU64(out, entries.size());
+        for (const Entry& e : entries) {
+          WriteU32(out, e.user);
+          WriteU32(out, static_cast<uint32_t>(e.items.size()));
+          WriteFloats(out, e.scores.data(), e.scores.size());
+          // Entries are tiny (<= k ids), so per-element writes through the
+          // shared helper beat a raw byte dump that would bypass it.
+          for (const ItemId v : e.items) WriteU32(out, v);
+        }
+      });
 }
 
 size_t WarmFromSidecar(TopKServer* server, const std::string& path) {

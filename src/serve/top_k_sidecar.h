@@ -32,8 +32,9 @@
 namespace mars {
 
 /// Writes every cached entry of `server` (most recently used first) to
-/// `path`. Returns false on I/O error. An empty cache writes a valid,
-/// empty sidecar.
+/// `path`, replacing any existing file by rename (common/binary_io.h
+/// WriteFileAtomic). Returns false on I/O error. An empty cache writes a
+/// valid, empty sidecar.
 bool SaveTopKSidecar(const TopKServer& server, const std::string& path);
 
 /// Primes `server` from a sidecar previously written by SaveTopKSidecar.

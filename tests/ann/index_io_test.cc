@@ -1,12 +1,12 @@
 // Persisted candidate-index coverage (ann/index_io.h): mapped probes are
-// bit-identical to the freshly built index for both kinds, Rebuilt() on a
-// mapped index copies-on-write (IVF centroids stay borrowed from the
-// mapping) and matches the owned rebuild, the mapping outlives the unlink
-// and the load call, and every malformed file — truncation, bad
-// magic/version, wrong kind/dim/count for the paired model, tampered
-// region tables, checksum mismatches, implausible header-implied sizes,
-// semantically corrupt payloads with *fixed-up* checksums — rejects with
-// a clean nullptr, never a crash or an allocation blow-up.
+// bit-identical to the freshly built index, Rebuilt() on a mapped index
+// copies-on-write (IVF centroids stay borrowed from the mapping) and
+// matches the owned rebuild, the mapping outlives the unlink, the load
+// call and a re-save over its path, and every malformed file — truncation,
+// bad magic/version/kind, wrong geometry/dim/count for the paired model,
+// tampered region tables, checksum mismatches, implausible header-implied
+// sizes, semantically corrupt payloads with *fixed-up* checksums — rejects
+// with a clean nullptr, never a crash or an allocation blow-up.
 #include "ann/index_io.h"
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include "ann/ivf_index.h"
-#include "ann/vp_tree_index.h"
 #include "common/crc32.h"
 #include "common/facet_store.h"
 #include "common/rng.h"
@@ -67,39 +66,12 @@ class DotScorer : public ItemScorer {
   std::vector<float> user_, item_;
 };
 
-/// L2 twin of DotScorer for the VP-tree kind.
-class L2Scorer : public ItemScorer {
+/// A model that declares no index geometry (the metric models' case).
+class NoGeometryScorer : public ItemScorer {
  public:
-  L2Scorer(size_t users, size_t items, size_t dim, uint64_t seed)
-      : dim_(dim), user_(users * dim), item_(items * dim) {
-    Rng rng(seed);
-    for (auto& x : user_) x = static_cast<float>(rng.Normal());
-    for (auto& x : item_) x = static_cast<float>(rng.Normal());
+  float Score(UserId, ItemId v) const override {
+    return static_cast<float>(v);
   }
-
-  float Score(UserId u, ItemId v) const override {
-    return -SquaredDistance(user_.data() + u * dim_, item_.data() + v * dim_,
-                            dim_);
-  }
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return dim_; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override {
-    Copy(item_.data() + begin * dim_, out, (end - begin) * dim_);
-  }
-  void WriteIndexQuery(UserId u, float* out) const override {
-    Copy(user_.data() + u * dim_, out, dim_);
-  }
-
-  void PerturbItems(ItemId begin, ItemId end, uint64_t seed) {
-    Rng rng(seed);
-    for (size_t i = begin * dim_; i < end * dim_; ++i) {
-      item_[i] = static_cast<float>(rng.Normal());
-    }
-  }
-
- private:
-  size_t dim_;
-  std::vector<float> user_, item_;
 };
 
 std::string ReadFileBytes(const std::string& path) {
@@ -129,6 +101,7 @@ T PeekAt(const std::string& bytes, size_t offset) {
 // poke these directly, so a silent layout change fails here first.
 constexpr size_t kOffMagic = 0;
 constexpr size_t kOffVersion = 4;
+constexpr size_t kOffKind = 8;
 constexpr size_t kOffNumItems = 16;
 constexpr size_t kOffParams = 32;
 constexpr size_t kOffRegionTable = 72;
@@ -193,30 +166,6 @@ TEST_F(IndexIoFixture, IvfMappedProbesBitIdenticalToBuilt) {
   ExpectProbesBitIdentical(model, *built, *mapped);
 }
 
-TEST_F(IndexIoFixture, VpTreeMappedProbesBitIdenticalToBuilt) {
-  L2Scorer model(12, kItems, kDim, 2);
-  const auto built =
-      VpTreeIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
-  ASSERT_NE(built, nullptr);
-  ASSERT_TRUE(SaveCandidateIndex(*built, path_));
-  const auto mapped = LoadCandidateIndexMapped(path_, model, kItems);
-  ASSERT_NE(mapped, nullptr);
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_STREQ(mapped->kind(), "vp_tree");
-
-  const auto& mvp = static_cast<const VpTreeIndex&>(*mapped);
-  // The build parameters must survive: leaf_size shapes the node ranges
-  // the search walks, the seed keeps a later Rebuilt deterministic.
-  EXPECT_EQ(mvp.leaf_size(), built->leaf_size());
-  EXPECT_EQ(mvp.parallel_depth(), built->parallel_depth());
-  EXPECT_EQ(mvp.seed(), built->seed());
-  EXPECT_TRUE(std::equal(mvp.ids().begin(), mvp.ids().end(),
-                         built->ids().begin()));
-  EXPECT_TRUE(std::equal(mvp.radii().begin(), mvp.radii().end(),
-                         built->radii().begin()));
-  ExpectProbesBitIdentical(model, *built, *mapped);
-}
-
 TEST_F(IndexIoFixture, MappedIndexOutlivesUnlinkAndLoadCall) {
   DotScorer model(12, kItems, kDim, 3);
   const auto built =
@@ -227,6 +176,40 @@ TEST_F(IndexIoFixture, MappedIndexOutlivesUnlinkAndLoadCall) {
   // The consume-and-remove restart pattern: the mapping pins the pages.
   std::remove(path_.c_str());
   ExpectProbesBitIdentical(model, *built, *mapped);
+}
+
+TEST_F(IndexIoFixture, ResaveOverALiveMappingLeavesItIntact) {
+  // Publishing a new index over the path a live server has mapped must
+  // not touch the mapped bytes: the saver replaces the file by rename, so
+  // the mapping keeps the old inode, and the path then loads as the new
+  // index.
+  DotScorer model_a(12, kItems, kDim, 11);
+  DotScorer model_b(12, kItems, kDim, 12);
+  const auto built_a =
+      SphericalIvfIndex::Build(model_a, kItems, AnnIndexOptions{}, nullptr);
+  const auto built_b =
+      SphericalIvfIndex::Build(model_b, kItems, AnnIndexOptions{}, nullptr);
+  ASSERT_FALSE(std::equal(built_a->centroids().begin(),
+                          built_a->centroids().end(),
+                          built_b->centroids().begin()));
+  ASSERT_TRUE(SaveCandidateIndex(*built_a, path_));
+  const auto mapped_a = LoadCandidateIndexMapped(path_, model_a, kItems);
+  ASSERT_NE(mapped_a, nullptr);
+
+  ASSERT_TRUE(SaveCandidateIndex(*built_b, path_));
+  std::ifstream tmp(path_ + ".tmp");
+  EXPECT_FALSE(tmp.is_open()) << "the temp file must not outlive the save";
+  const auto& mivf = static_cast<const SphericalIvfIndex&>(*mapped_a);
+  EXPECT_TRUE(std::equal(mivf.centroids().begin(), mivf.centroids().end(),
+                         built_a->centroids().begin()));
+  ExpectProbesBitIdentical(model_a, *built_a, *mapped_a);
+
+  const auto mapped_b = LoadCandidateIndexMapped(path_, model_b, kItems);
+  ASSERT_NE(mapped_b, nullptr);
+  const auto& bivf = static_cast<const SphericalIvfIndex&>(*mapped_b);
+  EXPECT_TRUE(std::equal(bivf.centroids().begin(), bivf.centroids().end(),
+                         built_b->centroids().begin()));
+  ExpectProbesBitIdentical(model_b, *built_b, *mapped_b);
 }
 
 TEST_F(IndexIoFixture, IvfRebuiltOnMappedCopiesOnWrite) {
@@ -275,31 +258,6 @@ TEST_F(IndexIoFixture, IvfRebuiltOnMappedCopiesOnWrite) {
   std::vector<ItemId> out;
   from_mapped->Probe(query.data(), 10, &out);
   EXPECT_GE(out.size(), 10u);  // IVF appends whole lists until covered
-}
-
-TEST_F(IndexIoFixture, VpTreeRebuiltOnMappedMatchesOwnedRebuild) {
-  L2Scorer model(12, kItems, kDim, 5);
-  const auto built =
-      VpTreeIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
-  ASSERT_TRUE(SaveCandidateIndex(*built, path_));
-  const auto mapped = LoadCandidateIndexMapped(path_, model, kItems);
-  ASSERT_NE(mapped, nullptr);
-
-  const std::vector<size_t> dirty = {2, 6};
-  for (const size_t s : dirty) {
-    const auto [begin, end] = FacetStore::ShardRange(kItems, s, kShards);
-    model.PerturbItems(begin, end, 50 + s);
-  }
-  const auto from_mapped = mapped->Rebuilt(model, dirty, kShards, nullptr);
-  const auto from_built = built->Rebuilt(model, dirty, kShards, nullptr);
-  ASSERT_NE(from_mapped, nullptr);
-  const auto& rvp = static_cast<const VpTreeIndex&>(*from_mapped);
-  const auto& ovp = static_cast<const VpTreeIndex&>(*from_built);
-  EXPECT_TRUE(std::equal(rvp.ids().begin(), rvp.ids().end(),
-                         ovp.ids().begin()));
-  EXPECT_TRUE(std::equal(rvp.radii().begin(), rvp.radii().end(),
-                         ovp.radii().begin()));
-  ExpectProbesBitIdentical(model, *from_built, *from_mapped);
 }
 
 TEST_F(IndexIoFixture, MappedIndexServesThroughTopKServer) {
@@ -405,10 +363,14 @@ TEST_F(IndexIoRejectFixture, LoadRejectsFutureVersion) {
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsWrongKindForModelGeometry) {
-  // A valid IVF file offered to an L2 model: the pairing check must
-  // reject before any region is interpreted.
-  const L2Scorer l2(12, kItems, kDim, 8);
-  EXPECT_EQ(LoadCandidateIndexMapped(path_, l2, kItems), nullptr);
+  // A valid IVF file offered to a model without the dot geometry: the
+  // pairing check must reject before any region is interpreted.
+  const NoGeometryScorer plain;
+  EXPECT_EQ(LoadCandidateIndexMapped(path_, plain, kItems), nullptr);
+  // Kind 2, the retired VP-tree layout, offered to the dot model: an
+  // unknown kind rejects like any other.
+  PokeAt(&bytes_, kOffKind, uint32_t{2});
+  ExpectRejected();
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsDimMismatch) {
@@ -481,22 +443,52 @@ TEST_F(IndexIoRejectFixture, LoadRejectsOutOfRangeListIdWithFixedUpChecksum) {
   ExpectRejected();
 }
 
-TEST_F(IndexIoRejectFixture, LoadRejectsCorruptVpPermutationWithFixedCrc) {
-  // VP-tree variant: duplicate an id in the permutation (checksum fixed
-  // up) — the search gathers vectors by id, so the permutation check is
-  // what keeps a colliding file memory-safe.
-  const L2Scorer l2(12, kItems, kDim, 10);
-  const auto built =
-      VpTreeIndex::Build(l2, kItems, AnnIndexOptions{}, nullptr);
-  ASSERT_TRUE(SaveCandidateIndex(*built, path_));
-  bytes_ = ReadFileBytes(path_);
-  const auto ids_at =
+TEST_F(IndexIoRejectFixture,
+       LoadRejectsIvfListsThatAreNotAPermutationWithFixedUpChecksum) {
+  // Probe promises unique ids because the lists are disjoint: a list id
+  // filed twice, filed under a centroid its assign entry does not name, or
+  // out of list order must reject even with every id in range and the CRC
+  // recomputed.
+  const std::string valid = bytes_;
+  const auto assign_at =
       PeekAt<uint64_t>(bytes_, kOffRegionTable + kRegionEntryBytes);
-  const auto first = PeekAt<uint32_t>(bytes_, ids_at);
-  PokeAt(&bytes_, ids_at + 4, first);  // ids[1] = ids[0]
+  const auto lists_at =
+      PeekAt<uint64_t>(bytes_, kOffRegionTable + 3 * kRegionEntryBytes);
+  const auto ncent = PeekAt<uint64_t>(bytes_, kOffParams);
+  ASSERT_GE(ncent, 2u);
+
+  // list_ids[1] = list_ids[0]: a duplicated id.
+  PokeAt(&bytes_, lists_at + 4, PeekAt<uint32_t>(bytes_, lists_at));
+  FixupCrc(3);
+  ExpectRejected();
+
+  // assign[0] moved to another valid centroid: item 0 now sits in a list
+  // its assign entry does not name.
+  bytes_ = valid;
+  const auto owner = PeekAt<uint32_t>(bytes_, assign_at);
+  PokeAt(&bytes_, assign_at,
+         static_cast<uint32_t>((owner + 1) % static_cast<uint32_t>(ncent)));
   FixupCrc(1);
-  WriteFileBytes(path_, bytes_);
-  EXPECT_EQ(LoadCandidateIndexMapped(path_, l2, kItems), nullptr);
+  ExpectRejected();
+
+  // The first two ids of a list swapped: still a permutation, but out of
+  // the ascending order the rule (docs/FORMAT.md) requires.
+  bytes_ = valid;
+  const auto offsets_at =
+      PeekAt<uint64_t>(bytes_, kOffRegionTable + 2 * kRegionEntryBytes);
+  uint64_t c = 0;
+  while (PeekAt<uint32_t>(bytes_, offsets_at + 4 * (c + 1)) -
+             PeekAt<uint32_t>(bytes_, offsets_at + 4 * c) < 2) {
+    ++c;
+    ASSERT_LT(c, ncent);
+  }
+  const uint64_t first_at =
+      lists_at + 4 * PeekAt<uint32_t>(bytes_, offsets_at + 4 * c);
+  const auto first = PeekAt<uint32_t>(bytes_, first_at);
+  PokeAt(&bytes_, first_at, PeekAt<uint32_t>(bytes_, first_at + 4));
+  PokeAt(&bytes_, first_at + 4, first);
+  FixupCrc(3);
+  ExpectRejected();
 }
 
 }  // namespace

@@ -312,6 +312,45 @@ TEST_F(PersistenceFixture, V3MappedOutlivesTheLoadCall) {
   EXPECT_EQ(mapped->Score(3, 5), expected);
 }
 
+TEST_F(PersistenceFixture, ResaveOverALiveV3MappingLeavesItIntact) {
+  // Publishing a new snapshot over the path a live server has mapped must
+  // not touch the mapped bytes: the saver replaces the file by rename, so
+  // the mapping keeps the old inode, and the path then loads as the new
+  // model.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+
+  MultiFacetConfig mcfg;
+  mcfg.dim = 12;
+  mcfg.num_facets = 3;
+  mcfg.theta_nmf_iterations = 5;
+  Mars next(mcfg);
+  TrainOptions opts;
+  opts.epochs = 7;
+  opts.learning_rate = 0.2;
+  next.Fit(*split_.train, opts);
+  ASSERT_TRUE(SaveMarsV3(next, path_));
+  std::ifstream tmp(path_ + ".tmp");
+  EXPECT_FALSE(tmp.is_open()) << "the temp file must not outlive the save";
+
+  bool differs = false;
+  for (UserId u = 0; u < 20; ++u) {
+    for (ItemId v = 0; v < 20; ++v) {
+      EXPECT_EQ(mapped->Score(u, v), model_->Score(u, v));
+      differs = differs || next.Score(u, v) != model_->Score(u, v);
+    }
+  }
+  ASSERT_TRUE(differs) << "the two models must be distinguishable";
+  const auto reloaded = LoadMarsMapped(path_);
+  ASSERT_NE(reloaded, nullptr);
+  for (UserId u = 0; u < 20; ++u) {
+    for (ItemId v = 0; v < 20; ++v) {
+      EXPECT_EQ(reloaded->Score(u, v), next.Score(u, v));
+    }
+  }
+}
+
 TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
   ASSERT_TRUE(SaveMars(*model_, path_));  // v2
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);

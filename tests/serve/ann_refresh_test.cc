@@ -10,8 +10,8 @@
 // `ann_probes + exact_fallbacks == misses`). A racing-readers variant
 // pins the same parity for the TSAN matrix.
 //
-// The oracles are DotScorer/L2Scorer copies whose PerturbItems rewrites
-// only the dirty shard ranges, so the tracker contract ("clean rows byte
+// The oracle is a DotScorer copy whose PerturbItems rewrites only the
+// dirty shard ranges, so the tracker contract ("clean rows byte
 // identical") holds *exactly* — unlike two independently trained models —
 // which is what makes bit-level parity a sound assertion.
 #include <atomic>
@@ -73,49 +73,14 @@ class DotScorer : public ItemScorer {
   std::vector<float> user_, item_;
 };
 
-/// L2 twin, for the VP-tree index kind (exact at any probe width).
-class L2Scorer : public ItemScorer {
- public:
-  L2Scorer(size_t users, size_t items, size_t dim, uint64_t seed)
-      : dim_(dim), user_(users * dim), item_(items * dim) {
-    Rng rng(seed);
-    for (auto& x : user_) x = static_cast<float>(rng.Normal());
-    for (auto& x : item_) x = static_cast<float>(rng.Normal());
-  }
-
-  float Score(UserId u, ItemId v) const override {
-    return -SquaredDistance(user_.data() + u * dim_, item_.data() + v * dim_,
-                            dim_);
-  }
-  IndexGeometry index_geometry() const override { return IndexGeometry::kL2; }
-  size_t index_dim() const override { return dim_; }
-  void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override {
-    Copy(item_.data() + begin * dim_, out, (end - begin) * dim_);
-  }
-  void WriteIndexQuery(UserId u, float* out) const override {
-    Copy(user_.data() + u * dim_, out, dim_);
-  }
-
-  void PerturbItems(ItemId begin, ItemId end, uint64_t seed) {
-    Rng rng(seed);
-    for (size_t i = begin * dim_; i < end * dim_; ++i) {
-      item_[i] = static_cast<float>(rng.Normal());
-    }
-  }
-
- private:
-  size_t dim_;
-  std::vector<float> user_, item_;
-};
-
 /// Copies `base`, perturbs the given item shards, marks every perturbed
 /// item in both trackers, and returns the new snapshot.
-template <typename Scorer>
-std::shared_ptr<Scorer> PerturbedEpoch(const Scorer& base, size_t num_items,
-                                       const std::vector<size_t>& dirty,
-                                       uint64_t seed, WriteTracker* ta,
-                                       WriteTracker* tb) {
-  auto next = std::make_shared<Scorer>(base);
+std::shared_ptr<DotScorer> PerturbedEpoch(const DotScorer& base,
+                                          size_t num_items,
+                                          const std::vector<size_t>& dirty,
+                                          uint64_t seed, WriteTracker* ta,
+                                          WriteTracker* tb) {
+  auto next = std::make_shared<DotScorer>(base);
   for (const size_t s : dirty) {
     const auto [begin, end] = FacetStore::ShardRange(num_items, s, kShards);
     next->PerturbItems(begin, end, seed + s);
@@ -130,8 +95,7 @@ std::shared_ptr<Scorer> PerturbedEpoch(const Scorer& base, size_t num_items,
 /// The parity harness: an ANN full-probe server and an exact server walk
 /// the same warm → publish → query sequence; everything observable must
 /// agree, and must equal a cold server built over the new snapshot.
-template <typename Scorer>
-void ExpectRefreshParity(std::shared_ptr<Scorer> base, size_t num_users,
+void ExpectRefreshParity(std::shared_ptr<DotScorer> base, size_t num_users,
                          size_t num_items,
                          const ImplicitDataset* exclude = nullptr) {
   TopKServerOptions ann_opts;
@@ -194,10 +158,6 @@ void ExpectRefreshParity(std::shared_ptr<Scorer> base, size_t num_users,
 
 TEST(TopKServerAnnRefreshTest, IvfRefreshMatchesExactPathBitForBit) {
   ExpectRefreshParity(std::make_shared<DotScorer>(40, 240, 12, 11), 40, 240);
-}
-
-TEST(TopKServerAnnRefreshTest, VpTreeRefreshMatchesExactPathBitForBit) {
-  ExpectRefreshParity(std::make_shared<L2Scorer>(32, 200, 8, 12), 32, 200);
 }
 
 TEST(TopKServerAnnRefreshTest, RefreshParityHoldsWithExclusions) {

@@ -1,9 +1,8 @@
 // ANN serving equivalence: probe-then-rerank through TopKServer.
 //
-// The acceptance bar from the issue: at full probe (nprobe == every
-// list; the VP-tree is exact at any probe) the ANN miss path must be
-// *bit-identical* to the brute-force ScoreItems ranking for every model
-// configuration, and models with no index geometry must fall through to
+// The acceptance bar: at full probe (nprobe == every list) the ANN miss
+// path must be *bit-identical* to the brute-force ScoreItems ranking for
+// every model configuration, and models with no index geometry must fall through to
 // the exact sweep — also bit-identical — with the stats ledger
 // (ann_probes + exact_fallbacks == misses) attributing each miss to the
 // path that served it. Recall at the default (sub-linear) nprobe is
@@ -124,11 +123,10 @@ void ExpectAnnServerMatchesBruteForce(Recommender* model,
 }
 
 // --- The ten serving configurations of the equivalence suite. -------------
-// Probed: the dot models (BPR bias-MIPS, MARS concatenated facets) and
-// the metric models (CML/SML/MetricF via the exact VP-tree). Fallback:
+// Probed: the dot models (BPR bias-MIPS, MARS concatenated facets).
+// Fallback: the metric models (CML/SML/MetricF declare no dot geometry),
 // MAR (per-candidate projections), TransCF and LRML (relation vectors
-// built per pair) — no fixed per-item vector exists, so they must serve
-// through the exact sweep unchanged.
+// built per pair) — they must serve through the exact sweep unchanged.
 
 TEST(TopKServerAnnEquivalence, Mars) {
   const auto data = SmallDataset();
@@ -188,21 +186,21 @@ TEST(TopKServerAnnEquivalence, Cml) {
   const auto data = SmallDataset();
   Cml model(CmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/true);
+  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/false);
 }
 
 TEST(TopKServerAnnEquivalence, Sml) {
   const auto data = SmallDataset();
   Sml model(SmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/true);
+  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/false);
 }
 
 TEST(TopKServerAnnEquivalence, MetricF) {
   const auto data = SmallDataset();
   MetricF model(MetricFConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/true);
+  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/false);
 }
 
 TEST(TopKServerAnnEquivalence, TransCf) {
@@ -220,30 +218,6 @@ TEST(TopKServerAnnEquivalence, Lrml) {
 }
 
 // --- Behavioural tests beyond per-model equivalence. ----------------------
-
-TEST(TopKServerAnnTest, VpTreeServesExactlyAtDefaultsWithExclusions) {
-  // Metric models keep recall 1.0 at *default* options (the VP-tree is
-  // exact), and the exclusion-widened overfetch must keep answers full
-  // length: every served ranking equals brute force over the eligible
-  // catalog.
-  const auto data = SmallDataset(80, 300);
-  Cml model(CmlConfig{.dim = 16});
-  model.Fit(*data, QuickTrain());
-
-  TopKServerOptions opts;
-  opts.k = 9;
-  opts.ann.enable = true;
-  opts.exclude_interactions = data.get();
-  TopKServer server(&model, data->num_users(), data->num_items(), opts);
-  for (UserId u = 0; u < 16; ++u) {
-    const auto [want_items, want_scores] =
-        BruteForceTopK(model, u, data->num_items(), 9, data.get());
-    const TopKResponse got = server.TopK(u);
-    EXPECT_EQ(got.items, want_items) << "user " << u;
-    EXPECT_EQ(got.scores, want_scores) << "user " << u;
-  }
-  EXPECT_EQ(server.stats().ann_probes, 16u);
-}
 
 TEST(TopKServerAnnTest, IvfFullProbeRespectsExclusions) {
   const auto data = SmallDataset(80, 300);
@@ -470,7 +444,7 @@ TEST(TopKServerAnnTest, PublishEpochRebuildsIndexIncrementally) {
 
 TEST(TopKServerAnnTest, ParallelAnnSweepMatchesSerial) {
   const auto data = SmallDataset(60, 400);
-  Cml model(CmlConfig{.dim = 16});
+  Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
 
   ThreadPool pool(3);
@@ -490,6 +464,8 @@ TEST(TopKServerAnnTest, ParallelAnnSweepMatchesSerial) {
     EXPECT_EQ(a.items, b.items) << "user " << u;
     EXPECT_EQ(a.scores, b.scores) << "user " << u;
   }
+  EXPECT_EQ(parallel_server.stats().ann_probes, 10u);
+  EXPECT_EQ(serial_server.stats().ann_probes, 10u);
 }
 
 }  // namespace

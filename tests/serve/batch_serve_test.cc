@@ -196,17 +196,6 @@ TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
   ExpectBatchMatchesSolo(&model, *data, opts);
 }
 
-TEST(TopKServerBatchEquivalence, CmlAnnVpTreeDefaultProbeBatch) {
-  // L2 geometry → VpTreeIndex, which keeps the per-query default
-  // ProbeBatch loop — the fallback side of the contract.
-  const auto data = SmallDataset();
-  Cml model(CmlConfig{.dim = 16});
-  model.Fit(*data, QuickTrain());
-  TopKServerOptions opts = ExactOpts(*data);
-  opts.ann.enable = true;
-  ExpectBatchMatchesSolo(&model, *data, opts);
-}
-
 TEST(TopKServerBatchEquivalence, PoolBackedBatchSweepMatchesSolo) {
   // chunks > 1: the batched sweep fans RunBatch jobs over the pool, each
   // scoring all users of the batch per block.
