@@ -1,7 +1,6 @@
 #include "ann/index_io.h"
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -11,7 +10,7 @@
 #include "common/check.h"
 #include "common/crc32.h"
 #include "common/logging.h"
-#include "common/mapped_store.h"
+#include "common/mapped_file.h"
 
 namespace mars {
 
@@ -191,43 +190,36 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
   std::shared_ptr<MappedFile> file = MappedFile::Open(path);
   if (file == nullptr) return nullptr;
   const uint8_t* base = file->data();
-  if (file->size() < kIndexHeaderBytes) {
+  ByteReader header(base, file->size());
+  uint32_t magic = 0, version = 0, kind = 0, num_regions = 0;
+  uint64_t file_bytes = 0;
+  IndexLayout l;
+  // Fixed fields at 0..72; the three reserved or unused fields are skipped.
+  if (!header.Read(&magic) || !header.Read(&version) || !header.Read(&kind) ||
+      !header.Skip(sizeof(uint32_t)) || !header.Read(&l.num_items) ||
+      !header.Read(&l.dim) || !header.Read(&l.num_centroids) ||
+      !header.Read(&l.nprobe) || !header.Skip(sizeof(uint64_t)) ||
+      !header.Read(&file_bytes) || !header.Read(&num_regions) ||
+      !header.Skip(sizeof(uint32_t))) {
     MARS_LOG(ERROR) << who << ": " << path << " is truncated ("
                     << file->size() << " bytes, header needs "
                     << kIndexHeaderBytes << ")";
     return nullptr;
   }
-  const auto read_u32 = [&](size_t offset) {
-    uint32_t v;
-    std::memcpy(&v, base + offset, sizeof(v));
-    return v;
-  };
-  const auto read_u64 = [&](size_t offset) {
-    uint64_t v;
-    std::memcpy(&v, base + offset, sizeof(v));
-    return v;
-  };
-  if (read_u32(0) != kIndexMagic) {
+  if (magic != kIndexMagic) {
     MARS_LOG(ERROR) << who << ": bad magic in " << path;
     return nullptr;
   }
-  if (read_u32(4) != kIndexVersion) {
+  if (version != kIndexVersion) {
     MARS_LOG(ERROR) << who << ": " << path << " is index format v"
-                    << read_u32(4) << ", expected v" << kIndexVersion;
+                    << version << ", expected v" << kIndexVersion;
     return nullptr;
   }
-  if (read_u32(8) != kKindSphericalIvf) {
+  if (kind != kKindSphericalIvf) {
     MARS_LOG(ERROR) << who << ": " << path << " holds unknown index kind "
-                    << read_u32(8);
+                    << kind;
     return nullptr;
   }
-  IndexLayout l;
-  l.num_items = read_u64(16);
-  l.dim = read_u64(24);
-  l.num_centroids = read_u64(32);
-  l.nprobe = read_u64(40);
-  const uint64_t file_bytes = read_u64(56);
-  const uint32_t num_regions = read_u32(64);
 
   // Plausibility bounds come BEFORE any size math (the v3 discipline):
   // nothing below multiplies unchecked header fields.
@@ -259,16 +251,18 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
                     << "match its geometry (truncated or corrupt)";
     return nullptr;
   }
+  // The region table follows the fixed fields; the file holds it, being
+  // file_bytes >= kIndexHeaderBytes long.
   uint32_t stored_crc[kNumRegions];
   for (size_t r = 0; r < kNumRegions; ++r) {
-    const size_t entry = 72 + r * 24;
-    if (read_u64(entry) != l.region_offset[r] ||
-        read_u64(entry + 8) != l.region_bytes[r]) {
+    uint64_t offset = 0, bytes = 0;
+    if (!header.Read(&offset) || !header.Read(&bytes) ||
+        !header.Read(&stored_crc[r]) || !header.Skip(sizeof(uint32_t)) ||
+        offset != l.region_offset[r] || bytes != l.region_bytes[r]) {
       MARS_LOG(ERROR) << who << ": " << path << " region " << r
                       << " offsets are inconsistent with its geometry";
       return nullptr;
     }
-    stored_crc[r] = read_u32(entry + 16);
   }
   for (size_t r = 0; r < kNumRegions; ++r) {
     if (Crc32(base + l.region_offset[r], l.region_bytes[r]) !=

@@ -10,11 +10,11 @@
 // table placing every array at a 64-byte-aligned file offset with a
 // CRC-32 over its bytes — and LoadCandidateIndexMapped mmaps it back as
 // an immutable borrowed-buffer index (common/maybe_owned.h) that pins
-// the mapping with a keepalive shared_ptr, the MappedFacetStore /
-// LoadMarsMapped lifetime contract. Probes on a mapped index are
-// bit-identical to the freshly built one (same bytes, same code), and
-// Rebuilt() copies-on-write only what a dirty absorb must mutate, so a
-// restart serves ANN traffic without re-running k-means.
+// the mapping with a keepalive shared_ptr, the LoadMarsMapped lifetime
+// contract. Probes on a mapped index are bit-identical to the freshly
+// built one (same bytes, same code), and Rebuilt() copies-on-write only
+// what a dirty absorb must mutate, so a restart serves ANN traffic
+// without re-running k-means.
 //
 // Pairing contract, like the top-k sidecar: an index file stores
 // geometry, not provenance — it is only meaningful next to the exact

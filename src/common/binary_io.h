@@ -1,18 +1,21 @@
-// Little-endian binary stream helpers shared by the persistence layers
+// Little-endian binary helpers shared by the persistence layers
 // (core/persistence.cc model snapshots, ann/index_io.cc index files,
-// serve/top_k_sidecar.cc cache sidecars). The on-disk formats
-// (docs/FORMAT.md) are defined as little-endian; these write the host
-// representation directly, which is correct on every platform this library
-// targets — if a big-endian port ever lands, the byte swap belongs here and
-// nowhere else.
+// serve/top_k_sidecar.cc cache sidecars): stream writers for the savers,
+// one bounds-checked ByteReader for the mapped loaders. The on-disk
+// formats (docs/FORMAT.md) are defined as little-endian; these write and
+// read the host representation directly, which is correct on every
+// platform this library targets — if a big-endian port ever lands, the
+// byte swap belongs here and nowhere else.
 #ifndef MARS_COMMON_BINARY_IO_H_
 #define MARS_COMMON_BINARY_IO_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <istream>
 #include <ostream>
 #include <string>
+#include <type_traits>
 
 namespace mars {
 
@@ -38,21 +41,42 @@ inline void WriteFloats(std::ostream& out, const float* data, size_t n) {
             static_cast<std::streamsize>(n * sizeof(float)));
 }
 
-inline bool ReadU32(std::istream& in, uint32_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
+/// Bounds-checked cursor over bytes in memory (a mapped file): the read
+/// side of the helpers above. Every read checks its length against the
+/// bytes that remain before copying, so a truncated or lying file fails
+/// the read instead of running off the buffer.
+class ByteReader {
+ public:
+  ByteReader(const uint8_t* data, size_t size) : at_(data), left_(size) {}
 
-inline bool ReadU64(std::istream& in, uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return in.good();
-}
+  template <typename T>
+  bool Read(T* v) {
+    return ReadArray(v, 1);
+  }
 
-inline bool ReadFloats(std::istream& in, float* data, size_t n) {
-  in.read(reinterpret_cast<char*>(data),
-          static_cast<std::streamsize>(n * sizeof(float)));
-  return in.good();
-}
+  template <typename T>
+  bool ReadArray(T* v, size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (n > left_ / sizeof(T)) return false;
+    const size_t len = n * sizeof(T);
+    if (len > 0) std::memcpy(v, at_, len);
+    at_ += len;
+    left_ -= len;
+    return true;
+  }
+
+  /// Steps over `n` bytes (reserved fields).
+  bool Skip(size_t n) {
+    if (n > left_) return false;
+    at_ += n;
+    left_ -= n;
+    return true;
+  }
+
+ private:
+  const uint8_t* at_;
+  size_t left_;
+};
 
 }  // namespace mars
 

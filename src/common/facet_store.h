@@ -58,7 +58,7 @@ struct AlignedAllocator {
 ///     training, snapshots, and copy-loads use this;
 ///   - *borrowed* (BorrowConst): the store is a read-only view over
 ///     external memory with exactly this layout — e.g. the payload region
-///     of an mmap'd format-v3 snapshot (common/mapped_store.h). Borrowed
+///     of an mmap'd format-v3 snapshot (core/persistence.h). Borrowed
 ///     stores never own or free the bytes; the caller keeps the backing
 ///     mapping alive. Mutable accessors on a borrowed store are a
 ///     programming error and abort (MARS_CHECK — the external bytes are
@@ -138,10 +138,9 @@ class FacetStore {
   /// (mmap-backed) store exposes: sweeps partition it exactly like an
   /// owned store, but nothing can write through it. Today's serving sweep
   /// goes through ScoreItemRange and only needs ShardRange, so the
-  /// current consumers are MappedFacetStore::ConstShard and the
-  /// owned/mapped parity tests; shard-level readers (e.g. a future
-  /// row-partitioned rescorer over mapped snapshots) should take this
-  /// view rather than grow a writable one.
+  /// current consumers are the owned/borrowed parity tests; shard-level
+  /// readers (e.g. a future row-partitioned rescorer over mapped
+  /// snapshots) should take this view rather than grow a writable one.
   class ConstShardView {
    public:
     ConstShardView(const FacetStore* store, size_t entity_begin,
@@ -195,7 +194,7 @@ class FacetStore {
   /// an owned store ([entity][facet][dim] with `row_stride`-float rows).
   /// Requirements (checked): `base` is kRowAlignBytes-aligned, `row_stride`
   /// is a whole multiple of kRowAlignBytes and >= dim. The caller owns the
-  /// lifetime of `base` (e.g. via MappedFacetStore).
+  /// lifetime of `base` (LoadMarsMapped pins its MappedFile).
   static FacetStore BorrowConst(const float* base, size_t num_entities,
                                 size_t num_facets, size_t dim,
                                 size_t row_stride);

@@ -7,9 +7,10 @@
 // a freshly built index owns a std::vector<T>; an index loaded with
 // LoadCandidateIndexMapped borrows a const span of the mapping (whose
 // lifetime the holder pins with a keepalive shared_ptr, same contract as
-// MappedFacetStore). The read surface (data/size/operator[]/span) is
-// identical either way, so probe code cannot tell the difference — the
-// bit-identity property the mapped-index tests pin.
+// the borrowed FacetStores of LoadMarsMapped). The read surface
+// (data/size/operator[]/span) is identical either way, so probe code
+// cannot tell the difference — the bit-identity property the mapped-index
+// tests pin.
 //
 // Mutation is owned-only: mutable_vec()/mutable_data() assert on a
 // borrowed buffer, and EnsureOwned() is the copy-on-write step — Rebuilt

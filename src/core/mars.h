@@ -39,9 +39,7 @@ namespace mars {
 class Mars;
 
 /// Binary persistence (core/persistence.h); friends of Mars.
-bool SaveMars(const Mars& model, const std::string& path);
 bool SaveMarsV3(const Mars& model, const std::string& path);
-std::unique_ptr<Mars> LoadMars(const std::string& path);
 std::unique_ptr<Mars> LoadMarsMapped(const std::string& path);
 
 /// MARS-specific options on top of the shared multi-facet config.
@@ -115,9 +113,7 @@ class Mars : public Recommender {
   std::unique_ptr<Mars> ServingSnapshot(ThreadPool* pool = nullptr) const;
 
  private:
-  friend bool SaveMars(const Mars& model, const std::string& path);
   friend bool SaveMarsV3(const Mars& model, const std::string& path);
-  friend std::unique_ptr<Mars> LoadMars(const std::string& path);
   friend std::unique_ptr<Mars> LoadMarsMapped(const std::string& path);
 
   MultiFacetConfig config_;

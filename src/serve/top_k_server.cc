@@ -195,8 +195,7 @@ TopKResponse TopKServer::ServeOne(UserId u, bool bypass_cache) {
   if (!bypass_cache && TryCacheHit(u, &result)) return result;
   // Pool workers bypass the coalescer: a worker parked behind another
   // miss's batch could be a worker that batch's RunBatch fan-out needs.
-  if (options_.batch.coalesce_misses &&
-      !(options_.pool != nullptr && options_.pool->IsWorkerThread())) {
+  if (options_.pool == nullptr || !options_.pool->IsWorkerThread()) {
     return CoalescedMiss(u);
   }
   std::vector<TopKResponse> results(1);

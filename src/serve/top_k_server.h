@@ -148,20 +148,18 @@ struct AnnOptions {
 };
 
 /// Miss-batching knobs (TopKServerOptions::batch).
+///
+/// Every TopK miss goes through the coalescer: concurrent misses that land
+/// while another miss is sweeping queue up and are served together as one
+/// multi-user batched sweep (ScoreItemRangeMulti / ProbeBatch — each item
+/// row is streamed once per batch instead of once per user). A batch of B
+/// is bit-identical to B batches of one against the same pinned snapshot,
+/// and each user caches under its own pinned-epoch rule, so coalescing
+/// changes throughput, never answers. An uncontended miss pays one
+/// uncontended mutex hop and sweeps alone — no added latency. Pool worker
+/// threads bypass the coalescer: a worker waiting on another miss's sweep
+/// could deadlock the pool that sweep fans over.
 struct BatchOptions {
-  /// Miss coalescing: concurrent TopK misses that land while another miss
-  /// is sweeping queue up and are served together as one multi-user
-  /// batched sweep (ScoreItemRangeMulti / ProbeBatch — each item row is
-  /// streamed once per batch instead of once per user). A batch of B is
-  /// bit-identical to B batches of one against the same pinned snapshot,
-  /// and each user caches under its own pinned-epoch rule, so this
-  /// changes throughput, never answers. An uncontended miss pays one
-  /// uncontended mutex hop and sweeps alone — no added latency. Turn off
-  /// to restore fully independent concurrent sweeps (e.g. many idle cores,
-  /// no pool, compute-bound models). Pool worker threads always bypass the
-  /// coalescer: a worker waiting on another miss's sweep could deadlock
-  /// the pool that sweep fans over.
-  bool coalesce_misses = true;
   /// Users per coalesced batch, at most (bounds the per-chunk score
   /// buffers; excess queued misses form the next batch).
   size_t max_batch = 16;
@@ -255,12 +253,12 @@ class TopKServer {
   /// and in-process callers share): cache hit, or a full-catalog sweep of
   /// the pinned snapshot that fills the cache. Safe to call concurrently
   /// from any number of threads, including while the maintenance path
-  /// publishes. With batch.coalesce_misses set (the default), a miss that
-  /// arrives while another miss is sweeping joins the next multi-user
-  /// batched sweep — same answer, one streaming pass over the catalog for
-  /// the whole batch. Concurrent misses for the same user then share one
-  /// sweep instead of sweeping redundantly (each still counts as its own
-  /// miss, so hits + misses stays the query count).
+  /// publishes. A miss that arrives while another miss is sweeping joins
+  /// the next multi-user batched sweep (BatchOptions) — same answer, one
+  /// streaming pass over the catalog for the whole batch. Concurrent
+  /// misses for the same user then share one sweep instead of sweeping
+  /// redundantly (each still counts as its own miss, so hits + misses
+  /// stays the query count).
   ///
   /// A malformed request (user outside the catalog, k above options().k,
   /// unknown flag bits) is *reported* — empty response with the matching
@@ -453,9 +451,9 @@ class TopKServer {
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
 
-  /// The coalesced miss path (see BatchOptions::coalesce_misses): queue
-  /// behind an in-flight sweep, else become the leader, claim up to
-  /// batch.max_batch queued misses and sweep them as one batch.
+  /// The coalesced miss path (see BatchOptions): queue behind an in-flight
+  /// sweep, else become the leader, claim up to batch.max_batch queued
+  /// misses and sweep them as one batch.
   TopKResponse CoalescedMiss(UserId u);
 
   /// Exact full-catalog sweep for B >= 1 users: one RunBatch job per

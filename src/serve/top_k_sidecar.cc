@@ -1,15 +1,15 @@
 #include "serve/top_k_sidecar.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
 #include "common/logging.h"
-#include "common/mapped_store.h"
+#include "common/mapped_file.h"
 
 namespace mars {
 namespace {
@@ -23,32 +23,23 @@ constexpr uint32_t kSidecarVersion = 1;
 //   (scores), count u32s (items). Entries are ordered most recently used
 //   first, matching ForEachCached.
 
-// Cursor over the sidecar bytes. Every read checks its length against the
-// bytes that remain before copying, so a truncated or lying file fails the
-// read instead of running off the buffer.
-class ByteReader {
- public:
-  ByteReader(const uint8_t* data, size_t size) : at_(data), left_(size) {}
-
-  template <typename T>
-  bool Read(T* v) {
-    return ReadArray(v, 1);
+/// True when `items`/`scores` have the form of a ranking the server serves:
+/// in-catalog items, no NaN score, strictly ordered best first by (score
+/// desc, item id asc) — the order TopKServer's RanksBetter selects by, so
+/// an item listed twice at one score fails too. This checks form, not
+/// truth: like a made-up score, an item listed at two scores passes.
+bool RankingServable(const std::vector<ItemId>& items,
+                     const std::vector<float>& scores, uint64_t n_items) {
+  for (size_t j = 0; j < items.size(); ++j) {
+    const ItemId v = items[j];
+    if (v >= n_items || std::isnan(scores[j])) return false;
+    if (j > 0 && !(scores[j - 1] > scores[j] ||
+                   (scores[j - 1] == scores[j] && items[j - 1] < v))) {
+      return false;
+    }
   }
-
-  template <typename T>
-  bool ReadArray(T* v, size_t n) {
-    if (n > left_ / sizeof(T)) return false;
-    const size_t len = n * sizeof(T);
-    if (len > 0) std::memcpy(v, at_, len);
-    at_ += len;
-    left_ -= len;
-    return true;
-  }
-
- private:
-  const uint8_t* at_;
-  size_t left_;
-};
+  return true;
+}
 
 }  // namespace
 
@@ -155,12 +146,10 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
                       << path;
       return 0;
     }
-    for (const ItemId v : e.items) {
-      if (v >= n_items) {
-        MARS_LOG(ERROR) << "WarmFromSidecar: out-of-catalog item in entry "
-                        << i << " of " << path;
-        return 0;
-      }
+    if (!RankingServable(e.items, e.scores, n_items)) {
+      MARS_LOG(ERROR) << "WarmFromSidecar: entry " << i << " of " << path
+                      << " is not a ranking the server could produce";
+      return 0;
     }
     entries.push_back(std::move(e));
   }

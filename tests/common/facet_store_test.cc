@@ -184,6 +184,37 @@ TEST(ShardViewTest, ShardBasesAreCacheLineAligned) {
   }
 }
 
+TEST(ShardViewTest, ConstShardViewsTileABorrowedStore) {
+  // A borrowed store (the view LoadMarsMapped puts over a mapping) shards
+  // exactly like the owned store whose bytes it borrows: the const views
+  // tile it, stay cache-line aligned, and address the borrowed memory.
+  FacetStore owned(7, 2, 12);
+  float x = 0.5f;
+  for (size_t e = 0; e < 7; ++e) {
+    for (size_t k = 0; k < 2; ++k) {
+      for (size_t i = 0; i < 12; ++i) owned.Row(e, k)[i] = x += 0.25f;
+    }
+  }
+  const FacetStore borrowed = FacetStore::BorrowConst(
+      owned.EntityBlock(0), 7, 2, 12, owned.row_stride());
+  ASSERT_TRUE(borrowed.borrowed());
+  size_t covered = 0;
+  for (size_t s = 0; s < 3; ++s) {
+    const FacetStore::ConstShardView view = borrowed.ConstShard(s, 3);
+    EXPECT_EQ(view.entity_begin(), covered);
+    EXPECT_EQ(view.num_entities(), owned.ConstShard(s, 3).num_entities());
+    covered = view.entity_end();
+    if (view.empty()) continue;
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(view.data()) %
+                  FacetStore::kRowAlignBytes,
+              0u);
+    for (size_t e = view.entity_begin(); e < view.entity_end(); ++e) {
+      EXPECT_EQ(view.EntityBlock(e), owned.EntityBlock(e));
+    }
+  }
+  EXPECT_EQ(covered, 7u);
+}
+
 TEST(ShardViewTest, CopyFromCopiesOnlyTheRange) {
   FacetStore src(9, 2, 5), dst(9, 2, 5);
   for (size_t e = 0; e < 9; ++e) {

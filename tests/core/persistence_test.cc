@@ -1,5 +1,7 @@
 #include "core/persistence.h"
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -8,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 
@@ -48,7 +51,7 @@ struct PersistenceFixture : public ::testing::Test {
 };
 
 TEST_F(PersistenceFixture, RoundTripPreservesScores) {
-  ASSERT_TRUE(SaveMars(*model_, path_));
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
   const auto loaded = LoadMars(path_);
   ASSERT_NE(loaded, nullptr);
   for (UserId u = 0; u < 20; ++u) {
@@ -59,7 +62,7 @@ TEST_F(PersistenceFixture, RoundTripPreservesScores) {
 }
 
 TEST_F(PersistenceFixture, RoundTripPreservesMetadata) {
-  ASSERT_TRUE(SaveMars(*model_, path_));
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
   const auto loaded = LoadMars(path_);
   ASSERT_NE(loaded, nullptr);
   EXPECT_EQ(loaded->config().num_facets, 3u);
@@ -79,7 +82,7 @@ TEST_F(PersistenceFixture, UnfitModelRefusesToSave) {
   MultiFacetConfig cfg;
   cfg.dim = 8;
   Mars unfit(cfg);
-  EXPECT_FALSE(SaveMars(unfit, path_));
+  EXPECT_FALSE(SaveMarsV3(unfit, path_));
 }
 
 TEST_F(PersistenceFixture, LoadRejectsMissingFile) {
@@ -95,7 +98,7 @@ TEST_F(PersistenceFixture, LoadRejectsGarbage) {
 }
 
 TEST_F(PersistenceFixture, LoadRejectsTruncatedPayload) {
-  ASSERT_TRUE(SaveMars(*model_, path_));
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
   // Truncate to half.
   std::ifstream in(path_, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
@@ -109,66 +112,8 @@ TEST_F(PersistenceFixture, LoadRejectsTruncatedPayload) {
   EXPECT_EQ(LoadMars(path_), nullptr);
 }
 
-TEST_F(PersistenceFixture, OldFormatV1StillLoads) {
-  // Reconstruct a v1 file (facet-major tensors, the std::vector<Matrix>
-  // era) from the v2 bytes and check the versioned load path transposes it
-  // into the FacetStore bit-exactly.
-  ASSERT_TRUE(SaveMars(*model_, path_));
-  std::string bytes;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
-  auto u32 = [&](size_t off) {
-    uint32_t v;
-    std::memcpy(&v, bytes.data() + off, 4);
-    return v;
-  };
-  auto u64 = [&](size_t off) {
-    uint64_t v;
-    std::memcpy(&v, bytes.data() + off, 8);
-    return v;
-  };
-  ASSERT_EQ(u32(4), 2u) << "save should emit version 2";
-  const size_t kf = u64(8), d = u64(16);
-  const size_t n_users = u64(24), n_items = u64(32);
-  const size_t header = 4 + 4 + 8 * 4 + 4 + 4;
-  std::string v1 = bytes;
-  const uint32_t version1 = 1;
-  std::memcpy(v1.data() + 4, &version1, 4);
-  // Transpose [entity][facet][dim] → [facet][entity][dim] per tensor.
-  auto transpose = [&](size_t off, size_t entities) {
-    for (size_t e = 0; e < entities; ++e) {
-      for (size_t k = 0; k < kf; ++k) {
-        std::memcpy(v1.data() + off + (k * entities + e) * d * 4,
-                    bytes.data() + off + (e * kf + k) * d * 4, d * 4);
-      }
-    }
-  };
-  transpose(header, n_users);
-  transpose(header + n_users * kf * d * 4, n_items);
-  const std::string v1_path = ::testing::TempDir() + "/mars_model_v1.bin";
-  {
-    std::ofstream out(v1_path, std::ios::binary);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
-  }
-  const auto loaded = LoadMars(v1_path);
-  std::remove(v1_path.c_str());
-  ASSERT_NE(loaded, nullptr);
-  for (UserId u = 0; u < 20; ++u) {
-    for (ItemId v = 0; v < 20; ++v) {
-      EXPECT_FLOAT_EQ(loaded->Score(u, v), model_->Score(u, v));
-    }
-  }
-  const auto ea = loaded->UserFacetEmbedding(3, 1);
-  const auto eb = model_->UserFacetEmbedding(3, 1);
-  for (size_t i = 0; i < ea.size(); ++i) EXPECT_FLOAT_EQ(ea[i], eb[i]);
-}
-
 TEST_F(PersistenceFixture, RoundTripUnpaddedDim) {
-  // dim 16 is a cache-line multiple, so the store has no row padding and
-  // save/load take the dense bulk-I/O path instead of the per-row one.
+  // dim 16 is a cache-line multiple, so the rows carry no padding.
   MultiFacetConfig cfg;
   cfg.dim = 16;
   cfg.num_facets = 2;
@@ -178,7 +123,7 @@ TEST_F(PersistenceFixture, RoundTripUnpaddedDim) {
   opts.epochs = 2;
   opts.learning_rate = 0.2;
   dense_model.Fit(*split_.train, opts);
-  ASSERT_TRUE(SaveMars(dense_model, path_));
+  ASSERT_TRUE(SaveMarsV3(dense_model, path_));
   const auto loaded = LoadMars(path_);
   ASSERT_NE(loaded, nullptr);
   for (UserId u = 0; u < 10; ++u) {
@@ -191,7 +136,7 @@ TEST_F(PersistenceFixture, RoundTripUnpaddedDim) {
 TEST_F(PersistenceFixture, LoadRejectsOverflowingEntityCounts) {
   // A crafted header with an absurd n_users must be rejected before any
   // tensor allocation or per-row read happens.
-  ASSERT_TRUE(SaveMars(*model_, path_));
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
   std::string bytes;
   {
     std::ifstream in(path_, std::ios::binary);
@@ -301,6 +246,32 @@ TEST_F(PersistenceFixture, V3MappedServesBitIdenticalScores) {
   }
 }
 
+TEST_F(PersistenceFixture, V3MappedStoresMatchOwnedRowForRow) {
+  // Both borrowed tensors hold the owned stores' bytes, every facet row of
+  // every user and item.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  ASSERT_TRUE(mapped->mapped());
+  const size_t row_bytes = 12 * sizeof(float);
+  for (size_t k = 0; k < 3; ++k) {
+    for (UserId u = 0; u < 80; ++u) {
+      ASSERT_EQ(std::memcmp(mapped->UserFacetEmbedding(u, k).data(),
+                            model_->UserFacetEmbedding(u, k).data(),
+                            row_bytes),
+                0)
+          << "user " << u << " facet " << k;
+    }
+    for (ItemId v = 0; v < 120; ++v) {
+      ASSERT_EQ(std::memcmp(mapped->ItemFacetEmbedding(v, k).data(),
+                            model_->ItemFacetEmbedding(v, k).data(),
+                            row_bytes),
+                0)
+          << "item " << v << " facet " << k;
+    }
+  }
+}
+
 TEST_F(PersistenceFixture, V3MappedOutlivesTheLoadCall) {
   // The model must keep the mapping alive itself (keepalive member) — use
   // after the unique_ptr is the only reference.
@@ -351,11 +322,21 @@ TEST_F(PersistenceFixture, ResaveOverALiveV3MappingLeavesItIntact) {
   }
 }
 
-TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
-  ASSERT_TRUE(SaveMars(*model_, path_));  // v2
-  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
-  // ... but the copy loader takes it, per the compatibility matrix.
-  EXPECT_NE(LoadMars(path_), nullptr);
+TEST_F(PersistenceFixture, LoadersRejectOtherVersions) {
+  // v3 is the only format: a v3 file relabelled as version 1 or 2 (the
+  // packed formats earlier releases wrote) or as a future 4 is rejected by
+  // both loaders, before any other field is trusted.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  const std::string v3 = Slurp(path_);
+  for (const uint32_t version : {1u, 2u, 4u}) {
+    std::string bytes = v3;
+    std::memcpy(bytes.data() + 4, &version, 4);
+    Spit(path_, bytes);
+    EXPECT_EQ(LoadMars(path_), nullptr) << "version " << version;
+    EXPECT_EQ(LoadMarsMapped(path_), nullptr) << "version " << version;
+  }
+  Spit(path_, v3);
+  EXPECT_NE(LoadMarsMapped(path_), nullptr);
 }
 
 TEST_F(PersistenceFixture, V3LoadersRejectTruncatedPayload) {
@@ -407,15 +388,13 @@ TEST_F(PersistenceFixture, LoadersRejectHugeShapeOnTinyFile) {
   // A crafted header whose shape passes the plausibility bounds but
   // implies hundreds of GB must be rejected against the actual file size
   // — cleanly, before any allocation is sized to header fields.
-  for (const bool v3 : {false, true}) {
-    ASSERT_TRUE(v3 ? SaveMarsV3(*model_, path_) : SaveMars(*model_, path_));
-    std::string bytes = Slurp(path_);
-    const uint64_t huge_users = 1ull << 30;  // plausible (< 2^31), enormous
-    std::memcpy(bytes.data() + 24, &huge_users, 8);
-    Spit(path_, bytes);
-    EXPECT_EQ(LoadMars(path_), nullptr) << "v3=" << v3;
-    if (v3) EXPECT_EQ(LoadMarsMapped(path_), nullptr);
-  }
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  std::string bytes = Slurp(path_);
+  const uint64_t huge_users = 1ull << 30;  // plausible (< 2^31), enormous
+  std::memcpy(bytes.data() + 24, &huge_users, 8);
+  Spit(path_, bytes);
+  EXPECT_EQ(LoadMars(path_), nullptr);
+  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
 TEST_F(PersistenceFixture, V3LoadersRejectImplausibleShape) {
@@ -494,13 +473,116 @@ TEST_F(PersistenceFixture, RadiiSurviveRoundTrip) {
   opts.epochs = 4;
   opts.learning_rate = 0.2;
   radius_model.Fit(*split_.train, opts);
-  ASSERT_TRUE(SaveMars(radius_model, path_));
+  ASSERT_TRUE(SaveMarsV3(radius_model, path_));
   const auto loaded = LoadMars(path_);
   ASSERT_NE(loaded, nullptr);
   ASSERT_EQ(loaded->FacetRadii().size(), 2u);
   EXPECT_FLOAT_EQ(loaded->FacetRadii()[0], radius_model.FacetRadii()[0]);
   EXPECT_FLOAT_EQ(loaded->FacetRadii()[1], radius_model.FacetRadii()[1]);
   EXPECT_TRUE(loaded->mars_options().learn_radius);
+}
+
+/// Scores of `a` and `b` over the whole catalog, compared bit for bit.
+void ExpectBitIdenticalScores(const Mars& a, const Mars& b, size_t n_users,
+                              size_t n_items) {
+  std::vector<float> sa(n_items), sb(n_items);
+  for (UserId u = 0; u < n_users; ++u) {
+    a.ScoreItemRange(u, 0, n_items, sa.data());
+    b.ScoreItemRange(u, 0, n_items, sb.data());
+    ASSERT_EQ(std::memcmp(sa.data(), sb.data(), n_items * sizeof(float)), 0)
+        << "user " << u;
+  }
+}
+
+TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
+  // The model file is a trust boundary: arbitrary bytes must be rejected
+  // cleanly. Start from a small v3 file and corrupt it: every single-bit
+  // flip across the 128-byte header and the num_margins word, seeded
+  // multi-bit flips over the same bits, a self-consistent header that
+  // outgrows the file, and every truncation length. Both loaders must
+  // return null, or return models that score bit for bit alike (a flip in
+  // a reserved byte, a flag, or a dim that keeps the row stride still
+  // loads).
+  SyntheticConfig data_cfg;
+  data_cfg.num_users = 8;
+  data_cfg.num_items = 10;
+  data_cfg.target_interactions = 60;
+  data_cfg.seed = 5;
+  const auto data = GenerateSyntheticDataset(data_cfg);
+  MultiFacetConfig cfg;
+  cfg.dim = 6;
+  cfg.num_facets = 2;
+  cfg.theta_nmf_iterations = 3;
+  Mars small(cfg);
+  TrainOptions opts;
+  opts.epochs = 1;
+  small.Fit(*data, opts);
+  ASSERT_TRUE(SaveMarsV3(small, path_));
+  const std::string original = Slurp(path_);
+
+  uint64_t tail_offset = 0;
+  std::memcpy(&tail_offset, original.data() + 72, 8);
+  const size_t margins_word = tail_offset + (8 * 2 + 2) * sizeof(float);
+  ASSERT_EQ(margins_word + 8 + 8 * sizeof(float), original.size());
+  std::vector<size_t> bits;  // byte * 8 + bit
+  for (size_t b = 0; b < 128 * 8; ++b) bits.push_back(b);
+  for (size_t b = 0; b < 64; ++b) bits.push_back(margins_word * 8 + b);
+
+  size_t loaded = 0, rejected = 0;
+  const auto check = [&](const std::string& bytes) {
+    Spit(path_, bytes);
+    const auto owned = LoadMars(path_);
+    const auto mapped = LoadMarsMapped(path_);
+    ASSERT_EQ(owned == nullptr, mapped == nullptr);
+    if (mapped == nullptr) {
+      ++rejected;
+      return;
+    }
+    ++loaded;
+    ExpectBitIdenticalScores(*owned, *mapped, 8, 10);
+  };
+  const auto flip = [](std::string* bytes, size_t bit) {
+    (*bytes)[bit / 8] = static_cast<char>((*bytes)[bit / 8] ^ (1 << (bit % 8)));
+  };
+  for (const size_t bit : bits) {
+    std::string bytes = original;
+    flip(&bytes, bit);
+    ASSERT_NO_FATAL_FAILURE(check(bytes)) << "bit " << bit;
+  }
+  uint64_t state = 20210314;
+  for (int trial = 0; trial < 128; ++trial) {
+    std::string bytes = original;
+    const int n_flips = 2 + static_cast<int>(SplitMix64(&state) % 3);
+    for (int f = 0; f < n_flips; ++f) {
+      flip(&bytes, bits[SplitMix64(&state) % bits.size()]);
+    }
+    ASSERT_NO_FATAL_FAILURE(check(bytes)) << "trial " << trial;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+
+  // A header whose fields agree with each other but promise a catalog far
+  // larger than the file: only the file size can reject it.
+  {
+    std::string bytes = original;
+    const uint64_t n_items = 1ull << 31, stride = 16;
+    uint64_t item_offset = 0;
+    std::memcpy(&item_offset, bytes.data() + 64, 8);
+    const uint64_t tail = item_offset + n_items * 2 * stride * sizeof(float);
+    std::memcpy(bytes.data() + 32, &n_items, 8);
+    std::memcpy(bytes.data() + 72, &tail, 8);
+    Spit(path_, bytes);
+    EXPECT_EQ(LoadMarsMapped(path_), nullptr);
+    EXPECT_EQ(LoadMars(path_), nullptr);
+  }
+
+  // Cut the file back one byte at a time, from one byte short to empty.
+  Spit(path_, original);
+  for (size_t len = original.size(); len-- > 0;) {
+    ASSERT_EQ(::truncate(path_.c_str(), static_cast<off_t>(len)), 0);
+    ASSERT_EQ(LoadMarsMapped(path_), nullptr) << "len " << len;
+    ASSERT_EQ(LoadMars(path_), nullptr) << "len " << len;
+  }
 }
 
 }  // namespace

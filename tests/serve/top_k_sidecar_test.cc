@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -310,6 +311,63 @@ TEST_F(SidecarFixture, RejectsMoreEntriesThanUsers) {
   TopKServer server = MakeServer();
   EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
   EXPECT_EQ(server.stats().cached_users, 0u);
+}
+
+/// A sidecar holding one entry, user 4 ranking exactly `items` at
+/// `scores` — for the rankings BuildSidecar's well-ordered entries cannot
+/// express.
+std::string OneEntrySidecar(uint64_t users, uint64_t catalog,
+                            const std::vector<ItemId>& items,
+                            const std::vector<float>& scores) {
+  std::string b = BuildSidecar(10, users, catalog, 1, {});
+  Append<uint32_t>(&b, 4);
+  Append<uint32_t>(&b, static_cast<uint32_t>(items.size()));
+  for (const float s : scores) Append<float>(&b, s);
+  for (const ItemId v : items) Append<uint32_t>(&b, v);
+  return b;
+}
+
+TEST_F(SidecarFixture, RejectsRepeatedItem) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  // Control: the same entry with distinct items loads.
+  WriteAll(path_, OneEntrySidecar(users, items, {3, 5, 7}, {0.9f, 0.8f, 0.7f}));
+  TopKServer control = MakeServer();
+  ASSERT_EQ(WarmFromSidecar(&control, path_), 1u);
+  // Item 5 twice, at one score: no sweep ranks an item twice, and the
+  // pair breaks the strict (score desc, id asc) order.
+  WriteAll(path_, OneEntrySidecar(users, items, {3, 5, 5}, {0.9f, 0.8f, 0.8f}));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+  EXPECT_EQ(server.stats().cached_users, 0u);
+}
+
+TEST_F(SidecarFixture, RejectsOutOfOrderPair) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  // A swapped pair of scores, then a tie listed by descending item id.
+  for (const auto& scores : {std::vector<float>{0.9f, 0.7f, 0.8f},
+                             std::vector<float>{0.9f, 0.8f, 0.8f}}) {
+    WriteAll(path_, OneEntrySidecar(users, items, {3, 7, 5}, scores));
+    TopKServer server = MakeServer();
+    EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+    EXPECT_EQ(server.stats().cached_users, 0u);
+  }
+}
+
+TEST_F(SidecarFixture, RejectsNaNScore) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  // Mid-ranking, where it breaks the order, and alone, where no pair does.
+  for (const auto& scores : {std::vector<float>{0.9f, nan, 0.7f},
+                             std::vector<float>{nan}}) {
+    const std::vector<ItemId> ranked = {3, 5, 7};
+    WriteAll(path_, OneEntrySidecar(
+                        users, items,
+                        {ranked.begin(), ranked.begin() + scores.size()},
+                        scores));
+    TopKServer server = MakeServer();
+    EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+    EXPECT_EQ(server.stats().cached_users, 0u);
+  }
 }
 
 TEST_F(SidecarFixture, TrailingBytesAfterTheLastEntryAreIgnored) {
