@@ -322,13 +322,30 @@ TEST_F(PersistenceFixture, ResaveOverALiveV3MappingLeavesItIntact) {
   }
 }
 
-TEST_F(PersistenceFixture, LoadersRejectOtherVersions) {
-  // v3 is the only format: a v3 file relabelled as version 1 or 2 (the
-  // packed formats earlier releases wrote) or as a future 4 is rejected by
-  // both loaders, before any other field is trusted.
+TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
+  // Version 2, the packed format earlier releases wrote, is not read: a v3
+  // file relabelled as version 2 is rejected by the mapped loader and, since
+  // v3 is the only format, by the copy loader too.
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
   const std::string v3 = Slurp(path_);
-  for (const uint32_t version : {1u, 2u, 4u}) {
+  std::string v2 = v3;
+  const uint32_t version2 = 2;
+  std::memcpy(v2.data() + 4, &version2, 4);
+  Spit(path_, v2);
+  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
+  EXPECT_EQ(LoadMars(path_), nullptr);
+  Spit(path_, v3);
+  EXPECT_NE(LoadMarsMapped(path_), nullptr);
+}
+
+TEST_F(PersistenceFixture, LoadersRejectOtherVersions) {
+  // v3 is the only format: a v3 file relabelled as version 1 (the
+  // facet-major format of the first release) or as a future 4 is rejected
+  // by both loaders, before any other field is trusted. Version 2 is
+  // MappedLoadRejectsV2Files.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  const std::string v3 = Slurp(path_);
+  for (const uint32_t version : {1u, 4u}) {
     std::string bytes = v3;
     std::memcpy(bytes.data() + 4, &version, 4);
     Spit(path_, bytes);
