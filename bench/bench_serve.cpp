@@ -184,9 +184,6 @@ class RestartScorer : public mars::ItemScorer {
   float Score(mars::UserId u, mars::ItemId v) const override {
     return mars::Dot(user_.data() + u * dim_, item_.data() + v * dim_, dim_);
   }
-  mars::IndexGeometry index_geometry() const override {
-    return mars::IndexGeometry::kDot;
-  }
   size_t index_dim() const override { return dim_; }
   void CopyIndexVectors(mars::ItemId begin, mars::ItemId end,
                         float* out) const override {

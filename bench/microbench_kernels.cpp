@@ -143,34 +143,6 @@ void BM_DotBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_DotBatch)->Arg(32)->Arg(128);
 
-void BM_CosinePerRow(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const auto u = RandomVec(d, 22);
-  const auto block = RandomBlock(kBatchRows, d, 23);
-  std::vector<float> out(kBatchRows);
-  for (auto _ : state) {
-    for (size_t r = 0; r < kBatchRows; ++r) {
-      out[r] = Cosine(u.data(), block.data() + r * d, d);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchRows * d);
-}
-BENCHMARK(BM_CosinePerRow)->Arg(32)->Arg(128);
-
-void BM_CosineBatch(benchmark::State& state) {
-  const size_t d = static_cast<size_t>(state.range(0));
-  const auto u = RandomVec(d, 22);
-  const auto block = RandomBlock(kBatchRows, d, 23);
-  std::vector<float> out(kBatchRows);
-  for (auto _ : state) {
-    CosineBatch(u.data(), block.data(), kBatchRows, d, d, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kBatchRows * d);
-}
-BENCHMARK(BM_CosineBatch)->Arg(32)->Arg(128);
-
 // --- Multi-user vs repeated single-user scoring ----------------------------
 // The batched-serving question: B users against one item block — B calls
 // of the single-user batch kernel (each streaming the block again) vs one

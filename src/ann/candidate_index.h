@@ -11,11 +11,11 @@
 // (bench/bench_serve.cpp) measures it against the brute-force oracle at
 // every committed nprobe (scripts/check_bench.py gates it).
 //
-// One implementation serves the kDot geometry of eval/scorer.h:
-// SphericalIvfIndex (ann/ivf_index.h) for dot/cosine models (BPR, MARS via
-// concatenated facets) — spherical k-means coarse centroids with
-// nprobe-configurable inverted lists. Approximate: probing more lists
-// trades latency for recall. Every other model (the metric baselines
+// One implementation serves every indexable model of eval/scorer.h
+// (index_dim() > 0): SphericalIvfIndex (ann/ivf_index.h) over the models' dot
+// vectors (BPR, MARS via concatenated facets) — spherical k-means coarse
+// centroids with nprobe-configurable inverted lists. Approximate: probing more
+// lists trades latency for recall. Every other model (the metric baselines
 // included) serves through the exact sweep.
 //
 // Concurrency contract: a built index is immutable — Probe is
@@ -126,9 +126,10 @@ class CandidateIndex {
   std::shared_ptr<const void> storage_keepalive_;
 };
 
-/// Builds the index matching `model`'s declared geometry: IVF for kDot,
-/// nullptr for kNone (or an empty catalog) — the caller keeps the
-/// exact-sweep path. `pool` may be null (serial build).
+/// Builds an IVF index over `model`'s index vectors, or returns nullptr
+/// when the model is not indexable (index_dim() == 0) or the catalog is
+/// empty — the caller keeps the exact-sweep path. `pool` may be null
+/// (serial build).
 std::unique_ptr<CandidateIndex> BuildCandidateIndex(
     const ItemScorer& model, size_t num_items, const AnnIndexOptions& options,
     ThreadPool* pool);

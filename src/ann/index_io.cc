@@ -225,14 +225,8 @@ std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
   // nothing below multiplies unchecked header fields.
   if (!LayoutPlausible(l, who)) return nullptr;
 
-  // The index must pair with the serving model: dot geometry, same
-  // vector dim, same catalog.
-  if (model.index_geometry() != IndexGeometry::kDot) {
-    MARS_LOG(ERROR) << who << ": " << path
-                    << " holds the wrong index kind for the model's "
-                    << "geometry";
-    return nullptr;
-  }
+  // The index must pair with the serving model: same vector dim (an
+  // unindexable model's 0 never matches a plausible layout), same catalog.
   if (l.dim != model.index_dim() || l.num_items != num_items) {
     MARS_LOG(ERROR) << who << ": " << path << " was built for dim=" << l.dim
                     << " items=" << l.num_items << ", model wants dim="

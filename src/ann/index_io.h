@@ -6,7 +6,7 @@
 // persisting it follows the format-v3 playbook
 // (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
 // in-memory stride into a self-describing index file — fixed header
-// (magic "MRSI", version, kind, geometry, build parameters), a region
+// (magic "MRSI", version, kind, shape, build parameters), a region
 // table placing every array at a 64-byte-aligned file offset with a
 // CRC-32 over its bytes — and LoadCandidateIndexMapped mmaps it back as
 // an immutable borrowed-buffer index (common/maybe_owned.h) that pins
@@ -17,9 +17,9 @@
 // without re-running k-means.
 //
 // Pairing contract, like the top-k sidecar: an index file stores
-// geometry, not provenance — it is only meaningful next to the exact
+// shape, not provenance — it is only meaningful next to the exact
 // model snapshot it was built from. The loader verifies the mechanical
-// part (kind vs the model's declared geometry, dim, item count, layout,
+// part (kind, dim vs the model's index_dim(), item count, layout,
 // checksums, CSR/permutation invariants); shipping the index next to the
 // right snapshot is the caller's job — treat snapshot + index + sidecar
 // as one restart unit and regenerate all three together.
@@ -41,14 +41,14 @@ namespace mars {
 bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path);
 
 /// Maps the index at `path` and returns it as an immutable, probe-ready
-/// CandidateIndex borrowing the mapping (zero copy; the mapping is kept
-/// alive for the life of the returned index and anything derived from
-/// it). `model` and `num_items` are the serving pair the index must
-/// match: wrong kind for the model's geometry, wrong dim, or wrong item
-/// count rejects, as do bad magic/version, implausible or inconsistent
-/// headers, truncation, and checksum mismatches — always with a clean
-/// nullptr + error log, never a crash or allocation blow-up. The result
-/// plugs directly into TopKServerOptions::ann.prebuilt.
+/// CandidateIndex borrowing the mapping (zero copy; the mapping is kept alive
+/// for the life of the returned index and anything derived from it). `model`
+/// and `num_items` are the serving pair the index must match: a dim other than
+/// the model's index_dim() (an unindexable model's 0 never matches) or a wrong
+/// item count rejects, as do bad magic/version, implausible or inconsistent
+/// headers, truncation, and checksum mismatches — always with a clean nullptr
+/// + error log, never a crash or allocation blow-up. The result plugs directly
+/// into TopKServerOptions::ann.prebuilt.
 std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
     const std::string& path, const ItemScorer& model, size_t num_items);
 

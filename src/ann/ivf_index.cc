@@ -74,10 +74,8 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
     const ItemScorer& model, size_t num_items, const AnnIndexOptions& options,
     ThreadPool* pool) {
   MARS_CHECK(num_items >= 1);
-  MARS_CHECK_MSG(model.index_geometry() == IndexGeometry::kDot,
-                 "SphericalIvfIndex requires a dot-geometry model");
   const size_t dim = model.index_dim();
-  MARS_CHECK(dim >= 1);
+  MARS_CHECK_MSG(dim >= 1, "SphericalIvfIndex requires an indexable model");
 
   auto index = std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex());
   index->num_items_ = num_items;
@@ -281,9 +279,8 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
 std::unique_ptr<CandidateIndex> SphericalIvfIndex::Rebuilt(
     const ItemScorer& model, const std::vector<size_t>& dirty_shards,
     size_t num_shards, ThreadPool* pool) const {
-  MARS_CHECK_MSG(model.index_geometry() == IndexGeometry::kDot &&
-                     model.index_dim() == dim_,
-                 "Rebuilt model must keep the index geometry");
+  MARS_CHECK_MSG(model.index_dim() == dim_,
+                 "Rebuilt model must keep the index dim");
   auto next = std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex(*this));
   if (dirty_shards.empty()) return next;
   // Centroids are reused: only dirty rows are re-read and re-assigned, so

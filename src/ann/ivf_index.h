@@ -38,11 +38,12 @@ namespace mars {
 
 class SphericalIvfIndex : public CandidateIndex {
  public:
-  /// Builds over `model`'s items [0, num_items); requires dot geometry
-  /// and num_items >= 1. Deterministic in (vectors, options); `pool`
-  /// parallelizes each Lloyd assignment step and the full-catalog
-  /// assignment (may be null). The centroid updates stay serial and in
-  /// sample order, so the index is bit-identical with or without a pool.
+  /// Builds over `model`'s items [0, num_items); requires an indexable model
+  /// (index_dim() > 0) and num_items >= 1. Deterministic in (vectors,
+  /// options); `pool` parallelizes each Lloyd assignment step and the
+  /// full-catalog assignment (may be null). The centroid updates stay serial
+  /// and in sample order, so the index is bit-identical with or without a
+  /// pool.
   static std::unique_ptr<SphericalIvfIndex> Build(
       const ItemScorer& model, size_t num_items,
       const AnnIndexOptions& options, ThreadPool* pool);

@@ -73,6 +73,9 @@ class ByteReader {
     return true;
   }
 
+  /// Bytes not yet read.
+  size_t remaining() const { return left_; }
+
  private:
   const uint8_t* at_;
   size_t left_;

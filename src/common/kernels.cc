@@ -1,15 +1,11 @@
 #include "common/kernels.h"
 
-#include <cmath>
-
 #include "common/kernels_detail.h"
-#include "common/vec.h"
 
 namespace mars {
 
 namespace {
 
-using kernels_detail::DotAndNormRowGeneric;
 using kernels_detail::DotRowGeneric;
 using kernels_detail::HasAvx2Fma;
 using kernels_detail::SquaredDistanceRowGeneric;
@@ -23,7 +19,6 @@ using kernels_detail::SquaredDistanceRowGeneric;
 
 #if MARS_KERNELS_HAVE_AVX2
 
-using kernels_detail::DotAndNormRowAvx2;
 using kernels_detail::DotRowAvx2;
 using kernels_detail::DotRowAvx2X4;
 using kernels_detail::SquaredDistanceRowAvx2;
@@ -37,12 +32,12 @@ MARS_AVX2_FN void DotBatchAvx2(const float* u, const float* rows,
   }
 }
 
-MARS_AVX2_FN void SquaredDistanceBatchAvx2(const float* u, const float* rows,
-                                           size_t count, size_t stride,
-                                           size_t n, float* out,
-                                           float sign) {
+MARS_AVX2_FN void NegatedSquaredDistanceBatchAvx2(const float* u,
+                                                  const float* rows,
+                                                  size_t count, size_t stride,
+                                                  size_t n, float* out) {
   for (size_t r = 0; r < count; ++r) {
-    out[r] = sign * SquaredDistanceRowAvx2(u, rows + r * stride, n);
+    out[r] = -SquaredDistanceRowAvx2(u, rows + r * stride, n);
   }
 }
 
@@ -54,24 +49,11 @@ MARS_AVX2_FN void DotGatherAvx2(const float* u, const float* base,
   }
 }
 
-MARS_AVX2_FN void SquaredDistanceGatherAvx2(const float* u, const float* base,
-                                            size_t stride,
-                                            const uint32_t* ids, size_t count,
-                                            size_t n, float* out,
-                                            float sign) {
+MARS_AVX2_FN void NegatedSquaredDistanceGatherAvx2(
+    const float* u, const float* base, size_t stride, const uint32_t* ids,
+    size_t count, size_t n, float* out) {
   for (size_t r = 0; r < count; ++r) {
-    out[r] = sign * SquaredDistanceRowAvx2(u, base + ids[r] * stride, n);
-  }
-}
-
-MARS_AVX2_FN void CosineBatchAvx2(const float* u, const float* rows,
-                                  size_t count, size_t stride, size_t n,
-                                  float inv_nu, float* out) {
-  for (size_t r = 0; r < count; ++r) {
-    float dot, nr2;
-    DotAndNormRowAvx2(u, rows + r * stride, n, &dot, &nr2);
-    const float nr = std::sqrt(nr2);
-    out[r] = nr < 1e-12f ? 0.0f : dot * inv_nu / nr;
+    out[r] = -SquaredDistanceRowAvx2(u, base + ids[r] * stride, n);
   }
 }
 
@@ -144,9 +126,9 @@ MARS_AVX2_FN void DotBatchMultiAvx2(const float* const* us, size_t num_users,
   }
 }
 
-MARS_AVX2_FN void SquaredDistanceBatchMultiAvx2(
+MARS_AVX2_FN void NegatedSquaredDistanceBatchMultiAvx2(
     const float* const* us, size_t num_users, const float* rows, size_t count,
-    size_t stride, size_t n, float* const* out, float sign) {
+    size_t stride, size_t n, float* const* out) {
   const size_t quads = num_users & ~static_cast<size_t>(3);
   for (size_t r = 0; r < count; ++r) {
     const float* row = rows + r * stride;
@@ -154,10 +136,10 @@ MARS_AVX2_FN void SquaredDistanceBatchMultiAvx2(
     for (; b < quads; b += 4) {
       float s[4];
       SquaredDistanceRowAvx2X4(us + b, row, n, s);
-      for (size_t j = 0; j < 4; ++j) out[b + j][r] = sign * s[j];
+      for (size_t j = 0; j < 4; ++j) out[b + j][r] = -s[j];
     }
     for (; b < num_users; ++b) {
-      out[b][r] = sign * SquaredDistanceRowAvx2(us[b], row, n);
+      out[b][r] = -SquaredDistanceRowAvx2(us[b], row, n);
     }
   }
 }
@@ -280,41 +262,6 @@ void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
   }
 }
 
-void SquaredDistanceBatch(const float* u, const float* rows, size_t count,
-                          size_t stride, size_t n, float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    SquaredDistanceBatchAvx2(u, rows, count, stride, n, out, 1.0f);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = SquaredDistanceRowGeneric(u, rows + r * stride, n);
-  }
-}
-
-void CosineBatch(const float* u, const float* rows, size_t count,
-                 size_t stride, size_t n, float* out) {
-  const float nu = Norm(u, n);
-  if (nu < 1e-12f) {
-    for (size_t r = 0; r < count; ++r) out[r] = 0.0f;
-    return;
-  }
-  const float inv_nu = 1.0f / nu;
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    CosineBatchAvx2(u, rows, count, stride, n, inv_nu, out);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    float dot, nr2;
-    DotAndNormRowGeneric(u, rows + r * stride, n, &dot, &nr2);
-    const float nr = std::sqrt(nr2);
-    out[r] = nr < 1e-12f ? 0.0f : dot * inv_nu / nr;
-  }
-}
-
 void DotGather(const float* u, const float* base, size_t stride,
                const uint32_t* ids, size_t count, size_t n, float* out) {
 #if MARS_KERNELS_HAVE_AVX2
@@ -328,26 +275,12 @@ void DotGather(const float* u, const float* base, size_t stride,
   }
 }
 
-void SquaredDistanceGather(const float* u, const float* base, size_t stride,
-                           const uint32_t* ids, size_t count, size_t n,
-                           float* out) {
-#if MARS_KERNELS_HAVE_AVX2
-  if (HasAvx2Fma()) {
-    SquaredDistanceGatherAvx2(u, base, stride, ids, count, n, out, 1.0f);
-    return;
-  }
-#endif
-  for (size_t r = 0; r < count; ++r) {
-    out[r] = SquaredDistanceRowGeneric(u, base + ids[r] * stride, n);
-  }
-}
-
 void NegatedSquaredDistanceGather(const float* u, const float* base,
                                   size_t stride, const uint32_t* ids,
                                   size_t count, size_t n, float* out) {
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    SquaredDistanceGatherAvx2(u, base, stride, ids, count, n, out, -1.0f);
+    NegatedSquaredDistanceGatherAvx2(u, base, stride, ids, count, n, out);
     return;
   }
 #endif
@@ -394,7 +327,7 @@ void NegatedSquaredDistanceBatch(const float* u, const float* rows,
                                  float* out) {
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    SquaredDistanceBatchAvx2(u, rows, count, stride, n, out, -1.0f);
+    NegatedSquaredDistanceBatchAvx2(u, rows, count, stride, n, out);
     return;
   }
 #endif
@@ -480,8 +413,8 @@ void NegatedSquaredDistanceBatchMulti(const float* const* us,
   if (num_users == 0 || count == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    SquaredDistanceBatchMultiAvx2(us, num_users, rows, count, stride, n, out,
-                                  -1.0f);
+    NegatedSquaredDistanceBatchMultiAvx2(us, num_users, rows, count, stride,
+                                         n, out);
     return;
   }
 #endif

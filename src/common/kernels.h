@@ -12,9 +12,16 @@
 // explicit AVX2+FMA twin when the host supports it — measured 1.3-1.7x on
 // the 1024-row serving shape (see kernels_detail.h for the rounding
 // contract and bench/microbench_kernels.cpp for the comparison; measure
-// before changing the shapes). Within one process, the gather and batch
-// forms of a family always share a row primitive, so ScoreItems and
-// ScoreItemRange rank bit-identically.
+// before changing the shapes).
+//
+// There are two row primitives — dot and squared distance — and each score
+// family reduces through exactly one of them: dot products (BPR and the
+// other dot baselines), negated squared distance (the metric models CML,
+// SML and MetricF), the weighted facet dot (MARS at every K, including
+// K = 1: unit rows make dot == cosine) and the weighted facet squared
+// distance (MAR). Within one process the single, gather, batch and
+// multi-user forms of a family share that primitive, so Score,
+// ScoreItems, ScoreItemRange and ScoreItemRangeMulti rank bit-identically.
 #ifndef MARS_COMMON_KERNELS_H_
 #define MARS_COMMON_KERNELS_H_
 
@@ -27,26 +34,13 @@ namespace mars {
 void DotBatch(const float* u, const float* rows, size_t count, size_t stride,
               size_t n, float* out);
 
-/// out[i] = ||u - row_i||^2 for i in [0, count).
-void SquaredDistanceBatch(const float* u, const float* rows, size_t count,
-                          size_t stride, size_t n, float* out);
-
-/// out[i] = Cosine(u, row_i) for i in [0, count); 0 when either norm ~ 0.
-/// ||u|| is computed once, not per candidate.
-void CosineBatch(const float* u, const float* rows, size_t count,
-                 size_t stride, size_t n, float* out);
-
-/// Gather variants: candidate i lives at `base + ids[i] * stride`. These are
-/// the ScoreItems shapes — the evaluator hands models an arbitrary id list.
+/// Gather variant: candidate i lives at `base + ids[i] * stride`. This is
+/// the ScoreItems shape — the evaluator hands models an arbitrary id list.
 void DotGather(const float* u, const float* base, size_t stride,
                const uint32_t* ids, size_t count, size_t n, float* out);
-void SquaredDistanceGather(const float* u, const float* base, size_t stride,
-                           const uint32_t* ids, size_t count, size_t n,
-                           float* out);
 
 /// out[i] = -||u - row_{ids[i]}||² — the metric-model preference score
-/// (CML/SML/MetricF all rank by negated distance; shared here so the
-/// scoring convention lives in one place).
+/// (CML/SML/MetricF all score through models/metric_model.h).
 void NegatedSquaredDistanceGather(const float* u, const float* base,
                                   size_t stride, const uint32_t* ids,
                                   size_t count, size_t n, float* out);

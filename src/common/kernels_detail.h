@@ -1,5 +1,6 @@
-// Internal kernel row primitives: the autovectorized generic forms and
-// their AVX2+FMA intrinsic twins, plus the runtime CPU check that picks
+// Internal kernel row primitives — dot and squared distance, one per score
+// family: the autovectorized generic forms, their AVX2+FMA intrinsic twins
+// and four-user (X4) variants, plus the runtime CPU check that picks
 // between them. Shared between common/kernels.cc (which dispatches) and
 // bench/microbench_kernels.cpp (which A/B-times both paths — the ROADMAP
 // "SIMD-explicit kernels" item is measure-first, so the comparison has to
@@ -64,32 +65,6 @@ inline float SquaredDistanceRowGeneric(const float* a, const float* b,
     s += dlt * dlt;
   }
   return s;
-}
-
-/// Fused dot(a,b) and ||b||² in one traversal — the per-candidate piece
-/// of CosineBatch (||a|| is hoisted by the caller).
-inline void DotAndNormRowGeneric(const float* a, const float* b, size_t n,
-                                 float* dot, float* bnorm2) {
-  float acc_d[8] = {0.0f};
-  float acc_q[8] = {0.0f};
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (size_t j = 0; j < 8; ++j) {
-      const float bj = b[i + j];
-      acc_d[j] += a[i + j] * bj;
-      acc_q[j] += bj * bj;
-    }
-  }
-  float d = ((acc_d[0] + acc_d[1]) + (acc_d[2] + acc_d[3])) +
-            ((acc_d[4] + acc_d[5]) + (acc_d[6] + acc_d[7]));
-  float q = ((acc_q[0] + acc_q[1]) + (acc_q[2] + acc_q[3])) +
-            ((acc_q[4] + acc_q[5]) + (acc_q[6] + acc_q[7]));
-  for (; i < n; ++i) {
-    d += a[i] * b[i];
-    q += b[i] * b[i];
-  }
-  *dot = d;
-  *bnorm2 = q;
 }
 
 #if MARS_KERNELS_HAVE_AVX2
@@ -260,28 +235,6 @@ MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
     }
     out[j] = s;
   }
-}
-
-MARS_AVX2_FN inline void DotAndNormRowAvx2(const float* a, const float* b,
-                                           size_t n, float* dot,
-                                           float* bnorm2) {
-  __m256 acc_d = _mm256_setzero_ps();
-  __m256 acc_q = _mm256_setzero_ps();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 av = _mm256_loadu_ps(a + i);
-    const __m256 bv = _mm256_loadu_ps(b + i);
-    acc_d = _mm256_fmadd_ps(av, bv, acc_d);
-    acc_q = _mm256_fmadd_ps(bv, bv, acc_q);
-  }
-  float d = Hsum256(acc_d);
-  float q = Hsum256(acc_q);
-  for (; i < n; ++i) {
-    d += a[i] * b[i];
-    q += b[i] * b[i];
-  }
-  *dot = d;
-  *bnorm2 = q;
 }
 
 #else  // !MARS_KERNELS_HAVE_AVX2

@@ -316,16 +316,6 @@ void Mars::ScoreItemRange(UserId u, ItemId begin, ItemId end,
   Softmax(theta_logits_.Row(u), theta.data(), kf);
   for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
   const size_t count = end - begin;
-  if (kf == 1) {
-    // Single facet: rows sit on the unit sphere (the retraction normalizes
-    // every update), so the weighted dot *is* θ·r·cosine — score through
-    // CosineBatch, which amortizes ||u|| over the block and stays correct
-    // even if a row drifts off-unit.
-    CosineBatch(user_facets_.Row(u, 0), item_facets_.Row(begin, 0), count,
-                item_facets_.entity_stride(), config_.dim, out);
-    for (size_t i = 0; i < count; ++i) out[i] *= theta[0];
-    return;
-  }
   // The item store is contiguous: the sweep streams over `count`
   // consecutive entity blocks in one pass.
   WeightedFacetDotBatch(user_facets_.EntityBlock(u),
@@ -340,15 +330,6 @@ void Mars::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                                ItemId end, float* const* out) const {
   if (begin >= end || users.empty()) return;
   const size_t kf = config_.num_facets;
-  if (kf == 1) {
-    // The single-facet sweep goes through CosineBatch (per-block ||u||
-    // hoisting); keep the per-user calls so the path — and the bits —
-    // match the solo sweep exactly.
-    for (size_t b = 0; b < users.size(); ++b) {
-      ScoreItemRange(users[b], begin, end, out[b]);
-    }
-    return;
-  }
   // Per-user θ·r weight vectors, then one fused multi-user pass over the
   // contiguous item store: each candidate facet row is loaded once per
   // user quad instead of once per user.

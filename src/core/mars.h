@@ -73,12 +73,11 @@ class Mars : public Recommender {
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "MARS"; }
 
-  // ANN capability: concatenated-facet dot geometry. The item vector is
+  // ANN capability: concatenated-facet dot vectors. The item vector is
   // the K facet rows concatenated (K·dim floats, padding stripped); the
   // query concatenates θ_u^k·r_k·u^k, so the single dot recovers
   // Σ_k θ_u^k r_k <u^k, v^k> — the spherical score (cos == dot on unit
   // rows) up to floating-point reassociation.
-  IndexGeometry index_geometry() const override { return IndexGeometry::kDot; }
   size_t index_dim() const override {
     return config_.num_facets * config_.dim;
   }

@@ -13,22 +13,6 @@
 
 namespace mars {
 
-/// Dense-vector geometry of a model's item scores, advertised to the ANN
-/// candidate tier (ann/candidate_index.h). A model that opts in exposes one
-/// index vector per item and one query vector per user such that ranking by
-/// the declared geometry reproduces the ranking of Score():
-///
-///   kDot — dot(query(u), item(v)) equals Score(u, v) up to floating-point
-///          reassociation, so descending dot order is the score order.
-///          Models fold affine terms into extra dimensions (e.g. BPR's item
-///          bias rides as one appended component against a constant-1 query
-///          component; MARS concatenates its K facet rows against
-///          theta-and-radius-scaled user facets).
-///   kNone — no dot vectorization is declared (metric models, per-candidate
-///          projections, neural towers, …); the serving layer falls back to
-///          the exact full-catalog sweep.
-enum class IndexGeometry { kNone, kDot };
-
 /// Scores user-item pairs; higher means "more recommended".
 class ItemScorer {
  public:
@@ -75,18 +59,22 @@ class ItemScorer {
   /// are evaluated serially.
   virtual bool thread_safe() const { return true; }
 
-  // --- ANN index capability (see IndexGeometry above). ---------------------
-  // The contract couples the three overrides: a model returning kDot
-  // must also implement index_dim(), CopyIndexVectors() and
-  // WriteIndexQuery() consistently, and the vectors must describe the
-  // *current* weights — the serving layer snapshots the model before
-  // building, exactly like its score sweeps.
+  // --- ANN index capability (ann/candidate_index.h). ---------------------
+  // A model opts in by returning index_dim() > 0 and implementing
+  // CopyIndexVectors() and WriteIndexQuery() so that
+  // dot(query(u), item(v)) equals Score(u, v) up to floating-point
+  // reassociation; descending dot order is then the score order. Models
+  // fold affine terms into extra dimensions (BPR's item bias rides as one
+  // appended component against a constant-1 query component; MARS
+  // concatenates its K facet rows against theta-and-radius-scaled user
+  // facets). The vectors must describe the *current* weights — the
+  // serving layer snapshots the model before building, exactly like its
+  // score sweeps. Models without such a vectorization (metric models,
+  // per-candidate projections, neural towers, ...) keep the default 0 and
+  // serve through the exact full-catalog sweep.
 
-  /// Geometry under which this model's scores are indexable; kNone (the
-  /// default) keeps the model on the exact-sweep path.
-  virtual IndexGeometry index_geometry() const { return IndexGeometry::kNone; }
-
-  /// Dimensionality of the index/query vectors (0 iff kNone).
+  /// Dimensionality of the index/query vectors; 0 (the default) means the
+  /// model is not indexable.
   virtual size_t index_dim() const { return 0; }
 
   /// Writes the index vectors of items [begin, end) tightly packed into

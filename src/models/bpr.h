@@ -37,10 +37,9 @@ class Bpr : public Recommender {
                            ItemId end, float* const* out) const override;
   std::string name() const override { return "BPR"; }
 
-  // ANN capability: dot geometry, with the item bias folded in as one
-  // appended vector component against a constant-1 query component, so
+  // ANN capability: the item bias is folded in as one appended vector
+  // component against a constant-1 query component, so
   // dot(query, item_vec) == Score exactly (eval/scorer.h contract).
-  IndexGeometry index_geometry() const override { return IndexGeometry::kDot; }
   size_t index_dim() const override {
     return config_.dim + (config_.use_item_bias ? 1 : 0);
   }

@@ -14,8 +14,7 @@
 #ifndef MARS_MODELS_CML_H_
 #define MARS_MODELS_CML_H_
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/metric_model.h"
 
 namespace mars {
 
@@ -31,27 +30,15 @@ struct CmlConfig {
 };
 
 /// CML recommender.
-class Cml : public Recommender {
+class Cml : public MetricModel {
  public:
   explicit Cml(CmlConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "CML"; }
-
-  const Matrix& user_embeddings() const { return user_; }
-  const Matrix& item_embeddings() const { return item_; }
 
  private:
   CmlConfig config_;
-  Matrix user_;
-  Matrix item_;
 };
 
 }  // namespace mars

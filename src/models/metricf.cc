@@ -3,7 +3,6 @@
 #include <cmath>
 #include <memory>
 
-#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "models/embedding.h"
@@ -87,34 +86,6 @@ void MetricF::Fit(const ImplicitDataset& train, const TrainOptions& options) {
         trainer.RunEpoch(steps, step);
       },
       snapshot);
-}
-
-float MetricF::Score(UserId u, ItemId v) const {
-  return -SquaredDistance(user_.Row(u), item_.Row(v), config_.dim);
-}
-
-void MetricF::ScoreItems(UserId u, std::span<const ItemId> items,
-                         float* out) const {
-  NegatedSquaredDistanceGather(user_.Row(u), item_.data(), item_.cols(),
-                               items.data(), items.size(), config_.dim,
-                               out);
-}
-
-void MetricF::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                             float* out) const {
-  if (begin >= end) return;
-  NegatedSquaredDistanceBatch(user_.Row(u), item_.Row(begin), end - begin,
-                              item_.cols(), config_.dim, out);
-}
-
-void MetricF::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                             ItemId end, float* const* out) const {
-  if (begin >= end || users.empty()) return;
-  std::vector<const float*> urows(users.size());
-  for (size_t b = 0; b < users.size(); ++b) urows[b] = user_.Row(users[b]);
-  NegatedSquaredDistanceBatchMulti(urows.data(), users.size(),
-                                   item_.Row(begin), end - begin,
-                                   item_.cols(), config_.dim, out);
 }
 
 }  // namespace mars

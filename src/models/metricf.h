@@ -16,8 +16,7 @@
 #ifndef MARS_MODELS_METRICF_H_
 #define MARS_MODELS_METRICF_H_
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/metric_model.h"
 
 namespace mars {
 
@@ -33,24 +32,15 @@ struct MetricFConfig {
 };
 
 /// MetricF recommender.
-class MetricF : public Recommender {
+class MetricF : public MetricModel {
  public:
   explicit MetricF(MetricFConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "MetricF"; }
 
  private:
   MetricFConfig config_;
-  Matrix user_;
-  Matrix item_;
 };
 
 }  // namespace mars

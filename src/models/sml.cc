@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "models/embedding.h"
@@ -121,34 +120,6 @@ void Sml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
         trainer.RunEpoch(steps, step);
       },
       snapshot);
-}
-
-float Sml::Score(UserId u, ItemId v) const {
-  return -SquaredDistance(user_.Row(u), item_.Row(v), config_.dim);
-}
-
-void Sml::ScoreItems(UserId u, std::span<const ItemId> items,
-                     float* out) const {
-  NegatedSquaredDistanceGather(user_.Row(u), item_.data(), item_.cols(),
-                               items.data(), items.size(), config_.dim,
-                               out);
-}
-
-void Sml::ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                         float* out) const {
-  if (begin >= end) return;
-  NegatedSquaredDistanceBatch(user_.Row(u), item_.Row(begin), end - begin,
-                              item_.cols(), config_.dim, out);
-}
-
-void Sml::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                              ItemId end, float* const* out) const {
-  if (begin >= end || users.empty()) return;
-  std::vector<const float*> urows(users.size());
-  for (size_t b = 0; b < users.size(); ++b) urows[b] = user_.Row(users[b]);
-  NegatedSquaredDistanceBatchMulti(urows.data(), users.size(),
-                                   item_.Row(begin), end - begin,
-                                   item_.cols(), config_.dim, out);
 }
 
 }  // namespace mars

@@ -15,8 +15,7 @@
 
 #include <vector>
 
-#include "common/matrix.h"
-#include "models/recommender.h"
+#include "models/metric_model.h"
 
 namespace mars {
 
@@ -38,18 +37,11 @@ struct SmlConfig {
 };
 
 /// SML recommender.
-class Sml : public Recommender {
+class Sml : public MetricModel {
  public:
   explicit Sml(SmlConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
-  float Score(UserId u, ItemId v) const override;
-  void ScoreItems(UserId u, std::span<const ItemId> items,
-                  float* out) const override;
-  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                      float* out) const override;
-  void ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
-                           ItemId end, float* const* out) const override;
   std::string name() const override { return "SML"; }
 
   /// Learned per-user margins (for the ablation study and tests).
@@ -58,8 +50,6 @@ class Sml : public Recommender {
 
  private:
   SmlConfig config_;
-  Matrix user_;
-  Matrix item_;
   std::vector<float> user_margin_;
   std::vector<float> item_margin_;
 };

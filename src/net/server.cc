@@ -30,14 +30,6 @@ int OpenReserveFd() { return open("/dev/null", O_RDONLY | O_CLOEXEC); }
 NetServer::NetServer(TopKServer* server, NetServerOptions options)
     : top_k_(server), options_(std::move(options)) {}
 
-NetServer::NetServer(std::shared_ptr<const ItemScorer> model,
-                     size_t num_users, size_t num_items,
-                     NetServerOptions options)
-    : owned_(std::make_unique<TopKServer>(std::move(model), num_users,
-                                          num_items, options.serve)),
-      top_k_(owned_.get()),
-      options_(std::move(options)) {}
-
 NetServer::~NetServer() {
   Stop();
   if (listen_fd_ >= 0) close(listen_fd_);

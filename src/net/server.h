@@ -63,9 +63,6 @@ struct NetServerOptions {
   /// buffer makes the userspace queue — and the cap above — observable
   /// with small traffic volumes.
   int sndbuf_bytes = 0;
-  /// Serving options for the owning constructor (ignored by the
-  /// non-owning one, which wraps an already-configured server).
-  TopKServerOptions serve;
 };
 
 struct NetServerStats {
@@ -88,12 +85,9 @@ struct NetServerStats {
 
 class NetServer {
  public:
-  /// Non-owning: serves an existing TopKServer (options.serve ignored).
+  /// Serves `server`, which the caller configures and must keep alive
+  /// for the NetServer's lifetime.
   NetServer(TopKServer* server, NetServerOptions options);
-
-  /// Owning: builds the TopKServer from options.serve over `model`.
-  NetServer(std::shared_ptr<const ItemScorer> model, size_t num_users,
-            size_t num_items, NetServerOptions options);
 
   /// Stops and joins if still running.
   ~NetServer();
@@ -132,7 +126,6 @@ class NetServer {
   void ServeDecoded(std::vector<std::pair<int, WireRequest>>* decoded);
   void DropConnection(int fd);
 
-  std::unique_ptr<TopKServer> owned_;
   TopKServer* top_k_;
   NetServerOptions options_;
 

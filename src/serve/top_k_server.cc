@@ -231,14 +231,13 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
       model_.Acquire(&pinned_epoch);
   results->resize(users.size());
   // Probe the ANN index when one is live and still shaped like the pinned
-  // model (a swap to a kNone or different-dim model quietly falls back to
-  // the exact sweep). The index may be one epoch stale relative to the
-  // snapshot — recall cost only; the re-rank scores with the snapshot.
+  // model (a swap to an unindexable or different-dim model quietly falls
+  // back to the exact sweep). The index may be one epoch stale relative to
+  // the snapshot — recall cost only; the re-rank scores with the snapshot.
   const std::shared_ptr<const CandidateIndex> index =
       ann_enabled_ ? ann_index_.Acquire() : nullptr;
-  const bool ann_ok = index != nullptr &&
-                      snapshot->index_geometry() != IndexGeometry::kNone &&
-                      snapshot->index_dim() == index->dim();
+  const bool ann_ok =
+      index != nullptr && snapshot->index_dim() == index->dim();
   if (ann_ok) {
     AnnBatchSweep(*snapshot, *index, users, results);
   } else {
@@ -606,15 +605,14 @@ void TopKServer::RefreshAnnIndex(
   if (!ann_enabled_) return;
   const std::shared_ptr<const CandidateIndex> current = ann_index_.Acquire();
   if (dirty_items != nullptr && current != nullptr &&
-      snapshot->index_geometry() != IndexGeometry::kNone &&
       snapshot->index_dim() == current->dim()) {
     ann_index_.Publish(current->Rebuilt(*snapshot, *dirty_items, item_shards_,
                                         options_.pool));
     return;
   }
   // From-scratch build: no index yet, an unknown delta, or the model
-  // changed shape. Publishing null (kNone model) routes misses to the
-  // exact sweep.
+  // changed shape. Publishing null (an unindexable model) routes misses to
+  // the exact sweep.
   ann_index_.Publish(BuildCandidateIndex(*snapshot, num_items_,
                                          options_.ann.index, options_.pool));
 }
@@ -649,14 +647,13 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
   // Pin the just-rebuilt index for the refresh scan below: a compatible
   // one turns each entry refresh from "re-score every dirty shard" into
   // one probe + a handful of exact scores (RefreshEntry's ANN path). The
-  // usual per-miss compatibility re-check applies — a kNone model or a
-  // shape change keeps the refresh on the exact path.
+  // usual per-miss compatibility re-check applies — an unindexable model
+  // or a shape change keeps the refresh on the exact path.
   std::shared_ptr<const CandidateIndex> refresh_index;
   if (ann_enabled_ && !dirty_items.empty() && !all_items_dirty) {
     refresh_index = ann_index_.Acquire();
     if (refresh_index != nullptr &&
-        (snapshot->index_geometry() == IndexGeometry::kNone ||
-         snapshot->index_dim() != refresh_index->dim() ||
+        (snapshot->index_dim() != refresh_index->dim() ||
          refresh_index->num_items() != num_items_)) {
       refresh_index = nullptr;
     }

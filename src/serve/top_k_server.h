@@ -1,21 +1,21 @@
 // Concurrent top-k serving over epoch-swapped model snapshots.
 //
-// TopKServer answers "top-k items for user u" by sweeping the *entire*
-// catalog with the model's ScoreItemRange (the contiguous-block serving
-// adapter every model overrides with its batch kernel — DotBatch for
-// dot-product models, SquaredDistanceBatch for metric models, the fused
-// WeightedFacetDot path for MARS/MAR), then keeps the ranked top-k per user
-// in a bounded, mutex-striped LRU cache so hot users are answered without
-// touching the embedding tables at all.
+// TopKServer answers "top-k items for user u" by sweeping the *entire* catalog
+// with the model's ScoreItemRange (the contiguous-block serving adapter every
+// model overrides with its batch kernel — DotBatch for dot-product models,
+// NegatedSquaredDistanceBatch for the metric models, the fused WeightedFacet*
+// batches for MARS/MAR), then keeps the ranked top-k per user in a bounded,
+// mutex-striped LRU cache so hot users are answered without touching the
+// embedding tables at all.
 //
-// With ann.enable set (and a model that declares an index geometry — see
+// With ann.enable set (and an indexable model, index_dim() > 0 — see
 // eval/scorer.h), the miss path goes sub-linear: probe a CandidateIndex
 // (ann/candidate_index.h) for an overfetched candidate block, then
 // re-rank the block with the model's *exact* ScoreItems. Because every
 // returned score still comes from the model's own gather kernel, an
 // ANN-served ranking can only differ from the exact sweep in which items
 // it considered (recall), never in any considered item's score; models
-// with no geometry — and any epoch where the published model stops
+// with no index vectors — and any epoch where the published model stops
 // matching the index's shape — fall back to the exact sweep
 // (stats().exact_fallbacks counts them, stats().ann_probes the probed
 // misses). The index rides the same epoch-swap machinery as the model:
@@ -133,10 +133,10 @@ struct CacheOptions {
 
 /// ANN serving knobs (TopKServerOptions::ann).
 struct AnnOptions {
-  /// Serve misses through an ANN candidate index when the model declares
-  /// the dot index geometry (probe → exact re-rank; see the file comment).
-  /// Models with IndexGeometry::kNone (the metric models among them)
-  /// silently keep the exact sweep and count in exact_fallbacks.
+  /// Serve misses through an ANN candidate index when the model is
+  /// indexable (index_dim() > 0; probe → exact re-rank, see the file
+  /// comment). Models with index_dim() == 0 (the metric models among
+  /// them) silently keep the exact sweep and count in exact_fallbacks.
   bool enable = false;
   /// Index build/probe knobs (used when enable is set and no prebuilt
   /// index is injected).
@@ -171,10 +171,9 @@ struct BatchOptions {
 };
 
 /// Serving knobs. The cache/ann/batch sprawl lives in nested groups so
-/// front-ends (net/server.h embeds the whole struct in NetServerOptions)
-/// can carry, default, and document each concern as a unit; every group
-/// is a plain aggregate, so field-for-field designated initialization
-/// keeps working at every level.
+/// callers can carry, default, and document each concern as a unit; every
+/// group is a plain aggregate, so field-for-field designated
+/// initialization keeps working at every level.
 struct TopKServerOptions {
   /// Recommendations per query. Results are (score desc, item id asc);
   /// fewer than k come back when the catalog (minus exclusions) is smaller.
@@ -347,7 +346,7 @@ class TopKServer {
                                const std::vector<float>&)>& fn) const;
 
   /// The currently published candidate index — null when ANN serving is
-  /// off, the model declares no geometry, or no index exists yet. The
+  /// off, the model is not indexable, or no index exists yet. The
   /// persistence hook: save it next to the model snapshot + sidecar
   /// (ann/index_io.h SaveCandidateIndex) so a restart can inject the
   /// mapped file back through AnnOptions::prebuilt instead of re-running
@@ -490,7 +489,8 @@ class TopKServer {
   /// Maintenance-side index refresh against `snapshot`: incremental
   /// (CandidateIndex::Rebuilt over `dirty_items`) when a compatible index
   /// exists and a dirty list is given; otherwise a from-scratch factory
-  /// build (which publishes null — exact fallback — for kNone models).
+  /// build (which publishes null — exact fallback — for unindexable
+  /// models).
   void RefreshAnnIndex(const std::shared_ptr<const ItemScorer>& snapshot,
                        const std::vector<size_t>* dirty_items);
 
@@ -522,9 +522,9 @@ class TopKServer {
   TopKServerOptions options_;
 
   /// ANN serving state: the index epoch-swaps exactly like the model. A
-  /// null slot (kNone model, or ann disabled) keeps misses on the exact
-  /// sweep. ann_enabled_ is fixed at construction; the per-miss
-  /// geometry/dim re-check handles model swaps that invalidate the index.
+  /// null slot (unindexable model, or ann disabled) keeps misses on the
+  /// exact sweep. ann_enabled_ is fixed at construction; the per-miss dim
+  /// re-check handles model swaps that invalidate the index.
   bool ann_enabled_ = false;
   SnapshotHandle<CandidateIndex> ann_index_;
   std::atomic<uint64_t> ann_probes_{0};

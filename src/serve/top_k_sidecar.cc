@@ -119,7 +119,9 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
   }
 
   // Parse every entry before touching the server: a corrupt sidecar loads
-  // nothing instead of half a cache.
+  // nothing instead of half a cache. The saver writes each cached user
+  // once, so a repeated user is corruption too (Prime would silently
+  // replace the first entry and the count would over-report).
   struct Entry {
     UserId user;
     std::vector<ItemId> items;
@@ -128,14 +130,16 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
   const uint64_t max_count = std::min<uint64_t>(k, n_items);
   std::vector<Entry> entries;
   entries.reserve(n_entries);
+  std::vector<bool> seen(n_users);
   for (uint64_t i = 0; i < n_entries; ++i) {
     uint32_t user = 0, count = 0;
     if (!r.Read(&user) || !r.Read(&count) || user >= n_users ||
-        count > max_count) {
+        count > max_count || seen[user]) {
       MARS_LOG(ERROR) << "WarmFromSidecar: corrupt entry " << i << " in "
                       << path;
       return 0;
     }
+    seen[user] = true;
     Entry e;
     e.user = user;
     e.scores.resize(count);
@@ -152,6 +156,11 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
       return 0;
     }
     entries.push_back(std::move(e));
+  }
+  if (r.remaining() != 0) {
+    MARS_LOG(ERROR) << "WarmFromSidecar: " << r.remaining()
+                    << " bytes after the last entry of " << path;
+    return 0;
   }
 
   // The file stores most-recent-first; prime in reverse so the hottest

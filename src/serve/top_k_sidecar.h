@@ -17,7 +17,8 @@
 // only meaningful next to the exact model snapshot it was generated
 // with, served under the same TopKServerOptions (in particular the same
 // exclude_interactions set). What the loader *verifies* is the cheap,
-// mechanical part — k, user count, item count, per-entry bounds — which
+// mechanical part — k, user count, item count, per-entry bounds, no
+// repeated user, no bytes after the last entry — which
 // catches wrong-catalog and corrupt files; binding the sidecar to the
 // right snapshot and options is the caller's job (ship the two files as
 // a unit and regenerate the sidecar whenever either changes).
@@ -39,8 +40,9 @@ bool SaveTopKSidecar(const TopKServer& server, const std::string& path);
 
 /// Primes `server` from a sidecar previously written by SaveTopKSidecar.
 /// The sidecar's k, user count, and item count must match the server's;
-/// mismatches, bad magic, and truncated or corrupt entries load nothing
-/// and return 0 with an error log. Returns the number of entries primed
+/// mismatches, bad magic, truncated or corrupt entries, a user listed
+/// twice and bytes after the last entry load nothing and return 0 with an
+/// error log. Returns the number of entries primed
 /// (the server's LRU bound may retain fewer).
 size_t WarmFromSidecar(TopKServer* server, const std::string& path);
 

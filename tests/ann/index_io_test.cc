@@ -45,7 +45,6 @@ class DotScorer : public ItemScorer {
   float Score(UserId u, ItemId v) const override {
     return Dot(user_.data() + u * dim_, item_.data() + v * dim_, dim_);
   }
-  IndexGeometry index_geometry() const override { return IndexGeometry::kDot; }
   size_t index_dim() const override { return dim_; }
   void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override {
     Copy(item_.data() + begin * dim_, out, (end - begin) * dim_);
@@ -66,7 +65,8 @@ class DotScorer : public ItemScorer {
   std::vector<float> user_, item_;
 };
 
-/// A model that declares no index geometry (the metric models' case).
+/// A model with no index vectors, index_dim() == 0 (the metric models'
+/// case).
 class NoGeometryScorer : public ItemScorer {
  public:
   float Score(UserId, ItemId v) const override {
@@ -363,8 +363,9 @@ TEST_F(IndexIoRejectFixture, LoadRejectsFutureVersion) {
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsWrongKindForModelGeometry) {
-  // A valid IVF file offered to a model without the dot geometry: the
-  // pairing check must reject before any region is interpreted.
+  // A valid IVF file offered to a model with no index vectors
+  // (index_dim() == 0): the dim pairing check must reject before any
+  // region is interpreted.
   const NoGeometryScorer plain;
   EXPECT_EQ(LoadCandidateIndexMapped(path_, plain, kItems), nullptr);
   // Kind 2, the retired VP-tree layout, offered to the dot model: an

@@ -36,7 +36,6 @@ class DotScorer : public ItemScorer {
   float Score(UserId u, ItemId v) const override {
     return Dot(user_.data() + u * dim_, item_.data() + v * dim_, dim_);
   }
-  IndexGeometry index_geometry() const override { return IndexGeometry::kDot; }
   size_t index_dim() const override { return dim_; }
   void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override {
     Copy(item_.data() + begin * dim_, out, (end - begin) * dim_);
@@ -266,8 +265,8 @@ TEST(SphericalIvfIndexTest, FactoryBuildsIvfForDotGeometry) {
   ASSERT_NE(idx, nullptr);
   EXPECT_STREQ(idx->kind(), "spherical_ivf");
 
-  // kNone models (the ItemScorer default) get no index: the serving layer
-  // keeps its exact sweep.
+  // Unindexable models (the ItemScorer default index_dim() == 0) get no
+  // index: the serving layer keeps its exact sweep.
   class PlainScorer : public ItemScorer {
    public:
     float Score(UserId u, ItemId v) const override {

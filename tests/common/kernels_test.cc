@@ -53,22 +53,31 @@ TEST_P(BatchKernelShapes, SquaredDistanceBatchMatchesPerRow) {
   const auto u = RandomVec(&rng, n);
   const auto block = RandomBlock(&rng, count, stride, n);
   std::vector<float> got(count);
-  SquaredDistanceBatch(u.data(), block.data(), count, stride, n, got.data());
+  NegatedSquaredDistanceBatch(u.data(), block.data(), count, stride, n,
+                              got.data());
   for (size_t r = 0; r < count; ++r) {
     EXPECT_NEAR(got[r],
-                SquaredDistance(u.data(), block.data() + r * stride, n),
+                -SquaredDistance(u.data(), block.data() + r * stride, n),
                 1e-4f);
   }
 }
 
+// The batched cosine of MARS at K = 1: one facet of unit rows swept by
+// WeightedFacetDotBatch with weight 1 is the per-row cosine.
 TEST_P(BatchKernelShapes, CosineBatchMatchesPerRow) {
   const auto [n, count] = GetParam();
   const size_t stride = n;
   Rng rng(3);
-  const auto u = RandomVec(&rng, n);
-  const auto block = RandomBlock(&rng, count, stride, n);
+  auto u = RandomVec(&rng, n);
+  auto block = RandomBlock(&rng, count, stride, n);
+  NormalizeInPlace(u.data(), n);
+  for (size_t r = 0; r < count; ++r) {
+    NormalizeInPlace(block.data() + r * stride, n);
+  }
+  const float w = 1.0f;
   std::vector<float> got(count);
-  CosineBatch(u.data(), block.data(), count, stride, n, got.data());
+  WeightedFacetDotBatch(u.data(), stride, block.data(), stride, stride, &w,
+                        /*num_facets=*/1, count, n, got.data());
   for (size_t r = 0; r < count; ++r) {
     EXPECT_NEAR(got[r], Cosine(u.data(), block.data() + r * stride, n),
                 1e-5f);
@@ -79,28 +88,6 @@ INSTANTIATE_TEST_SUITE_P(
     Shapes, BatchKernelShapes,
     ::testing::Combine(::testing::Values<size_t>(1, 4, 7, 32, 129),
                        ::testing::Values<size_t>(1, 2, 5, 64)));
-
-TEST(KernelsTest, CosineBatchZeroUserIsZero) {
-  std::vector<float> u(8, 0.0f);
-  Rng rng(4);
-  const auto block = RandomBlock(&rng, 3, 8, 8);
-  std::vector<float> got(3, 9.0f);
-  CosineBatch(u.data(), block.data(), 3, 8, 8, got.data());
-  for (float g : got) EXPECT_FLOAT_EQ(g, 0.0f);
-}
-
-TEST(KernelsTest, CosineBatchZeroRowIsZero) {
-  Rng rng(5);
-  const auto u = RandomVec(&rng, 8);
-  std::vector<float> block(2 * 8, 0.0f);
-  for (size_t i = 0; i < 8; ++i) {
-    block[8 + i] = static_cast<float>(rng.Normal());
-  }
-  std::vector<float> got(2);
-  CosineBatch(u.data(), block.data(), 2, 8, 8, got.data());
-  EXPECT_FLOAT_EQ(got[0], 0.0f);
-  EXPECT_NEAR(got[1], Cosine(u.data(), block.data() + 8, 8), 1e-5f);
-}
 
 TEST(KernelsTest, DotGatherMatchesPerRow) {
   const size_t n = 24, stride = 32, rows = 50;
@@ -114,22 +101,6 @@ TEST(KernelsTest, DotGatherMatchesPerRow) {
   for (size_t i = 0; i < ids.size(); ++i) {
     EXPECT_NEAR(got[i], Dot(u.data(), base.data() + ids[i] * stride, n),
                 1e-5f);
-  }
-}
-
-TEST(KernelsTest, SquaredDistanceGatherMatchesPerRow) {
-  const size_t n = 17, stride = 17, rows = 40;
-  Rng rng(7);
-  const auto u = RandomVec(&rng, n);
-  const auto base = RandomBlock(&rng, rows, stride, n);
-  const std::vector<uint32_t> ids = {39, 1, 1, 12};
-  std::vector<float> got(ids.size());
-  SquaredDistanceGather(u.data(), base.data(), stride, ids.data(), ids.size(),
-                        n, got.data());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_NEAR(got[i],
-                SquaredDistance(u.data(), base.data() + ids[i] * stride, n),
-                1e-4f);
   }
 }
 

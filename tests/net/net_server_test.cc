@@ -24,7 +24,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -275,22 +274,6 @@ TEST(NetServerTest, OneByteWritesReassembleIntoOneRequest) {
   const TopKResponse want = solo.TopK(17);
   EXPECT_EQ(got.response.items, want.items);
   EXPECT_EQ(got.response.scores, want.scores);
-}
-
-TEST(NetServerTest, OwningConstructorBuildsTheServeLayer) {
-  auto scorer = std::make_shared<ToyScorer>();
-  NetServerOptions opts;
-  opts.serve.k = 5;
-  NetServer server(scorer, kUsers, kItems, opts);
-  ASSERT_TRUE(server.Start());
-
-  NetClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()));
-  WireResponse got;
-  ASSERT_TRUE(client.TopK(TopKRequest{.user = 3}, &got));
-  EXPECT_EQ(got.status, WireStatus::kOk);
-  EXPECT_EQ(got.response.items.size(), 5u);
-  EXPECT_EQ(got.response.items, server.top_k().TopK(3).items);
 }
 
 TEST(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {

@@ -5,13 +5,16 @@
 // it with adversarial splits directly. The crafted-frame cases mirror
 // the LoadMars crafted-file bounds tests: every field that could let a
 // hostile peer over-read or over-allocate is violated once.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "net/protocol.h"
 
 namespace mars {
@@ -212,6 +215,144 @@ TEST(ProtocolDecoder, UnknownFrameTypePassesThroughForTheReceiver) {
   EXPECT_EQ(static_cast<uint8_t>(frame.type), 99);
   EXPECT_EQ(frame.payload, payload);
   EXPECT_EQ(decoder.error(), WireStatus::kOk);
+}
+
+/// What a decoder made of one byte stream: the frames it emitted, the
+/// result that ended the drain, and what it latched and still buffers.
+struct DecodeOutcome {
+  std::vector<Frame> frames;
+  FrameDecoder::Result last = FrameDecoder::Result::kNeedMore;
+  WireStatus error = WireStatus::kOk;
+  size_t buffered = 0;
+};
+
+DecodeOutcome DecodeStream(const std::vector<uint8_t>& bytes,
+                           bool one_byte_at_a_time) {
+  FrameDecoder decoder;
+  DecodeOutcome o;
+  const auto drain = [&] {
+    Frame f;
+    while ((o.last = decoder.Next(&f)) == FrameDecoder::Result::kFrame) {
+      o.frames.push_back(std::move(f));
+    }
+  };
+  if (one_byte_at_a_time) {
+    for (const uint8_t& b : bytes) {
+      decoder.Append(&b, 1);
+      drain();
+    }
+  } else {
+    decoder.Append(bytes.data(), bytes.size());
+  }
+  drain();
+  o.error = decoder.error();
+  o.buffered = decoder.buffered();
+  return o;
+}
+
+/// The decoder's contract on arbitrary bytes, checked whole and split one
+/// byte at a time: every emitted frame re-encodes (AppendFrame) to exactly
+/// the bytes it consumed, and the stream ends either as kNeedMore on a
+/// proper prefix of one frame or as kBad with a latched violation. Both
+/// feedings must agree. Returns the whole-stream outcome.
+DecodeOutcome ExpectRejectOrReencode(const std::vector<uint8_t>& bytes,
+                                     const std::string& what) {
+  const DecodeOutcome whole = DecodeStream(bytes, false);
+  std::vector<uint8_t> reencoded;
+  for (const Frame& f : whole.frames) {
+    AppendFrame(f.type, f.payload, &reencoded);
+  }
+  EXPECT_LE(reencoded.size(), bytes.size()) << what;
+  if (reencoded.size() > bytes.size()) return whole;
+  EXPECT_TRUE(std::equal(reencoded.begin(), reencoded.end(), bytes.begin()))
+      << what;
+  EXPECT_EQ(reencoded.size() + whole.buffered, bytes.size()) << what;
+  if (whole.last == FrameDecoder::Result::kNeedMore) {
+    EXPECT_EQ(whole.error, WireStatus::kOk) << what;
+    const size_t left = whole.buffered;
+    if (left >= kFrameHeaderBytes) {
+      uint32_t len = 0;
+      std::memcpy(&len, bytes.data() + reencoded.size() + 8, sizeof(len));
+      EXPECT_LT(left, kFrameHeaderBytes + len) << what;
+    }
+  } else {
+    EXPECT_EQ(whole.last, FrameDecoder::Result::kBad) << what;
+    EXPECT_NE(whole.error, WireStatus::kOk) << what;
+  }
+
+  const DecodeOutcome split = DecodeStream(bytes, true);
+  EXPECT_EQ(split.last, whole.last) << what;
+  EXPECT_EQ(split.error, whole.error) << what;
+  EXPECT_EQ(split.buffered, whole.buffered) << what;
+  EXPECT_EQ(split.frames.size(), whole.frames.size()) << what;
+  for (size_t i = 0; i < std::min(split.frames.size(), whole.frames.size());
+       ++i) {
+    EXPECT_EQ(split.frames[i].type, whole.frames[i].type) << what;
+    EXPECT_EQ(split.frames[i].payload, whole.frames[i].payload) << what;
+  }
+  return whole;
+}
+
+TEST(ProtocolDecoder, SeededMutationsRejectOrReencode) {
+  // One valid stream: a request, a response and an error frame.
+  std::vector<uint8_t> stream;
+  std::vector<size_t> starts;
+  starts.push_back(stream.size());
+  EncodeTopKRequest(11, TopKRequest{12345, 10, kTopKFlagBypassCache},
+                    &stream);
+  starts.push_back(stream.size());
+  EncodeTopKResponse(12, SampleResponse(), &stream);
+  starts.push_back(stream.size());
+  EncodeError(13, WireStatus::kInvalidUser, &stream);
+  starts.push_back(stream.size());
+  ASSERT_EQ(ExpectRejectOrReencode(stream, "pristine").frames.size(), 3u);
+
+  // Single-bit and 2-4-bit flips anywhere in headers and payloads.
+  uint64_t state = 0x5EEDF00Du;
+  const size_t bits = stream.size() * 8;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> bytes = stream;
+    const size_t flips = 1 + SplitMix64(&state) % 4;
+    std::string what = "flips";
+    for (size_t f = 0; f < flips; ++f) {
+      const size_t bit = SplitMix64(&state) % bits;
+      bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      what += " " + std::to_string(bit);
+    }
+    ExpectRejectOrReencode(bytes, what);
+  }
+
+  // Every truncation of the valid stream is a stalled peer, never a
+  // violation: the whole frames before the cut decode, the rest waits.
+  for (size_t len = 0; len < stream.size(); ++len) {
+    const std::vector<uint8_t> bytes(stream.begin(), stream.begin() + len);
+    const DecodeOutcome o =
+        ExpectRejectOrReencode(bytes, "truncated to " + std::to_string(len));
+    EXPECT_EQ(o.last, FrameDecoder::Result::kNeedMore) << len;
+    EXPECT_EQ(o.frames.size(),
+              static_cast<size_t>(std::upper_bound(starts.begin() + 1,
+                                                   starts.end(), len) -
+                                  (starts.begin() + 1)))
+        << len;
+  }
+
+  // Length lies in each header, checksum untouched: the frames before it
+  // still decode, the lying frame never does, and a length over the cap
+  // latches kOversized before any payload is awaited.
+  for (size_t i = 0; i + 1 < starts.size(); ++i) {
+    const uint32_t len =
+        static_cast<uint32_t>(starts[i + 1] - starts[i] - kFrameHeaderBytes);
+    const uint32_t cap = static_cast<uint32_t>(kDefaultMaxFramePayload);
+    for (const uint32_t lie : {0u, len - 1, len + 1, cap, cap + 1}) {
+      std::vector<uint8_t> bytes = stream;
+      std::memcpy(&bytes[starts[i] + 8], &lie, sizeof(lie));
+      const DecodeOutcome o = ExpectRejectOrReencode(
+          bytes, "frame " + std::to_string(i) + " length " +
+                     std::to_string(lie));
+      EXPECT_EQ(o.frames.size(), i) << "frame " << i << " length " << lie;
+      if (lie == cap + 1) EXPECT_EQ(o.error, WireStatus::kOversized);
+    }
+  }
 }
 
 TEST(ProtocolPayloads, RequestPayloadSizeIsExact) {

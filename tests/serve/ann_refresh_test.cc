@@ -52,7 +52,6 @@ class DotScorer : public ItemScorer {
   float Score(UserId u, ItemId v) const override {
     return Dot(user_.data() + u * dim_, item_.data() + v * dim_, dim_);
   }
-  IndexGeometry index_geometry() const override { return IndexGeometry::kDot; }
   size_t index_dim() const override { return dim_; }
   void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override {
     Copy(item_.data() + begin * dim_, out, (end - begin) * dim_);

@@ -1,13 +1,13 @@
 // ANN serving equivalence: probe-then-rerank through TopKServer.
 //
-// The acceptance bar: at full probe (nprobe == every list) the ANN miss
-// path must be *bit-identical* to the brute-force ScoreItems ranking for
-// every model configuration, and models with no index geometry must fall through to
-// the exact sweep — also bit-identical — with the stats ledger
-// (ann_probes + exact_fallbacks == misses) attributing each miss to the
-// path that served it. Recall at the default (sub-linear) nprobe is
-// checked as a floor on a larger catalog; the committed bench gates the
-// real operating point.
+// The acceptance bar: at full probe (nprobe == every list) the ANN miss path
+// must be *bit-identical* to the brute-force ScoreItems ranking for every
+// model configuration, and models with no index vectors (index_dim() == 0)
+// must fall through to the exact sweep — also bit-identical — with the stats
+// ledger (ann_probes + exact_fallbacks == misses) attributing each miss to the
+// path that served it. Recall at the default (sub-linear) nprobe is checked as
+// a floor on a larger catalog; the committed bench gates the real operating
+// point.
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -85,8 +85,8 @@ TrainOptions QuickTrain() {
 }
 
 /// Full-probe ANN server vs brute force, plus the miss-attribution
-/// ledger: `expect_probed` says whether this model declares an index
-/// geometry (probed misses) or falls back to the exact sweep.
+/// ledger: `expect_probed` says whether this model is indexable
+/// (index_dim() > 0, probed misses) or falls back to the exact sweep.
 void ExpectAnnServerMatchesBruteForce(Recommender* model,
                                       const ImplicitDataset& data,
                                       bool expect_probed) {
@@ -96,8 +96,7 @@ void ExpectAnnServerMatchesBruteForce(Recommender* model,
   opts.ann.enable = true;
   opts.ann.index.nprobe = kFullProbe;
   TopKServer server(model, data.num_users(), data.num_items(), opts);
-  EXPECT_EQ(model->index_geometry() != IndexGeometry::kNone, expect_probed)
-      << model->name();
+  EXPECT_EQ(model->index_dim() > 0, expect_probed) << model->name();
   for (UserId u = 0; u < probe_users; ++u) {
     const auto [want_items, want_scores] =
         BruteForceTopK(*model, u, data.num_items(), k);
@@ -124,7 +123,7 @@ void ExpectAnnServerMatchesBruteForce(Recommender* model,
 
 // --- The ten serving configurations of the equivalence suite. -------------
 // Probed: the dot models (BPR bias-MIPS, MARS concatenated facets).
-// Fallback: the metric models (CML/SML/MetricF declare no dot geometry),
+// Fallback: the metric models (CML/SML/MetricF have no index vectors),
 // MAR (per-candidate projections), TransCF and LRML (relation vectors
 // built per pair) — they must serve through the exact sweep unchanged.
 
@@ -147,9 +146,8 @@ TEST(TopKServerAnnEquivalence, MarsSingleFacet) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  // Unlike the exact-sweep K=1 cosine path, the ANN re-rank scores
-  // through ScoreItems — bit-identical to the brute-force oracle, no
-  // tolerance needed.
+  // K = 1 scores through the same weighted facet dot as every K, so the
+  // ANN re-rank (ScoreItems) is bit-identical to the brute-force oracle.
   ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/true);
 }
 

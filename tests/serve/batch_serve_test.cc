@@ -113,9 +113,9 @@ TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  // K = 1 keeps the CosineBatch sweep per user on both sides, so batch
-  // and solo stay bit-equal to each other (brute-force tolerance is the
-  // solo suite's concern).
+  // K = 1 runs the one-facet WeightedFacetDotBatchMulti against the solo
+  // WeightedFacetDotBatch: the same row primitive per user, so batch and
+  // solo stay bit-equal.
   ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 

@@ -359,9 +359,6 @@ TEST(SnapshotHandleServeTest, AnnQueriesRacingIndexSwapsSeeOnlySnapshots) {
     float Score(UserId u, ItemId v) const override {
       return Dot(user_.data() + u * dim_, item_.data() + v * dim_, dim_);
     }
-    IndexGeometry index_geometry() const override {
-      return IndexGeometry::kDot;
-    }
     size_t index_dim() const override { return dim_; }
     void CopyIndexVectors(ItemId begin, ItemId end,
                           float* out) const override {

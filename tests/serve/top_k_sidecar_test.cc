@@ -370,19 +370,37 @@ TEST_F(SidecarFixture, RejectsNaNScore) {
   }
 }
 
-TEST_F(SidecarFixture, TrailingBytesAfterTheLastEntryAreIgnored) {
+TEST_F(SidecarFixture, RejectsTrailingBytes) {
   TopKServer hot = MakeServer();
   for (UserId u = 0; u < 4; ++u) hot.TopK(u);
   ASSERT_TRUE(SaveTopKSidecar(hot, path_));
-  WriteAll(path_, ReadAll(path_) + std::string("trailing junk\0\xff", 15));
-  TopKServer fresh = MakeServer();
-  EXPECT_EQ(WarmFromSidecar(&fresh, path_), 4u);
-  EXPECT_EQ(fresh.stats().cached_users, 4u);
-  for (UserId u = 0; u < 4; ++u) {
-    const TopKResponse warm = fresh.TopK(u);
-    EXPECT_TRUE(warm.from_cache) << "u=" << u;
-    EXPECT_EQ(warm.items, hot.TopK(u).items) << "u=" << u;
+  const std::string saved = ReadAll(path_);
+  TopKServer control = MakeServer();
+  ASSERT_EQ(WarmFromSidecar(&control, path_), 4u);
+  // The saver ends the file at its last entry, so anything after it —
+  // one stray byte, junk, or a whole well-formed entry the header does
+  // not count — marks a file it never wrote.
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  for (const std::string& bytes :
+       {saved + std::string(1, '\0'),
+        saved + std::string("trailing junk\0\xff", 15),
+        BuildSidecar(10, users, items, 1, {{4, 3}, {7, 3}})}) {
+    WriteAll(path_, bytes);
+    TopKServer fresh = MakeServer();
+    EXPECT_EQ(WarmFromSidecar(&fresh, path_), 0u);
+    EXPECT_EQ(fresh.stats().cached_users, 0u);
   }
+}
+
+TEST_F(SidecarFixture, RejectsRepeatedUser) {
+  const size_t users = dataset_->num_users(), items = dataset_->num_items();
+  // User 7 in two well-formed entries: Prime would silently replace the
+  // first, and the load would report 3 primed for 2 cached users.
+  WriteAll(path_, BuildSidecar(10, users, items, 3,
+                               {{4, 10}, {7, 3}, {7, 2}}));
+  TopKServer server = MakeServer();
+  EXPECT_EQ(WarmFromSidecar(&server, path_), 0u);
+  EXPECT_EQ(server.stats().cached_users, 0u);
 }
 
 TEST_F(SidecarFixture, PrimeValidatesInput) {

@@ -85,8 +85,7 @@ TrainOptions QuickTrain() {
 }
 
 void ExpectServerMatchesBruteForce(Recommender* model,
-                                   const ImplicitDataset& data,
-                                   float score_tol = 0.0f) {
+                                   const ImplicitDataset& data) {
   const size_t k = 7;
   TopKServerOptions opts;
   opts.k = k;
@@ -100,13 +99,8 @@ void ExpectServerMatchesBruteForce(Recommender* model,
     for (size_t i = 0; i < want_items.size(); ++i) {
       EXPECT_EQ(got.items[i], want_items[i])
           << model->name() << " user " << u << " rank " << i;
-      if (score_tol == 0.0f) {
-        EXPECT_EQ(got.scores[i], want_scores[i])
-            << model->name() << " user " << u << " rank " << i;
-      } else {
-        EXPECT_NEAR(got.scores[i], want_scores[i], score_tol)
-            << model->name() << " user " << u << " rank " << i;
-      }
+      EXPECT_EQ(got.scores[i], want_scores[i])
+          << model->name() << " user " << u << " rank " << i;
     }
   }
 }
@@ -130,9 +124,10 @@ TEST(TopKServerModelEquivalence, MarsSingleFacetCosinePath) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  // The K=1 sweep ranks through CosineBatch: identical ordering on the
-  // unit sphere, scores equal up to the normalization round-trip.
-  ExpectServerMatchesBruteForce(&model, *data, /*score_tol=*/1e-4f);
+  // K = 1 sweeps through the same weighted facet dot as ScoreItems (unit
+  // rows make it the cosine), so the served scores are bit-identical to
+  // the brute-force oracle: no score tolerance.
+  ExpectServerMatchesBruteForce(&model, *data);
 }
 
 TEST(TopKServerModelEquivalence, MarFree) {
