@@ -36,8 +36,8 @@
 #include <thread>
 #include <vector>
 
-#include "ann/candidate_index.h"
 #include "ann/index_io.h"
+#include "ann/ivf_index.h"
 #include "bench_util.h"
 #include "common/timer.h"
 #include "core/mars.h"

@@ -352,8 +352,7 @@ int main(int argc, char** argv) {
         aopts.cache.max_users = kUsers;
         aopts.ann.prebuilt = base->CloneWithNprobe(nprobe);
         TopKServer aserver(&model, kUsers, num_items, aopts);
-        p.nprobe = static_cast<const SphericalIvfIndex&>(*aopts.ann.prebuilt)
-                       .nprobe();
+        p.nprobe = aopts.ann.prebuilt->nprobe();
         size_t hit = 0;
         for (UserId u = 0; u < recall_users; ++u) {
           const TopKResponse got = aserver.TopK(u);
@@ -758,7 +757,7 @@ int main(int argc, char** argv) {
     // Load repeatedly, best-of (page-cache-warm mmap + validation is the
     // steady-state restart cost, same min-over-repeats policy as
     // bench_load); the last mapping is the one served below.
-    std::shared_ptr<const CandidateIndex> mapped;
+    std::shared_ptr<const SphericalIvfIndex> mapped;
     for (size_t rep = 0; rep < 3; ++rep) {
       Timer load_timer;
       mapped = LoadCandidateIndexMapped(index_path, rmodel,

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   const char* model_path = "quickstart_model.v3";
   const char* index_path = "quickstart_ann.annidx";
   const char* sidecar_path = "quickstart_topk.sidecar";
-  const std::shared_ptr<const CandidateIndex> live_index =
+  const std::shared_ptr<const SphericalIvfIndex> live_index =
       server.AnnIndexSnapshot();
   const bool persisted = SaveMarsV3(model, model_path) &&
                          live_index != nullptr &&
@@ -162,10 +162,9 @@ int main(int argc, char** argv) {
   std::remove(sidecar_path);
   const TopKResponse after_restart = restarted.TopK(user);
   std::printf(
-      "mmap-served top-10 after restart (mapped %s index, %zu cache "
+      "mmap-served top-10 after restart (mapped index, %zu cache "
       "entries warmed, first query %s cache): ",
-      mapped_index->kind(), warmed,
-      after_restart.from_cache ? "from" : "missed");
+      warmed, after_restart.from_cache ? "from" : "missed");
   bool identical = after_restart.items.size() == recs.items.size();
   for (size_t i = 0; identical && i < recs.items.size(); ++i) {
     identical = after_restart.items[i] == recs.items[i];

@@ -9,7 +9,9 @@
 #    build-<sanitizer> unless a build-dir is given)
 #
 # Modes:
-#   (none)    configure + build + ctest + quickstart smokes
+#   (none)    configure + build + ctest + quickstart smokes, plus a build
+#             (not a run) of the wire-to-wire benchmark package wirebench/
+#             in <build-dir>-wirebench
 #   --bench   additionally run bench_train/bench_serve/bench_load and gate
 #             fresh timings against the committed BENCH_*.json via
 #             scripts/check_bench.py (>25% single-thread regression fails)
@@ -37,15 +39,17 @@ for arg in "$@"; do
 done
 
 # Fail loudly on a stale build dir: a cache configured for another source
-# tree produces confusing half-builds, so refuse to reuse it.
+# tree produces confusing half-builds, so refuse to reuse it. The optional
+# second argument is the source dir the cache must name (default: here).
 check_build_dir() {
   local dir="$1"
+  local source="${2:-$(pwd)}"
   if [ -f "$dir/CMakeCache.txt" ]; then
     local cache_home
     cache_home="$(sed -n 's/^CMAKE_HOME_DIRECTORY:INTERNAL=//p' "$dir/CMakeCache.txt")"
-    if [ "$cache_home" != "$(pwd)" ]; then
+    if [ "$cache_home" != "$source" ]; then
       echo "error: stale build dir: $dir was configured for" >&2
-      echo "  '$cache_home', not '$(pwd)'. Delete it and re-run:" >&2
+      echo "  '$cache_home', not '$source'. Delete it and re-run:" >&2
       echo "  rm -rf $dir" >&2
       exit 1
     fi
@@ -163,6 +167,15 @@ for src in examples/*.cpp bench/*.cpp bench/scenarios/*.cpp; do
     exit 1
   fi
 done
+
+echo "== build the benchmark package (wirebench/, not run) =="
+# wirebench/ is its own CMake package over this library: a src/ API change
+# that breaks it must fail here, with warnings as errors like the rest.
+WIREBENCH_DIR="$BUILD_DIR-wirebench"
+check_build_dir "$WIREBENCH_DIR" "$(pwd)/wirebench"
+cmake -B "$WIREBENCH_DIR" -S wirebench -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build "$WIREBENCH_DIR" -j"$(nproc)" --target wirebench wirebench_selftest
 
 echo "== ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"

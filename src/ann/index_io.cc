@@ -20,7 +20,8 @@ namespace {
 // snapshot and "MRSK" sidecar magics.
 constexpr uint32_t kIndexMagic = 0x4953524Du;
 constexpr uint32_t kIndexVersion = 1;
-// The only kind; the loader rejects every other value.
+// The header's kind field: the saver writes this constant and the loader
+// rejects every other value.
 constexpr uint32_t kKindSphericalIvf = 1;
 // Fixed header: 72 bytes of fields + a 4-slot region table (24 bytes
 // each), zero-padded to 192 — a 64-byte multiple, so the first region
@@ -162,29 +163,24 @@ bool IvfPayloadValid(const IndexLayout& l, const uint32_t* assign,
 
 }  // namespace
 
-bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path) {
-  const auto* ivf = dynamic_cast<const SphericalIvfIndex*>(&index);
-  if (ivf == nullptr) {
-    MARS_LOG(ERROR) << "SaveCandidateIndex: unsupported index kind '"
-                    << index.kind() << "'";
-    return false;
-  }
+bool SaveCandidateIndex(const SphericalIvfIndex& index,
+                        const std::string& path) {
   IndexLayout l;
-  l.num_items = ivf->num_items();
-  l.dim = ivf->dim();
-  l.num_centroids = ivf->num_centroids();
-  l.nprobe = ivf->nprobe();
+  l.num_items = index.num_items();
+  l.dim = index.dim();
+  l.num_centroids = index.num_centroids();
+  l.nprobe = index.nprobe();
   ComputeRegions(&l);
   const std::span<const uint8_t> regions[kNumRegions] = {
-      Bytes(ivf->centroids()), Bytes(ivf->assignments()),
-      Bytes(ivf->offsets()), Bytes(ivf->list_ids())};
+      Bytes(index.centroids()), Bytes(index.assignments()),
+      Bytes(index.offsets()), Bytes(index.list_ids())};
   return WriteFileAtomic(path, "SaveCandidateIndex",
                          [&l, &regions](std::ostream& out) {
                            WriteIndexFile(out, l, regions);
                          });
 }
 
-std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
+std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(
     const std::string& path, const ItemScorer& model, size_t num_items) {
   const char* who = "LoadCandidateIndexMapped";
   std::shared_ptr<MappedFile> file = MappedFile::Open(path);

@@ -29,19 +29,19 @@
 #include <memory>
 #include <string>
 
-#include "ann/candidate_index.h"
+#include "ann/ivf_index.h"
 
 namespace mars {
 
 /// Writes `index` to `path` (see docs/FORMAT.md for the byte layout),
 /// replacing any existing file by rename (common/binary_io.h
 /// WriteFileAtomic), so a server that mapped the old file keeps serving
-/// it intact. Supports SphericalIvfIndex; returns false with an error log
-/// on I/O failure or any other kind.
-bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path);
+/// it intact. Returns false with an error log on I/O failure.
+bool SaveCandidateIndex(const SphericalIvfIndex& index,
+                        const std::string& path);
 
 /// Maps the index at `path` and returns it as an immutable, probe-ready
-/// CandidateIndex borrowing the mapping (zero copy; the mapping is kept alive
+/// SphericalIvfIndex borrowing the mapping (zero copy; the mapping is kept alive
 /// for the life of the returned index and anything derived from it). `model`
 /// and `num_items` are the serving pair the index must match: a dim other than
 /// the model's index_dim() (an unindexable model's 0 never matches) or a wrong
@@ -49,7 +49,7 @@ bool SaveCandidateIndex(const CandidateIndex& index, const std::string& path);
 /// headers, truncation, and checksum mismatches — always with a clean nullptr
 /// + error log, never a crash or allocation blow-up. The result plugs directly
 /// into TopKServerOptions::ann.prebuilt.
-std::shared_ptr<const CandidateIndex> LoadCandidateIndexMapped(
+std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(
     const std::string& path, const ItemScorer& model, size_t num_items);
 
 }  // namespace mars

@@ -17,6 +17,11 @@ namespace mars {
 
 namespace {
 
+/// Lloyd iterations of the spherical k-means.
+constexpr size_t kKmeansIters = 8;
+/// Seed of the centroid-init shuffle.
+constexpr uint64_t kKmeansSeed = 0x5eedu;
+
 /// RunBatch is not re-entrant; a build triggered from a pool task (e.g. an
 /// epoch callback running on a worker) falls back to the serial path.
 bool CanFanOut(ThreadPool* pool) {
@@ -116,7 +121,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   // Init: ncent distinct sample rows, seeded shuffle.
   std::vector<size_t> perm(sample_count);
   std::iota(perm.begin(), perm.end(), size_t{0});
-  Rng rng(options.seed);
+  Rng rng(kKmeansSeed);
   rng.Shuffle(&perm);
   auto& centroids = index->centroids_.mutable_vec();
   centroids.resize(ncent * dim);
@@ -129,7 +134,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   std::vector<uint32_t> sample_assign(sample_count);
   std::vector<float> sums(ncent * dim);
   std::vector<uint32_t> counts(ncent);
-  for (size_t iter = 0; iter < options.kmeans_iters; ++iter) {
+  for (size_t iter = 0; iter < kKmeansIters; ++iter) {
     // The assignment step fans out over the pool; the accumulation below
     // stays serial and in sample order, so the centroids' float sums (and
     // so every later bit of the index) do not depend on the pool.
@@ -168,6 +173,13 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   return index;
 }
 
+std::unique_ptr<SphericalIvfIndex> BuildCandidateIndex(
+    const ItemScorer& model, size_t num_items, const AnnIndexOptions& options,
+    ThreadPool* pool) {
+  if (num_items == 0 || model.index_dim() == 0) return nullptr;
+  return SphericalIvfIndex::Build(model, num_items, options, pool);
+}
+
 std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Borrow(
     size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
     const float* centroids, const uint32_t* assign, const uint32_t* offsets,
@@ -203,14 +215,6 @@ void SphericalIvfIndex::RebuildLists() {
 
 void SphericalIvfIndex::Probe(const float* query, size_t want,
                               std::vector<ItemId>* out) const {
-  if (want >= num_items_) {
-    const size_t base = out->size();
-    out->resize(base + num_items_);
-    for (size_t v = 0; v < num_items_; ++v) {
-      (*out)[base + v] = static_cast<ItemId>(v);
-    }
-    return;
-  }
   static thread_local std::vector<float> cdots;
   cdots.resize(num_centroids_);
   DotBatch(query, centroids_.data(), num_centroids_, dim_, dim_,
@@ -220,6 +224,14 @@ void SphericalIvfIndex::Probe(const float* query, size_t want,
 
 void SphericalIvfIndex::AppendBestLists(const float* cdots, size_t want,
                                         std::vector<ItemId>* out) const {
+  if (want >= num_items_) {
+    const size_t base = out->size();
+    out->resize(base + num_items_);
+    for (size_t v = 0; v < num_items_; ++v) {
+      (*out)[base + v] = static_cast<ItemId>(v);
+    }
+    return;
+  }
   static thread_local std::vector<uint32_t> order;
   order.resize(num_centroids_);
   std::iota(order.begin(), order.end(), 0u);
@@ -263,20 +275,11 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
   DotBatchMulti(qs.data(), num_queries, centroids_.data(), num_centroids_,
                 dim_, dim_, dots.data());
   for (size_t q = 0; q < num_queries; ++q) {
-    if (want[q] >= num_items_) {
-      auto& dst = (*out)[q];
-      const size_t base = dst.size();
-      dst.resize(base + num_items_);
-      for (size_t v = 0; v < num_items_; ++v) {
-        dst[base + v] = static_cast<ItemId>(v);
-      }
-      continue;
-    }
     AppendBestLists(dots[q], want[q], &(*out)[q]);
   }
 }
 
-std::unique_ptr<CandidateIndex> SphericalIvfIndex::Rebuilt(
+std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
     const ItemScorer& model, const std::vector<size_t>& dirty_shards,
     size_t num_shards, ThreadPool* pool) const {
   MARS_CHECK_MSG(model.index_dim() == dim_,

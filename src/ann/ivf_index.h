@@ -1,4 +1,11 @@
-// Spherical IVF candidate index for dot-geometry models.
+// Spherical IVF candidate index for dot-geometry models — the one
+// candidate index of the retrieval tier (ann/candidate_index.h holds its
+// build knobs and factory).
+//
+// The index is *only* a candidate generator: every score the server
+// returns still comes from the model's own ScoreItems, so an ANN-served
+// response differs from the exact sweep at most in *which* items it
+// considered, never in how any considered item is scored.
 //
 // Coarse quantization on the sphere: k-means centroids are unit-normalized
 // after every Lloyd update (the spherical k-means mean-direction step), and
@@ -22,6 +29,15 @@
 // (fanned over the pool), and the inverted lists are regenerated by one
 // counting sort. Re-assigning every shard therefore gives bit-identically
 // the same index — the pinning property the rebuild tests assert.
+//
+// Concurrency contract: a built index is immutable — Probe is
+// const-threadsafe and may run from any number of frontend threads.
+// Updates go through Rebuilt(), which returns a *new* index and leaves
+// the receiver untouched, so the serving layer publishes indexes through
+// the same epoch-swap (SnapshotHandle) as model snapshots: in-flight
+// probes keep the index they started with. Build/Rebuilt run quiesced at
+// an epoch boundary (the AbsorbWrites contract) and fan work over the
+// pool with ThreadPool::RunBatch.
 #ifndef MARS_ANN_IVF_INDEX_H_
 #define MARS_ANN_IVF_INDEX_H_
 
@@ -36,7 +52,8 @@
 
 namespace mars {
 
-class SphericalIvfIndex : public CandidateIndex {
+/// Immutable candidate generator over one model snapshot's item vectors.
+class SphericalIvfIndex {
  public:
   /// Builds over `model`'s items [0, num_items); requires an indexable model
   /// (index_dim() > 0) and num_items >= 1. Deterministic in (vectors,
@@ -61,19 +78,43 @@ class SphericalIvfIndex : public CandidateIndex {
       const float* centroids, const uint32_t* assign, const uint32_t* offsets,
       const ItemId* list_ids, std::shared_ptr<const void> keepalive);
 
-  const char* kind() const override { return "spherical_ivf"; }
-  void Probe(const float* query, size_t want,
-             std::vector<ItemId>* out) const override;
-  /// Shared-scan batch probe: all queries' centroid dots come from one
-  /// multi-query pass over the centroid matrix (each centroid row loaded
-  /// once per query quad), then the per-query list walk runs exactly as
-  /// in Probe — candidate sets are bit-identical to sequential probes.
+  size_t num_items() const { return num_items_; }
+  size_t dim() const { return dim_; }
+
+  /// Appends at least min(want, num_items) candidate item ids to `out`
+  /// (which is not cleared), best-effort nearest the query first in
+  /// aggregate — order within the block is unspecified; the caller
+  /// re-ranks with exact model scores. Ids are unique per call.
+  void Probe(const float* query, size_t want, std::vector<ItemId>* out) const;
+
+  /// Batched probe for the serving coalescer: `queries` holds
+  /// `num_queries` query vectors of dim() floats, tightly packed;
+  /// appends each query's candidates to (*out)[q] (not cleared; `out`
+  /// must hold at least num_queries vectors), exactly as
+  /// Probe(queries + q·dim(), want[q], &(*out)[q]) would — per query the
+  /// candidate set is bit-identical to the solo probe, the contract the
+  /// batched miss path relies on. All queries' centroid dots come from
+  /// one multi-query pass over the centroid matrix (each centroid row
+  /// loaded once per query quad), then the per-query list walk runs
+  /// exactly as in Probe.
   void ProbeBatch(const float* queries, size_t num_queries,
                   const size_t* want,
-                  std::vector<std::vector<ItemId>>* out) const override;
-  std::unique_ptr<CandidateIndex> Rebuilt(
+                  std::vector<std::vector<ItemId>>* out) const;
+
+  /// Returns a fresh index over `model`'s current item vectors that keeps
+  /// the centroids and re-assigns only the rows of the dirty shards.
+  /// `dirty_shards` are sorted shard ids under FacetStore::ShardRange(
+  /// num_items, ·, num_shards) — the WriteTracker geometry. The receiver
+  /// is left untouched (in-flight probes keep it). Quiesced-side only.
+  std::unique_ptr<SphericalIvfIndex> Rebuilt(
       const ItemScorer& model, const std::vector<size_t>& dirty_shards,
-      size_t num_shards, ThreadPool* pool) const override;
+      size_t num_shards, ThreadPool* pool) const;
+
+  /// True when any of the index's flat arrays is borrowed from a mapped
+  /// file rather than owned (ann/index_io.h LoadCandidateIndexMapped).
+  /// Borrowed state is pinned by an internal keepalive shared_ptr, which
+  /// copies through Rebuilt()/clones, so views never dangle.
+  bool mapped() const { return storage_keepalive_ != nullptr; }
 
   size_t num_centroids() const { return num_centroids_; }
   size_t nprobe() const { return nprobe_; }
@@ -99,12 +140,20 @@ class SphericalIvfIndex : public CandidateIndex {
   /// out ascending within each list).
   void RebuildLists();
 
-  /// The list walk shared by Probe and ProbeBatch: ranks centroids by
-  /// the precomputed query-centroid dots (ties to the lower index) and
-  /// appends lists until both nprobe and `want` are met.
+  /// The list walk shared by Probe and ProbeBatch: appends the whole
+  /// catalog when `want` covers it; otherwise ranks centroids by the
+  /// precomputed query-centroid dots (ties to the lower index) and appends
+  /// lists until both nprobe and `want` are met.
   void AppendBestLists(const float* cdots, size_t want,
                        std::vector<ItemId>* out) const;
 
+  size_t num_items_ = 0;
+  size_t dim_ = 0;
+  /// Pins the backing storage of borrowed buffers (the MappedFile of a
+  /// loaded index file). Null for fully owned indexes. Default-copied so
+  /// every derived index (Rebuilt, CloneWithNprobe) keeps the mapping
+  /// alive for as long as any borrowed span survives.
+  std::shared_ptr<const void> storage_keepalive_;
   size_t num_centroids_ = 0;
   size_t nprobe_ = 0;
   // Owned when built, borrowed from the mapping when loaded

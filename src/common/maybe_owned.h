@@ -33,7 +33,7 @@ class MaybeOwned {
   MaybeOwned() = default;
 
   /// Copying a borrowed buffer copies the pointer, not the payload — the
-  /// holder must carry the keepalive along (CandidateIndex does).
+  /// holder must carry the keepalive along (SphericalIvfIndex does).
   MaybeOwned(const MaybeOwned&) = default;
   MaybeOwned& operator=(const MaybeOwned&) = default;
   MaybeOwned(MaybeOwned&&) = default;

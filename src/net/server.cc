@@ -38,7 +38,10 @@ NetServer::~NetServer() {
 }
 
 bool NetServer::Start() {
-  if (running_) return false;
+  // One-shot: a second call would overwrite the descriptors of the first
+  // (leaking a bound listener) and keep connections the new reactor
+  // never watches.
+  if (reactor_ != nullptr) return false;
 
   reactor_ = std::make_unique<Reactor>();
   if (!reactor_->ok()) return false;
@@ -109,13 +112,14 @@ void NetServer::RunLoop() {
 
     decoded.clear();
     bool stop = false;
+    bool accept = false;
     for (const ReactorEvent& ev : events) {
       if (ev.fd == stop_fd_) {
         stop = true;
         continue;
       }
       if (ev.fd == listen_fd_) {
-        AcceptReady();
+        accept = true;
         continue;
       }
       auto it = connections_.find(ev.fd);
@@ -178,6 +182,10 @@ void NetServer::RunLoop() {
     // Everything decoded this wake-up — across all connections — is
     // served through TopKBatch together (the natural batch).
     if (!decoded.empty()) ServeDecoded(&decoded);
+    // Accept only now: a connection dropped above freed its fd, and a new
+    // client accepted before ServeDecoded could reuse that number and
+    // receive the dropped peer's responses.
+    if (accept) AcceptReady();
 
     if (stop) return;
   }

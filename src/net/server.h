@@ -97,6 +97,9 @@ class NetServer {
 
   /// Binds, listens, and spawns the reactor thread. False when the
   /// bind/listen or reactor setup fails (port busy, no epoll instance).
+  /// One-shot: every call after the first returns false — after Stop()
+  /// and after a failed Start() alike; construct a new NetServer to
+  /// serve again.
   bool Start();
 
   /// Signals the reactor thread and joins. Idempotent.

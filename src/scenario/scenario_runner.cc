@@ -418,7 +418,7 @@ ScenarioReport ScenarioRunner::Run() {
     // so persisting it here lets the rebuilt server skip k-means and
     // still answer bit-identically (the loader re-verifies the pairing
     // against the mapped model).
-    const std::shared_ptr<const CandidateIndex> live_index =
+    const std::shared_ptr<const SphericalIvfIndex> live_index =
         topk->AnnIndexSnapshot();
     const bool persisted = SaveMarsV3(model, mpath) &&
                            SaveTopKSidecar(*topk, spath) &&
@@ -433,7 +433,7 @@ ScenarioReport ScenarioRunner::Run() {
     std::shared_ptr<const Mars> mapped =
         persisted ? std::shared_ptr<const Mars>(LoadMarsMapped(mpath))
                   : nullptr;
-    std::shared_ptr<const CandidateIndex> mapped_index =
+    std::shared_ptr<const SphericalIvfIndex> mapped_index =
         mapped != nullptr
             ? LoadCandidateIndexMapped(ipath, *mapped, spec_.num_items)
             : nullptr;

@@ -234,7 +234,7 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
   // model (a swap to an unindexable or different-dim model quietly falls
   // back to the exact sweep). The index may be one epoch stale relative to
   // the snapshot — recall cost only; the re-rank scores with the snapshot.
-  const std::shared_ptr<const CandidateIndex> index =
+  const std::shared_ptr<const SphericalIvfIndex> index =
       ann_enabled_ ? ann_index_.Acquire() : nullptr;
   const bool ann_ok =
       index != nullptr && snapshot->index_dim() == index->dim();
@@ -544,7 +544,7 @@ void TopKServer::BatchSweep(const ItemScorer& model,
 }
 
 void TopKServer::AnnBatchSweep(const ItemScorer& model,
-                               const CandidateIndex& index,
+                               const SphericalIvfIndex& index,
                                std::span<const UserId> users,
                                std::vector<TopKResponse>* results) {
   const size_t B = users.size();
@@ -595,15 +595,15 @@ size_t TopKServer::AnnWant(UserId u) const {
   const size_t k = std::min(options_.k, num_items_);
   const ImplicitDataset* exclude = options_.exclude_interactions;
   const size_t excluded = exclude != nullptr ? exclude->UserDegree(u) : 0;
-  const size_t overfetch = std::max<size_t>(1, options_.ann.index.overfetch);
-  return std::max(k * overfetch, k + excluded);
+  return std::max(k * AnnIndexOptions::overfetch, k + excluded);
 }
 
 void TopKServer::RefreshAnnIndex(
     const std::shared_ptr<const ItemScorer>& snapshot,
     const std::vector<size_t>* dirty_items) {
   if (!ann_enabled_) return;
-  const std::shared_ptr<const CandidateIndex> current = ann_index_.Acquire();
+  const std::shared_ptr<const SphericalIvfIndex> current =
+      ann_index_.Acquire();
   if (dirty_items != nullptr && current != nullptr &&
       snapshot->index_dim() == current->dim()) {
     ann_index_.Publish(current->Rebuilt(*snapshot, *dirty_items, item_shards_,
@@ -649,7 +649,7 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
   // one probe + a handful of exact scores (RefreshEntry's ANN path). The
   // usual per-miss compatibility re-check applies — an unindexable model
   // or a shape change keeps the refresh on the exact path.
-  std::shared_ptr<const CandidateIndex> refresh_index;
+  std::shared_ptr<const SphericalIvfIndex> refresh_index;
   if (ann_enabled_ && !dirty_items.empty() && !all_items_dirty) {
     refresh_index = ann_index_.Acquire();
     if (refresh_index != nullptr &&
@@ -693,7 +693,7 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
 
 bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
                               const std::vector<size_t>& dirty,
-                              const CandidateIndex* ann,
+                              const SphericalIvfIndex* ann,
                               RefreshScratch* scratch, CacheEntry* entry) {
   const size_t k = std::min(options_.k, num_items_);
   if (k == 0) return true;  // nothing cached at k == 0; trivially exact

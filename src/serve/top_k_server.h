@@ -9,9 +9,10 @@
 // embedding tables at all.
 //
 // With ann.enable set (and an indexable model, index_dim() > 0 — see
-// eval/scorer.h), the miss path goes sub-linear: probe a CandidateIndex
-// (ann/candidate_index.h) for an overfetched candidate block, then
-// re-rank the block with the model's *exact* ScoreItems. Because every
+// eval/scorer.h), the miss path goes sub-linear: probe the one candidate
+// index, SphericalIvfIndex (ann/ivf_index.h), for an overfetched
+// candidate block, then re-rank the block with the model's *exact*
+// ScoreItems. Because every
 // returned score still comes from the model's own gather kernel, an
 // ANN-served ranking can only differ from the exact sweep in which items
 // it considered (recall), never in any considered item's score; models
@@ -20,7 +21,7 @@
 // (stats().exact_fallbacks counts them, stats().ann_probes the probed
 // misses). The index rides the same epoch-swap machinery as the model:
 // it lives in its own SnapshotHandle, AbsorbWrites re-inserts only dirty
-// item shards (CandidateIndex::Rebuilt — IVF keeps its centroids,
+// item shards (SphericalIvfIndex::Rebuilt keeps its centroids and
 // reassigns dirty rows), and ReplaceModel rebuilds from scratch (unknown
 // delta). A probe against a one-epoch-stale index costs recall only: the
 // re-rank always scores with the pinned model snapshot. Cached entries
@@ -99,7 +100,7 @@
 #include <utility>
 #include <vector>
 
-#include "ann/candidate_index.h"
+#include "ann/ivf_index.h"
 #include "common/snapshot_handle.h"
 #include "data/dataset.h"
 #include "eval/scorer.h"
@@ -144,7 +145,7 @@ struct AnnOptions {
   /// Optional prebuilt index to serve from (implies enable); must cover
   /// exactly this server's catalog. The bench injects nprobe-swept clones
   /// this way; most callers leave it null and let the server build.
-  std::shared_ptr<const CandidateIndex> prebuilt;
+  std::shared_ptr<const SphericalIvfIndex> prebuilt;
 };
 
 /// Miss-batching knobs (TopKServerOptions::batch).
@@ -353,7 +354,7 @@ class TopKServer {
   /// the build. The returned snapshot is pinned like any in-flight
   /// probe's; call at a quiesced boundary so it pairs with the model
   /// being saved.
-  std::shared_ptr<const CandidateIndex> AnnIndexSnapshot() const {
+  std::shared_ptr<const SphericalIvfIndex> AnnIndexSnapshot() const {
     return ann_index_.Acquire();
   }
 
@@ -473,7 +474,8 @@ class TopKServer {
   /// ScoreItems under the usual exclusion + (score desc, id asc) ranking.
   /// A batch of B answers bit-identically to B batches of one. Scratch
   /// buffers are per thread, so a miss allocates only its response.
-  void AnnBatchSweep(const ItemScorer& model, const CandidateIndex& index,
+  void AnnBatchSweep(const ItemScorer& model,
+                     const SphericalIvfIndex& index,
                      std::span<const UserId> users,
                      std::vector<TopKResponse>* results);
 
@@ -487,10 +489,10 @@ class TopKServer {
   size_t AnnWant(UserId u) const;
 
   /// Maintenance-side index refresh against `snapshot`: incremental
-  /// (CandidateIndex::Rebuilt over `dirty_items`) when a compatible index
-  /// exists and a dirty list is given; otherwise a from-scratch factory
-  /// build (which publishes null — exact fallback — for unindexable
-  /// models).
+  /// (SphericalIvfIndex::Rebuilt over `dirty_items`) when a compatible
+  /// index exists and a dirty list is given; otherwise a from-scratch
+  /// factory build (which publishes null — exact fallback — for
+  /// unindexable models).
   void RefreshAnnIndex(const std::shared_ptr<const ItemScorer>& snapshot,
                        const std::vector<size_t>* dirty_items);
 
@@ -510,7 +512,7 @@ class TopKServer {
   /// the per-entry stripe-lock hold bounded.
   bool RefreshEntry(const ItemScorer& model, UserId u,
                     const std::vector<size_t>& dirty,
-                    const CandidateIndex* ann, RefreshScratch* scratch,
+                    const SphericalIvfIndex* ann, RefreshScratch* scratch,
                     CacheEntry* entry);
 
   void EvictIfOverCap(Stripe* stripe);
@@ -526,7 +528,7 @@ class TopKServer {
   /// exact sweep. ann_enabled_ is fixed at construction; the per-miss dim
   /// re-check handles model swaps that invalidate the index.
   bool ann_enabled_ = false;
-  SnapshotHandle<CandidateIndex> ann_index_;
+  SnapshotHandle<SphericalIvfIndex> ann_index_;
   std::atomic<uint64_t> ann_probes_{0};
   std::atomic<uint64_t> exact_fallbacks_{0};
   std::atomic<uint64_t> ann_refresh_probes_{0};

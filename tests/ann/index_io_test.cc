@@ -6,7 +6,9 @@
 // bad magic/version/kind, wrong geometry/dim/count for the paired model,
 // tampered region tables, checksum mismatches, implausible header-implied
 // sizes, semantically corrupt payloads with *fixed-up* checksums — rejects
-// with a clean nullptr, never a crash or an allocation blow-up.
+// with a clean nullptr, never a crash or an allocation blow-up. Seeded bit
+// flips and every truncation load nothing or an index that probes like the
+// original.
 #include "ann/index_io.h"
 
 #include <algorithm>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "ann/ivf_index.h"
 #include "common/crc32.h"
@@ -111,8 +114,8 @@ constexpr size_t kHeaderBytes = 192;
 /// Probes both indexes over the same queries/wants and demands the exact
 /// same candidate blocks (same ids, same order).
 void ExpectProbesBitIdentical(const ItemScorer& model,
-                              const CandidateIndex& a,
-                              const CandidateIndex& b) {
+                              const SphericalIvfIndex& a,
+                              const SphericalIvfIndex& b) {
   std::vector<float> query(a.dim());
   for (UserId u = 0; u < 10; ++u) {
     for (const size_t want : {size_t{3}, size_t{20}, size_t{64},
@@ -148,7 +151,6 @@ TEST_F(IndexIoFixture, IvfMappedProbesBitIdenticalToBuilt) {
   ASSERT_NE(mapped, nullptr);
   EXPECT_TRUE(mapped->mapped());
   EXPECT_FALSE(built->mapped());
-  EXPECT_STREQ(mapped->kind(), "spherical_ivf");
 
   const auto& mivf = static_cast<const SphericalIvfIndex&>(*mapped);
   EXPECT_EQ(mivf.num_centroids(), built->num_centroids());
@@ -490,6 +492,83 @@ TEST_F(IndexIoRejectFixture,
   PokeAt(&bytes_, first_at + 4, first);
   FixupCrc(3);
   ExpectRejected();
+}
+
+TEST_F(IndexIoRejectFixture, SeededMutationsLoadNothingOrAgree) {
+  // The index file is a trust boundary like the model file. Mutate the
+  // saved file: every single-bit flip of the header (region table
+  // included), seeded 2-4-bit flips over the same bits, seeded payload
+  // flips with the region's checksum fixed up, and every truncation. Each
+  // load must return null or an index that probes bit for bit like the
+  // original. A mutated nprobe is a legitimate file, so a loaded index is
+  // compared at the original's nprobe. Centroid payload flips are left
+  // out: under a fixed-up checksum any float is a well-formed centroid, so
+  // such a file loads as a different index by design.
+  const auto reference =
+      SphericalIvfIndex::Build(*model_, kItems, AnnIndexOptions{}, nullptr);
+  const std::string original = bytes_;
+  size_t loaded = 0, rejected = 0;
+  const auto check = [&](const std::string& bytes) {
+    WriteFileBytes(path_, bytes);
+    const auto mapped = LoadCandidateIndexMapped(path_, *model_, kItems);
+    if (mapped == nullptr) {
+      ++rejected;
+      return;
+    }
+    ++loaded;
+    ExpectProbesBitIdentical(*model_, *reference,
+                             *mapped->CloneWithNprobe(reference->nprobe()));
+  };
+  const auto flip = [](std::string* bytes, size_t bit) {
+    (*bytes)[bit / 8] = static_cast<char>((*bytes)[bit / 8] ^ (1 << (bit % 8)));
+  };
+
+  for (size_t bit = 0; bit < kHeaderBytes * 8; ++bit) {
+    SCOPED_TRACE("header bit " + std::to_string(bit));
+    std::string bytes = original;
+    flip(&bytes, bit);
+    check(bytes);
+  }
+  uint64_t state = 20210314;
+  for (int trial = 0; trial < 128; ++trial) {
+    SCOPED_TRACE("header trial " + std::to_string(trial));
+    std::string bytes = original;
+    const int n_flips = 2 + static_cast<int>(SplitMix64(&state) % 3);
+    for (int f = 0; f < n_flips; ++f) {
+      flip(&bytes, SplitMix64(&state) % (kHeaderBytes * 8));
+    }
+    check(bytes);
+  }
+  EXPECT_GT(loaded, 0u);  // reserved and unused fields, nprobe
+  EXPECT_GT(rejected, 0u);
+
+  // Regions 1-3 (assign, offsets, lists): the CRC is recomputed, so only
+  // the loader's CSR validation stands between a flip and a served index.
+  for (size_t r = 1; r < 4; ++r) {
+    const auto at =
+        PeekAt<uint64_t>(original, kOffRegionTable + r * kRegionEntryBytes);
+    const auto size = PeekAt<uint64_t>(
+        original, kOffRegionTable + r * kRegionEntryBytes + 8);
+    for (int trial = 0; trial < 128; ++trial) {
+      SCOPED_TRACE("region " + std::to_string(r) + " trial " +
+                   std::to_string(trial));
+      bytes_ = original;
+      const int n_flips = 1 + static_cast<int>(SplitMix64(&state) % 4);
+      for (int f = 0; f < n_flips; ++f) {
+        flip(&bytes_, at * 8 + SplitMix64(&state) % (size * 8));
+      }
+      FixupCrc(r);
+      check(bytes_);
+    }
+  }
+
+  // Cut the file back one byte at a time, from one byte short to empty.
+  WriteFileBytes(path_, original);
+  for (size_t len = original.size(); len-- > 0;) {
+    ASSERT_EQ(::truncate(path_.c_str(), static_cast<off_t>(len)), 0);
+    ASSERT_EQ(LoadCandidateIndexMapped(path_, *model_, kItems), nullptr)
+        << "len " << len;
+  }
 }
 
 }  // namespace

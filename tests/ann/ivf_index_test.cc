@@ -82,7 +82,6 @@ TEST(SphericalIvfIndexTest, ListsPartitionCatalogAscending) {
   const auto idx =
       SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
   ASSERT_NE(idx, nullptr);
-  EXPECT_STREQ(idx->kind(), "spherical_ivf");
   EXPECT_EQ(idx->num_items(), kItems);
   EXPECT_EQ(idx->dim(), kDim);
   // Auto centroid count ~ sqrt(N), auto nprobe in [2, ncent].
@@ -263,7 +262,7 @@ TEST(SphericalIvfIndexTest, FactoryBuildsIvfForDotGeometry) {
   const auto idx = BuildCandidateIndex(model, kItems, AnnIndexOptions{},
                                        nullptr);
   ASSERT_NE(idx, nullptr);
-  EXPECT_STREQ(idx->kind(), "spherical_ivf");
+  EXPECT_EQ(idx->dim(), kDim);
 
   // Unindexable models (the ItemScorer default index_dim() == 0) get no
   // index: the serving layer keeps its exact sweep.

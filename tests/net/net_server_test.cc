@@ -13,7 +13,10 @@
 //    error frame + live connection for frame-level ones — and a
 //    byte-at-a-time sender is reassembled correctly. A process out of file
 //    descriptors sheds a pending connection (the peer sees EOF) instead
-//    of spinning on the readable listener.
+//    of spinning on the readable listener, and a peer dropped in the
+//    middle of a wake-up never hands its answers to the next client that
+//    gets its descriptor number.
+//  * Lifecycle: Start is one-shot; a second call opens nothing.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/resource.h>
@@ -22,8 +25,11 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,6 +50,46 @@ class ToyScorer : public ItemScorer {
   float Score(UserId u, ItemId v) const override {
     return static_cast<float>((v * 37 + u * 11) % 101);
   }
+};
+
+/// Holds the first range sweep after Arm() until Release(), so a test can
+/// stall the reactor inside TopKBatch; every other sweep runs through.
+class GateScorer : public ToyScorer {
+ public:
+  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
+                      float* out) const override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (armed_) {
+        armed_ = false;
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [this] { return released_; });
+      }
+    }
+    ToyScorer::ScoreItemRange(u, begin, end, out);
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable bool armed_ = false;
+  mutable bool entered_ = false;
+  mutable bool released_ = false;
 };
 
 constexpr size_t kUsers = 64;
@@ -283,6 +329,88 @@ TEST(NetServerTest, StopIsIdempotentAndJoinsTheLoop) {
   ASSERT_TRUE(server.Start());
   server.Stop();
   server.Stop();  // second stop is a no-op, not a crash/hang
+}
+
+TEST(NetServerTest, StartIsOneShot) {
+  ToyScorer scorer;
+  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
+  ASSERT_TRUE(server.Start());
+  server.Stop();
+
+  const auto open_fds = [] {
+    size_t n = 0;
+    for ([[maybe_unused]] const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      ++n;
+    }
+    return n;
+  };
+  const size_t before = open_fds();
+  EXPECT_FALSE(server.Start());
+  EXPECT_EQ(open_fds(), before) << "a refused Start() opened descriptors";
+}
+
+TEST(NetServerTest, DroppedPeerResponsesNeverReachTheNextConnectionOnItsFd) {
+  GateScorer scorer;
+  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
+  NetServer server(&top_k, NetServerOptions{});
+  ASSERT_TRUE(server.Start());
+
+  // Peer A: a raw socket, so it can leave with a reset. It connects before
+  // C, and C's round trip below needs C accepted, so both are accepted
+  // (one accept drain takes the listen queue in order).
+  const int a = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(a, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      connect(a, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)), 0);
+  NetClient c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", server.port()));
+  WireResponse warm;
+  ASSERT_TRUE(c.TopK(TopKRequest{.user = 0}, &warm));
+
+  // C's next miss stalls the reactor inside its sweep.
+  scorer.Arm();
+  std::vector<uint8_t> stalled;
+  EncodeTopKRequest(2, TopKRequest{.user = 1}, &stalled);
+  ASSERT_TRUE(c.SendRaw(stalled));
+  scorer.AwaitEntered();
+
+  // Meanwhile A sends a request and an unknown-type frame, then resets,
+  // and B connects. On the next wake-up the server decodes A's request,
+  // fails to flush A's error frame (the reset), drops A and frees its
+  // descriptor, and accepts B, which can take the same number.
+  std::vector<uint8_t> from_a;
+  EncodeTopKRequest(77, TopKRequest{.user = 2}, &from_a);
+  AppendFrame(static_cast<FrameType>(42), {}, &from_a);
+  ASSERT_EQ(send(a, from_a.data(), from_a.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(from_a.size()));
+  const linger reset{1, 0};
+  ASSERT_EQ(setsockopt(a, SOL_SOCKET, SO_LINGER, &reset, sizeof(reset)), 0);
+  close(a);
+  NetClient b;
+  ASSERT_TRUE(b.Connect("127.0.0.1", server.port()));
+  scorer.Release();
+
+  Frame reply;
+  ASSERT_TRUE(c.RecvFrame(&reply));
+  ASSERT_EQ(reply.type, FrameType::kTopKResponse);
+
+  // B's first frame answers B's own request, not A's request 77.
+  std::vector<uint8_t> from_b;
+  EncodeTopKRequest(5, TopKRequest{.user = 3}, &from_b);
+  ASSERT_TRUE(b.SendRaw(from_b));
+  ASSERT_TRUE(b.RecvFrame(&reply));
+  ASSERT_EQ(reply.type, FrameType::kTopKResponse);
+  WireResponse got;
+  ASSERT_TRUE(DecodeTopKResponsePayload(reply.payload, &got));
+  EXPECT_EQ(got.request_id, 5u);
+  EXPECT_EQ(got.response.items, top_k.TopK(3).items);
+  server.Stop();
 }
 
 TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
