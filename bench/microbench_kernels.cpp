@@ -3,6 +3,7 @@
 // validates every mapped index region on restart.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "common/crc32.h"
@@ -12,6 +13,7 @@
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/vec.h"
+#include "core/mars.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
 #include "data/split.h"
@@ -98,12 +100,54 @@ void BM_FusedRsgdStep(benchmark::State& state) {
   auto x = RandomVec(d, 8);
   NormalizeInPlace(x.data(), d);
   const auto g = RandomVec(d, 9);
+  const float norm2 = SquaredNorm(g.data(), d);
   for (auto _ : state) {
-    FusedRiemannianSgdStep(x.data(), g.data(), 0.01f, d, true);
+    FusedRiemannianSgdStep(x.data(), g.data(), norm2, 0.01f, d, true);
     benchmark::DoNotOptimize(x.data());
   }
 }
 BENCHMARK(BM_FusedRsgdStep)->Arg(32)->Arg(128);
+
+void BM_MarsFitSteps(benchmark::State& state) {
+  // The serial MARS SGD step at wirebench's hot shape (4000 users, 2000
+  // items, 10 interactions per user, K 4, d 32, lr 0.3): each iteration
+  // fits two fixed-length epochs and times only the second, from one
+  // epoch-boundary callback to the next, so initialization stays out of
+  // the figure. ns_per_step is the time per sampled triplet.
+  SyntheticConfig dc;
+  dc.num_users = 4000;
+  dc.num_items = 2000;
+  dc.target_interactions = 40000;
+  dc.num_facets = 4;
+  dc.seed = 20210419;
+  const auto data = GenerateSyntheticDataset(dc);
+  MultiFacetConfig mc;
+  mc.dim = 32;
+  mc.num_facets = 4;
+  constexpr size_t kSteps = 40000;
+  double timed_s = 0.0;
+  for (auto _ : state) {
+    Mars model(mc);
+    TrainOptions to;
+    to.epochs = 2;
+    to.steps_per_epoch = kSteps;
+    to.learning_rate = 0.3;
+    to.seed = 20210419;
+    to.num_threads = 1;
+    std::chrono::steady_clock::time_point epoch_end[2];
+    to.epoch_callback = [&](size_t epoch) {
+      epoch_end[epoch] = std::chrono::steady_clock::now();
+    };
+    model.Fit(*data, to);
+    const double epoch_s =
+        std::chrono::duration<double>(epoch_end[1] - epoch_end[0]).count();
+    state.SetIterationTime(epoch_s);
+    timed_s += epoch_s;
+  }
+  state.counters["ns_per_step"] =
+      timed_s * 1e9 / static_cast<double>(state.iterations() * kSteps);
+}
+BENCHMARK(BM_MarsFitSteps)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 // --- Scalar-vs-batched scoring kernels -------------------------------------
 // One user row against a block of `rows` candidate rows at dim `d`,

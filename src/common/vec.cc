@@ -7,20 +7,6 @@
 
 namespace mars {
 
-float Dot(const float* a, const float* b, size_t n) {
-  float acc0 = 0.0f, acc1 = 0.0f, acc2 = 0.0f, acc3 = 0.0f;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += a[i] * b[i];
-    acc1 += a[i + 1] * b[i + 1];
-    acc2 += a[i + 2] * b[i + 2];
-    acc3 += a[i + 3] * b[i + 3];
-  }
-  float acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < n; ++i) acc += a[i] * b[i];
-  return acc;
-}
-
 float SquaredDistance(const float* a, const float* b, size_t n) {
   float acc0 = 0.0f, acc1 = 0.0f;
   size_t i = 0;
@@ -37,10 +23,6 @@ float SquaredDistance(const float* a, const float* b, size_t n) {
   }
   return acc;
 }
-
-float Norm(const float* a, size_t n) { return std::sqrt(SquaredNorm(a, n)); }
-
-float SquaredNorm(const float* a, size_t n) { return Dot(a, a, n); }
 
 void Axpy(float alpha, const float* b, float* a, size_t n) {
   size_t i = 0;

@@ -12,7 +12,6 @@
 #include "core/facet_init.h"
 #include "models/embedding.h"
 #include "models/train_loop.h"
-#include "opt/sgd.h"
 #include "opt/sphere.h"
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
@@ -20,6 +19,46 @@
 #include "train/snapshot.h"
 
 namespace mars {
+
+namespace {
+
+// The push/pull gradients of one facet, written over its three gradient
+// rows:
+//   g_u = w_push·(q − p) − w_pull·p,  g_p = −(w_push + w_pull)·u,
+//   g_q = w_push·u.
+// The leading `0.0f +` keeps the bits of accumulating into a zero-filled
+// row (it turns a −0 into +0).
+void PushPullGradients(const float* __restrict u, const float* __restrict p,
+                       const float* __restrict q, float w_push, float w_pull,
+                       size_t d, float* __restrict gu, float* __restrict gp,
+                       float* __restrict gq) {
+  const float w_pos = -(w_push + w_pull);
+  for (size_t i = 0; i < d; ++i) {
+    gu[i] = 0.0f + (w_push * (q[i] - p[i]) - w_pull * p[i]);
+    gp[i] = 0.0f + w_pos * u[i];
+    gq[i] = 0.0f + w_push * u[i];
+  }
+}
+
+// One facet pair's separating-loss gradient: g_i += w·x_j, g_j += w·x_i.
+void FacetPairGradients(const float* __restrict xi,
+                        const float* __restrict xj, float w, size_t d,
+                        float* __restrict gi, float* __restrict gj) {
+  for (size_t x = 0; x < d; ++x) {
+    gi[x] += w * xj[x];
+    gj[x] += w * xi[x];
+  }
+}
+
+// Prefetches the cache lines of one FacetStore entity block.
+void PrefetchBlock(const float* block, size_t floats) {
+  constexpr size_t kLineFloats = 64 / sizeof(float);
+  for (size_t i = 0; i < floats; i += kLineFloats) {
+    __builtin_prefetch(block + i);
+  }
+}
+
+}  // namespace
 
 Mars::Mars(MultiFacetConfig config, MarsOptions mars_options)
     : config_(config), mars_options_(mars_options) {
@@ -95,6 +134,7 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
       mars_options_.facet_sign == FacetLossSign::kSeparate ? 1.0f : -1.0f;
 
   const size_t fs = user_facets_.row_stride();
+  const size_t block_floats = user_facets_.entity_stride();
 
   const float lr_comp =
       config_.scale_lr_by_facets ? static_cast<float>(kf) : 1.0f;
@@ -103,11 +143,20 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   // shared stores Hogwild-style; each worker owns its scratch buffers.
   ParallelTrainer trainer(options, &rng);
   struct Scratch {
-    std::vector<float> gu, gvp, gvq, theta, coeff, sp, sq;
+    std::vector<float> gu, gvp, gvq, theta, coeff, cos, pair_cos;
+    // Operands of the interleaved reductions (DotMany) and the 3K rows the
+    // Riemannian update takes.
+    std::vector<const float*> lhs, rhs;
+    std::vector<float*> rows, grads;
+    // The worker's next triplet, drawn one step ahead (see the step).
+    Triplet next;
+    bool next_ok = false;
+    bool primed = false;
   };
   WriteTracker* const tracker = options.write_tracker;
   // Initialisation rewrote every row: the first publish must refresh all.
   if (tracker != nullptr) tracker->MarkAll();
+  const size_t num_pairs = kf * (kf - 1) / 2;
   std::vector<Scratch> scratch(trainer.num_workers());
   for (Scratch& sc : scratch) {
     sc.gu.resize(kf * d);
@@ -115,8 +164,12 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     sc.gvq.resize(kf * d);
     sc.theta.resize(kf);
     sc.coeff.resize(kf);
-    sc.sp.resize(kf);
-    sc.sq.resize(kf);
+    sc.cos.resize(2 * kf);
+    sc.pair_cos.resize(2 * num_pairs);
+    sc.lhs.resize(std::max(2 * kf, 2 * num_pairs));
+    sc.rhs.resize(sc.lhs.size());
+    sc.rows.resize(3 * kf);
+    sc.grads.resize(3 * kf);
   }
 
   // Per-epoch learning rates, set before the steps fan out.
@@ -130,11 +183,26 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     float* const gvq = sc.gvq.data();
     float* const theta = sc.theta.data();
     float* const coeff = sc.coeff.data();
-    float* const sp = sc.sp.data();
-    float* const sq = sc.sq.data();
+    const float** const lhs = sc.lhs.data();
+    const float** const rhs = sc.rhs.data();
 
-    Triplet t;
-    if (!sampler.Sample(&wrng, &t)) return;
+    // Sample one triplet ahead and prefetch its entity blocks, so their
+    // cache misses overlap this step's arithmetic. The sampler is the
+    // step's only RNG consumer, so the draws keep their order: the s-th
+    // step of a worker trains on its s-th draw, as without the lookahead.
+    if (!sc.primed) {
+      sc.next_ok = sampler.Sample(&wrng, &sc.next);
+      sc.primed = true;
+    }
+    const Triplet t = sc.next;
+    const bool sampled = sc.next_ok;
+    sc.next_ok = sampler.Sample(&wrng, &sc.next);
+    if (sc.next_ok) {
+      PrefetchBlock(user_facets_.EntityBlock(sc.next.user), block_floats);
+      PrefetchBlock(item_facets_.EntityBlock(sc.next.positive), block_floats);
+      PrefetchBlock(item_facets_.EntityBlock(sc.next.negative), block_floats);
+    }
+    if (!sampled) return;
     if (tracker != nullptr) {
       tracker->MarkUser(t.user);
       tracker->MarkItem(t.positive);
@@ -144,14 +212,19 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     }
 
     // --- Forward: cosine similarities per facet ------------------------
-    // The triplet's three entity blocks are each one contiguous read.
+    // The triplet's three entity blocks are each one contiguous read; the
+    // 2K cosines (s_p, then s_q) run as one interleaved pass.
     const float* ublock = user_facets_.EntityBlock(t.user);
     const float* pblock = item_facets_.EntityBlock(t.positive);
     const float* qblock = item_facets_.EntityBlock(t.negative);
     for (size_t k = 0; k < kf; ++k) {
-      sp[k] = Dot(ublock + k * fs, pblock + k * fs, d);
-      sq[k] = Dot(ublock + k * fs, qblock + k * fs, d);
+      lhs[k] = lhs[kf + k] = ublock + k * fs;
+      rhs[k] = pblock + k * fs;
+      rhs[kf + k] = qblock + k * fs;
     }
+    DotMany(lhs, rhs, 2 * kf, d, sc.cos.data());
+    const float* const sp = sc.cos.data();
+    const float* const sq = sp + kf;
     Softmax(theta_logits_.Row(t.user), theta, kf);
     float push_val = margins_[t.user];
     for (size_t k = 0; k < kf; ++k) {
@@ -160,41 +233,43 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     const bool active = push_val > 0.0f;
 
     // --- Euclidean gradients in the ambient space -----------------------
-    Fill(0.0f, gu, kf * d);
-    Fill(0.0f, gvp, kf * d);
-    Fill(0.0f, gvq, kf * d);
     for (size_t k = 0; k < kf; ++k) {
-      const float* uk = ublock + k * fs;
-      const float* vpk = pblock + k * fs;
-      const float* vqk = qblock + k * fs;
       const float w_push = active ? theta[k] * radii_[k] : 0.0f;
       const float w_pull = lambda_pull * theta[k] * radii_[k];
-      for (size_t i = 0; i < d; ++i) {
-        // push: θ(∂(−s_p + s_q)) ; pull: −λθ ∂s_p
-        gu[k * d + i] +=
-            w_push * (vqk[i] - vpk[i]) - w_pull * vpk[i];
-        gvp[k * d + i] += -(w_push + w_pull) * uk[i];
-        gvq[k * d + i] += w_push * uk[i];
-      }
+      PushPullGradients(ublock + k * fs, pblock + k * fs, qblock + k * fs,
+                        w_push, w_pull, d, gu + k * d, gvp + k * d,
+                        gvq + k * d);
     }
     // Spherical facet-separating loss over facet pairs (user + pos item).
+    // The K(K−1) pair cosines (user pairs, then positive-item pairs) run
+    // as one interleaved pass; the rows then accumulate in pair order.
     if (lambda_facet > 0.0f && kf > 1) {
+      size_t pair = 0;
       for (size_t i = 0; i < kf; ++i) {
-        for (size_t j = i + 1; j < kf; ++j) {
-          const float cu = Dot(ublock + i * fs, ublock + j * fs, d);
-          const float cv = Dot(pblock + i * fs, pblock + j * fs, d);
+        for (size_t j = i + 1; j < kf; ++j, ++pair) {
+          lhs[pair] = ublock + i * fs;
+          rhs[pair] = ublock + j * fs;
+          lhs[num_pairs + pair] = pblock + i * fs;
+          rhs[num_pairs + pair] = pblock + j * fs;
+        }
+      }
+      float* const pair_cos = sc.pair_cos.data();
+      DotMany(lhs, rhs, 2 * num_pairs, d, pair_cos);
+      pair = 0;
+      for (size_t i = 0; i < kf; ++i) {
+        for (size_t j = i + 1; j < kf; ++j, ++pair) {
+          const float cu = pair_cos[pair];
+          const float cv = pair_cos[num_pairs + pair];
           // L = (1/α) log(1+exp(sign·α·cos)) per entity;
           // dL/dcos = sign·σ(sign·α·cos).
           const float wu = lambda_facet * facet_sign *
                            static_cast<float>(Sigmoid(facet_sign * alpha * cu));
           const float wv = lambda_facet * facet_sign *
                            static_cast<float>(Sigmoid(facet_sign * alpha * cv));
-          for (size_t x = 0; x < d; ++x) {
-            gu[i * d + x] += wu * ublock[j * fs + x];
-            gu[j * d + x] += wu * ublock[i * fs + x];
-            gvp[i * d + x] += wv * pblock[j * fs + x];
-            gvp[j * d + x] += wv * pblock[i * fs + x];
-          }
+          FacetPairGradients(ublock + i * fs, ublock + j * fs, wu, d,
+                             gu + i * d, gu + j * d);
+          FacetPairGradients(pblock + i * fs, pblock + j * fs, wv, d,
+                             gvp + i * d, gvp + j * d);
         }
       }
     }
@@ -226,31 +301,19 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
       }
     }
 
-    // --- Calibrated Riemannian updates (Eq. 21), fused single-pass ------
-    // Each entity's K rows sit contiguously, so the 3K fused steps stream
-    // over three blocks with no scratch buffer.
+    // --- Calibrated Riemannian updates (Eq. 21), clipped and fused ------
+    // The 3K rows sit in three contiguous entity blocks; their gradients
+    // are disjoint scratch rows.
     for (size_t k = 0; k < kf; ++k) {
-      float* guk = &gu[k * d];
-      float* gvpk = &gvp[k * d];
-      float* gvqk = &gvq[k * d];
-      if (clip > 0.0f) {
-        ClipGradient(guk, d, clip);
-        ClipGradient(gvpk, d, clip);
-        ClipGradient(gvqk, d, clip);
-      }
-      if (SquaredNorm(guk, d) > 0.0f) {
-        FusedRiemannianSgdStep(user_facets_.Row(t.user, k), guk, lr, d,
-                               calibrated);
-      }
-      if (SquaredNorm(gvpk, d) > 0.0f) {
-        FusedRiemannianSgdStep(item_facets_.Row(t.positive, k), gvpk, lr,
-                               d, calibrated);
-      }
-      if (SquaredNorm(gvqk, d) > 0.0f) {
-        FusedRiemannianSgdStep(item_facets_.Row(t.negative, k), gvqk, lr,
-                               d, calibrated);
-      }
+      sc.rows[3 * k] = user_facets_.Row(t.user, k);
+      sc.rows[3 * k + 1] = item_facets_.Row(t.positive, k);
+      sc.rows[3 * k + 2] = item_facets_.Row(t.negative, k);
+      sc.grads[3 * k] = gu + k * d;
+      sc.grads[3 * k + 1] = gvp + k * d;
+      sc.grads[3 * k + 2] = gvq + k * d;
     }
+    ClippedRiemannianSgdSteps(sc.rows.data(), sc.grads.data(), 3 * kf, lr,
+                              clip, d, calibrated);
   };
 
   // Overlapped-eval snapshot: the big facet stores are copied shard-by-

@@ -244,14 +244,20 @@ void NetServer::ServeDecoded(
   std::vector<size_t> positions;
   size_t at = 0;
   while (at < decoded->size()) {
-    const size_t n =
-        std::min(options_.max_wire_batch, decoded->size() - at);
     batch.clear();
     positions.clear();
-    for (size_t i = 0; i < n; ++i) {
-      batch.push_back((*decoded)[at + i].second.request);
-      positions.push_back(at + i);
+    for (; at < decoded->size() && batch.size() < options_.max_wire_batch;
+         ++at) {
+      // A missing fd is a peer dropped earlier in this wake-up (accepts
+      // run after this sweep, so no new connection holds its number yet):
+      // nobody will read its answers, so they are not computed.
+      const auto& [fd, wire] = (*decoded)[at];
+      if (connections_.find(fd) == connections_.end()) continue;
+      batch.push_back(wire.request);
+      positions.push_back(at);
     }
+    if (batch.empty()) break;
+    const size_t n = batch.size();
     const std::vector<TopKResponse> responses =
         top_k_->TopKBatch(std::span<const TopKRequest>(batch));
     wire_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -262,7 +268,7 @@ void NetServer::ServeDecoded(
     for (size_t i = 0; i < n; ++i) {
       const auto& [fd, wire] = (*decoded)[positions[i]];
       auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;  // dropped mid-batch
+      if (it == connections_.end()) continue;  // shed earlier in this batch
       Connection* conn = it->second.get();
       conn->QueueResponse(wire.request_id, responses[i]);
       // Backpressure: a peer that pipelines requests without draining
@@ -280,7 +286,6 @@ void NetServer::ServeDecoded(
         DropConnection(fd);
       }
     }
-    at += n;
   }
 
   // Push what fits now; leave write interest armed for the rest.

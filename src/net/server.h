@@ -124,8 +124,9 @@ class NetServer {
   /// one pending connection, and reopens the reserve. True when a
   /// connection was shed (the caller keeps draining the queue).
   bool ShedWithReserveFd();
-  /// Serves every request decoded this wake-up: TopKBatch in
-  /// max_wire_batch chunks, responses queued to their connections.
+  /// Serves every request decoded this wake-up whose connection is still
+  /// open: TopKBatch in max_wire_batch chunks, responses queued to their
+  /// connections.
   void ServeDecoded(std::vector<std::pair<int, WireRequest>>* decoded);
   void DropConnection(int fd);
 

@@ -13,12 +13,27 @@
 // and its Euclidean gradient: parameters pointing away from their target
 // direction move further.
 //
-// Two forms are provided: the composed building blocks below (reference
-// semantics, used by tests and ablations) and FusedRiemannianSgdStep, the
-// single-pass production kernel. The fused form is written for the
-// contiguous FacetStore layout ([entity][facet][dim], common/facet_store.h):
-// MARS applies it to the K facet rows of an entity back-to-back, streaming
-// one cache-resident block per entity with no scratch allocation.
+// Three forms are provided: the composed building blocks below (reference
+// semantics, used by tests and ablations), FusedRiemannianSgdStep, the
+// single-row fused kernel, and ClippedRiemannianSgdSteps, MARS's training
+// update: gradient clip plus fused step over the 3K rows of one sampled
+// triplet, which sit in three contiguous FacetStore entity blocks
+// ([entity][facet][dim], common/facet_store.h).
+//
+// Same-bits rules. ClippedRiemannianSgdSteps must reproduce the per-row
+// path (ClipGradient, then SquaredNorm(grad) > 0, then
+// FusedRiemannianSgdStep) bit for bit, because trained models are pinned
+// byte for byte:
+//  * every reduction is a same-order reduction (common/vec.h): four
+//    lanes finished as (acc0 + acc1) + (acc2 + acc3), then the scalar
+//    tail; interleaving rows changes no per-row order;
+//  * no FMA contraction (see common/vec.h): none of these may be
+//    inlined into an AVX2+FMA function;
+//  * `__restrict` only where the buffers really are disjoint: a
+//    parameter row and its gradient, which lives in caller scratch;
+//  * the trainer's RNG draw order is unchanged: MARS samples one triplet
+//    ahead to prefetch its rows, but its s-th step still trains on its
+//    s-th draw (docs/ARCHITECTURE.md, "The MARS training step").
 #ifndef MARS_OPT_SPHERE_H_
 #define MARS_OPT_SPHERE_H_
 
@@ -46,21 +61,33 @@ float CalibrationFactor(const float* x, const float* grad, size_t n);
 void RiemannianSgdStep(float* x, const float* grad, float lr, size_t n,
                        float* scratch, bool calibrated = true);
 
-/// Fused single-pass form of RiemannianSgdStep: tangent projection,
-/// calibration, and retraction in three traversals of `x`/`grad` with no
-/// scratch buffer and no intermediate stores. Algebraically
+/// Fused form of RiemannianSgdStep: tangent projection, calibration, and
+/// retraction with no scratch buffer and no intermediate stores.
+/// Algebraically
 ///
 ///   x + z = (1 + η·f·(x·∇f)) x − η·f·∇f,   f = calibration factor,
 ///
 /// so the tangent vector never needs to be materialized; the new norm is
-/// accumulated while the combination is formed. Matches the composed
-/// TangentProject + CalibrationFactor + Retract path to float rounding
-/// (~1e-6 relative). This is the training hot-path kernel: MARS calls it
-/// 3K times per sampled triplet, on rows that sit contiguously in a
-/// FacetStore entity block. Returns false (leaving `x` unchanged) only in
-/// the degenerate case where x + z vanishes.
-bool FusedRiemannianSgdStep(float* x, const float* grad, float lr, size_t n,
-                            bool calibrated = true);
+/// accumulated while the combination is formed. `grad_norm2` must be
+/// SquaredNorm(grad, n), which a caller that clipped the gradient already
+/// has. Matches the composed TangentProject + CalibrationFactor + Retract
+/// path to float rounding (~1e-6 relative). Returns false (leaving `x`
+/// unchanged) only in the degenerate case where x + z vanishes.
+bool FusedRiemannianSgdStep(float* x, const float* grad, float grad_norm2,
+                            float lr, size_t n, bool calibrated);
+
+/// MARS's update of `rows` parameter rows. For each r, grads[r] is
+/// clipped in place to norm `clip` (ClipGradient; `clip` <= 0 disables),
+/// and, if the clipped gradient is nonzero, xs[r] takes
+///   FusedRiemannianSgdStep(xs[r], grads[r], SquaredNorm(grads[r], n),
+///                          lr, n, calibrated).
+/// Bit for bit that composed path, but each ||grad||² is reduced once
+/// (again only for a row the clip rescaled) and the rows' norm, radial
+/// and retraction-norm reductions run four rows interleaved. No two
+/// pointers among xs and grads may overlap.
+void ClippedRiemannianSgdSteps(float* const* xs, float* const* grads,
+                               size_t rows, float lr, float clip, size_t n,
+                               bool calibrated);
 
 }  // namespace mars
 

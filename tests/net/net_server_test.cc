@@ -410,6 +410,9 @@ TEST(NetServerTest, DroppedPeerResponsesNeverReachTheNextConnectionOnItsFd) {
   ASSERT_TRUE(DecodeTopKResponsePayload(reply.payload, &got));
   EXPECT_EQ(got.request_id, 5u);
   EXPECT_EQ(got.response.items, top_k.TopK(3).items);
+  // C's two requests and B's one: A's request 77 was filtered out before
+  // the sweep, not answered into the void.
+  EXPECT_EQ(server.stats().requests_served, 3u);
   server.Stop();
 }
 

@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "common/vec.h"
+#include "opt/sgd.h"
 
 namespace mars {
 namespace {
@@ -181,7 +182,8 @@ TEST_P(FusedStepEquivalence, MatchesComposedPath) {
       RiemannianSgdStep(x_ref.data(), g.data(), 0.05f, n, scratch.data(),
                         calibrated);
       ASSERT_TRUE(
-          FusedRiemannianSgdStep(x_fused.data(), g.data(), 0.05f, n,
+          FusedRiemannianSgdStep(x_fused.data(), g.data(),
+                                 SquaredNorm(g.data(), n), 0.05f, n,
                                  calibrated));
       for (size_t i = 0; i < n; ++i) {
         EXPECT_NEAR(x_fused[i], x_ref[i], 1e-5f)
@@ -202,7 +204,8 @@ TEST_P(FusedStepEquivalence, MatchesComposedPathOverTrajectory) {
     for (auto& v : g) v = static_cast<float>(rng.Normal());
     RiemannianSgdStep(x_ref.data(), g.data(), 0.05f, 24, scratch.data(),
                       calibrated);
-    FusedRiemannianSgdStep(x_fused.data(), g.data(), 0.05f, 24, calibrated);
+    FusedRiemannianSgdStep(x_fused.data(), g.data(), SquaredNorm(g.data(), 24),
+                           0.05f, 24, calibrated);
   }
   for (size_t i = 0; i < 24; ++i) {
     EXPECT_NEAR(x_fused[i], x_ref[i], 1e-4f);
@@ -221,7 +224,8 @@ TEST(SphereTest, FusedStepStaysOnSphere) {
   for (int step = 0; step < 100; ++step) {
     std::vector<float> g(16);
     for (auto& v : g) v = static_cast<float>(rng.Normal());
-    FusedRiemannianSgdStep(x.data(), g.data(), 0.1f, 16, true);
+    FusedRiemannianSgdStep(x.data(), g.data(), SquaredNorm(g.data(), 16), 0.1f,
+                           16, true);
     ASSERT_NEAR(Norm(x.data(), 16), 1.0f, 1e-4f) << "step " << step;
   }
 }
@@ -231,7 +235,9 @@ TEST(SphereTest, FusedStepRadialGradientIsNoop) {
   // fused step must reduce to a renormalization, like the composed path.
   std::vector<float> x = {1.0f, 0.0f};
   std::vector<float> g = {20.0f, 0.0f};
-  EXPECT_TRUE(FusedRiemannianSgdStep(x.data(), g.data(), 0.05f, 2, false));
+  EXPECT_TRUE(FusedRiemannianSgdStep(x.data(), g.data(),
+                                     SquaredNorm(g.data(), 2), 0.05f, 2,
+                                     false));
   EXPECT_NEAR(x[0], 1.0f, 1e-6f);
   EXPECT_NEAR(x[1], 0.0f, 1e-6f);
 }
@@ -241,7 +247,8 @@ TEST(SphereTest, FusedStepRenormalizesLikeRetract) {
   // fused kernel must do the same.
   std::vector<float> x = {2.0f, 0.0f};
   std::vector<float> g = {0.0f, 0.0f};
-  EXPECT_TRUE(FusedRiemannianSgdStep(x.data(), g.data(), 0.1f, 2, true));
+  EXPECT_TRUE(FusedRiemannianSgdStep(x.data(), g.data(),
+                                     SquaredNorm(g.data(), 2), 0.1f, 2, true));
   EXPECT_NEAR(x[0], 1.0f, 1e-6f);
   EXPECT_NEAR(x[1], 0.0f, 1e-6f);
 }
@@ -251,7 +258,9 @@ TEST(SphereTest, FusedStepDegenerateRejected) {
   // must refuse and leave x untouched (mirrors Retract's degenerate case).
   std::vector<float> x = {0.0f, 0.0f};
   std::vector<float> g = {0.0f, 0.0f};
-  EXPECT_FALSE(FusedRiemannianSgdStep(x.data(), g.data(), 0.1f, 2, true));
+  EXPECT_FALSE(FusedRiemannianSgdStep(x.data(), g.data(),
+                                      SquaredNorm(g.data(), 2), 0.1f, 2,
+                                      true));
   EXPECT_FLOAT_EQ(x[0], 0.0f);
   EXPECT_FLOAT_EQ(x[1], 0.0f);
 }
@@ -263,6 +272,76 @@ TEST(SphereTest, ZeroGradientIsNoop) {
   std::vector<float> g(8, 0.0f), scratch(8);
   RiemannianSgdStep(x.data(), g.data(), 0.5f, 8, scratch.data(), true);
   for (size_t i = 0; i < 8; ++i) EXPECT_NEAR(x[i], before[i], 1e-6f);
+}
+
+// ClippedRiemannianSgdSteps reduces each ||grad||² once and interleaves
+// four rows; it must leave every row and every clipped gradient exactly
+// as the composed per-row path does: ClipGradient, then the
+// SquaredNorm(grad) > 0 test, then FusedRiemannianSgdStep. Nine rows make
+// two full four-row chunks and a lone row; their kinds cover an ordinary
+// step, a gradient above the clip, an all-zero gradient (no step) and a
+// degenerate retraction (x = 0 with a tiny gradient: ||x + z|| < 1e-12,
+// so x stays put).
+TEST(ClippedRiemannianSgdStepsTest, MatchesClipThenFusedStepBitForBit) {
+  enum Kind { kPlain, kOverClip, kZero, kDegenerate };
+  const Kind kinds[] = {kPlain, kOverClip, kPlain,      kOverClip, kZero,
+                        kDegenerate, kPlain, kOverClip, kPlain};
+  constexpr size_t kRows = sizeof(kinds) / sizeof(kinds[0]);
+  for (const size_t n : {2u, 30u, 32u, 128u}) {
+    for (const bool calibrated : {false, true}) {
+      for (const float clip : {0.0f, 1.5f}) {
+        Rng rng(1000 * n + 10 * calibrated + (clip > 0.0f));
+        std::vector<std::vector<float>> x(kRows), g(kRows);
+        for (size_t r = 0; r < kRows; ++r) {
+          x[r] = RandomUnit(&rng, n);
+          g[r].resize(n);
+          for (auto& v : g[r]) v = static_cast<float>(rng.Normal());
+          if (kinds[r] == kPlain) {
+            Scale(0.5f / Norm(g[r].data(), n), g[r].data(), n);
+          }
+          if (kinds[r] == kOverClip) {
+            Scale(3.0f / Norm(g[r].data(), n), g[r].data(), n);
+          }
+          if (kinds[r] == kZero) g[r].assign(n, 0.0f);
+          if (kinds[r] == kDegenerate) {
+            x[r].assign(n, 0.0f);
+            g[r].assign(n, 1e-20f);
+          }
+        }
+        auto x_ref = x;
+        auto g_ref = g;
+        std::vector<float*> xs, gs;
+        for (size_t r = 0; r < kRows; ++r) {
+          xs.push_back(x[r].data());
+          gs.push_back(g[r].data());
+          if (clip > 0.0f) {
+            const float pre = ClipGradient(g_ref[r].data(), n, clip);
+            if (kinds[r] == kOverClip) EXPECT_GT(pre, clip);
+          }
+          const float norm2 = SquaredNorm(g_ref[r].data(), n);
+          if (norm2 > 0.0f) {
+            const bool moved = FusedRiemannianSgdStep(
+                x_ref[r].data(), g_ref[r].data(), norm2, 0.05f, n, calibrated);
+            EXPECT_EQ(moved, kinds[r] != kDegenerate) << "row " << r;
+          }
+        }
+        ClippedRiemannianSgdSteps(xs.data(), gs.data(), kRows, 0.05f, clip, n,
+                                  calibrated);
+        for (size_t r = 0; r < kRows; ++r) {
+          for (size_t i = 0; i < n; ++i) {
+            EXPECT_EQ(x[r][i], x_ref[r][i])
+                << "n=" << n << " calibrated=" << calibrated
+                << " clip=" << clip << " row=" << r << " i=" << i;
+            EXPECT_EQ(g[r][i], g_ref[r][i])
+                << "n=" << n << " calibrated=" << calibrated
+                << " clip=" << clip << " row=" << r << " i=" << i;
+          }
+        }
+        EXPECT_EQ(x[5], std::vector<float>(n, 0.0f))
+            << "the degenerate row must stay put";
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,17 +2,23 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/kernels.h"
 #include "common/matrix.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "core/mars.h"
+#include "core/persistence.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
@@ -207,6 +213,61 @@ TEST(ParallelTrainerTest, MarsSingleThreadIsDeterministic) {
   for (ItemId v = 0; v < full->num_items(); ++v) {
     EXPECT_EQ(a.Score(0, v), b.Score(0, v));
   }
+}
+
+// CRC-32 of the SaveMarsV3 bytes of one seeded single-thread fit.
+uint32_t MarsFitDigest(const ImplicitDataset& data, MultiFacetConfig cfg,
+                       MarsOptions mars_options, const std::string& tag) {
+  TrainOptions options;
+  options.epochs = 3;
+  options.seed = 20210419;
+  options.num_threads = 1;
+  Mars model(cfg, mars_options);
+  model.Fit(data, options);
+  const std::string path = ::testing::TempDir() + "/mars_golden_" + tag +
+                           ".bin";
+  EXPECT_TRUE(SaveMarsV3(model, path));
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_FALSE(bytes.empty());
+  return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+}
+
+// Pins the trained floats of serial MARS bit for bit, so a rewrite of the
+// step (reduction order, fused norms, vectorized element-wise loops) that
+// changes any rounding fails here. The digests were recorded on x86-64
+// with glibc's exp (Softmax, Sigmoid and the NMF init call it): another
+// architecture or libm may round differently, so the check runs on
+// x86-64 Linux only. Three shapes: wirebench's K 4, d 32; K 3, d 30 with
+// a tight clip (odd facet-pair count, scalar tails, rescaled rows); and
+// uncalibrated steps with learned radii.
+TEST(ParallelTrainerTest, MarsFitGoldenDigestPinsTrainedBytes) {
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+  GTEST_SKIP() << "digests pin x86-64 with glibc exp";
+#endif
+  SyntheticConfig data_cfg;
+  data_cfg.num_users = 300;
+  data_cfg.num_items = 400;
+  data_cfg.target_interactions = 4000;
+  data_cfg.seed = 20210419;
+  const auto data = GenerateSyntheticDataset(data_cfg);
+
+  MultiFacetConfig wide;
+  EXPECT_EQ(MarsFitDigest(*data, wide, MarsOptions{}, "k4d32"), 2572284827u);
+
+  MultiFacetConfig tails;
+  tails.num_facets = 3;
+  tails.dim = 30;
+  tails.grad_clip = 0.05;
+  EXPECT_EQ(MarsFitDigest(*data, tails, MarsOptions{}, "k3d30"), 4009130427u);
+
+  EXPECT_EQ(MarsFitDigest(*data, wide,
+                          MarsOptions{.calibrated = false,
+                                      .learn_radius = true},
+                          "radius"),
+            1305090203u);
 }
 
 TEST(ParallelTrainerTest, MarsParallelTrainingProducesValidModel) {
