@@ -412,9 +412,9 @@ int main(int argc, char** argv) {
     // accumulators (dim 32 hovers near the 1.5x bar on a noisy host, dim
     // 64 clears it with margin). The cache is disabled so every query is
     // a miss by construction, and TopKBatch is called directly — the
-    // single-threaded deterministic entry into the same multi-user sweep
-    // the concurrent coalescer uses, so the timing needs no thread
-    // choreography and is comparable on a 1-core container. ---------------
+    // single-threaded deterministic entry into the multi-user sweep the
+    // wire front-end uses, so the timing needs no thread choreography and
+    // is comparable on a 1-core container. ---------------------------------
     if (num_items >= 10000) {
       Bpr bmodel(BprConfig{.dim = 64});
       TrainOptions btrain;
@@ -427,7 +427,6 @@ int main(int argc, char** argv) {
         TopKServerOptions bopts;
         bopts.k = kTopK;
         bopts.cache.max_users = 0;  // every query a guaranteed miss
-        bopts.batch.max_batch = batch;
         TopKServer solo_server(&bmodel, kUsers, num_items, bopts);
         TopKServer batch_server(&bmodel, kUsers, num_items, bopts);
 

@@ -268,8 +268,8 @@ int main(int argc, char** argv) {
   //    (non-owning: in-process callers could keep querying alongside the
   //    wire); the client writes all probe requests as one burst, so the
   //    reactor decodes them in one wake-up and serves them as one
-  //    TopKBatch — the wire feeds the coalesced multi-user kernels with
-  //    no artificial delay. k = 0 asks for the server's configured depth.
+  //    TopKBatch — the wire feeds the multi-user kernels with no
+  //    artificial delay. k = 0 asks for the server's configured depth.
   NetServerOptions net_opts;  // loopback, ephemeral port
   NetServer net(&live, net_opts);
   if (!net.Start()) {

@@ -13,9 +13,10 @@ Scaling checks (multi-thread speedup) are skipped unless BOTH runs saw more
 than one CPU: a 1-core container serializes the Hogwild workers, so its
 "speedup" numbers measure overhead, not scaling (see BENCH_train.json
 host_cpus). Every such skip is listed again in an end-of-run summary so a
-green run on a 1-core host states which gates never ran. The coalesced-batch
-serving gate (check_serve_batch) is single-threaded by construction and
-stays armed regardless of core count. The wire-to-wire gate
+green run on a 1-core host states which gates never ran. The batched-miss
+serving gate (check_serve_batch: one TopKBatch over B cold users against B
+solo sweeps) is single-threaded by construction and stays armed regardless
+of core count. The wire-to-wire gate
 (check_serve_wire) splits the same way: section presence and the
 natural-batching evidence are always enforced, while its QPS/latency diffs
 join the host_cpus-guarded skips (loopback client and server time-slicing
@@ -146,9 +147,9 @@ def check_serve_batch(base, fresh, threshold):
     leave the ratio to the host's memory subsystem (measured 1.1-1.7x at
     200k on a shared 1-vCPU box, run to run), so they are tracked but not
     held to the 1.5x bar. The section is measured single-threaded
-    (TopKBatch drives the same multi-user sweep the concurrent coalescer
-    uses, with no thread choreography), so unlike the scaling checks these
-    gates stay armed on 1-CPU hosts.
+    (TopKBatch drives the multi-user sweep the wire front-end uses, with no
+    thread choreography), so unlike the scaling checks these gates stay
+    armed on 1-CPU hosts.
     """
     if "batch" not in fresh:
         fail("topk_serve: fresh run has no 'batch' section")

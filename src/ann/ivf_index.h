@@ -87,7 +87,7 @@ class SphericalIvfIndex {
   /// re-ranks with exact model scores. Ids are unique per call.
   void Probe(const float* query, size_t want, std::vector<ItemId>* out) const;
 
-  /// Batched probe for the serving coalescer: `queries` holds
+  /// Batched probe for the multi-user miss sweep: `queries` holds
   /// `num_queries` query vectors of dim() floats, tightly packed;
   /// appends each query's candidates to (*out)[q] (not cleared; `out`
   /// must hold at least num_queries vectors), exactly as

@@ -57,7 +57,7 @@ void NegatedSquaredDistanceBatch(const float* u, const float* rows,
 /// points at user b's row; `out[b]` receives that user's `count` scores.
 /// Contract: out[b][i] is bit-identical to the corresponding single-user
 /// batch kernel — per user the reduction runs the same row primitive in
-/// the same order, so a coalesced multi-user sweep ranks exactly like B
+/// the same order, so a multi-user sweep ranks exactly like B
 /// solo sweeps (the serve-layer batch≡solo guarantee rides on this).
 void DotBatchMulti(const float* const* us, size_t num_users,
                    const float* rows, size_t count, size_t stride, size_t n,

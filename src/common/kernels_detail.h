@@ -163,8 +163,8 @@ MARS_AVX2_FN inline float SquaredDistanceRowAvx2(const float* a,
 // registers). Per user, the op sequence is *identical* to the single-user
 // primitive (same two-accumulator FMA chains, the Hsum256 pairing via
 // Hsum256X4, same scalar tail), so each lane of `out` is bit-identical to
-// the corresponding solo call — the batch≡solo contract the serving
-// coalescer pins.
+// the corresponding solo call — the batch≡solo contract the multi-user
+// miss sweep pins.
 
 MARS_AVX2_FN inline void DotRowAvx2X4(const float* const* a, const float* b,
                                       size_t n, float* out) {

@@ -97,7 +97,6 @@ RankingMetrics Evaluator::Evaluate(const ItemScorer& scorer,
   if (eval_users_.empty()) return m;
 
   std::vector<size_t> ranks(eval_users_.size());
-  if (pool != nullptr && !scorer.thread_safe()) pool = nullptr;
   if (pool != nullptr) {
     pool->ParallelFor(eval_users_.size(), [&](size_t i) {
       ranks[i] = RankCase(scorer, eval_users_[i]);
@@ -131,7 +130,6 @@ std::vector<RankingMetrics> Evaluator::EvaluateGrouped(
   if (eval_users_.empty()) return groups;
 
   std::vector<size_t> ranks(eval_users_.size());
-  if (pool != nullptr && !scorer.thread_safe()) pool = nullptr;
   if (pool != nullptr) {
     pool->ParallelFor(eval_users_.size(), [&](size_t i) {
       ranks[i] = RankCase(scorer, eval_users_[i]);

@@ -13,7 +13,9 @@
 
 namespace mars {
 
-/// Scores user-item pairs; higher means "more recommended".
+/// Scores user-item pairs; higher means "more recommended". Every scoring
+/// method is const and reentrant: the evaluator and the top-k server call
+/// them from any number of threads at once.
 class ItemScorer {
  public:
   virtual ~ItemScorer() = default;
@@ -41,9 +43,9 @@ class ItemScorer {
 
   /// Multi-user serving adapter: scores the slice [begin, end) for every
   /// user in `users` — out[b][0 .. end-begin) receives users[b]'s scores.
-  /// The top-k server's miss coalescer batches concurrent cache misses
-  /// through this so each item row is streamed from memory once per batch
-  /// instead of once per user. Contract: out[b] must be bit-identical to
+  /// The top-k server sweeps the misses of one TopKBatch call through this
+  /// so each item row is streamed from memory once per batch instead of
+  /// once per user. Contract: out[b] must be bit-identical to
   /// ScoreItemRange(users[b], begin, end) — models override with the
   /// multi-user block kernels of common/kernels.h, which pin exactly that;
   /// the default is the literal per-user loop.
@@ -53,11 +55,6 @@ class ItemScorer {
       ScoreItemRange(users[b], begin, end, out[b]);
     }
   }
-
-  /// Whether Score/ScoreItems may be called concurrently from multiple
-  /// threads. Models that reuse internal scratch buffers return false and
-  /// are evaluated serially.
-  virtual bool thread_safe() const { return true; }
 
   // --- ANN index capability (ann/candidate_index.h). ---------------------
   // A model opts in by returning index_dim() > 0 and implementing

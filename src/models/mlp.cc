@@ -15,30 +15,27 @@ DenseLayer::DenseLayer(size_t in_dim, size_t out_dim, Activation activation,
       activation_(activation),
       w_(out_dim, in_dim),
       b_(out_dim, 0.0f),
-      pre_(out_dim, 0.0f),
-      out_(out_dim, 0.0f),
       delta_(out_dim, 0.0f) {
   // Xavier/Glorot uniform.
   const float bound = std::sqrt(6.0f / static_cast<float>(in_dim + out_dim));
   w_.FillUniform(rng, -bound, bound);
 }
 
-const float* DenseLayer::Forward(const float* x) {
+void DenseLayer::Forward(const float* x, float* pre, float* out) const {
   for (size_t o = 0; o < out_dim_; ++o) {
-    pre_[o] = Dot(w_.Row(o), x, in_dim_) + b_[o];
-    out_[o] = (activation_ == Activation::kRelu && pre_[o] < 0.0f)
-                  ? 0.0f
-                  : pre_[o];
+    pre[o] = Dot(w_.Row(o), x, in_dim_) + b_[o];
+    out[o] = (activation_ == Activation::kRelu && pre[o] < 0.0f) ? 0.0f
+                                                                 : pre[o];
   }
-  return out_.data();
 }
 
-void DenseLayer::Backward(const float* x, const float* grad_out, float lr,
-                          float l2, float* grad_in) {
+void DenseLayer::Backward(const float* x, const float* pre,
+                          const float* grad_out, float lr, float l2,
+                          float* grad_in) {
   // delta = dL/d(pre) = grad_out ⊙ act'(pre)
   for (size_t o = 0; o < out_dim_; ++o) {
     const float mask =
-        (activation_ == Activation::kRelu && pre_[o] <= 0.0f) ? 0.0f : 1.0f;
+        (activation_ == Activation::kRelu && pre[o] <= 0.0f) ? 0.0f : 1.0f;
     delta_[o] = grad_out[o] * mask;
   }
   if (grad_in != nullptr) {
@@ -69,31 +66,36 @@ Mlp::Mlp(const std::vector<size_t>& dims, Activation final_activation,
     layers_.emplace_back(dims[i], dims[i + 1],
                          last ? final_activation : Activation::kRelu, rng);
   }
-  inputs_.resize(layers_.size());
   grads_.resize(layers_.size());
   for (size_t i = 0; i < layers_.size(); ++i) {
-    inputs_[i].assign(layers_[i].in_dim(), 0.0f);
+    buffer_size_ += 2 * layers_[i].out_dim();
     grads_[i].assign(layers_[i].in_dim(), 0.0f);
   }
 }
 
-const float* Mlp::Forward(const float* x) {
+const float* Mlp::Forward(const float* x, float* buffer) const {
   const float* cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    Copy(cur, inputs_[i].data(), layers_[i].in_dim());
-    cur = layers_[i].Forward(cur);
+  for (const DenseLayer& layer : layers_) {
+    float* out = buffer + layer.out_dim();
+    layer.Forward(cur, buffer, out);
+    cur = out;
+    buffer = out + layer.out_dim();
   }
   return cur;
 }
 
-void Mlp::Backward(const float* /*x*/, const float* grad_out, float lr,
-                   float l2, float* grad_in) {
+void Mlp::Backward(const float* x, const float* buffer, const float* grad_out,
+                   float lr, float l2, float* grad_in) {
+  // Layer i's pre-activations sit at `pre`, its input (the activations of
+  // layer i - 1) just before them.
+  const float* pre = buffer + buffer_size_;
   const float* cur_grad = grad_out;
   for (size_t i = layers_.size(); i-- > 0;) {
+    pre -= 2 * layers_[i].out_dim();
+    const float* in = (i == 0) ? x : pre - layers_[i - 1].out_dim();
     float* sink = (i == 0) ? grad_in : grads_[i].data();
-    layers_[i].Backward(inputs_[i].data(), cur_grad, lr, l2, sink);
+    layers_[i].Backward(in, pre, cur_grad, lr, l2, sink);
     cur_grad = sink;
-    if (i == 0) break;
   }
 }
 

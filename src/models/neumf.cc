@@ -12,15 +12,21 @@ namespace mars {
 
 NeuMf::NeuMf(NeuMfConfig config) : config_(config) {}
 
-float NeuMf::ForwardLogit(UserId u, ItemId v) const {
+size_t NeuMf::ForwardSize() const {
+  return 2 * config_.mlp_dim + config_.gmf_dim + tower_->buffer_size();
+}
+
+float NeuMf::ForwardLogit(UserId u, ItemId v, float* buf) const {
   const size_t dg = config_.gmf_dim;
   const size_t dm = config_.mlp_dim;
-  Hadamard(gmf_user_.Row(u), gmf_item_.Row(v), gmf_out_.data(), dg);
-  Copy(mlp_user_.Row(u), concat_.data(), dm);
-  Copy(mlp_item_.Row(v), concat_.data() + dm, dm);
-  const float* mlp_out = tower_->Forward(concat_.data());
+  float* concat = buf;
+  float* gmf_out = buf + 2 * dm;
+  Hadamard(gmf_user_.Row(u), gmf_item_.Row(v), gmf_out, dg);
+  Copy(mlp_user_.Row(u), concat, dm);
+  Copy(mlp_item_.Row(v), concat + dm, dm);
+  const float* mlp_out = tower_->Forward(concat, gmf_out + dg);
   float logit = out_bias_;
-  logit += Dot(out_weight_.data(), gmf_out_.data(), dg);
+  logit += Dot(out_weight_.data(), gmf_out, dg);
   logit += Dot(out_weight_.data() + dg, mlp_out, tower_->out_dim());
   return logit;
 }
@@ -50,8 +56,6 @@ void NeuMf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     w = static_cast<float>(rng.Normal(0.0, 1.0 / std::sqrt(out_dim)));
   }
   out_bias_ = 0.0f;
-  concat_.assign(2 * dm, 0.0f);
-  gmf_out_.assign(dg, 0.0f);
 
   const NegativeSampler negatives(train);
   const size_t steps = ResolveStepsPerEpoch(options, train);
@@ -60,20 +64,26 @@ void NeuMf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
 
   std::vector<float> grad_mlp_out(tower_->out_dim());
   std::vector<float> grad_concat(2 * dm);
+  // The step's forward activations (ForwardLogit's layout), read back by
+  // the backward pass.
+  std::vector<float> fwd(ForwardSize());
+  const float* concat = fwd.data();
+  float* gmf_out = fwd.data() + 2 * dm;
+  const float* tower_buf = gmf_out + dg;
+  const float* mlp_out = tower_->output(tower_buf);
 
   // One SGD step on a single labeled pair.
   auto step_pair = [&](UserId u, ItemId v, float label, float lr) {
-    const float logit = ForwardLogit(u, v);
+    const float logit = ForwardLogit(u, v, fwd.data());
     const float pred = static_cast<float>(Sigmoid(logit));
     const float dlogit = pred - label;  // BCE gradient
 
-    // Output layer splits into GMF and MLP halves.
-    const float* mlp_out = tower_->Forward(concat_.data());
-    // grad wrt out_weight and the two tower outputs.
+    // Output layer splits into GMF and MLP halves: grad wrt out_weight
+    // and the two tower outputs.
     for (size_t i = 0; i < dg; ++i) {
       const float w = out_weight_[i];
-      out_weight_[i] -= lr * (dlogit * gmf_out_[i] + l2 * w);
-      gmf_out_[i] = dlogit * w;  // reuse as grad buffer
+      out_weight_[i] -= lr * (dlogit * gmf_out[i] + l2 * w);
+      gmf_out[i] = dlogit * w;  // reuse as grad buffer
     }
     for (size_t i = 0; i < tower_->out_dim(); ++i) {
       const float w = out_weight_[dg + i];
@@ -86,14 +96,14 @@ void NeuMf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     float* pu = gmf_user_.Row(u);
     float* qv = gmf_item_.Row(v);
     for (size_t i = 0; i < dg; ++i) {
-      const float gp = gmf_out_[i] * qv[i];
-      const float gq = gmf_out_[i] * pu[i];
+      const float gp = gmf_out[i] * qv[i];
+      const float gq = gmf_out[i] * pu[i];
       pu[i] -= lr * (gp + l2 * pu[i]);
       qv[i] -= lr * (gq + l2 * qv[i]);
     }
 
     // MLP tower backprop into the concatenated embeddings.
-    tower_->Backward(concat_.data(), grad_mlp_out.data(), lr, l2,
+    tower_->Backward(concat, tower_buf, grad_mlp_out.data(), lr, l2,
                      grad_concat.data());
     float* mu = mlp_user_.Row(u);
     float* mv = mlp_item_.Row(v);
@@ -117,6 +127,9 @@ void NeuMf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   });
 }
 
-float NeuMf::Score(UserId u, ItemId v) const { return ForwardLogit(u, v); }
+float NeuMf::Score(UserId u, ItemId v) const {
+  std::vector<float> buf(ForwardSize());
+  return ForwardLogit(u, v, buf.data());
+}
 
 }  // namespace mars

@@ -36,12 +36,17 @@ class NeuMf : public Recommender {
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
   float Score(UserId u, ItemId v) const override;
   std::string name() const override { return "NeuMF"; }
-  /// Scoring reuses the tower's cached activations; evaluate serially.
-  bool thread_safe() const override { return false; }
 
  private:
-  /// Forward pass; fills the scratch buffers and returns the logit.
-  float ForwardLogit(UserId u, ItemId v) const;
+  /// Floats one forward writes: the MLP input [p'_u ; q'_v] (2*Dm), the
+  /// GMF product (Dg), then the tower's buffer.
+  size_t ForwardSize() const;
+
+  /// The one forward pass, shared by Score and the training step: writes
+  /// its activations into `buf` (ForwardSize() floats, laid out as above)
+  /// and returns the logit. Reads only the weights, so any number of
+  /// threads may run it at once, each with its own buffer.
+  float ForwardLogit(UserId u, ItemId v, float* buf) const;
 
   NeuMfConfig config_;
   Matrix gmf_user_, gmf_item_;  // N×Dg, M×Dg
@@ -49,10 +54,6 @@ class NeuMf : public Recommender {
   std::unique_ptr<Mlp> tower_;
   std::vector<float> out_weight_;  // Dg + hidden.back()
   float out_bias_ = 0.0f;
-
-  // Scratch (mutable so Score() can reuse the forward machinery).
-  mutable std::vector<float> concat_;   // 2*Dm
-  mutable std::vector<float> gmf_out_;  // Dg
 };
 
 }  // namespace mars

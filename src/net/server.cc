@@ -246,8 +246,7 @@ void NetServer::ServeDecoded(
   while (at < decoded->size()) {
     batch.clear();
     positions.clear();
-    for (; at < decoded->size() && batch.size() < options_.max_wire_batch;
-         ++at) {
+    for (; at < decoded->size() && batch.size() < kMaxWireBatch; ++at) {
       // A missing fd is a peer dropped earlier in this wake-up (accepts
       // run after this sweep, so no new connection holds its number yet):
       // nobody will read its answers, so they are not computed.

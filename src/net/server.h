@@ -5,14 +5,14 @@
 //
 // The load-bearing design point is *natural batching*: every request
 // decoded in one reactor wake-up — across all connections — is grouped
-// into TopKServer::TopKBatch calls (chunks of max_wire_batch). While a
+// into TopKServer::TopKBatch calls (chunks of kMaxWireBatch). While a
 // sweep runs, newly-arriving requests accumulate in socket buffers; the
 // next wake-up drains them all at once, so batch size self-scales with
-// load exactly like the in-process miss coalescer. No artificial delay
-// is ever added: an idle server answers a lone request at solo latency,
-// a loaded one amortizes the catalog stream over every concurrent user
-// (stats().wire_batches / the serve layer's batch_sweeps make the
-// grouping observable — the acceptance test pins it).
+// load. No artificial delay is ever added: an idle server answers a lone
+// request at solo latency, a loaded one amortizes the catalog stream over
+// every concurrent user (stats().wire_batches / the serve layer's
+// batch_sweeps make the grouping observable — the acceptance test pins
+// it).
 //
 // Threading: Start() spawns the reactor thread; Stop() (and the
 // destructor) signal it through an eventfd and join. TopKServer's read
@@ -47,10 +47,6 @@ struct NetServerOptions {
   size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Accepted connections beyond this are closed immediately.
   size_t max_connections = 1024;
-  /// Requests decoded in one reactor wake-up are fed to TopKBatch in
-  /// chunks of this size (the serve layer further splits sweeps by its
-  /// own batch.max_batch).
-  size_t max_wire_batch = 64;
   /// Backpressure: a connection whose queued-but-unsent response bytes
   /// exceed this cap is shed — one best-effort kError(kOverloaded) frame,
   /// then close (stats().backpressure_closes counts them). A reader that
@@ -85,6 +81,11 @@ struct NetServerStats {
 
 class NetServer {
  public:
+  /// Requests decoded in one reactor wake-up are fed to TopKBatch in
+  /// chunks of this size (the serve layer further splits sweeps by
+  /// TopKServer::kMaxBatch).
+  static constexpr size_t kMaxWireBatch = 64;
+
   /// Serves `server`, which the caller configures and must keep alive
   /// for the NetServer's lifetime.
   NetServer(TopKServer* server, NetServerOptions options);
@@ -125,7 +126,7 @@ class NetServer {
   /// connection was shed (the caller keeps draining the queue).
   bool ShedWithReserveFd();
   /// Serves every request decoded this wake-up whose connection is still
-  /// open: TopKBatch in max_wire_batch chunks, responses queued to their
+  /// open: TopKBatch in kMaxWireBatch chunks, responses queued to their
   /// connections.
   void ServeDecoded(std::vector<std::pair<int, WireRequest>>* decoded);
   void DropConnection(int fd);

@@ -164,7 +164,8 @@ std::vector<ScenarioEvent> GenerateTrace(const ScenarioSpec& spec,
   }
   // Flash crowd: the second half collapses onto one user-shard's worth
   // of contiguous ids (the cache stripes are keyed by contiguous user
-  // ranges, so this is maximal stripe + coalescer contention).
+  // ranges, so this is maximal stripe contention and the densest wire
+  // batches).
   const size_t crowd_span = std::max<size_t>(1, spec.num_users / 16);
 
   std::vector<ScenarioEvent> trace;

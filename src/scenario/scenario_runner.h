@@ -6,7 +6,7 @@
 //
 //   ParallelTrainer ──epoch_callback──▶ TopKServer ◀── NetServer ◀── TCP
 //        (Mars Fit, Hogwild)    PublishEpoch   (ANN full-probe,    (epoll)
-//                                              coalescing, LRU)
+//                                              batching, LRU)
 //
 // One actor thread per spec.num_actors drives a NetClient over loopback
 // through its slice of the trace; a trainer thread keeps publishing

@@ -1,7 +1,6 @@
 #include "serve/top_k_server.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "common/check.h"
@@ -193,11 +192,6 @@ void TopKServer::TruncateToK(uint32_t k, TopKResponse* out) {
 TopKResponse TopKServer::ServeOne(UserId u, bool bypass_cache) {
   TopKResponse result;
   if (!bypass_cache && TryCacheHit(u, &result)) return result;
-  // Pool workers bypass the coalescer: a worker parked behind another
-  // miss's batch could be a worker that batch's RunBatch fan-out needs.
-  if (options_.pool == nullptr || !options_.pool->IsWorkerThread()) {
-    return CoalescedMiss(u);
-  }
   std::vector<TopKResponse> results(1);
   const uint64_t pinned_epoch = SweepMisses({&u, 1}, &results);
   InsertMissEntry(u, results[0], pinned_epoch);
@@ -219,8 +213,7 @@ TopKResponse TopKServer::TopK(UserId u) {
 }
 
 uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
-                                 std::vector<TopKResponse>* results,
-                                 size_t extra_requests) {
+                                 std::vector<TopKResponse>* results) {
   // Pin the current epoch once for the whole batch and sweep it outside
   // every lock — the maintenance side may publish the next epoch
   // mid-sweep without blocking us, and other stripes keep serving hits
@@ -247,8 +240,7 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
     // The batching counters describe multi-user sweeps only: a batch of
     // one is a plain miss, however it reached this point.
     batch_sweeps_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_misses_.fetch_add(users.size() + extra_requests,
-                                std::memory_order_relaxed);
+    coalesced_misses_.fetch_add(users.size(), std::memory_order_relaxed);
     uint64_t seen = max_batch_.load(std::memory_order_relaxed);
     while (seen < users.size() &&
            !max_batch_.compare_exchange_weak(seen, users.size(),
@@ -256,11 +248,9 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
     }
   }
   if (ann_ok) {
-    ann_probes_.fetch_add(users.size() + extra_requests,
-                          std::memory_order_relaxed);
+    ann_probes_.fetch_add(users.size(), std::memory_order_relaxed);
   } else {
-    exact_fallbacks_.fetch_add(users.size() + extra_requests,
-                               std::memory_order_relaxed);
+    exact_fallbacks_.fetch_add(users.size(), std::memory_order_relaxed);
   }
   for (TopKResponse& r : *results) {
     r.epoch = pinned_epoch;
@@ -311,86 +301,6 @@ void TopKServer::InsertMissEntry(UserId u, const TopKResponse& result,
   }
 }
 
-TopKResponse TopKServer::CoalescedMiss(UserId u) {
-  PendingMiss self;
-  self.user = u;
-  std::unique_lock<std::mutex> lock(batch_mu_);
-  batch_queue_.push_back(&self);
-  if (batch_leader_active_ && options_.batch.window_us > 0) {
-    // A leader may be inside its gathering window — let it see us.
-    batch_cv_.notify_all();
-  }
-  while (!self.done && batch_leader_active_) batch_cv_.wait(lock);
-  if (self.done) return std::move(self.result);
-
-  // No leader running: this miss leads the next batch. Claim ourselves
-  // plus up to batch.max_batch - 1 queued misses, FIFO; anything
-  // beyond the cap stays queued for the next leader.
-  batch_leader_active_ = true;
-  const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
-  batch_queue_.erase(
-      std::find(batch_queue_.begin(), batch_queue_.end(), &self));
-  if (options_.batch.window_us > 0 && batch_queue_.size() + 1 < cap) {
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::microseconds(options_.batch.window_us);
-    batch_cv_.wait_until(lock, deadline,
-                         [&] { return batch_queue_.size() + 1 >= cap; });
-  }
-  std::vector<PendingMiss*> batch;
-  batch.reserve(std::min(cap, batch_queue_.size() + 1));
-  batch.push_back(&self);
-  while (!batch_queue_.empty() && batch.size() < cap) {
-    batch.push_back(batch_queue_.front());
-    batch_queue_.pop_front();
-  }
-  lock.unlock();
-
-  // Dedupe: concurrent misses for one user share a single sweep slot
-  // (uncoalesced misses would sweep them redundantly — wasted work, same
-  // answer).
-  std::vector<UserId> users;
-  std::vector<size_t> slot(batch.size());
-  users.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    size_t s = 0;
-    while (s < users.size() && users[s] != batch[i]->user) ++s;
-    if (s == users.size()) users.push_back(batch[i]->user);
-    slot[i] = s;
-  }
-  std::vector<TopKResponse> results;
-  const uint64_t pinned_epoch =
-      SweepMisses(users, &results, batch.size() - users.size());
-  for (size_t s = 0; s < users.size(); ++s) {
-    InsertMissEntry(users[s], results[s], pinned_epoch);
-  }
-  // Members beyond the first per user shared the sweep, but each was a
-  // missed query of its own: count them so hits + misses stays the
-  // query count (InsertMissEntry counted the first occurrences).
-  std::vector<bool> seen(users.size(), false);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    if (!seen[slot[i]]) {
-      seen[slot[i]] = true;
-      continue;
-    }
-    Stripe& stripe = stripes_[StripeOf(batch[i]->user)];
-    std::unique_lock<std::mutex> stripe_lock(stripe.mu);
-    ++stripe.misses;
-  }
-
-  lock.lock();
-  for (size_t i = 0; i < batch.size(); ++i) {
-    batch[i]->result = results[slot[i]];
-    batch[i]->done = true;
-  }
-  batch_leader_active_ = false;
-  lock.unlock();
-  // Wake the claimed members (their results are in) and whichever queued
-  // miss becomes the next leader.
-  batch_cv_.notify_all();
-  return std::move(self.result);
-}
-
 std::vector<TopKResponse> TopKServer::TopKBatch(
     std::span<const TopKRequest> requests) {
   std::vector<TopKResponse> out(requests.size());
@@ -420,14 +330,12 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
     miss_users.push_back(u);
   }
   if (miss_users.empty()) return out;
-  // Misses go out in groups of batch.max_batch — the same cap the
-  // coalescer honors, bounding the per-chunk score buffers for arbitrarily
-  // large requests. Each group pins its own epoch, like consecutive TopK
-  // calls.
-  const size_t cap = std::max<size_t>(1, options_.batch.max_batch);
+  // Misses go out in groups of kMaxBatch, bounding the per-chunk score
+  // buffers for arbitrarily large requests. Each group pins its own epoch,
+  // like consecutive TopK calls.
   std::vector<TopKResponse> results(miss_users.size());
-  for (size_t base = 0; base < miss_users.size(); base += cap) {
-    const size_t n = std::min(cap, miss_users.size() - base);
+  for (size_t base = 0; base < miss_users.size(); base += kMaxBatch) {
+    const size_t n = std::min(kMaxBatch, miss_users.size() - base);
     std::vector<TopKResponse> group;
     const uint64_t pinned_epoch =
         SweepMisses({miss_users.data() + base, n}, &group);
@@ -462,14 +370,13 @@ void TopKServer::BatchSweep(const ItemScorer& model,
   const size_t k = std::min(options_.k, num_items_);
   const ImplicitDataset* exclude = options_.exclude_interactions;
 
-  const bool parallel_ok = options_.pool != nullptr && model.thread_safe() &&
-                           !options_.pool->IsWorkerThread();
-  const size_t chunks = std::min(
-      num_items_,
-      std::max<size_t>(1, !parallel_ok ? 1
-                          : options_.sweep_shards > 0
-                              ? options_.sweep_shards
-                              : options_.pool->num_threads()));
+  // One chunk per pool thread. A pool worker sweeps serially: the pool is
+  // not re-entrant, so a task must never RunBatch on it.
+  const size_t chunks =
+      options_.pool == nullptr || options_.pool->IsWorkerThread()
+          ? 1
+          : std::min(num_items_,
+                     std::max<size_t>(1, options_.pool->num_threads()));
 
   // chunks x B candidate pools, chunk-major: each chunk task owns a
   // contiguous run and never touches another task's pools.
@@ -522,11 +429,6 @@ void TopKServer::BatchSweep(const ItemScorer& model,
 
   if (chunks > 1) {
     options_.pool->RunBatch(chunks, scan_chunk);
-  } else if (!model.thread_safe()) {
-    // A model with shared internal scoring scratch cannot even be swept
-    // serially from two frontend threads at once.
-    std::unique_lock<std::mutex> lock(serial_model_mu_);
-    scan_chunk(0);
   } else {
     scan_chunk(0);
   }
@@ -562,10 +464,6 @@ void TopKServer::AnnBatchSweep(const ItemScorer& model,
   queries.resize(B * index.dim());
   if (cands.size() < B) cands.resize(B);
   for (size_t b = 0; b < B; ++b) cands[b].clear();
-  // Shared-scratch models are probed and re-ranked under the serial-model
-  // lock, like BatchSweep's serial scan.
-  std::unique_lock<std::mutex> model_lock(serial_model_mu_, std::defer_lock);
-  if (!model.thread_safe()) model_lock.lock();
   for (size_t b = 0; b < B; ++b) {
     wants[b] = AnnWant(users[b]);
     model.WriteIndexQuery(users[b], queries.data() + b * index.dim());
@@ -730,69 +628,62 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
   // catalog sizes). The threshold only tightens when accepts pile up.
   std::pair<float, ItemId> threshold = old_kth;
   bool has_threshold = old_full;
-  {
-    // Same guard as the miss sweeps: a model with shared internal scoring
-    // scratch must not be scored here while a frontend miss sweeps it.
-    std::unique_lock<std::mutex> model_lock(serial_model_mu_,
-                                            std::defer_lock);
-    if (!model.thread_safe()) model_lock.lock();
-    if (ann != nullptr) {
-      // ANN candidate path: one probe of the rebuilt index supplies the
-      // dirty-shard candidates, and only those few are exact-scored. The
-      // want is the miss path's own (AnnWant: k·overfetch, widened by the
-      // user's exclusion count), which is what makes an exhaustive probe
-      // sufficient: any dirty item that can enter the new top-k ranks in
-      // the global top-(k + excluded) under the new snapshot, so it is in
-      // the probe set; every clean item above the old cutoff is already a
-      // survivor. The acceptance threshold and exactness cutoff below are
-      // shared with the exact path, so the refreshed entry — and the drop
-      // decision — match it bit for bit (an approximate probe costs
-      // candidate coverage only, the usual ANN recall axis).
-      ann_refresh_probes_.fetch_add(1, std::memory_order_relaxed);
-      scratch->query.resize(ann->dim());
-      model.WriteIndexQuery(u, scratch->query.data());
-      scratch->probe_ids.clear();
-      ann->Probe(scratch->query.data(), AnnWant(u), &scratch->probe_ids);
-      std::vector<ItemId>& dirty_cands = scratch->dirty_cands;
-      dirty_cands.clear();
-      for (const ItemId v : scratch->probe_ids) {
-        const size_t s = FacetStore::ShardOf(num_items_, v, item_shards_);
-        if (!std::binary_search(dirty.begin(), dirty.end(), s)) continue;
+  if (ann != nullptr) {
+    // ANN candidate path: one probe of the rebuilt index supplies the
+    // dirty-shard candidates, and only those few are exact-scored. The
+    // want is the miss path's own (AnnWant: k·overfetch, widened by the
+    // user's exclusion count), which is what makes an exhaustive probe
+    // sufficient: any dirty item that can enter the new top-k ranks in
+    // the global top-(k + excluded) under the new snapshot, so it is in
+    // the probe set; every clean item above the old cutoff is already a
+    // survivor. The acceptance threshold and exactness cutoff below are
+    // shared with the exact path, so the refreshed entry — and the drop
+    // decision — match it bit for bit (an approximate probe costs
+    // candidate coverage only, the usual ANN recall axis).
+    ann_refresh_probes_.fetch_add(1, std::memory_order_relaxed);
+    scratch->query.resize(ann->dim());
+    model.WriteIndexQuery(u, scratch->query.data());
+    scratch->probe_ids.clear();
+    ann->Probe(scratch->query.data(), AnnWant(u), &scratch->probe_ids);
+    std::vector<ItemId>& dirty_cands = scratch->dirty_cands;
+    dirty_cands.clear();
+    for (const ItemId v : scratch->probe_ids) {
+      const size_t s = FacetStore::ShardOf(num_items_, v, item_shards_);
+      if (!std::binary_search(dirty.begin(), dirty.end(), s)) continue;
+      if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
+      dirty_cands.push_back(v);
+    }
+    if (!dirty_cands.empty()) {
+      scratch->scores.resize(dirty_cands.size());
+      model.ScoreItems(u, dirty_cands, scratch->scores.data());
+      for (size_t i = 0; i < dirty_cands.size(); ++i) {
+        const std::pair<float, ItemId> cand{scratch->scores[i],
+                                            dirty_cands[i]};
+        // Strictly-worse rejection, as below: the old k-th member must
+        // survive its shard being dirtied.
+        if (has_threshold && RanksBetter(threshold, cand)) continue;
+        candidates.push_back(cand);
+      }
+    }
+  } else {
+    const size_t buf_cap = candidates.size() + 4 * k;
+    for (const size_t s : dirty) {
+      const auto [begin, end] =
+          FacetStore::ShardRange(num_items_, s, item_shards_);
+      if (begin >= end) continue;
+      scratch->scores.resize(end - begin);
+      model.ScoreItemRange(u, begin, end, scratch->scores.data());
+      for (ItemId v = begin; v < end; ++v) {
         if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
-        dirty_cands.push_back(v);
-      }
-      if (!dirty_cands.empty()) {
-        scratch->scores.resize(dirty_cands.size());
-        model.ScoreItems(u, dirty_cands, scratch->scores.data());
-        for (size_t i = 0; i < dirty_cands.size(); ++i) {
-          const std::pair<float, ItemId> cand{scratch->scores[i],
-                                              dirty_cands[i]};
-          // Strictly-worse rejection, as below: the old k-th member must
-          // survive its shard being dirtied.
-          if (has_threshold && RanksBetter(threshold, cand)) continue;
-          candidates.push_back(cand);
-        }
-      }
-    } else {
-      const size_t buf_cap = candidates.size() + 4 * k;
-      for (const size_t s : dirty) {
-        const auto [begin, end] =
-            FacetStore::ShardRange(num_items_, s, item_shards_);
-        if (begin >= end) continue;
-        scratch->scores.resize(end - begin);
-        model.ScoreItemRange(u, begin, end, scratch->scores.data());
-        for (ItemId v = begin; v < end; ++v) {
-          if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
-          const std::pair<float, ItemId> cand{scratch->scores[v - begin], v};
-          // Reject only what is *strictly* worse than the threshold — the
-          // old k-th member itself must survive its shard being dirtied.
-          if (has_threshold && RanksBetter(threshold, cand)) continue;
-          candidates.push_back(cand);
-          if (candidates.size() >= buf_cap) {
-            CompactTopK(&candidates, k);
-            threshold = candidates[k - 1];
-            has_threshold = true;
-          }
+        const std::pair<float, ItemId> cand{scratch->scores[v - begin], v};
+        // Reject only what is *strictly* worse than the threshold — the
+        // old k-th member itself must survive its shard being dirtied.
+        if (has_threshold && RanksBetter(threshold, cand)) continue;
+        candidates.push_back(cand);
+        if (candidates.size() >= buf_cap) {
+          CompactTopK(&candidates, k);
+          threshold = candidates[k - 1];
+          has_threshold = true;
         }
       }
     }

@@ -88,9 +88,7 @@
 #define MARS_SERVE_TOP_K_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -148,49 +146,22 @@ struct AnnOptions {
   std::shared_ptr<const SphericalIvfIndex> prebuilt;
 };
 
-/// Miss-batching knobs (TopKServerOptions::batch).
-///
-/// Every TopK miss goes through the coalescer: concurrent misses that land
-/// while another miss is sweeping queue up and are served together as one
-/// multi-user batched sweep (ScoreItemRangeMulti / ProbeBatch — each item
-/// row is streamed once per batch instead of once per user). A batch of B
-/// is bit-identical to B batches of one against the same pinned snapshot,
-/// and each user caches under its own pinned-epoch rule, so coalescing
-/// changes throughput, never answers. An uncontended miss pays one
-/// uncontended mutex hop and sweeps alone — no added latency. Pool worker
-/// threads bypass the coalescer: a worker waiting on another miss's sweep
-/// could deadlock the pool that sweep fans over.
-struct BatchOptions {
-  /// Users per coalesced batch, at most (bounds the per-chunk score
-  /// buffers; excess queued misses form the next batch).
-  size_t max_batch = 16;
-  /// Optional gathering window: a batch leader waits up to this long for
-  /// more misses to queue before sweeping. 0 (default) adds no latency —
-  /// batches then form only from misses that queued behind an in-flight
-  /// sweep, which is where the win is under real concurrency.
-  size_t window_us = 0;
-};
-
-/// Serving knobs. The cache/ann/batch sprawl lives in nested groups so
-/// callers can carry, default, and document each concern as a unit; every
-/// group is a plain aggregate, so field-for-field designated
-/// initialization keeps working at every level.
+/// Serving knobs. The cache/ann sprawl lives in nested groups so callers
+/// can carry, default, and document each concern as a unit; every group is
+/// a plain aggregate, so field-for-field designated initialization keeps
+/// working at every level.
 struct TopKServerOptions {
   /// Recommendations per query. Results are (score desc, item id asc);
   /// fewer than k come back when the catalog (minus exclusions) is smaller.
   size_t k = 10;
-  /// Fan-out chunks of the exact sweep; 0 means one per pool thread (or 1
-  /// serial).
-  size_t sweep_shards = 0;
-  /// Pool for the parallel sweep (may be null → serial sweep). Models
-  /// whose thread_safe() is false are swept serially regardless, and the
-  /// server serializes their sweeps across frontend threads too.
+  /// Pool for the exact sweep, which scans one item chunk per pool thread
+  /// (null → one serial chunk). A miss served on a pool worker thread
+  /// sweeps serially.
   ThreadPool* pool = nullptr;
   /// When set, items the user already interacted with are not recommended.
   const ImplicitDataset* exclude_interactions = nullptr;
   CacheOptions cache;
   AnnOptions ann;
-  BatchOptions batch;
 };
 
 /// Serving-side counters (cumulative since construction).
@@ -215,11 +186,9 @@ struct TopKServerStats {
                                     // above stays exact. refreshed +
                                     // refresh_drops - ann_refresh_probes
                                     // = exact-path refresh attempts.
-  // Batching efficacy (the miss coalescer + TopKBatch; a "batch" here is
-  // a multi-user sweep of >= 2 users — lone misses don't count):
+  // Batching efficacy (TopKBatch; a "batch" here is a multi-user sweep of
+  // >= 2 users — lone misses don't count):
   uint64_t coalesced_misses = 0;  // misses served by a multi-user sweep
-                                  // (duplicate concurrent misses for one
-                                  // user each count — they were misses)
   uint64_t batch_sweeps = 0;      // multi-user sweeps executed
   uint64_t max_batch_size = 0;    // largest batch swept so far
   double mean_batch_size = 0.0;   // coalesced_misses / batch_sweeps
@@ -230,6 +199,10 @@ struct TopKServerStats {
 /// epoch-swapped snapshots, incremental shard-granular invalidation.
 class TopKServer {
  public:
+  /// Users per multi-user sweep, at most: TopKBatch sweeps its misses in
+  /// groups of this many, bounding the per-chunk score buffers.
+  static constexpr size_t kMaxBatch = 16;
+
   /// `model` scores the catalog [0, num_items) for users [0, num_users);
   /// the server shares ownership, so the snapshot stays alive for as long
   /// as any in-flight query has it pinned.
@@ -253,12 +226,10 @@ class TopKServer {
   /// and in-process callers share): cache hit, or a full-catalog sweep of
   /// the pinned snapshot that fills the cache. Safe to call concurrently
   /// from any number of threads, including while the maintenance path
-  /// publishes. A miss that arrives while another miss is sweeping joins
-  /// the next multi-user batched sweep (BatchOptions) — same answer, one
-  /// streaming pass over the catalog for the whole batch. Concurrent
-  /// misses for the same user then share one sweep instead of sweeping
-  /// redundantly (each still counts as its own miss, so hits + misses
-  /// stays the query count).
+  /// publishes. Each miss sweeps alone; concurrent misses for the same
+  /// user sweep redundantly (each counts as its own miss, so hits + misses
+  /// stays the query count). Callers with several users in hand batch
+  /// them through TopKBatch.
   ///
   /// A malformed request (user outside the catalog, k above options().k,
   /// unknown flag bits) is *reported* — empty response with the matching
@@ -400,14 +371,6 @@ class TopKServer {
     std::vector<ItemId> dirty_cands;
   };
 
-  /// One miss waiting in the coalescer: filled in and flagged done by the
-  /// batch leader that claims it, under batch_mu_.
-  struct PendingMiss {
-    UserId user = 0;
-    TopKResponse result;
-    bool done = false;
-  };
-
   size_t StripeOf(UserId u) const;
 
   /// Request validation shared by TopK(request) and TopKBatch(requests):
@@ -416,8 +379,7 @@ class TopKServer {
   bool ValidateRequest(const TopKRequest& request, TopKResponse* out) const;
 
   /// Serves one well-formed user query: cache hit unless `bypass_cache`,
-  /// else the (possibly coalesced) miss path. The core behind both TopK
-  /// forms.
+  /// else a miss swept alone. The core behind both TopK forms.
   TopKResponse ServeOne(UserId u, bool bypass_cache);
 
   /// Truncates a configured-depth response to a smaller requested k (a
@@ -430,40 +392,28 @@ class TopKServer {
   /// returns true.
   bool TryCacheHit(UserId u, TopKResponse* out);
 
-  /// The one miss path, shared by TopK, the coalescer and TopKBatch: pins
-  /// one (snapshot, epoch) for the whole span of users, runs one exact
-  /// sweep (BatchSweep) or one ANN sweep (AnnBatchSweep) over all of them
-  /// — a lone miss is a span of one — stamps per-result epochs, and
-  /// attributes stats. `users` must be deduplicated and non-empty; returns
-  /// the pinned epoch. `extra_requests` is the number of duplicate miss
-  /// *queries* beyond the deduped users this sweep also serves (the
-  /// coalescer counts each caller as a miss of its own, so the per-path
-  /// counters must too — `ann_probes + exact_fallbacks == misses` stays
-  /// exact). The batching counters see only spans of >= 2 users.
+  /// The one miss path, shared by TopK and TopKBatch: pins one (snapshot,
+  /// epoch) for the whole span of users, runs one exact sweep
+  /// (BatchSweep) or one ANN sweep (AnnBatchSweep) over all of them — a
+  /// lone miss is a span of one — stamps per-result epochs, and attributes
+  /// stats. `users` must be deduplicated and non-empty; returns the pinned
+  /// epoch. The batching counters see only spans of >= 2 users.
   uint64_t SweepMisses(std::span<const UserId> users,
-                       std::vector<TopKResponse>* results,
-                       size_t extra_requests = 0);
+                       std::vector<TopKResponse>* results);
 
   /// Caches a finished miss for `u` under the pinned-epoch rule (and
-  /// counts the miss) — the tail of every miss, shared by TopK, the
-  /// coalescer and TopKBatch so every batch member inserts exactly as a
-  /// lone miss would.
+  /// counts the miss) — the tail of every miss, shared by TopK and
+  /// TopKBatch so every batch member inserts exactly as a lone miss would.
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
-
-  /// The coalesced miss path (see BatchOptions): queue behind an in-flight
-  /// sweep, else become the leader, claim up to batch.max_batch queued
-  /// misses and sweep them as one batch.
-  TopKResponse CoalescedMiss(UserId u);
 
   /// Exact full-catalog sweep for B >= 1 users: one RunBatch job per
   /// item chunk scores *all* users per block through ScoreItemRangeMulti
   /// (ScoreItemRange for a lone user), then runs the per-user bounded
   /// selection while the block's score rows are cache-hot; the per-(user,
   /// chunk) pools merge exactly, so a batch of B ranks bit-identically to
-  /// B batches of one. Runs outside every stripe lock; fans out over the
-  /// pool when the model allows it and the calling thread is not itself a
-  /// pool worker.
+  /// B batches of one. Runs outside every stripe lock; fans out one chunk
+  /// per pool thread unless the calling thread is itself a pool worker.
   void BatchSweep(const ItemScorer& model, std::span<const UserId> users,
                   std::vector<TopKResponse>* results);
 
@@ -535,24 +485,10 @@ class TopKServer {
 
   std::vector<Stripe> stripes_;
 
-  /// Miss coalescer (reader-side): misses queue here while a batch leader
-  /// sweeps; the leader claims up to batch.max_batch of them on its
-  /// way out. batch_mu_ only ever guards queue/flag manipulation — sweeps
-  /// run outside it, so the hot uncontended miss pays one mutex hop.
-  std::mutex batch_mu_;
-  std::condition_variable batch_cv_;
-  std::deque<PendingMiss*> batch_queue_;
-  bool batch_leader_active_ = false;
-
   /// Batching efficacy counters (multi-user sweeps only; see stats()).
   std::atomic<uint64_t> batch_sweeps_{0};
   std::atomic<uint64_t> coalesced_misses_{0};
   std::atomic<uint64_t> max_batch_{0};
-
-  /// Serializes sweeps of models whose thread_safe() is false (shared
-  /// internal scoring scratch): concurrent queries would race it even on
-  /// the serial sweep path.
-  std::mutex serial_model_mu_;
 };
 
 }  // namespace mars

@@ -223,7 +223,7 @@ TEST(SphericalIvfIndexTest, RebuiltDirtyShardsEqualsRebuiltAll) {
 TEST(SphericalIvfIndexTest, ProbeBatchMatchesSequentialProbes) {
   // The shared-centroid-scan override: per query, the batched candidate
   // set must be bit-identical to a solo Probe — including the mixed
-  // want-widths the serving coalescer produces (exclusion-widened
+  // want-widths a multi-user miss sweep produces (exclusion-widened
   // overfetch per user) and the want >= catalog full-append path.
   const size_t kItems = 400, kDim = 8, kQueries = 5;
   DotScorer model(kQueries, kItems, kDim, 8);

@@ -289,8 +289,8 @@ TEST_P(BatchKernelShapes, NearestCentroidDotBatchMatchesArgmax) {
 }
 
 // --- Multi-user forms: the contract is *bit*-identity per user against
-// the single-user kernel (EXPECT_EQ, no tolerance) — the serving
-// coalescer's batch≡solo guarantee bottoms out here. B values cover the
+// the single-user kernel (EXPECT_EQ, no tolerance) — the multi-user miss
+// sweep's batch≡solo guarantee bottoms out here. B values cover the
 // quad remainders (1..5, 8); n values cover the 16-, 8-, and scalar-tail
 // code paths.
 

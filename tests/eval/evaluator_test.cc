@@ -216,19 +216,5 @@ TEST(EvaluatorTest, GroupedMatchesUngroupedWhenSingleGroup) {
   EXPECT_EQ(grouped[0].users_evaluated, whole.users_evaluated);
 }
 
-TEST(EvaluatorTest, ThreadUnsafeScorerFallsBackToSerial) {
-  EvalFixture f;
-  Evaluator eval(*f.split.train, f.split.test_item, EvalProtocol{});
-  class UnsafeScorer : public FixedScorer {
-   public:
-    UnsafeScorer() : FixedScorer(std::vector<float>(300, 0.5f)) {}
-    bool thread_safe() const override { return false; }
-  } unsafe;
-  ThreadPool pool(4);
-  // Must not crash and must produce the serial result.
-  const RankingMetrics m = eval.Evaluate(unsafe, &pool);
-  EXPECT_EQ(m.users_evaluated, eval.NumEvalUsers());
-}
-
 }  // namespace
 }  // namespace mars

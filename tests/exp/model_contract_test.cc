@@ -1,7 +1,7 @@
 // Contract tests every model in the zoo must satisfy: trains without
 // crashing, produces finite deterministic scores, batch scoring matches
 // pointwise scoring, beats random ranking, and parallel evaluation agrees
-// with serial evaluation (respecting the thread_safe() declaration).
+// with serial evaluation (every model's scoring is reentrant).
 #include <cmath>
 #include <memory>
 

@@ -17,8 +17,8 @@ TEST(MlpTest, ForwardShapes) {
   EXPECT_EQ(mlp.in_dim(), 8u);
   EXPECT_EQ(mlp.out_dim(), 4u);
   EXPECT_EQ(mlp.num_layers(), 2u);
-  std::vector<float> x(8, 0.5f);
-  const float* y = mlp.Forward(x.data());
+  std::vector<float> x(8, 0.5f), buf(mlp.buffer_size());
+  const float* y = mlp.Forward(x.data(), buf.data());
   for (size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(std::isfinite(y[i]));
   }
@@ -27,8 +27,8 @@ TEST(MlpTest, ForwardShapes) {
 TEST(MlpTest, ReluClampsNegativePreActivations) {
   Rng rng(2);
   DenseLayer layer(2, 2, Activation::kRelu, &rng);
-  std::vector<float> x = {100.0f, -100.0f};
-  const float* y = layer.Forward(x.data());
+  std::vector<float> x = {100.0f, -100.0f}, pre(2), y(2);
+  layer.Forward(x.data(), pre.data(), y.data());
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_GE(y[i], 0.0f);
   }
@@ -42,17 +42,19 @@ TEST(MlpTest, DenseLayerInputGradientMatchesFiniteDifference) {
   for (auto& v : x) v = static_cast<float>(rng.Normal());
 
   // Loss = sum(outputs); dL/dy = 1.
+  std::vector<float> pre(3), y(3);
   auto loss = [&](const float* input) {
-    const float* y = layer.Forward(input);
+    layer.Forward(input, pre.data(), y.data());
     float total = 0.0f;
     for (size_t i = 0; i < 3; ++i) total += y[i];
     return total;
   };
 
-  layer.Forward(x.data());
+  layer.Forward(x.data(), pre.data(), y.data());
   std::vector<float> grad_out(3, 1.0f), grad_in(5);
   // lr = 0 → pure gradient computation, no weight update.
-  layer.Backward(x.data(), grad_out.data(), 0.0f, 0.0f, grad_in.data());
+  layer.Backward(x.data(), pre.data(), grad_out.data(), 0.0f, 0.0f,
+                 grad_in.data());
 
   const float eps = 1e-3f;
   for (size_t i = 0; i < 5; ++i) {
@@ -70,15 +72,17 @@ TEST(MlpTest, MlpInputGradientMatchesFiniteDifference) {
   std::vector<float> x(4);
   for (auto& v : x) v = static_cast<float>(rng.Normal());
 
+  std::vector<float> buf(mlp.buffer_size());
   auto loss = [&](const float* input) {
-    const float* y = mlp.Forward(input);
+    const float* y = mlp.Forward(input, buf.data());
     return y[0] * 2.0f + y[1];
   };
 
-  mlp.Forward(x.data());
+  mlp.Forward(x.data(), buf.data());
   std::vector<float> grad_out = {2.0f, 1.0f};
   std::vector<float> grad_in(4);
-  mlp.Backward(x.data(), grad_out.data(), 0.0f, 0.0f, grad_in.data());
+  mlp.Backward(x.data(), buf.data(), grad_out.data(), 0.0f, 0.0f,
+               grad_in.data());
 
   const float eps = 1e-3f;
   for (size_t i = 0; i < 4; ++i) {
@@ -94,10 +98,11 @@ TEST(MlpTest, TrainingReducesLossOnToyRegression) {
   // Learn y = x0 - x1 with a small MLP and per-sample SGD.
   Rng rng(5);
   Mlp mlp({2, 8, 1}, Activation::kIdentity, &rng);
+  std::vector<float> buf(mlp.buffer_size());
   auto sample_loss = [&](float x0, float x1) {
     const float target = x0 - x1;
     std::vector<float> x = {x0, x1};
-    const float pred = mlp.Forward(x.data())[0];
+    const float pred = mlp.Forward(x.data(), buf.data())[0];
     return 0.5f * (pred - target) * (pred - target);
   };
   // Initial average loss.
@@ -116,9 +121,10 @@ TEST(MlpTest, TrainingReducesLossOnToyRegression) {
     const float b = static_cast<float>(data_rng.Uniform(-1, 1));
     const float target = a - b;
     std::vector<float> x = {a, b};
-    const float pred = mlp.Forward(x.data())[0];
+    const float pred = mlp.Forward(x.data(), buf.data())[0];
     std::vector<float> grad_out = {pred - target};
-    mlp.Backward(x.data(), grad_out.data(), 0.05f, 0.0f, nullptr);
+    mlp.Backward(x.data(), buf.data(), grad_out.data(), 0.05f, 0.0f,
+                 nullptr);
   }
   float after = 0.0f;
   for (const auto& [a, b] : test_points) after += sample_loss(a, b);
@@ -128,10 +134,10 @@ TEST(MlpTest, TrainingReducesLossOnToyRegression) {
 TEST(MlpTest, BackwardWithNullGradInIsSafe) {
   Rng rng(7);
   Mlp mlp({3, 4, 2}, Activation::kRelu, &rng);
-  std::vector<float> x = {1.0f, -1.0f, 0.5f};
-  mlp.Forward(x.data());
+  std::vector<float> x = {1.0f, -1.0f, 0.5f}, buf(mlp.buffer_size());
+  mlp.Forward(x.data(), buf.data());
   std::vector<float> grad_out = {1.0f, 1.0f};
-  mlp.Backward(x.data(), grad_out.data(), 0.01f, 0.0f, nullptr);
+  mlp.Backward(x.data(), buf.data(), grad_out.data(), 0.01f, 0.0f, nullptr);
   SUCCEED();
 }
 
@@ -140,10 +146,12 @@ TEST(MlpTest, L2RegularizationShrinksWeights) {
   DenseLayer layer(2, 2, Activation::kIdentity, &rng);
   const float w_before = layer.weights().FrobeniusNorm();
   std::vector<float> x = {0.0f, 0.0f};  // zero input → pure decay
-  layer.Forward(x.data());
+  std::vector<float> pre(2), y(2);
+  layer.Forward(x.data(), pre.data(), y.data());
   std::vector<float> grad_out = {0.0f, 0.0f};
   for (int i = 0; i < 100; ++i) {
-    layer.Backward(x.data(), grad_out.data(), 0.1f, 0.1f, nullptr);
+    layer.Backward(x.data(), pre.data(), grad_out.data(), 0.1f, 0.1f,
+                   nullptr);
   }
   EXPECT_LT(layer.weights().FrobeniusNorm(), w_before * 0.5f);
 }

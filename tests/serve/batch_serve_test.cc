@@ -1,12 +1,12 @@
-// Batched multi-user serving: TopKBatch and the miss coalescer.
+// Batched multi-user serving: TopKBatch, and concurrent TopK misses.
 //
 // The contract under test is bit-identity: every answer produced by a
 // multi-user batched sweep (ScoreItemRangeMulti block kernels, shared
 // ProbeBatch on the ANN path) must equal — items AND float scores — the
 // answer a solo TopK computes against the same snapshot, for every model
-// the serving layer supports. The coalescer tests additionally race the
-// batching machinery under TSAN (suite names match the ci.sh sanitizer
-// filter) and pin every coalesced response to a published snapshot epoch.
+// the serving layer supports. The concurrent-miss tests race the miss
+// path under TSAN (suite names match the ci.sh sanitizer filter) and pin
+// every response to a published snapshot epoch.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -83,15 +83,27 @@ void ExpectBatchMatchesSolo(Recommender* model, const ImplicitDataset& data,
   }
 }
 
-/// Exact-sweep options shared by the model equivalence cases: forced
-/// multi-shard merge (like the solo equivalence suite) and exclusions on,
-/// so the batched selection handles holes in every block.
+/// Exact-sweep options shared by the model equivalence cases: exclusions
+/// on, so the batched selection handles holes in every block.
 TopKServerOptions ExactOpts(const ImplicitDataset& data) {
   TopKServerOptions opts;
   opts.k = 7;
-  opts.sweep_shards = 5;
   opts.exclude_interactions = &data;
   return opts;
+}
+
+/// The per-model cases run once serially (one chunk) and once over a
+/// pool of 3, whose sweep scans one chunk per pool thread and merges the
+/// chunks' pools (like the solo equivalence suite).
+void ExpectBatchMatchesSoloSerialAndPooled(Recommender* model,
+                                           const ImplicitDataset& data) {
+  ThreadPool pool(3);
+  for (ThreadPool* sweep_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(sweep_pool == nullptr ? "no pool" : "pool of 3");
+    TopKServerOptions opts = ExactOpts(data);
+    opts.pool = sweep_pool;
+    ExpectBatchMatchesSolo(model, data, opts);
+  }
 }
 
 TEST(TopKServerBatchEquivalence, Mars) {
@@ -102,7 +114,7 @@ TEST(TopKServerBatchEquivalence, Mars) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
@@ -116,7 +128,7 @@ TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
   // K = 1 runs the one-facet WeightedFacetDotBatchMulti against the solo
   // WeightedFacetDotBatch: the same row primitive per user, so batch and
   // solo stay bit-equal.
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, MarFree) {
@@ -127,7 +139,7 @@ TEST(TopKServerBatchEquivalence, MarFree) {
   cfg.theta_init_nmf = false;
   Mar model(cfg, FacetParam::kFree);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, MarProjected) {
@@ -138,49 +150,49 @@ TEST(TopKServerBatchEquivalence, MarProjected) {
   cfg.theta_init_nmf = false;
   Mar model(cfg, FacetParam::kProjected);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, Bpr) {
   const auto data = SmallDataset();
   Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, Cml) {
   const auto data = SmallDataset();
   Cml model(CmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, Sml) {
   const auto data = SmallDataset();
   Sml model(SmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, MetricF) {
   const auto data = SmallDataset();
   MetricF model(MetricFConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, TransCf) {
   const auto data = SmallDataset();
   TransCf model(TransCfConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, Lrml) {
   const auto data = SmallDataset();
   Lrml model(LrmlConfig{.dim = 16, .memory_slots = 4});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
+  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
 }
 
 TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
@@ -197,15 +209,14 @@ TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
 }
 
 TEST(TopKServerBatchEquivalence, PoolBackedBatchSweepMatchesSolo) {
-  // chunks > 1: the batched sweep fans RunBatch jobs over the pool, each
+  // Six chunks: the batched sweep fans RunBatch jobs over the pool, each
   // scoring all users of the batch per block.
   const auto data = SmallDataset();
   Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ThreadPool pool(3);
+  ThreadPool pool(6);
   TopKServerOptions opts = ExactOpts(*data);
   opts.pool = &pool;
-  opts.sweep_shards = 6;
   ExpectBatchMatchesSolo(&model, *data, opts);
 }
 
@@ -248,18 +259,22 @@ TEST(TopKServerBatchStats, BatchSweepCountersTrackSizes) {
 }
 
 TEST(TopKServerBatchStats, OversizedBatchSplitsAtTheCoalescerCap) {
+  constexpr size_t kCap = TopKServer::kMaxBatch;
   ToyScorer scorer;
   TopKServerOptions opts;
   opts.k = 4;
-  opts.batch.max_batch = 4;
-  TopKServer server(&scorer, 40, 60, opts);
-  // 10 distinct misses under a cap of 4 sweep as groups of 4 + 4 + 2.
-  server.TopKBatch(std::vector<UserId>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
+  TopKServer server(&scorer, 2 * kCap + 8, 60, opts);
+  // 2·cap + 2 distinct misses sweep as groups of cap + cap + 2.
+  std::vector<UserId> users(2 * kCap + 2);
+  for (size_t i = 0; i < users.size(); ++i) {
+    users[i] = static_cast<UserId>(i);
+  }
+  server.TopKBatch(users);
   const TopKServerStats stats = server.stats();
-  EXPECT_EQ(stats.misses, 10u);
+  EXPECT_EQ(stats.misses, users.size());
   EXPECT_EQ(stats.batch_sweeps, 3u);
-  EXPECT_EQ(stats.coalesced_misses, 10u);
-  EXPECT_EQ(stats.max_batch_size, 4u);
+  EXPECT_EQ(stats.coalesced_misses, users.size());
+  EXPECT_EQ(stats.max_batch_size, kCap);
 }
 
 TEST(TopKServerBatchStats, EmptyAndSingletonBatches) {
@@ -316,52 +331,14 @@ std::vector<std::pair<std::vector<ItemId>, std::vector<float>>> BruteForceAll(
   return out;
 }
 
-TEST(TopKServerCoalesceTest, WindowedLeaderGathersConcurrentMisses) {
-  // Deterministic coalescing: with a gathering window armed and the cap
-  // at the thread count, the first miss leads and waits for the rest, so
-  // the four concurrent misses are served by (at most two, normally one)
-  // multi-user sweeps — and each answer is still the exact ranking.
-  const size_t kUsers = 8, kItems = 200, kK = 5, kThreads = 4;
-  GenScorer scorer(0.0f);
-  const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
-
-  TopKServerOptions opts;
-  opts.k = kK;
-  opts.cache.max_users = 0;  // no cache: every query is a miss
-  opts.batch.max_batch = kThreads;
-  opts.batch.window_us = 2'000'000;  // returns early once all queue up
-  TopKServer server(&scorer, kUsers, kItems, opts);
-
-  std::atomic<size_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      const TopKResponse got = server.TopK(static_cast<UserId>(t));
-      if (got.items != want[t].first || got.scores != want[t].second) {
-        wrong.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(), 0u);
-  const TopKServerStats stats = server.stats();
-  EXPECT_EQ(stats.misses, kThreads);
-  EXPECT_GE(stats.batch_sweeps, 1u);
-  EXPECT_GE(stats.coalesced_misses, 2u);
-  EXPECT_GE(stats.max_batch_size, 2u);
-  EXPECT_LE(stats.max_batch_size, opts.batch.max_batch);
-  EXPECT_GE(stats.mean_batch_size, 2.0);
-}
-
-TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
-  // The coalescer acceptance race (run under TSAN with no suppressions in
+TEST(TopKServerConcurrentMissTest, RacedMissesPinPublishedEpochs) {
+  // The miss-path acceptance race (run under TSAN with no suppressions in
   // scope): query threads hammer an uncached server — every query takes
-  // the coalesced miss path — while the maintenance thread publishes a
-  // stream of model generations. Every response must be bit-identical to
-  // the brute force of the generation its `epoch` field claims: a batch
-  // blending two snapshots, or a result stamped with the wrong epoch,
-  // fails the per-epoch equality.
+  // the miss path — while the maintenance thread publishes a stream of
+  // model generations. Every response must be bit-identical to the brute
+  // force of the generation its `epoch` field claims: a sweep blending two
+  // snapshots, or a result stamped with the wrong epoch, fails the
+  // per-epoch equality.
   const size_t kUsers = 32, kItems = 300, kK = 6;
   const size_t kGenerations = 6, kThreads = 4;
 
@@ -377,7 +354,7 @@ TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
 
   TopKServerOptions opts;
   opts.k = kK;
-  opts.cache.max_users = 0;  // all misses → maximal coalescer pressure
+  opts.cache.max_users = 0;  // all misses
   TopKServer server(generations[0], kUsers, kItems, opts);
 
   std::atomic<bool> done{false};
@@ -408,54 +385,51 @@ TEST(TopKServerCoalesceTest, RacedCoalescedResponsesPinPublishedEpochs) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(wrong.load(), 0u);
-  const TopKServerStats stats = server.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_LE(stats.max_batch_size, opts.batch.max_batch);
-  EXPECT_EQ(stats.coalesced_misses == 0, stats.batch_sweeps == 0);
-  if (stats.batch_sweeps > 0) {
-    EXPECT_GE(stats.mean_batch_size, 2.0);
-    EXPECT_LE(stats.mean_batch_size,
-              static_cast<double>(stats.max_batch_size));
-  }
+  EXPECT_EQ(server.stats().hits, 0u);
 }
 
-TEST(TopKServerCoalesceTest, ConcurrentSameUserMissesShareOneSweep) {
-  // Duplicate concurrent misses coalesce into one sweep slot but still
-  // count one miss each (hits + misses == query count holds), and every
-  // caller gets the full exact answer.
-  const size_t kUsers = 4, kItems = 150, kK = 5, kThreads = 4;
+TEST(TopKServerConcurrentMissTest, ConcurrentSameUserMissesCountEachQuery) {
+  // Concurrent queries for one user, with the cache on and the entry
+  // dropped between rounds: every query is one hit or one miss, every miss
+  // is one ANN probe or one exact fallback, and every caller gets the full
+  // exact answer. Misses that race each other sweep redundantly.
+  const size_t kUsers = 4, kItems = 150, kK = 5, kThreads = 4, kRounds = 50;
   GenScorer scorer(0.0f);
   const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
 
   TopKServerOptions opts;
   opts.k = kK;
-  opts.cache.max_users = 0;
-  opts.batch.max_batch = kThreads;
-  opts.batch.window_us = 2'000'000;
   TopKServer server(&scorer, kUsers, kItems, opts);
 
   const UserId u = 2;
   std::atomic<size_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const TopKResponse got = server.TopK(u);
-      if (got.items != want[u].first || got.scores != want[u].second) {
-        wrong.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
+  for (size_t round = 0; round < kRounds; ++round) {
+    server.InvalidateAll();
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        const TopKResponse got = server.TopK(u);
+        if (got.items != want[u].first || got.scores != want[u].second) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
   }
-  for (auto& th : threads) th.join();
 
   EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_EQ(server.stats().misses, kThreads);
+  const TopKServerStats stats = server.stats();
+  EXPECT_EQ(stats.hits + stats.misses, kThreads * kRounds);
+  EXPECT_GE(stats.misses, kRounds);  // each round's first query misses
+  EXPECT_EQ(stats.ann_probes + stats.exact_fallbacks, stats.misses);
+  EXPECT_EQ(stats.batch_sweeps, 0u);  // TopK misses sweep alone
 }
 
-TEST(TopKServerCoalesceTest, PoolWorkersBypassTheCoalescer) {
+TEST(TopKServerConcurrentMissTest, TopKFromPoolWorkersSweepsSerially) {
   // TopK called *from* pool worker threads (embedded serving inside a
-  // pipeline task) must not park behind another miss's batch — a parked
-  // worker could be the very worker that batch's fan-out needs. The
-  // bypass serves them solo, exactly and without deadlock.
+  // pipeline task) must not fan its sweep out over the pool it runs on —
+  // the pool is not re-entrant. Each worker sweeps its miss serially,
+  // exactly and without deadlock.
   const size_t kUsers = 12, kItems = 200, kK = 5;
   GenScorer scorer(0.0f);
   const auto want = BruteForceAll(scorer, kUsers, kItems, kK);

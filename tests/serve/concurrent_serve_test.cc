@@ -450,77 +450,5 @@ TEST(SnapshotHandleServeTest, AnnQueriesRacingIndexSwapsSeeOnlySnapshots) {
   }
 }
 
-TEST(SnapshotHandleServeTest, NonThreadSafeModelSerializesSweepsAndRefreshes) {
-  // thread_safe() == false means the scorer owns mutable internal scratch
-  // — this one really does — so the server must serialize every scoring
-  // path against every other: miss sweeps across frontend threads AND the
-  // maintenance side's incremental refresh re-scoring. Raced under TSAN
-  // (an unserialized ScoreItemRange here is a hard data race on `buf_`),
-  // and checked for exact answers (a race would also corrupt scores).
-  class ScratchScorer : public ItemScorer {
-   public:
-    float Score(UserId u, ItemId v) const override {
-      return static_cast<float>((v * 37 + u * 11) % 101);
-    }
-    void ScoreItemRange(UserId u, ItemId begin, ItemId end,
-                        float* out) const override {
-      buf_.resize(end - begin);  // shared mutable scratch, on purpose
-      for (ItemId v = begin; v < end; ++v) buf_[v - begin] = Score(u, v);
-      std::copy(buf_.begin(), buf_.end(), out);
-    }
-    bool thread_safe() const override { return false; }
-
-   private:
-    mutable std::vector<float> buf_;
-  };
-
-  const size_t kUsers = 24, kItems = 160, kK = 5, kShards = 8;
-  ScratchScorer scorer;
-  const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
-
-  TopKServerOptions opts;
-  opts.k = kK;
-  opts.cache.max_users = 8;  // eviction churn → steady stream of sweeps
-  opts.cache.stripes = 2;
-  opts.cache.item_shards = kShards;
-  TopKServer server(&scorer, kUsers, kItems, opts);
-  WriteTracker tracker(kUsers, kItems, kShards);
-
-  std::atomic<bool> done{false};
-  std::atomic<size_t> wrong{0};
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < 3; ++t) {
-    threads.emplace_back([&, t] {
-      size_t q = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        const UserId u = static_cast<UserId>((q * 5 + t * 7) % kUsers);
-        const TopKResponse got = server.TopK(u);
-        if (got.items != want[u].first || got.scores != want[u].second) {
-          wrong.fetch_add(1, std::memory_order_relaxed);
-        }
-        ++q;
-      }
-    });
-  }
-  // Maintenance: same model republished with two item shards dirty each
-  // time — the incremental refresh path re-scores through the scorer's
-  // scratch while the query threads sweep it.
-  for (size_t round = 0; round < 8; ++round) {
-    for (ItemId v = 0; v < kItems; ++v) {
-      const size_t s = tracker.ItemShardOf(v);
-      if (s == round % kShards || s == (round + 3) % kShards) {
-        tracker.MarkItem(v);
-      }
-    }
-    server.PublishEpoch(UnownedSnapshot<ItemScorer>(&scorer), &tracker);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  done.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-
-  EXPECT_EQ(wrong.load(), 0u);
-  EXPECT_GT(server.stats().refreshed, 0u);
-}
-
 }  // namespace
 }  // namespace mars

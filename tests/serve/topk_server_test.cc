@@ -84,23 +84,29 @@ TrainOptions QuickTrain() {
   return options;
 }
 
+/// Runs once serially (one chunk) and once over a pool of 3, whose sweep
+/// scans one chunk per pool thread and merges the chunks' pools.
 void ExpectServerMatchesBruteForce(Recommender* model,
                                    const ImplicitDataset& data) {
   const size_t k = 7;
-  TopKServerOptions opts;
-  opts.k = k;
-  opts.sweep_shards = 5;  // force a multi-shard merge even without a pool
-  TopKServer server(model, data.num_users(), data.num_items(), opts);
-  for (UserId u = 0; u < 8; ++u) {
-    const auto [want_items, want_scores] =
-        BruteForceTopK(*model, u, data.num_items(), k);
-    const TopKResponse got = server.TopK(u);
-    ASSERT_EQ(got.items.size(), want_items.size()) << model->name();
-    for (size_t i = 0; i < want_items.size(); ++i) {
-      EXPECT_EQ(got.items[i], want_items[i])
-          << model->name() << " user " << u << " rank " << i;
-      EXPECT_EQ(got.scores[i], want_scores[i])
-          << model->name() << " user " << u << " rank " << i;
+  ThreadPool pool(3);
+  for (ThreadPool* sweep_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(sweep_pool == nullptr ? "no pool" : "pool of 3");
+    TopKServerOptions opts;
+    opts.k = k;
+    opts.pool = sweep_pool;
+    TopKServer server(model, data.num_users(), data.num_items(), opts);
+    for (UserId u = 0; u < 8; ++u) {
+      const auto [want_items, want_scores] =
+          BruteForceTopK(*model, u, data.num_items(), k);
+      const TopKResponse got = server.TopK(u);
+      ASSERT_EQ(got.items.size(), want_items.size()) << model->name();
+      for (size_t i = 0; i < want_items.size(); ++i) {
+        EXPECT_EQ(got.items[i], want_items[i])
+            << model->name() << " user " << u << " rank " << i;
+        EXPECT_EQ(got.scores[i], want_scores[i])
+            << model->name() << " user " << u << " rank " << i;
+      }
     }
   }
 }
@@ -203,7 +209,6 @@ TEST(TopKServerTest, ParallelSweepMatchesSerial) {
   TopKServerOptions par;
   par.k = 9;
   par.pool = &pool;
-  par.sweep_shards = 6;
   TopKServer parallel_server(&model, data->num_users(), data->num_items(),
                              par);
   TopKServerOptions ser;
@@ -218,32 +223,12 @@ TEST(TopKServerTest, ParallelSweepMatchesSerial) {
   }
 }
 
-TEST(TopKServerTest, NonThreadSafeModelIsSweptSeriallyAndCorrectly) {
-  // A pool is configured but the scorer declares thread_safe() == false
-  // (internal scratch): the sweep must fall back to serial — same guard
-  // the evaluator applies — and still produce the pinned ranking.
-  class ScratchScorer : public ToyScorer {
-   public:
-    bool thread_safe() const override { return false; }
-  };
-  ScratchScorer scorer;
-  ThreadPool pool(3);
-  TopKServerOptions opts;
-  opts.k = 6;
-  opts.pool = &pool;
-  opts.sweep_shards = 4;
-  TopKServer server(&scorer, 10, 40, opts);
-  const auto [want_items, want_scores] = BruteForceTopK(scorer, 1, 40, 6);
-  const TopKResponse got = server.TopK(1);
-  EXPECT_EQ(got.items, want_items);
-  EXPECT_EQ(got.scores, want_scores);
-}
-
 TEST(TopKServerTest, KLargerThanCatalogReturnsWholeCatalogRanked) {
   ToyScorer scorer;
+  ThreadPool pool(4);  // four chunks over five items: a merge of short pools
   TopKServerOptions opts;
   opts.k = 50;
-  opts.sweep_shards = 4;
+  opts.pool = &pool;
   TopKServer server(&scorer, /*num_users=*/10, /*num_items=*/5, opts);
   const TopKResponse result = server.TopK(3);
   ASSERT_EQ(result.items.size(), 5u);
@@ -258,9 +243,10 @@ TEST(TopKServerTest, TiesBreakTowardSmallerItemId) {
     float Score(UserId, ItemId) const override { return 1.0f; }
   };
   ConstantScorer scorer;
+  ThreadPool pool(3);  // ties across chunk boundaries
   TopKServerOptions opts;
   opts.k = 4;
-  opts.sweep_shards = 3;
+  opts.pool = &pool;
   TopKServer server(&scorer, 2, 20, opts);
   const TopKResponse result = server.TopK(0);
   EXPECT_EQ(result.items, (std::vector<ItemId>{0, 1, 2, 3}));
@@ -541,7 +527,6 @@ class ShardShiftScorer : public ItemScorer {
     base_->ScoreItemRange(u, begin, end, out);
     for (ItemId v = begin; v < end; ++v) out[v - begin] += Shift(v);
   }
-  bool thread_safe() const override { return base_->thread_safe(); }
 
  private:
   float Shift(ItemId v) const {
