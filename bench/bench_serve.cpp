@@ -7,6 +7,8 @@
 //    swept over nprobe fractions via cheap clones; the committed default
 //    point must keep recall@10 >= 0.95 while beating the cold exact
 //    sweep >= 3x at >= 50k items (scripts/check_bench.py enforces both);
+//    plus the same curve on MARS at the wire benchmark's cold-catalog
+//    shape (`ann_mars`), whose default point must keep recall@10 >= 0.95;
 //
 //  * restart at retrieval scale — one million-item point comparing a
 //    from-scratch index rebuild (k-means + assignment) against mmapping
@@ -72,6 +74,7 @@
 #include "common/vec.h"
 #include "common/snapshot_handle.h"
 #include "common/timer.h"
+#include "core/mars.h"
 #include "data/synthetic.h"
 #include "models/bpr.h"
 #include "net/client.h"
@@ -198,6 +201,92 @@ class RestartScorer : public mars::ItemScorer {
   std::vector<float> user_, item_;
 };
 
+/// Brute-force top-k ids of users [0, num_users), ties to the lower id —
+/// the recall oracle of the ANN sections.
+std::vector<std::vector<mars::ItemId>> OracleTopK(
+    const mars::ItemScorer& model, size_t num_users, size_t num_items,
+    size_t k) {
+  std::vector<mars::ItemId> all_ids(num_items);
+  for (mars::ItemId v = 0; v < num_items; ++v) all_ids[v] = v;
+  std::vector<float> all_scores(num_items);
+  std::vector<std::vector<mars::ItemId>> oracle(num_users);
+  for (mars::UserId u = 0; u < num_users; ++u) {
+    model.ScoreItems(u, all_ids, all_scores.data());
+    std::vector<std::pair<float, mars::ItemId>> ranked(num_items);
+    for (size_t i = 0; i < num_items; ++i) {
+      ranked[i] = {all_scores[i], all_ids[i]};
+    }
+    std::partial_sort(ranked.begin(), ranked.begin() + k, ranked.end(),
+                      [](const auto& a, const auto& b) {
+                        return a.first > b.first ||
+                               (a.first == b.first && a.second < b.second);
+                      });
+    for (size_t i = 0; i < k; ++i) oracle[u].push_back(ranked[i].second);
+  }
+  return oracle;
+}
+
+/// One ANN operating point served end to end (probe + exact re-rank +
+/// rank) by a server on `index`: recall@k of the oracle's users, then the
+/// best-of-bursts latency over never-cached users (disjoint from the
+/// recall sample and across bursts, so every query is an ANN miss).
+AnnPoint EvalAnnPoint(const mars::ItemScorer& model, size_t num_users,
+                      size_t num_items,
+                      std::shared_ptr<const mars::SphericalIvfIndex> index,
+                      const std::vector<std::vector<mars::ItemId>>& oracle,
+                      size_t queries, size_t bursts, double cold_ms,
+                      size_t k) {
+  using namespace mars;
+  AnnPoint p;
+  TopKServerOptions opts;
+  opts.k = k;
+  opts.cache.max_users = num_users;
+  p.nprobe = index->nprobe();
+  opts.ann.prebuilt = std::move(index);
+  TopKServer server(&model, num_users, num_items, opts);
+  const size_t recall_users = oracle.size();
+  size_t hit = 0;
+  for (UserId u = 0; u < recall_users; ++u) {
+    for (const ItemId v : server.TopK(u).items) {
+      hit += std::count(oracle[u].begin(), oracle[u].end(), v);
+    }
+  }
+  p.recall_at_10 = static_cast<double>(hit) / (k * recall_users);
+  for (size_t b = 0; b < bursts; ++b) {
+    Timer t;
+    for (size_t q = 0; q < queries; ++q) {
+      server.TopK(static_cast<UserId>(
+          recall_users + (b * queries + q) % (num_users - recall_users)));
+    }
+    const double ms = t.ElapsedMillis() / queries;
+    p.ms_per_query = b == 0 ? ms : std::min(p.ms_per_query, ms);
+  }
+  p.speedup_vs_cold = p.ms_per_query > 0.0 ? cold_ms / p.ms_per_query : 0.0;
+  return p;
+}
+
+/// Best-of-bursts exact cold sweep through a server without an index:
+/// every query a distinct never-cached user.
+double ColdExactMs(const mars::ItemScorer& model, size_t num_users,
+                   size_t num_items, size_t queries, size_t bursts,
+                   size_t k) {
+  using namespace mars;
+  TopKServerOptions opts;
+  opts.k = k;
+  opts.cache.max_users = num_users;
+  TopKServer server(&model, num_users, num_items, opts);
+  double cold_ms = 0.0;
+  for (size_t b = 0; b < bursts; ++b) {
+    Timer t;
+    for (size_t q = 0; q < queries; ++q) {
+      server.TopK(static_cast<UserId>((b * queries + q) % num_users));
+    }
+    const double ms = t.ElapsedMillis() / queries;
+    cold_ms = b == 0 ? ms : std::min(cold_ms, ms);
+  }
+  return cold_ms;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -322,65 +411,13 @@ int main(int argc, char** argv) {
       ar.num_centroids = base->num_centroids();
       ar.build_ms = build_timer.ElapsedMillis();
 
-      // Brute-force oracle top-k for the recall sample.
       const size_t recall_users = fast ? 50 : 100;
-      std::vector<ItemId> all_ids(num_items);
-      for (ItemId v = 0; v < num_items; ++v) all_ids[v] = v;
-      std::vector<float> all_scores(num_items);
-      std::vector<std::vector<ItemId>> oracle(recall_users);
-      for (UserId u = 0; u < recall_users; ++u) {
-        model.ScoreItems(u, all_ids, all_scores.data());
-        std::vector<std::pair<float, ItemId>> ranked(num_items);
-        for (size_t i = 0; i < num_items; ++i) {
-          ranked[i] = {all_scores[i], all_ids[i]};
-        }
-        std::partial_sort(ranked.begin(), ranked.begin() + kTopK,
-                          ranked.end(), [](const auto& a, const auto& b) {
-                            return a.first > b.first ||
-                                   (a.first == b.first && a.second < b.second);
-                          });
-        for (size_t i = 0; i < kTopK; ++i) {
-          oracle[u].push_back(ranked[i].second);
-        }
-      }
-
+      const auto oracle = OracleTopK(model, recall_users, num_items, kTopK);
       const size_t ann_queries = fast ? 50 : 200;
       const auto eval_point = [&](size_t nprobe) {
-        AnnPoint p;
-        TopKServerOptions aopts;
-        aopts.k = kTopK;
-        aopts.cache.max_users = kUsers;
-        aopts.ann.prebuilt = base->CloneWithNprobe(nprobe);
-        TopKServer aserver(&model, kUsers, num_items, aopts);
-        p.nprobe = aopts.ann.prebuilt->nprobe();
-        size_t hit = 0;
-        for (UserId u = 0; u < recall_users; ++u) {
-          const TopKResponse got = aserver.TopK(u);
-          for (const ItemId v : got.items) {
-            if (std::find(oracle[u].begin(), oracle[u].end(), v) !=
-                oracle[u].end()) {
-              ++hit;
-            }
-          }
-        }
-        p.recall_at_10 =
-            static_cast<double>(hit) / (kTopK * recall_users);
-        // Latency over never-cached users (disjoint from the recall
-        // sample and across bursts → every query is an ANN miss);
-        // best-of-bursts like the cold section.
-        for (size_t b = 0; b < kBursts; ++b) {
-          Timer t;
-          for (size_t q = 0; q < ann_queries; ++q) {
-            aserver.TopK(static_cast<UserId>(
-                recall_users + (b * ann_queries + q) %
-                                   (kUsers - recall_users)));
-          }
-          const double ms = t.ElapsedMillis() / ann_queries;
-          p.ms_per_query = b == 0 ? ms : std::min(p.ms_per_query, ms);
-        }
-        p.speedup_vs_cold =
-            p.ms_per_query > 0.0 ? cold_ms / p.ms_per_query : 0.0;
-        return p;
+        return EvalAnnPoint(model, kUsers, num_items,
+                            base->CloneWithNprobe(nprobe), oracle,
+                            ann_queries, kBursts, cold_ms, kTopK);
       };
 
       ar.def = eval_point(base->nprobe());
@@ -389,9 +426,9 @@ int main(int argc, char** argv) {
           "%8.4f ms/q  recall@%zu %.3f  %5.2fx vs cold\n",
           ar.num_centroids, ar.def.nprobe, ar.build_ms, ar.def.ms_per_query,
           kTopK, ar.def.recall_at_10, ar.def.speedup_vs_cold);
-      // Brackets the auto default (ncent/32) on both sides, out to the
-      // exact full-probe point (denom 1).
-      for (const size_t denom : {64ul, 32ul, 16ul, 8ul, 1ul}) {
+      // Brackets the auto default (ncent/2) from the old ncent/32 up to
+      // the exact full-probe point (denom 1).
+      for (const size_t denom : {32ul, 8ul, 4ul, 2ul, 1ul}) {
         const size_t nprobe =
             std::max<size_t>(1, ar.num_centroids / denom);
         if (!ar.sweep.empty() && ar.sweep.back().nprobe == nprobe) continue;
@@ -543,12 +580,21 @@ int main(int argc, char** argv) {
     if (num_items == 10000) {
       mt_items = num_items;
       const size_t kHotSet = 64;
+      // The hot set is spread over the id space, and so over the cache
+      // stripes, like the wire benchmark's; the cold tail is every other
+      // user.
+      std::vector<UserId> hot(kUsers), cold;
+      for (UserId u = 0; u < kUsers; ++u) hot[u] = u;
+      Rng hot_rng(20210419);
+      hot_rng.Shuffle(&hot);
+      cold.assign(hot.begin() + kHotSet, hot.end());
+      hot.resize(kHotSet);
       for (const size_t threads : {1u, 2u, 4u, 8u}) {
         TopKServerOptions mt_opts;
         mt_opts.k = kTopK;
         mt_opts.cache.max_users = 256;  // cold tail evicts constantly
         TopKServer mt_server(&model, kUsers, num_items, mt_opts);
-        for (UserId u = 0; u < kHotSet; ++u) mt_server.TopK(u);  // pre-warm
+        for (const UserId u : hot) mt_server.TopK(u);  // pre-warm
 
         std::atomic<bool> stop{false};
         std::thread publisher([&] {
@@ -576,12 +622,9 @@ int main(int argc, char** argv) {
           frontends.emplace_back([&, t] {
             for (size_t q = 0; q < queries_per_thread; ++q) {
               // 90% hot working set (hits), 10% cold tail (miss+evict).
-              const UserId u =
-                  q % 10 != 0
-                      ? static_cast<UserId>((q * 7 + t * 13) % kHotSet)
-                      : static_cast<UserId>(
-                            kHotSet + (q * 11 + t * 17) %
-                                          (kUsers - kHotSet));
+              const UserId u = q % 10 != 0
+                                   ? hot[(q * 7 + t * 13) % kHotSet]
+                                   : cold[(q * 11 + t * 17) % cold.size()];
               mt_server.TopK(u);
             }
           });
@@ -717,6 +760,72 @@ int main(int argc, char** argv) {
             wr.served, wr.wire_batches_multi);
         net.Stop();
       }
+    }
+  }
+
+  // --- ANN on MARS: the paper's model ranks by Σ_k θ_uk·r_k·cos(u_k,
+  // v_k), a weighted sum over four facet spaces that the IVF's int8 first
+  // pass has to follow. Trained at the wire benchmark's cold-catalog shape
+  // (K 4, dim 32, 20k users x 50k items, ten interactions per user, four
+  // epochs; a quarter of the users and a fifth of the items in fast
+  // mode), then served at the default nprobe and a few others against
+  // the exact oracle. scripts/check_bench.py gates recall@10 >= 0.95 at
+  // the default nprobe. -------------------------------------------------
+  AnnResult mars_ann;
+  double mars_cold_ms = 0.0;
+  {
+    const size_t users = fast ? 5000 : 20000;
+    const size_t items = fast ? 10000 : 50000;
+    SyntheticConfig dc;
+    dc.num_users = users;
+    dc.num_items = items;
+    dc.target_interactions = users * 10;
+    dc.num_facets = 4;
+    dc.seed = 20210419;
+    const auto data = GenerateSyntheticDataset(dc);
+    MultiFacetConfig mc;
+    mc.dim = 32;
+    mc.num_facets = 4;
+    Mars model(mc);
+    TrainOptions to;
+    to.epochs = 4;
+    to.learning_rate = 0.3;
+    to.seed = 20210419;
+    to.num_threads = 1;
+    model.Fit(*data, to);
+
+    const size_t kBursts = 3;
+    const size_t queries = fast ? 30 : 100;
+    mars_cold_ms = ColdExactMs(model, users, items, queries, kBursts, kTopK);
+    Timer build_timer;
+    const auto base =
+        SphericalIvfIndex::Build(model, items, AnnIndexOptions{}, nullptr);
+    mars_ann.num_items = items;
+    mars_ann.index_dim = model.index_dim();
+    mars_ann.num_centroids = base->num_centroids();
+    mars_ann.build_ms = build_timer.ElapsedMillis();
+    const auto oracle = OracleTopK(model, fast ? 100 : 200, items, kTopK);
+    const auto eval_point = [&](size_t nprobe) {
+      return EvalAnnPoint(model, users, items, base->CloneWithNprobe(nprobe),
+                          oracle, queries, kBursts, mars_cold_ms, kTopK);
+    };
+    mars_ann.def = eval_point(base->nprobe());
+    std::printf(
+        "\n  ann on MARS @%zu items (K 4, dim 32): cold %8.4f ms/q\n"
+        "             ann default: ncent=%zu nprobe=%zu  build %7.1f ms  "
+        "%8.4f ms/q  recall@%zu %.3f  %5.2fx vs cold\n",
+        items, mars_cold_ms, mars_ann.num_centroids, mars_ann.def.nprobe,
+        mars_ann.build_ms, mars_ann.def.ms_per_query, kTopK,
+        mars_ann.def.recall_at_10, mars_ann.def.speedup_vs_cold);
+    for (const size_t denom : {32ul, 8ul, 4ul}) {
+      mars_ann.sweep.push_back(
+          eval_point(std::max<size_t>(1, mars_ann.num_centroids / denom)));
+      const AnnPoint& p = mars_ann.sweep.back();
+      std::printf(
+          "             ann nprobe=%-4zu %8.4f ms/q  recall@%zu %.3f  "
+          "%5.2fx vs cold\n",
+          p.nprobe, p.ms_per_query, kTopK, p.recall_at_10,
+          p.speedup_vs_cold);
     }
   }
 
@@ -903,18 +1012,15 @@ int main(int argc, char** argv) {
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
-  std::fprintf(out, "  \"ann\": [\n");
-  for (size_t i = 0; i < ann_results.size(); ++i) {
-    const AnnResult& r = ann_results[i];
-    const auto point = [&](const AnnPoint& p) {
-      std::fprintf(out,
-                   "{\"nprobe\": %zu, \"ms_per_query\": %.6f, "
-                   "\"recall_at_10\": %.4f, \"speedup_vs_cold\": %.2f}",
-                   p.nprobe, p.ms_per_query, p.recall_at_10,
-                   p.speedup_vs_cold);
-    };
+  const auto point = [&](const AnnPoint& p) {
     std::fprintf(out,
-                 "    {\"num_items\": %zu, \"index\": \"spherical_ivf\", "
+                 "{\"nprobe\": %zu, \"ms_per_query\": %.6f, "
+                 "\"recall_at_10\": %.4f, \"speedup_vs_cold\": %.2f}",
+                 p.nprobe, p.ms_per_query, p.recall_at_10, p.speedup_vs_cold);
+  };
+  const auto ann_result = [&](const AnnResult& r) {
+    std::fprintf(out,
+                 "{\"num_items\": %zu, \"index\": \"spherical_ivf\", "
                  "\"index_dim\": %zu, \"num_centroids\": %zu, "
                  "\"build_ms\": %.3f,\n     \"default\": ",
                  r.num_items, r.index_dim, r.num_centroids, r.build_ms);
@@ -925,9 +1031,22 @@ int main(int argc, char** argv) {
       point(r.sweep[j]);
       std::fprintf(out, "%s\n", j + 1 < r.sweep.size() ? "," : "");
     }
-    std::fprintf(out, "     ]}%s\n", i + 1 < ann_results.size() ? "," : "");
+    std::fprintf(out, "     ]}");
+  };
+  std::fprintf(out, "  \"ann\": [\n");
+  for (size_t i = 0; i < ann_results.size(); ++i) {
+    std::fprintf(out, "    ");
+    ann_result(ann_results[i]);
+    std::fprintf(out, "%s\n", i + 1 < ann_results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
+  std::fprintf(out,
+               "  \"ann_mars\": {\"model\": {\"type\": \"MARS\", "
+               "\"num_facets\": 4, \"dim\": 32}, "
+               "\"cold_ms_per_query\": %.6f,\n    \"index\": ",
+               mars_cold_ms);
+  ann_result(mars_ann);
+  std::fprintf(out, "},\n");
   std::fprintf(
       out,
       "  \"ann_restart\": {\"num_items\": %zu, \"num_centroids\": %zu, "

@@ -245,7 +245,31 @@ def check_serve_ann(base, fresh, threshold):
             else:
                 ok(f"serve ann speedup_vs_cold @{m} items: "
                    f"{speedup:.2f}x >= 3x")
+    check_serve_ann_mars(fresh)
     check_serve_ann_restart(base, fresh, threshold)
+
+
+def check_serve_ann_mars(fresh):
+    """ANN on MARS: recall@10 at the default nprobe, an absolute floor.
+
+    MARS ranks by a θ-weighted sum of facet cosines; the IVF's int8 first
+    pass must follow that sum well enough that the exact re-rank of its
+    short list recovers the exact top-10 (recall@10 >= 0.95). The section
+    trains its own model at a fixed shape, so the floor holds in fast mode
+    too; there is no baseline diff.
+    """
+    r = fresh.get("ann_mars")
+    if r is None:
+        fail("topk_serve: fresh run has no 'ann_mars' section")
+        return
+    m = r["index"]["num_items"]
+    d = r["index"]["default"]
+    if d["recall_at_10"] < 0.95:
+        fail(f"serve ann_mars recall@10 @{m} items: {d['recall_at_10']:.3f} "
+             f"< 0.95 (default nprobe={d['nprobe']})")
+    else:
+        ok(f"serve ann_mars recall@10 @{m} items: {d['recall_at_10']:.3f} "
+           f">= 0.95")
 
 
 def check_serve_ann_restart(base, fresh, threshold):

@@ -120,6 +120,9 @@ if [ -n "$SANITIZER" ]; then
     # the generator's flat latent store.
     FILTER="$FILTER:*BatchKernelShapes.NearestCentroid*"
     FILTER="$FILTER:KernelsTest.NearestCentroid*:SyntheticTest.*"
+    # The int8 code kernel scores rows in quads with a single-row tail:
+    # every tail length at five row widths.
+    FILTER="$FILTER:KernelsTest.Code*"
   fi
   echo "== $SANITIZER-sanitized tests ($FILTER) =="
   if [ "$SANITIZER" = thread ]; then

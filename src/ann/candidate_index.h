@@ -2,14 +2,17 @@
 //
 // The one candidate index is SphericalIvfIndex (ann/ivf_index.h): it
 // turns the serving miss path from "score the whole catalog" into "probe
-// the index for a candidate block, then re-rank the block with the
-// model's exact scores". It serves every indexable model of
-// eval/scorer.h (index_dim() > 0: BPR, MARS via concatenated facets);
-// every other model (the metric baselines included) serves through the
-// exact sweep. Recall — the fraction of the true top-k the candidate
-// block covers — is the single quality axis, and the bench
-// (bench/bench_serve.cpp) measures it against the brute-force oracle at
-// every committed nprobe (scripts/check_bench.py gates it).
+// the index for a short candidate list, then re-rank the list with the
+// model's exact scores". The probe scores every item of the probed lists
+// by its int8 code row and keeps the k·overfetch best, so the re-rank
+// touches 40 float rows at k = 10 however many lists were probed. It
+// serves every indexable model of eval/scorer.h (index_dim() > 0: BPR,
+// MARS via concatenated θ·r-weighted facets); every other model (the
+// metric baselines included) serves through the exact sweep. Recall —
+// the fraction of the true top-k the candidate list covers — is the
+// single quality axis, and the bench (bench/bench_serve.cpp) measures it
+// against the brute-force oracle at every committed nprobe, for BPR and
+// for MARS (scripts/check_bench.py gates both).
 #ifndef MARS_ANN_CANDIDATE_INDEX_H_
 #define MARS_ANN_CANDIDATE_INDEX_H_
 
@@ -30,18 +33,22 @@ struct AnnIndexOptions {
   /// IVF coarse centroids; 0 = auto (~4·sqrt(num_items) — the FAISS
   /// operating range; at least 8, clamped to the catalog).
   size_t num_centroids = 0;
-  /// IVF lists probed per query; 0 = auto (num_centroids / 32, at least
-  /// 2 — tuned with the auto centroid count against the bench's
-  /// recall@10 >= 0.95 gate). Raise toward num_centroids to trade
-  /// latency for recall; at num_centroids the candidate block is the
-  /// whole catalog and the served ranking is exact.
+  /// IVF lists probed per query; 0 = auto (num_centroids / 2, at least
+  /// 2). A probed item costs one contiguous int8 code row in the first
+  /// pass, not an exact re-rank, so half the lists is affordable, and
+  /// MARS's θ-weighted neighbours need it: recall@10 >= 0.95 on the
+  /// bench's MARS catalog needs more than a quarter of the lists. Lower
+  /// it to trade recall for latency; at num_centroids the probe skips the
+  /// codes, the candidate list is the whole catalog and the served
+  /// ranking is exact.
   size_t nprobe = 0;
   /// Training-sample bound for k-means (the full catalog is still
   /// assigned to the final centroids).
   size_t kmeans_sample = 16384;
   /// Serving overfetch: the miss path asks the index for
-  /// max(k * overfetch, k + excluded) candidates, so exclusions and
-  /// near-boundary items don't eat the returned k.
+  /// max(k * overfetch, k + excluded) candidates — the length of the list
+  /// the quantized first pass hands to the exact re-rank — so exclusions
+  /// and near-boundary items don't eat the returned k.
   static constexpr size_t overfetch = 4;
 };
 

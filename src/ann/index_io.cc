@@ -1,6 +1,7 @@
 #include "ann/index_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
 #include <utility>
 #include <vector>
@@ -19,16 +20,23 @@ namespace {
 // "MRSI" on disk (LE u32), the retrieval-tier sibling of the "MARS"
 // snapshot and "MRSK" sidecar magics.
 constexpr uint32_t kIndexMagic = 0x4953524Du;
-constexpr uint32_t kIndexVersion = 1;
+constexpr uint32_t kIndexVersion = 2;
 // The header's kind field: the saver writes this constant and the loader
 // rejects every other value.
 constexpr uint32_t kKindSphericalIvf = 1;
-// Fixed header: 72 bytes of fields + a 4-slot region table (24 bytes
-// each), zero-padded to 192 — a 64-byte multiple, so the first region
+// Fixed header: 72 bytes of fields + a 6-slot region table (24 bytes
+// each), zero-padded to 256 — a 64-byte multiple, so the first region
 // starts cache-line aligned in the file and (mmap being page-aligned)
 // in memory, mirroring the v3 tensor guarantee.
-constexpr size_t kNumRegions = 4;
-constexpr uint64_t kIndexHeaderBytes = 192;
+constexpr size_t kNumRegions = 6;
+// The codes and scales regions: their checksums are written but not
+// verified on load. Any code byte and any finite, non-negative scale is
+// valid (served scores always come from the model), so a restart maps the
+// codes without reading a byte of them and reads the scales once, for
+// that value check.
+constexpr size_t kCodesRegion = 4;
+constexpr size_t kScalesRegion = 5;
+constexpr uint64_t kIndexHeaderBytes = 256;
 constexpr uint64_t kRegionAlign = 64;
 
 static_assert(sizeof(ItemId) == sizeof(uint32_t),
@@ -47,21 +55,26 @@ struct IndexLayout {
   uint64_t dim = 0;
   uint64_t num_centroids = 0;
   uint64_t nprobe = 0;
-  uint64_t region_offset[kNumRegions] = {0, 0, 0, 0};
-  uint64_t region_bytes[kNumRegions] = {0, 0, 0, 0};
+  uint64_t region_offset[kNumRegions] = {};
+  uint64_t region_bytes[kNumRegions] = {};
   uint64_t file_bytes = 0;
 };
 
 /// Region payload sizes, in declaration order:
-///   centroids f32 | assign u32 | offsets u32 | lists u32
-/// Fills offsets (64B-aligned tiling after the header) and file_bytes.
-/// Geometry must already be plausibility-bounded: with num_items ≤ 2³¹
-/// and dim ≤ 65536 no product here can overflow u64.
+///   centroids f32 | assign u32 | offsets u32 | lists u32 | codes i8 |
+///   scales f32
+/// (codes: CodeBytes(dim) bytes per item in list order; scales: one per
+/// item in list order). Fills offsets (64B-aligned tiling after the
+/// header) and file_bytes. Geometry must already be plausibility-bounded:
+/// with num_items ≤ 2³¹ and dim ≤ 65536 no product here can overflow u64.
 void ComputeRegions(IndexLayout* l) {
   l->region_bytes[0] = l->num_centroids * l->dim * sizeof(float);
   l->region_bytes[1] = l->num_items * sizeof(uint32_t);
   l->region_bytes[2] = (l->num_centroids + 1) * sizeof(uint32_t);
   l->region_bytes[3] = l->num_items * sizeof(uint32_t);
+  l->region_bytes[kCodesRegion] =
+      l->num_items * SphericalIvfIndex::CodeBytes(l->dim);
+  l->region_bytes[kScalesRegion] = l->num_items * sizeof(float);
   uint64_t at = kIndexHeaderBytes;
   for (size_t r = 0; r < kNumRegions; ++r) {
     l->region_offset[r] = at;
@@ -161,6 +174,15 @@ bool IvfPayloadValid(const IndexLayout& l, const uint32_t* assign,
   return true;
 }
 
+/// Every code scale finite and >= 0: the probe multiplies it into a score
+/// it compares, and a NaN would break the total order its selection uses.
+bool ScalesValid(const float* scales, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    if (!(scales[i] >= 0.0f) || !std::isfinite(scales[i])) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool SaveCandidateIndex(const SphericalIvfIndex& index,
@@ -173,7 +195,8 @@ bool SaveCandidateIndex(const SphericalIvfIndex& index,
   ComputeRegions(&l);
   const std::span<const uint8_t> regions[kNumRegions] = {
       Bytes(index.centroids()), Bytes(index.assignments()),
-      Bytes(index.offsets()), Bytes(index.list_ids())};
+      Bytes(index.offsets()),   Bytes(index.list_ids()),
+      Bytes(index.codes()),     Bytes(index.scales())};
   return WriteFileAtomic(path, "SaveCandidateIndex",
                          [&l, &regions](std::ostream& out) {
                            WriteIndexFile(out, l, regions);
@@ -255,6 +278,7 @@ std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(
     }
   }
   for (size_t r = 0; r < kNumRegions; ++r) {
+    if (r == kCodesRegion || r == kScalesRegion) continue;
     if (Crc32(base + l.region_offset[r], l.region_bytes[r]) !=
         stored_crc[r]) {
       MARS_LOG(ERROR) << who << ": " << path << " region " << r
@@ -275,9 +299,18 @@ std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(
     MARS_LOG(ERROR) << who << ": " << path << " holds corrupt IVF lists";
     return nullptr;
   }
+  const auto* codes =
+      reinterpret_cast<const int8_t*>(base + l.region_offset[kCodesRegion]);
+  const auto* scales =
+      reinterpret_cast<const float*>(base + l.region_offset[kScalesRegion]);
+  if (!ScalesValid(scales, l.num_items)) {
+    MARS_LOG(ERROR) << who << ": " << path
+                    << " holds a negative or non-finite code scale";
+    return nullptr;
+  }
   return SphericalIvfIndex::Borrow(l.num_items, l.dim, l.num_centroids,
                                    l.nprobe, centroids, assign, offsets,
-                                   list_ids, std::move(file));
+                                   list_ids, codes, scales, std::move(file));
 }
 
 }  // namespace mars

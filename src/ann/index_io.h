@@ -2,7 +2,8 @@
 // tier.
 //
 // A built SphericalIvfIndex is a handful of flat contiguous arrays (the
-// centroids, the per-item assignment and the CSR inverted lists), so
+// centroids, the per-item assignment, the CSR inverted lists and the
+// list-ordered int8 code rows with their scales), so
 // persisting it follows the format-v3 playbook
 // (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
 // in-memory stride into a self-describing index file — fixed header
@@ -20,7 +21,11 @@
 // shape, not provenance — it is only meaningful next to the exact
 // model snapshot it was built from. The loader verifies the mechanical
 // part (kind, dim vs the model's index_dim(), item count, layout,
-// checksums, CSR/permutation invariants); shipping the index next to the
+// checksums, CSR/permutation invariants, finite non-negative code
+// scales). It never reads the codes region — any byte is a valid code and
+// served scores come from the model — so its checksum (and the scales')
+// is written but not checked, and a restart pays nothing for the codes
+// until a probe touches them. Shipping the index next to the
 // right snapshot is the caller's job — treat snapshot + index + sidecar
 // as one restart unit and regenerate all three together.
 #ifndef MARS_ANN_INDEX_IO_H_
@@ -45,8 +50,9 @@ bool SaveCandidateIndex(const SphericalIvfIndex& index,
 /// for the life of the returned index and anything derived from it). `model`
 /// and `num_items` are the serving pair the index must match: a dim other than
 /// the model's index_dim() (an unindexable model's 0 never matches) or a wrong
-/// item count rejects, as do bad magic/version, implausible or inconsistent
-/// headers, truncation, and checksum mismatches — always with a clean nullptr
+/// item count rejects, as do bad magic/version (v1 files included),
+/// implausible or inconsistent headers, truncation, checksum mismatches and
+/// negative or non-finite code scales — always with a clean nullptr
 /// + error log, never a crash or allocation blow-up. The result plugs directly
 /// into TopKServerOptions::ann.prebuilt.
 std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(

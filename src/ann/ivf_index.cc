@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -28,19 +30,104 @@ bool CanFanOut(ThreadPool* pool) {
   return pool != nullptr && !pool->IsWorkerThread();
 }
 
+/// Largest int16 query magnitude for code rows of `row_bytes` bytes: it
+/// keeps Σ|q| · 128 below 2³¹, so every int32 code dot is exact for any
+/// code byte (a mapped file's -128 included).
+int32_t QueryQuantMax(size_t row_bytes) {
+  return static_cast<int32_t>(
+      std::min<size_t>(32767, 2147483647u / (128 * row_bytes)));
+}
+
+/// An unsigned key that orders like the float, with both zeros equal and
+/// NaN (a corrupt centroid's dot) below everything, so the list ranking
+/// stays a total order.
+uint32_t RankKey(float x) {
+  if (std::isnan(x)) return 0;
+  if (x == 0.0f) x = 0.0f;
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return (bits >> 31) != 0 ? ~bits : bits | 0x80000000u;
+}
+
+/// The m-th largest (1-based, m <= keys.size()) of `keys`: an MSB-first
+/// radix select, 8 bits a pass with branch-free compaction — a few
+/// histogram passes where nth_element's partitions mispredict half their
+/// branches on a query's centroid dots.
+uint32_t KthLargest(const std::vector<uint32_t>& keys, size_t m,
+                    std::vector<uint32_t>* scratch) {
+  std::vector<uint32_t>& cand = *scratch;
+  cand.assign(keys.begin(), keys.end());
+  size_t n = cand.size();
+  for (int shift = 24; shift >= 0 && n > 1; shift -= 8) {
+    size_t hist[256] = {};
+    for (size_t i = 0; i < n; ++i) ++hist[(cand[i] >> shift) & 255];
+    uint32_t digit = 255;
+    for (; hist[digit] < m; --digit) m -= hist[digit];
+    size_t kept = 0;
+    for (size_t i = 0; i < n; ++i) {
+      cand[kept] = cand[i];
+      kept += ((cand[i] >> shift) & 255) == digit;
+    }
+    n = kept;
+  }
+  return cand[0];
+}
+
+/// Symmetric int8 quantization of one n-float row into `row_bytes` code
+/// bytes: scale = max|x|/127, code = round(x/scale) in [-127, 127], the
+/// padding bytes zero. A row with no finite positive maximum gets scale 0
+/// and zero codes.
+void QuantizeRow(const float* x, size_t n, size_t row_bytes, int8_t* code,
+                 float* scale) {
+  std::fill(code, code + row_bytes, int8_t{0});
+  *scale = 0.0f;
+  float m = 0.0f;
+  for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
+  const float inv = 127.0f / m;
+  if (!(m > 0.0f) || !std::isfinite(m) || !std::isfinite(inv)) return;
+  *scale = m / 127.0f;
+  for (size_t i = 0; i < n; ++i) {
+    code[i] = static_cast<int8_t>(std::clamp(std::lrintf(x[i] * inv), -127L,
+                                             127L));
+  }
+}
+
 /// Reads items [begin, end) through the model's index-vector surface and
-/// assigns each to its max-dot centroid. The copy buffer is per-thread:
-/// chunks re-use it across RunBatch tasks instead of paying a
-/// chunk-sized allocation each.
+/// assigns each to its max-dot centroid; with `codes` set, also quantizes
+/// row v into codes + (v - begin)·row_bytes and scales[v - begin]. The copy
+/// buffer is per-thread: chunks re-use it across RunBatch tasks instead of
+/// paying a chunk-sized allocation each.
 void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
                  const float* centroids, size_t num_centroids, size_t dim,
-                 uint32_t* assign) {
+                 uint32_t* assign, int8_t* codes = nullptr,
+                 float* scales = nullptr) {
   if (begin >= end) return;
   static thread_local std::vector<float> rows;
   rows.resize((end - begin) * dim);
   model.CopyIndexVectors(begin, end, rows.data());
   NearestCentroidDotBatch(rows.data(), end - begin, dim, centroids,
                           num_centroids, dim, dim, assign + begin);
+  if (codes == nullptr) return;
+  const size_t row_bytes = SphericalIvfIndex::CodeBytes(dim);
+  for (size_t r = 0; r < end - begin; ++r) {
+    QuantizeRow(rows.data() + r * dim, dim, row_bytes, codes + r * row_bytes,
+                scales + r);
+  }
+}
+
+/// Quantizes the items at list positions [begin, end) into the code rows
+/// at those positions: list order directly, one row read per item.
+void QuantizeListRange(const ItemScorer& model, const ItemId* list_ids,
+                       size_t begin, size_t end, size_t dim, int8_t* codes,
+                       float* scales) {
+  const size_t row_bytes = SphericalIvfIndex::CodeBytes(dim);
+  static thread_local std::vector<float> row;
+  row.resize(dim);
+  for (size_t i = begin; i < end; ++i) {
+    model.CopyIndexVectors(list_ids[i], list_ids[i] + 1, row.data());
+    QuantizeRow(row.data(), dim, row_bytes, codes + i * row_bytes,
+                scales + i);
+  }
 }
 
 /// Runs `fn(begin, end)` over balanced contiguous chunks of [0, count),
@@ -86,13 +173,12 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   index->num_items_ = num_items;
   index->dim_ = dim;
 
-  // Auto centroid count ~ 4·sqrt(N) (the FAISS-recommended IVF range):
-  // finer lists cost a slightly longer centroid scan but waste far fewer
-  // re-ranked candidates per probed list, which is what the recall-vs-
-  // speedup gate actually trades. Measured on the bench workload at 50k
-  // items, 4·sqrt(N) with nprobe = ncent/32 holds recall@10 ≈ 0.97 while
-  // re-ranking ~3% of the catalog; sqrt(N) centroids need >1/4 of the
-  // catalog for the same recall.
+  // Auto centroid count ~ 4·sqrt(N) (the FAISS-recommended IVF range).
+  // The auto probe takes half the lists: a probed item costs one
+  // contiguous int8 code row, not a gathered float row and an exact
+  // score, and MARS's θ-weighted neighbours spread over many lists
+  // (bench_serve's ann_mars section: recall@10 0.49 at ncent/32, 0.98 at
+  // ncent/2 on 50k items).
   size_t ncent =
       options.num_centroids > 0
           ? options.num_centroids
@@ -104,7 +190,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   index->num_centroids_ = ncent;
   index->nprobe_ = options.nprobe > 0
                        ? std::min(options.nprobe, ncent)
-                       : std::min(ncent, std::max<size_t>(2, ncent / 32));
+                       : std::min(ncent, std::max<size_t>(2, ncent / 2));
 
   // K-means trains on a deterministic strided sample (assignment of the
   // *full* catalog to the final centroids happens below regardless).
@@ -170,6 +256,15 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
     AssignRange(model, begin, end, centroids.data(), ncent, dim, assign);
   });
   index->RebuildLists();
+  // Quantize straight into list order: no item-order copy of the codes.
+  index->codes_.mutable_vec().resize(num_items * CodeBytes(dim));
+  index->scales_.mutable_vec().resize(num_items);
+  int8_t* codes = index->codes_.mutable_data();
+  float* scales = index->scales_.mutable_data();
+  const ItemId* list_ids = index->list_ids_.data();
+  ForEachChunk(num_items, pool, [&](size_t begin, size_t end) {
+    QuantizeListRange(model, list_ids, begin, end, dim, codes, scales);
+  });
   return index;
 }
 
@@ -183,7 +278,8 @@ std::unique_ptr<SphericalIvfIndex> BuildCandidateIndex(
 std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Borrow(
     size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
     const float* centroids, const uint32_t* assign, const uint32_t* offsets,
-    const ItemId* list_ids, std::shared_ptr<const void> keepalive) {
+    const ItemId* list_ids, const int8_t* codes, const float* scales,
+    std::shared_ptr<const void> keepalive) {
   MARS_CHECK(num_items >= 1 && dim >= 1);
   MARS_CHECK(num_centroids >= 1 && num_centroids <= num_items);
   auto index = std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex());
@@ -195,6 +291,8 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Borrow(
   index->assign_.Borrow(assign, num_items);
   index->offsets_.Borrow(offsets, num_centroids + 1);
   index->list_ids_.Borrow(list_ids, num_items);
+  index->codes_.Borrow(codes, num_items * CodeBytes(dim));
+  index->scales_.Borrow(scales, num_items);
   index->storage_keepalive_ = std::move(keepalive);
   return index;
 }
@@ -213,41 +311,193 @@ void SphericalIvfIndex::RebuildLists() {
   }
 }
 
+bool SphericalIvfIndex::FullProbe(size_t want) const {
+  return want >= num_items_ || nprobe_ >= num_centroids_;
+}
+
+void SphericalIvfIndex::AppendCatalog(std::vector<ItemId>* out) const {
+  const size_t base = out->size();
+  out->resize(base + num_items_);
+  for (size_t v = 0; v < num_items_; ++v) {
+    (*out)[base + v] = static_cast<ItemId>(v);
+  }
+}
+
+struct SphericalIvfIndex::QueryScan {
+  using Cand = std::pair<float, ItemId>;
+  /// Ranks by quantized score, then by the lower id: a total order, so the
+  /// kept set does not depend on the order rows are offered in.
+  static bool Better(const Cand& a, const Cand& b) {
+    return a.first > b.first || (a.first == b.first && a.second < b.second);
+  }
+
+  /// Keeps `cand` if it ranks among the `want` best so far. The heap's
+  /// front is the worst kept; once the heap is full, `threshold` is its
+  /// score, and the kernel drops rows below it before they get here.
+  void Offer(const Cand& cand) {
+    if (heap.size() < want) {
+      heap.push_back(cand);
+      std::push_heap(heap.begin(), heap.end(), Better);
+      if (heap.size() == want) threshold = heap.front().first;
+      return;
+    }
+    if (!Better(cand, heap.front())) return;
+    std::pop_heap(heap.begin(), heap.end(), Better);
+    heap.back() = cand;
+    std::push_heap(heap.begin(), heap.end(), Better);
+    threshold = heap.front().first;
+  }
+
+  /// Room for the kernel to report every row of a `count`-row block.
+  void Reserve(size_t count) {
+    if (hits.size() < count) {
+      hits.resize(count);
+      hit_scores.resize(count);
+    }
+  }
+
+  /// Offers the kernel's `n` hits of a block whose row i is item ids[i].
+  /// Rows were filtered by the threshold as of the block's start; it only
+  /// rises, so none that fell below it could be kept.
+  void Take(size_t n, const ItemId* ids) {
+    for (size_t i = 0; i < n; ++i) {
+      if (hit_scores[i] >= threshold) Offer({hit_scores[i], ids[hits[i]]});
+    }
+  }
+
+  std::vector<int16_t> q16;
+  std::vector<uint32_t> keys;    // per centroid, RankKey of its dot
+  std::vector<uint32_t> order;   // the probed lists, ascending
+  std::vector<uint32_t> select;  // KthLargest scratch
+  std::vector<Cand> heap;
+  std::vector<uint32_t> hits;
+  std::vector<float> hit_scores;
+  size_t want = 0;
+  size_t scanned = 0;
+  float threshold = 0.0f;
+};
+
 void SphericalIvfIndex::Probe(const float* query, size_t want,
                               std::vector<ItemId>* out) const {
+  if (FullProbe(want)) {
+    AppendCatalog(out);
+    return;
+  }
+  if (want == 0) return;
   static thread_local std::vector<float> cdots;
+  static thread_local QueryScan scan;
   cdots.resize(num_centroids_);
   DotBatch(query, centroids_.data(), num_centroids_, dim_, dim_,
            cdots.data());
-  AppendBestLists(cdots.data(), want, out);
+  StartScan(query, cdots.data(), want, &scan);
+  // Runs of adjacent probed lists are one contiguous block of codes,
+  // scales and ids, so each run is one kernel call.
+  const std::vector<uint32_t>& order = scan.order;
+  for (size_t i = 0; i < order.size();) {
+    size_t j = i + 1;
+    while (j < order.size() && order[j] == order[j - 1] + 1) ++j;
+    ScanRows(offsets_[order[i]], offsets_[order[j - 1] + 1], &scan);
+    i = j;
+  }
+  FinishScan(&scan, out);
 }
 
-void SphericalIvfIndex::AppendBestLists(const float* cdots, size_t want,
-                                        std::vector<ItemId>* out) const {
-  if (want >= num_items_) {
-    const size_t base = out->size();
-    out->resize(base + num_items_);
-    for (size_t v = 0; v < num_items_; ++v) {
-      (*out)[base + v] = static_cast<ItemId>(v);
+void SphericalIvfIndex::StartScan(const float* query, const float* cdots,
+                                  size_t want, QueryScan* scan) const {
+  const size_t row_bytes = CodeBytes(dim_);
+  scan->want = want;
+  scan->scanned = 0;
+  scan->threshold = -std::numeric_limits<float>::infinity();
+  scan->heap.clear();
+  // The query in int16, scaled so its largest entry maps to QueryQuantMax;
+  // the common query scale does not change the ranking, so it is dropped.
+  std::vector<int16_t>& q16 = scan->q16;
+  q16.assign(row_bytes, 0);
+  float qmax = 0.0f;
+  for (size_t i = 0; i < dim_; ++i) qmax = std::max(qmax, std::fabs(query[i]));
+  const long qlimit = QueryQuantMax(row_bytes);
+  const float qscale = static_cast<float>(qlimit) / qmax;
+  if (qmax > 0.0f && std::isfinite(qscale)) {
+    for (size_t i = 0; i < dim_; ++i) {
+      q16[i] = static_cast<int16_t>(
+          std::clamp(std::lrintf(query[i] * qscale), -qlimit, qlimit));
     }
-    return;
   }
-  static thread_local std::vector<uint32_t> order;
-  order.resize(num_centroids_);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return cdots[a] > cdots[b] || (cdots[a] == cdots[b] && a < b);
-  });
-  // nprobe lists minimum; keep extending into next-best lists until the
-  // requested candidate count is met (lists are disjoint, so appended ids
-  // stay unique).
-  size_t appended = 0;
-  for (size_t i = 0; i < num_centroids_; ++i) {
-    if (i >= nprobe_ && appended >= want) break;
-    const auto list = List(order[i]);
-    out->insert(out->end(), list.begin(), list.end());
-    appended += list.size();
+
+  // The nprobe best lists (ties to the lower centroid index), picked in
+  // ascending centroid order: their codes are then read in address order,
+  // one forward stream over the code array. The scan order does not change
+  // the result, since the kept items are the best under a total order.
+  std::vector<uint32_t>& keys = scan->keys;
+  std::vector<uint32_t>& order = scan->order;
+  keys.resize(num_centroids_);
+  for (size_t c = 0; c < num_centroids_; ++c) keys[c] = RankKey(cdots[c]);
+  const uint32_t kth = KthLargest(keys, nprobe_, &scan->select);
+  size_t ties = nprobe_;
+  for (size_t c = 0; c < num_centroids_; ++c) ties -= keys[c] > kth;
+  // Branch-free: about half the keys sit on each side of kth.
+  order.resize(nprobe_ + 1);
+  size_t taken = 0;
+  for (size_t c = 0; c < num_centroids_; ++c) {
+    const bool tie = keys[c] == kth && ties > 0;
+    order[taken] = static_cast<uint32_t>(c);
+    taken += (keys[c] > kth) | tie;
+    ties -= tie;
   }
+  order.resize(nprobe_);
+}
+
+void SphericalIvfIndex::ScanRows(size_t begin, size_t end,
+                                 QueryScan* scan) const {
+  const size_t row_bytes = CodeBytes(dim_);
+  scan->Reserve(end - begin);
+  const size_t n = CodeScoresAtLeast(
+      scan->q16.data(), codes_.data() + begin * row_bytes,
+      scales_.data() + begin, end - begin, row_bytes, scan->threshold,
+      scan->hits.data(), scan->hit_scores.data());
+  scan->Take(n, list_ids_.data() + begin);
+  scan->scanned += end - begin;
+}
+
+void SphericalIvfIndex::ScanRowsPair(size_t begin, size_t end, QueryScan* a,
+                                     QueryScan* b) const {
+  const size_t row_bytes = CodeBytes(dim_);
+  a->Reserve(end - begin);
+  b->Reserve(end - begin);
+  const int16_t* const q[2] = {a->q16.data(), b->q16.data()};
+  const float threshold[2] = {a->threshold, b->threshold};
+  uint32_t* const hits[2] = {a->hits.data(), b->hits.data()};
+  float* const hit_scores[2] = {a->hit_scores.data(), b->hit_scores.data()};
+  size_t n[2];
+  CodeScoresAtLeastPair(q, codes_.data() + begin * row_bytes,
+                        scales_.data() + begin, end - begin, row_bytes,
+                        threshold, hits, hit_scores, n);
+  a->Take(n[0], list_ids_.data() + begin);
+  b->Take(n[1], list_ids_.data() + begin);
+  a->scanned += end - begin;
+  b->scanned += end - begin;
+}
+
+void SphericalIvfIndex::FinishScan(QueryScan* scan,
+                                   std::vector<ItemId>* out) const {
+  if (scan->scanned < scan->want) {
+    // Too few items for the want: take next-best lists in rank order.
+    const std::vector<uint32_t>& keys = scan->keys;
+    std::vector<uint32_t> rest;
+    std::vector<bool> probed(num_centroids_, false);
+    for (const uint32_t c : scan->order) probed[c] = true;
+    for (uint32_t c = 0; c < num_centroids_; ++c) {
+      if (!probed[c]) rest.push_back(c);
+    }
+    std::sort(rest.begin(), rest.end(), [&keys](uint32_t a, uint32_t b) {
+      return keys[a] > keys[b] || (keys[a] == keys[b] && a < b);
+    });
+    for (size_t i = 0; i < rest.size() && scan->scanned < scan->want; ++i) {
+      ScanRows(offsets_[rest[i]], offsets_[rest[i] + 1], scan);
+    }
+  }
+  std::sort_heap(scan->heap.begin(), scan->heap.end(), QueryScan::Better);
+  for (const QueryScan::Cand& c : scan->heap) out->push_back(c.second);
 }
 
 void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
@@ -261,9 +511,7 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
     return;
   }
   // One multi-query pass over the centroid matrix scores every query's
-  // centroid dots (each centroid row is loaded once per query quad); the
-  // per-query list walk is then identical to Probe, so each query's
-  // candidate set is bit-identical to its solo probe.
+  // centroid dots (each centroid row is loaded once per query quad).
   static thread_local std::vector<float> all_dots;
   all_dots.resize(num_queries * num_centroids_);
   std::vector<const float*> qs(num_queries);
@@ -274,9 +522,39 @@ void SphericalIvfIndex::ProbeBatch(const float* queries, size_t num_queries,
   }
   DotBatchMulti(qs.data(), num_queries, centroids_.data(), num_centroids_,
                 dim_, dim_, dots.data());
+  static thread_local std::vector<QueryScan> scans;
+  if (scans.size() < num_queries) scans.resize(num_queries);
+  std::vector<size_t> active;
   for (size_t q = 0; q < num_queries; ++q) {
-    AppendBestLists(dots[q], want[q], &(*out)[q]);
+    if (FullProbe(want[q])) {
+      AppendCatalog(&(*out)[q]);
+    } else if (want[q] > 0) {
+      StartScan(qs[q], dots[q], want[q], &scans[q]);
+      active.push_back(q);
+    }
   }
+  // One pass over the lists in ascending order: a list's code rows are
+  // scored for every query that probes it, two queries per load. Each
+  // query sees its lists in the order Probe scans them and keeps the same
+  // total-order best, so its candidates equal its solo probe's.
+  std::vector<size_t> cursor(active.size(), 0);
+  std::vector<QueryScan*> here;
+  for (uint32_t c = 0; c < num_centroids_; ++c) {
+    here.clear();
+    for (size_t a = 0; a < active.size(); ++a) {
+      const std::vector<uint32_t>& order = scans[active[a]].order;
+      if (cursor[a] < order.size() && order[cursor[a]] == c) {
+        here.push_back(&scans[active[a]]);
+        ++cursor[a];
+      }
+    }
+    size_t i = 0;
+    for (; i + 2 <= here.size(); i += 2) {
+      ScanRowsPair(offsets_[c], offsets_[c + 1], here[i], here[i + 1]);
+    }
+    if (i < here.size()) ScanRows(offsets_[c], offsets_[c + 1], here[i]);
+  }
+  for (const size_t q : active) FinishScan(&scans[q], &(*out)[q]);
 }
 
 std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
@@ -284,29 +562,93 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
     size_t num_shards, ThreadPool* pool) const {
   MARS_CHECK_MSG(model.index_dim() == dim_,
                  "Rebuilt model must keep the index dim");
-  auto next = std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex(*this));
-  if (dirty_shards.empty()) return next;
+  if (dirty_shards.empty()) {
+    return std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex(*this));
+  }
   // Centroids are reused: only dirty rows are re-read and re-assigned, so
   // an epoch that dirtied 1/64th of the catalog pays ~1/64th of the full
-  // assignment (the k-means cost is never repaid). On a mapped index this
-  // is the copy-on-write step: assign_ is materialized (the lists below
-  // are regenerated outright), centroids_ stays borrowed from the mapping
-  // — the keepalive copied with *this keeps it valid.
+  // assignment (the k-means cost is never repaid). Only what the rebuild
+  // keeps is copied; the lists and codes are regenerated below. On a
+  // mapped index this is the copy-on-write step: assign_ is materialized,
+  // centroids_ stays borrowed from the mapping — the keepalive copied
+  // from *this keeps it valid.
+  auto next = std::unique_ptr<SphericalIvfIndex>(new SphericalIvfIndex());
+  next->num_items_ = num_items_;
+  next->dim_ = dim_;
+  next->storage_keepalive_ = storage_keepalive_;
+  next->num_centroids_ = num_centroids_;
+  next->nprobe_ = nprobe_;
+  next->centroids_ = centroids_;
+  next->assign_ = assign_;
   next->assign_.EnsureOwned();
-  if (next->offsets_.borrowed()) next->offsets_ = {};
-  if (next->list_ids_.borrowed()) next->list_ids_ = {};
+  // Each dirty row is read once: assigned, and quantized in item order into
+  // a buffer that covers only the dirty shards (slot i holds shard
+  // dirty_shards[i], starting at row dirty_row[i]).
+  const size_t row_bytes = CodeBytes(dim_);
+  const size_t num_dirty = dirty_shards.size();
+  std::vector<size_t> dirty_begin(num_dirty), dirty_row(num_dirty + 1, 0);
+  for (size_t i = 0; i < num_dirty; ++i) {
+    const auto [begin, end] =
+        FacetStore::ShardRange(num_items_, dirty_shards[i], num_shards);
+    dirty_begin[i] = begin;
+    dirty_row[i + 1] = dirty_row[i] + (end - begin);
+  }
+  std::vector<int8_t> dirty_codes(dirty_row[num_dirty] * row_bytes);
+  std::vector<float> dirty_scales(dirty_row[num_dirty]);
   const auto reassign_shard = [&](size_t i) {
     const auto [begin, end] =
         FacetStore::ShardRange(num_items_, dirty_shards[i], num_shards);
     AssignRange(model, begin, end, next->centroids_.data(), num_centroids_,
-                dim_, next->assign_.mutable_data());
+                dim_, next->assign_.mutable_data(),
+                dirty_codes.data() + dirty_row[i] * row_bytes,
+                dirty_scales.data() + dirty_row[i]);
   };
-  if (CanFanOut(pool) && dirty_shards.size() > 1) {
-    pool->RunBatch(dirty_shards.size(), reassign_shard);
+  if (CanFanOut(pool) && num_dirty > 1) {
+    pool->RunBatch(num_dirty, reassign_shard);
   } else {
-    for (size_t i = 0; i < dirty_shards.size(); ++i) reassign_shard(i);
+    for (size_t i = 0; i < num_dirty; ++i) reassign_shard(i);
   }
   next->RebuildLists();
+
+  // Regather the list-ordered codes list by list. A clean item keeps its
+  // centroid, so new list c is old list c's clean items, in the same
+  // ascending order, merged with the dirty items now filed under c: its
+  // clean rows stream from the old list in order, and a dirty item's row
+  // comes from the fresh buffer.
+  constexpr size_t kClean = ~size_t{0};
+  std::vector<size_t> slot_of_shard(num_shards, kClean);
+  for (size_t i = 0; i < num_dirty; ++i) slot_of_shard[dirty_shards[i]] = i;
+  const auto slot_of = [&](ItemId v) {
+    return slot_of_shard[FacetStore::ShardOf(num_items_, v, num_shards)];
+  };
+  next->codes_.mutable_vec().resize(num_items_ * row_bytes);
+  next->scales_.mutable_vec().resize(num_items_);
+  int8_t* codes = next->codes_.mutable_data();
+  float* scales = next->scales_.mutable_data();
+  const ItemId* new_ids = next->list_ids_.data();
+  const uint32_t* new_offsets = next->offsets_.data();
+  ForEachChunk(num_centroids_, pool, [&](size_t c_begin, size_t c_end) {
+    for (size_t c = c_begin; c < c_end; ++c) {
+      size_t old = offsets_[c];
+      for (size_t j = new_offsets[c]; j < new_offsets[c + 1]; ++j) {
+        const ItemId v = new_ids[j];
+        const size_t slot = slot_of(v);
+        const int8_t* src_code;
+        float src_scale;
+        if (slot != kClean) {
+          const size_t row = dirty_row[slot] + (v - dirty_begin[slot]);
+          src_code = dirty_codes.data() + row * row_bytes;
+          src_scale = dirty_scales[row];
+        } else {
+          while (list_ids_[old] != v) ++old;  // skip the old dirty ids
+          src_code = codes_.data() + old * row_bytes;
+          src_scale = scales_[old];
+        }
+        std::memcpy(codes + j * row_bytes, src_code, row_bytes);
+        scales[j] = src_scale;
+      }
+    }
+  });
   return next;
 }
 

@@ -17,17 +17,26 @@
 // where cosine == dot, and BPR's bias-augmented vectors rank by dot.
 //
 // A probe scores the query against every centroid (one DotBatch over a
-// few hundred rows), takes the nprobe best lists, and concatenates their
-// item ids — lists are disjoint, and the server re-ranks with exact model
-// scores, so no per-candidate ordering work happens here. When the
-// requested candidate count exceeds the nprobe lists' total population
-// the probe keeps taking next-best lists, so exclusion-heavy queries
-// degrade toward the full catalog instead of returning short.
+// few hundred rows) and takes the nprobe best lists. Each item also has an
+// int8 code row — symmetric quantization with one scale per row
+// (max|x|/127), zero-padded to a multiple of 16 bytes — stored in list
+// order next to list_ids, so a probed list's codes are one contiguous
+// block. The probe scores every probed code row against the
+// int16-quantized query with an exact integer kernel (CodeDotBatch) and
+// returns only the `want` best ids by scale·dot: the server re-ranks
+// those few with exact model scores instead of gathering every probed
+// item's float row. When the requested candidate count exceeds the
+// nprobe lists' total population the probe keeps taking next-best lists,
+// so exclusion-heavy queries degrade toward the full catalog instead of
+// returning short. A full probe (nprobe == num_centroids, or want >=
+// num_items) skips the codes and returns the whole catalog, so an index
+// at full probe serves the exact ranking.
 //
 // Rebuilt() implements the incremental maintenance contract: centroids
-// are *kept*, only rows in dirty shards are re-read and re-assigned
-// (fanned over the pool), and the inverted lists are regenerated by one
-// counting sort. Re-assigning every shard therefore gives bit-identically
+// are *kept*, only rows in dirty shards are re-read, re-assigned and
+// re-quantized (fanned over the pool), the inverted lists are
+// regenerated by one counting sort, and the list-ordered codes are
+// regathered. Re-assigning every shard therefore gives bit-identically
 // the same index — the pinning property the rebuild tests assert.
 //
 // Concurrency contract: a built index is immutable — Probe is
@@ -68,23 +77,31 @@ class SphericalIvfIndex {
   /// Wraps caller-owned flat arrays (a mapped index file) without copying
   /// a byte: `centroids` is num_centroids x dim unit rows, `assign` the
   /// per-item owning centroid, `offsets`/`list_ids` the CSR inverted
-  /// lists. `keepalive` pins the backing storage for the life of this
-  /// index and everything derived from it. The caller (the index-file
-  /// loader) is responsible for having validated the CSR invariants;
-  /// probes over the borrowed arrays are bit-identical to a freshly
-  /// built index holding the same bytes.
+  /// lists, `codes`/`scales` the list-ordered int8 rows (CodeBytes(dim)
+  /// bytes each) and their scales. `keepalive` pins the backing storage
+  /// for the life of this index and everything derived from it. The
+  /// caller (the index-file loader) is responsible for having validated
+  /// the CSR invariants and the scales (finite, >= 0); any code byte is
+  /// valid. Probes over the borrowed arrays are bit-identical to a
+  /// freshly built index holding the same bytes.
   static std::unique_ptr<SphericalIvfIndex> Borrow(
       size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
       const float* centroids, const uint32_t* assign, const uint32_t* offsets,
-      const ItemId* list_ids, std::shared_ptr<const void> keepalive);
+      const ItemId* list_ids, const int8_t* codes, const float* scales,
+      std::shared_ptr<const void> keepalive);
+
+  /// Bytes per int8 code row: dim rounded up to a multiple of 16.
+  static size_t CodeBytes(size_t dim) { return (dim + 15) & ~size_t{15}; }
 
   size_t num_items() const { return num_items_; }
   size_t dim() const { return dim_; }
 
-  /// Appends at least min(want, num_items) candidate item ids to `out`
-  /// (which is not cleared), best-effort nearest the query first in
-  /// aggregate — order within the block is unspecified; the caller
-  /// re-ranks with exact model scores. Ids are unique per call.
+  /// Appends candidate item ids to `out` (which is not cleared). A full
+  /// probe (nprobe() == num_centroids() or want >= num_items()) appends
+  /// the whole catalog, ids ascending. Otherwise it appends exactly `want`
+  /// ids: the best items of the probed lists by quantized score scale·dot
+  /// (ties to the lower id), best first; the caller re-ranks them with
+  /// exact model scores. Ids are unique per call.
   void Probe(const float* query, size_t want, std::vector<ItemId>* out) const;
 
   /// Batched probe for the multi-user miss sweep: `queries` holds
@@ -95,14 +112,17 @@ class SphericalIvfIndex {
   /// candidate set is bit-identical to the solo probe, the contract the
   /// batched miss path relies on. All queries' centroid dots come from
   /// one multi-query pass over the centroid matrix (each centroid row
-  /// loaded once per query quad), then the per-query list walk runs
-  /// exactly as in Probe.
+  /// loaded once per query quad); then one pass over the lists scores
+  /// each list's code rows for every query that probes it, two queries
+  /// per code-row load.
   void ProbeBatch(const float* queries, size_t num_queries,
                   const size_t* want,
                   std::vector<std::vector<ItemId>>* out) const;
 
   /// Returns a fresh index over `model`'s current item vectors that keeps
-  /// the centroids and re-assigns only the rows of the dirty shards.
+  /// the centroids and re-assigns and re-quantizes only the rows of the
+  /// dirty shards (clean rows' codes are regathered into the new list
+  /// order).
   /// `dirty_shards` are sorted shard ids under FacetStore::ShardRange(
   /// num_items, ·, num_shards) — the WriteTracker geometry. The receiver
   /// is left untouched (in-flight probes keep it). Quiesced-side only.
@@ -128,6 +148,10 @@ class SphericalIvfIndex {
   std::span<const float> centroids() const { return centroids_.span(); }
   std::span<const uint32_t> offsets() const { return offsets_.span(); }
   std::span<const ItemId> list_ids() const { return list_ids_.span(); }
+  /// List-ordered int8 code rows (CodeBytes(dim()) bytes each) and their
+  /// per-row scales: position i holds item list_ids()[i].
+  std::span<const int8_t> codes() const { return codes_.span(); }
+  std::span<const float> scales() const { return scales_.span(); }
 
   /// Cheap copy with a different probe width — the bench sweeps the
   /// recall/latency curve without re-running k-means.
@@ -140,12 +164,26 @@ class SphericalIvfIndex {
   /// out ascending within each list).
   void RebuildLists();
 
-  /// The list walk shared by Probe and ProbeBatch: appends the whole
-  /// catalog when `want` covers it; otherwise ranks centroids by the
-  /// precomputed query-centroid dots (ties to the lower index) and appends
-  /// lists until both nprobe and `want` are met.
-  void AppendBestLists(const float* cdots, size_t want,
-                       std::vector<ItemId>* out) const;
+  /// One query's int8 list scan below a full probe (ivf_index.cc): its
+  /// int16 query, its probed lists and the `want` best items so far.
+  struct QueryScan;
+  /// Starts `scan` for `query`: quantizes it and picks its nprobe best
+  /// lists by the precomputed query-centroid dots (ties to the lower
+  /// index), in ascending list order.
+  void StartScan(const float* query, const float* cdots, size_t want,
+                 QueryScan* scan) const;
+  /// Scores list positions [begin, end) by scale·dot for one scan, or for
+  /// two at once with each code row loaded once.
+  void ScanRows(size_t begin, size_t end, QueryScan* scan) const;
+  void ScanRowsPair(size_t begin, size_t end, QueryScan* a,
+                    QueryScan* b) const;
+  /// Takes next-best lists while the scan has seen fewer than `want`
+  /// items, then appends its `want` best ids, best first.
+  void FinishScan(QueryScan* scan, std::vector<ItemId>* out) const;
+  /// True when a probe for `want` returns the whole catalog.
+  bool FullProbe(size_t want) const;
+  /// Appends ids 0..num_items-1.
+  void AppendCatalog(std::vector<ItemId>* out) const;
 
   size_t num_items_ = 0;
   size_t dim_ = 0;
@@ -158,12 +196,14 @@ class SphericalIvfIndex {
   size_t nprobe_ = 0;
   // Owned when built, borrowed from the mapping when loaded
   // (common/maybe_owned.h); Rebuilt() on a mapped index copies-on-write
-  // only what it mutates (assign_ + the regenerated lists — centroids
-  // stay borrowed, the k-means product is never copied).
+  // only what it mutates (assign_ + the regenerated lists and codes —
+  // centroids stay borrowed, the k-means product is never copied).
   MaybeOwned<float> centroids_;    // num_centroids x dim, unit rows
   MaybeOwned<uint32_t> assign_;    // per item, owning centroid
   MaybeOwned<uint32_t> offsets_;   // CSR offsets, num_centroids + 1
   MaybeOwned<ItemId> list_ids_;    // CSR payload, num_items total
+  MaybeOwned<int8_t> codes_;       // list order, CodeBytes(dim) per row
+  MaybeOwned<float> scales_;       // list order, max|x|/127 per row
 };
 
 }  // namespace mars

@@ -76,6 +76,28 @@ void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
                              size_t centroid_stride, size_t n, uint32_t* out);
 
+/// The int8 first pass of the IVF probe (ann/ivf_index.h): scores
+/// `count` code rows, `row_bytes` apart (a multiple of 16; rows are
+/// zero-padded), as score_r = scales[r] · float(Σ_j q[j] · code_r[j]), and
+/// writes the index and score of every row with score_r >= threshold to
+/// `hits`/`hit_scores` in ascending r, returning how many. The dot is
+/// summed exactly in int32 (the caller keeps Σ|q| · 128 below 2³¹), so the
+/// AVX2 (`vpmaddwd`) and generic forms report the same rows with the same
+/// bits on every host.
+size_t CodeScoresAtLeast(const int16_t* q, const int8_t* codes,
+                         const float* scales, size_t count, size_t row_bytes,
+                         float threshold, uint32_t* hits, float* hit_scores);
+
+/// CodeScoresAtLeast for two queries over the same rows — a batched miss
+/// whose queries probe the same list: each code row is loaded once for
+/// both. For k in {0, 1}, hits[k]/hit_scores[k]/num_hits[k] are exactly
+/// what CodeScoresAtLeast(q[k], ..., threshold[k], ...) reports.
+void CodeScoresAtLeastPair(const int16_t* const* q, const int8_t* codes,
+                           const float* scales, size_t count,
+                           size_t row_bytes, const float* threshold,
+                           uint32_t* const* hits, float* const* hit_scores,
+                           size_t* num_hits);
+
 /// Σ_k w[k] · <u + k·u_stride, v + k·v_stride> over n dims — the fused
 /// multi-facet cosine score of MARS (unit rows make dot == cosine). One
 /// traversal of both entity blocks.

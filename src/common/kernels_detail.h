@@ -22,6 +22,7 @@
 #define MARS_COMMON_KERNELS_DETAIL_H_
 
 #include <cstddef>
+#include <cstdint>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MARS_KERNELS_HAVE_AVX2 1
@@ -63,6 +64,19 @@ inline float SquaredDistanceRowGeneric(const float* a, const float* b,
   for (; i < n; ++i) {
     const float dlt = a[i] - b[i];
     s += dlt * dlt;
+  }
+  return s;
+}
+
+/// Σ_j q[j]·code[j] over one int8 code row of `n` bytes (the IVF probe's
+/// first pass, ann/ivf_index.h). Integer sums are exact while
+/// Σ|q| · 128 < 2³¹ (the caller bounds the query), so any summation order
+/// gives the same bits and the AVX2 twin below need not mirror this one.
+inline int32_t CodeDotRowGeneric(const int16_t* q, const int8_t* code,
+                                 size_t n) {
+  int32_t s = 0;
+  for (size_t j = 0; j < n; ++j) {
+    s += static_cast<int32_t>(q[j]) * static_cast<int32_t>(code[j]);
   }
   return s;
 }
@@ -235,6 +249,82 @@ MARS_AVX2_FN inline void SquaredDistanceRowAvx2X4(const float* const* a,
     }
     out[j] = s;
   }
+}
+
+/// Folds four rows' int32 accumulators into lanes [r0 r1 r2 r3]: two
+/// horizontal adds and a half fold.
+MARS_AVX2_FN inline __m128i FoldCodeDotsX4(const __m256i* acc) {
+  const __m256i s01 = _mm256_hadd_epi32(acc[0], acc[1]);
+  const __m256i s23 = _mm256_hadd_epi32(acc[2], acc[3]);
+  const __m256i s = _mm256_hadd_epi32(s01, s23);
+  return _mm_add_epi32(_mm256_castsi256_si128(s),
+                       _mm256_extracti128_si256(s, 1));
+}
+
+/// Four consecutive code rows (`n` bytes each, n a multiple of 16) against
+/// one int16 query: each 16-byte slice of the query is loaded once and fed
+/// to four `vpmaddwd` chains over the sign-extended codes. Lane j equals
+/// CodeDotRowGeneric(q, codes + j·n, n) exactly (integer sums).
+MARS_AVX2_FN inline __m128i CodeDotRowsAvx2X4(const int16_t* q,
+                                              const int8_t* codes, size_t n) {
+  __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                    _mm256_setzero_si256(), _mm256_setzero_si256()};
+  for (size_t i = 0; i < n; i += 16) {
+    const __m256i qv =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+    for (size_t j = 0; j < 4; ++j) {
+      const __m256i c = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(codes + j * n + i)));
+      acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(qv, c));
+    }
+  }
+  return FoldCodeDotsX4(acc);
+}
+
+/// The same four rows against two queries: each code slice is loaded and
+/// sign-extended once and fed to both queries' chains, so a row costs one
+/// load for two queries. d[k] holds query k's four dots, each exactly
+/// CodeDotRowGeneric's.
+MARS_AVX2_FN inline void CodeDotRowsAvx2X4Pair(const int16_t* const* q,
+                                               const int8_t* codes, size_t n,
+                                               __m128i* d) {
+  __m256i a[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                  _mm256_setzero_si256(), _mm256_setzero_si256()};
+  __m256i b[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
+                  _mm256_setzero_si256(), _mm256_setzero_si256()};
+  for (size_t i = 0; i < n; i += 16) {
+    const __m256i q0 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q[0] + i));
+    const __m256i q1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q[1] + i));
+    for (size_t j = 0; j < 4; ++j) {
+      const __m256i c = _mm256_cvtepi8_epi16(_mm_loadu_si128(
+          reinterpret_cast<const __m128i*>(codes + j * n + i)));
+      a[j] = _mm256_add_epi32(a[j], _mm256_madd_epi16(q0, c));
+      b[j] = _mm256_add_epi32(b[j], _mm256_madd_epi16(q1, c));
+    }
+  }
+  d[0] = FoldCodeDotsX4(a);
+  d[1] = FoldCodeDotsX4(b);
+}
+
+/// One code row: CodeDotRowGeneric(q, code, n) for n a multiple of 16,
+/// with the X4 form's vector steps (the quad loop's tail rows).
+MARS_AVX2_FN inline int32_t CodeDotRowAvx2(const int16_t* q,
+                                           const int8_t* code, size_t n) {
+  __m256i acc = _mm256_setzero_si256();
+  for (size_t i = 0; i < n; i += 16) {
+    acc = _mm256_add_epi32(
+        acc, _mm256_madd_epi16(
+                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i)),
+                 _mm256_cvtepi8_epi16(_mm_loadu_si128(
+                     reinterpret_cast<const __m128i*>(code + i)))));
+  }
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0x4E));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
+  return _mm_cvtsi128_si32(s);
 }
 
 #else  // !MARS_KERNELS_HAVE_AVX2

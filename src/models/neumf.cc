@@ -17,12 +17,20 @@ size_t NeuMf::ForwardSize() const {
 }
 
 float NeuMf::ForwardLogit(UserId u, ItemId v, float* buf) const {
+  WriteUserInput(u, buf);
+  return ForwardItem(u, v, buf);
+}
+
+void NeuMf::WriteUserInput(UserId u, float* buf) const {
+  Copy(mlp_user_.Row(u), buf, config_.mlp_dim);
+}
+
+float NeuMf::ForwardItem(UserId u, ItemId v, float* buf) const {
   const size_t dg = config_.gmf_dim;
   const size_t dm = config_.mlp_dim;
   float* concat = buf;
   float* gmf_out = buf + 2 * dm;
   Hadamard(gmf_user_.Row(u), gmf_item_.Row(v), gmf_out, dg);
-  Copy(mlp_user_.Row(u), concat, dm);
   Copy(mlp_item_.Row(v), concat + dm, dm);
   const float* mlp_out = tower_->Forward(concat, gmf_out + dg);
   float logit = out_bias_;
@@ -130,6 +138,24 @@ void NeuMf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
 float NeuMf::Score(UserId u, ItemId v) const {
   std::vector<float> buf(ForwardSize());
   return ForwardLogit(u, v, buf.data());
+}
+
+void NeuMf::ScoreItems(UserId u, std::span<const ItemId> items,
+                       float* out) const {
+  std::vector<float> buf(ForwardSize());
+  WriteUserInput(u, buf.data());
+  for (size_t i = 0; i < items.size(); ++i) {
+    out[i] = ForwardItem(u, items[i], buf.data());
+  }
+}
+
+void NeuMf::ScoreItemRange(UserId u, ItemId begin, ItemId end,
+                           float* out) const {
+  std::vector<float> buf(ForwardSize());
+  WriteUserInput(u, buf.data());
+  for (ItemId v = begin; v < end; ++v) {
+    out[v - begin] = ForwardItem(u, v, buf.data());
+  }
 }
 
 }  // namespace mars

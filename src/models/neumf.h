@@ -10,6 +10,7 @@
 #define MARS_MODELS_NEUMF_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/matrix.h"
@@ -35,6 +36,12 @@ class NeuMf : public Recommender {
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
   float Score(UserId u, ItemId v) const override;
+  /// One forward buffer per call, the user half of the tower input written
+  /// once; each score has Score's bits.
+  void ScoreItems(UserId u, std::span<const ItemId> items,
+                  float* out) const override;
+  void ScoreItemRange(UserId u, ItemId begin, ItemId end,
+                      float* out) const override;
   std::string name() const override { return "NeuMF"; }
 
  private:
@@ -47,6 +54,11 @@ class NeuMf : public Recommender {
   /// and returns the logit. Reads only the weights, so any number of
   /// threads may run it at once, each with its own buffer.
   float ForwardLogit(UserId u, ItemId v, float* buf) const;
+
+  /// ForwardLogit's item part: `buf` already holds user u's half of the
+  /// MLP input (WriteUserInput), which this leaves untouched.
+  float ForwardItem(UserId u, ItemId v, float* buf) const;
+  void WriteUserInput(UserId u, float* buf) const;
 
   NeuMfConfig config_;
   Matrix gmf_user_, gmf_item_;  // N×Dg, M×Dg

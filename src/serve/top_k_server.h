@@ -9,10 +9,10 @@
 // embedding tables at all.
 //
 // With ann.enable set (and an indexable model, index_dim() > 0 — see
-// eval/scorer.h), the miss path goes sub-linear: probe the one candidate
-// index, SphericalIvfIndex (ann/ivf_index.h), for an overfetched
-// candidate block, then re-rank the block with the model's *exact*
-// ScoreItems. Because every
+// eval/scorer.h), the miss path probes the one candidate index,
+// SphericalIvfIndex (ann/ivf_index.h), whose int8 first pass returns a
+// short overfetched candidate list, then re-ranks the list with the
+// model's *exact* ScoreItems. Because every
 // returned score still comes from the model's own gather kernel, an
 // ANN-served ranking can only differ from the exact sweep in which items
 // it considered (recall), never in any considered item's score; models
@@ -418,10 +418,11 @@ class TopKServer {
                   std::vector<TopKResponse>* results);
 
   /// ANN miss path for B >= 1 users: per-user queries written into one
-  /// packed buffer, one ProbeBatch for an overfetched candidate block per
-  /// user (AnnWant; the IVF shares a single centroid-matrix scan across
-  /// the batch), then each block is re-ranked with the model's exact
-  /// ScoreItems under the usual exclusion + (score desc, id asc) ranking.
+  /// packed buffer, one ProbeBatch that returns each user's AnnWant best
+  /// candidates by int8 code score (the IVF shares a single
+  /// centroid-matrix scan across the batch), then each short list is
+  /// re-ranked with the model's exact ScoreItems under the usual
+  /// exclusion + (score desc, id asc) ranking.
   /// A batch of B answers bit-identically to B batches of one. Scratch
   /// buffers are per thread, so a miss allocates only its response.
   void AnnBatchSweep(const ItemScorer& model,

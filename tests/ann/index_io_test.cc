@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -109,7 +110,7 @@ constexpr size_t kOffNumItems = 16;
 constexpr size_t kOffParams = 32;
 constexpr size_t kOffRegionTable = 72;
 constexpr size_t kRegionEntryBytes = 24;
-constexpr size_t kHeaderBytes = 192;
+constexpr size_t kHeaderBytes = 256;
 
 /// Probes both indexes over the same queries/wants and demands the exact
 /// same candidate blocks (same ids, same order).
@@ -125,6 +126,39 @@ void ExpectProbesBitIdentical(const ItemScorer& model,
       a.Probe(query.data(), want, &got_a);
       b.Probe(query.data(), want, &got_b);
       EXPECT_EQ(got_a, got_b) << "user " << u << " want " << want;
+    }
+  }
+}
+
+/// The stance for a file that is well formed but not the saved index (a
+/// flipped code byte or scale): probes return unique in-range ids, and a
+/// server on it answers with the model's own scores for what it serves.
+void ExpectServesModelScores(
+    const ItemScorer& model,
+    const std::shared_ptr<const SphericalIvfIndex>& index) {
+  std::vector<float> query(index->dim());
+  for (UserId u = 0; u < 4; ++u) {
+    model.WriteIndexQuery(u, query.data());
+    for (const size_t want : {size_t{3}, size_t{40}}) {
+      std::vector<ItemId> ids;
+      index->Probe(query.data(), want, &ids);
+      EXPECT_EQ(ids.size(), want);
+      std::sort(ids.begin(), ids.end());
+      EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end());
+      EXPECT_TRUE(ids.empty() || ids.back() < index->num_items());
+    }
+  }
+  TopKServerOptions opts;
+  opts.k = 10;
+  opts.ann.prebuilt = index;
+  TopKServer server(&model, 12, index->num_items(), opts);
+  for (UserId u = 0; u < 12; ++u) {
+    const TopKResponse got = server.TopK(u);
+    ASSERT_EQ(got.items.size(), 10u);
+    std::vector<float> expect(got.items.size());
+    model.ScoreItems(u, got.items, expect.data());
+    for (size_t i = 0; i < got.items.size(); ++i) {
+      EXPECT_EQ(got.scores[i], expect[i]) << "user " << u;
     }
   }
 }
@@ -165,6 +199,12 @@ TEST_F(IndexIoFixture, IvfMappedProbesBitIdenticalToBuilt) {
                          built->offsets().begin()));
   EXPECT_TRUE(std::equal(mivf.list_ids().begin(), mivf.list_ids().end(),
                          built->list_ids().begin()));
+  ASSERT_EQ(mivf.codes().size(),
+            kItems * SphericalIvfIndex::CodeBytes(kDim));
+  EXPECT_TRUE(std::equal(mivf.codes().begin(), mivf.codes().end(),
+                         built->codes().begin()));
+  EXPECT_TRUE(std::equal(mivf.scales().begin(), mivf.scales().end(),
+                         built->scales().begin()));
   ExpectProbesBitIdentical(model, *built, *mapped);
 }
 
@@ -248,6 +288,10 @@ TEST_F(IndexIoFixture, IvfRebuiltOnMappedCopiesOnWrite) {
                          oivf.offsets().begin()));
   EXPECT_TRUE(std::equal(rivf.list_ids().begin(), rivf.list_ids().end(),
                          oivf.list_ids().begin()));
+  EXPECT_TRUE(std::equal(rivf.codes().begin(), rivf.codes().end(),
+                         oivf.codes().begin(), oivf.codes().end()));
+  EXPECT_TRUE(std::equal(rivf.scales().begin(), rivf.scales().end(),
+                         oivf.scales().begin(), oivf.scales().end()));
   ExpectProbesBitIdentical(model, *from_built, *from_mapped);
 
   // The mapped receiver is untouched (in-flight probes keep it) and the
@@ -259,7 +303,7 @@ TEST_F(IndexIoFixture, IvfRebuiltOnMappedCopiesOnWrite) {
   model.WriteIndexQuery(0, query.data());
   std::vector<ItemId> out;
   from_mapped->Probe(query.data(), 10, &out);
-  EXPECT_GE(out.size(), 10u);  // IVF appends whole lists until covered
+  EXPECT_GE(out.size(), 10u);  // the want best of the probed lists
 }
 
 TEST_F(IndexIoFixture, MappedIndexServesThroughTopKServer) {
@@ -360,7 +404,13 @@ TEST_F(IndexIoRejectFixture, LoadRejectsBadMagic) {
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsFutureVersion) {
-  PokeAt(&bytes_, kOffVersion, uint32_t{2});
+  PokeAt(&bytes_, kOffVersion, uint32_t{3});
+  ExpectRejected();
+}
+
+TEST_F(IndexIoRejectFixture, LoadRejectsVersion1) {
+  // v1 files (four regions, no codes) are not read: rebuild the index.
+  PokeAt(&bytes_, kOffVersion, uint32_t{1});
   ExpectRejected();
 }
 
@@ -494,6 +544,19 @@ TEST_F(IndexIoRejectFixture,
   ExpectRejected();
 }
 
+TEST_F(IndexIoRejectFixture, NanCentroidLoadsAndServesModelScores) {
+  // Any float is a well-formed centroid, NaN included: its dot ranks its
+  // list last, the list order stays total, and the served answers still
+  // come from the model.
+  const auto centroids_at = PeekAt<uint64_t>(bytes_, kOffRegionTable);
+  PokeAt(&bytes_, centroids_at, std::numeric_limits<float>::quiet_NaN());
+  FixupCrc(0);
+  WriteFileBytes(path_, bytes_);
+  const auto mapped = LoadCandidateIndexMapped(path_, *model_, kItems);
+  ASSERT_NE(mapped, nullptr);
+  ExpectServesModelScores(*model_, mapped);
+}
+
 TEST_F(IndexIoRejectFixture, SeededMutationsLoadNothingOrAgree) {
   // The index file is a trust boundary like the model file. Mutate the
   // saved file: every single-bit flip of the header (region table
@@ -560,6 +623,46 @@ TEST_F(IndexIoRejectFixture, SeededMutationsLoadNothingOrAgree) {
       FixupCrc(r);
       check(bytes_);
     }
+  }
+
+  // Regions 4 and 5 (codes, scales): the loader verifies neither checksum.
+  // NaN, infinite and negative scales must reject. Any other scale, and
+  // any code byte, is a well-formed file that ranks differently — the
+  // centroid-flip stance: it loads, probes return unique in-range ids,
+  // and every served score is the model's own.
+  const auto scales_at = PeekAt<uint64_t>(
+      original, kOffRegionTable + 5 * kRegionEntryBytes);
+  for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(), -1.0f,
+                          -std::numeric_limits<float>::denorm_min()}) {
+    SCOPED_TRACE("scale " + std::to_string(bad));
+    bytes_ = original;
+    PokeAt(&bytes_, scales_at + 4 * (kItems / 2), bad);
+    ExpectRejected();
+  }
+  for (size_t r = 4; r < 6; ++r) {
+    const auto at =
+        PeekAt<uint64_t>(original, kOffRegionTable + r * kRegionEntryBytes);
+    const auto size = PeekAt<uint64_t>(
+        original, kOffRegionTable + r * kRegionEntryBytes + 8);
+    size_t region_loaded = 0;
+    for (int trial = 0; trial < 64; ++trial) {
+      SCOPED_TRACE("region " + std::to_string(r) + " trial " +
+                   std::to_string(trial));
+      bytes_ = original;
+      const int n_flips = 1 + static_cast<int>(SplitMix64(&state) % 4);
+      for (int f = 0; f < n_flips; ++f) {
+        flip(&bytes_, at * 8 + SplitMix64(&state) % (size * 8));
+      }
+      WriteFileBytes(path_, bytes_);
+      const auto mapped = LoadCandidateIndexMapped(path_, *model_, kItems);
+      if (r == 4) ASSERT_NE(mapped, nullptr) << "a code flip must load";
+      if (mapped == nullptr) continue;
+      ++region_loaded;
+      ExpectServesModelScores(*model_, mapped);
+    }
+    EXPECT_GT(region_loaded, 0u) << "region " << r;
   }
 
   // Cut the file back one byte at a time, from one byte short to empty.

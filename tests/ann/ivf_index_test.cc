@@ -6,6 +6,7 @@
 #include "ann/ivf_index.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -74,6 +75,13 @@ void ExpectSameIndex(const SphericalIvfIndex& a, const SphericalIvfIndex& b) {
   const auto cb = b.centroids();
   ASSERT_EQ(ca.size(), cb.size());
   EXPECT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin()));
+  const auto qa = a.codes();
+  const auto qb = b.codes();
+  ASSERT_EQ(qa.size(), a.num_items() * SphericalIvfIndex::CodeBytes(a.dim()));
+  EXPECT_TRUE(std::equal(qa.begin(), qa.end(), qb.begin(), qb.end()));
+  const auto sa = a.scales();
+  const auto sb = b.scales();
+  EXPECT_TRUE(std::equal(sa.begin(), sa.end(), sb.begin(), sb.end()));
 }
 
 TEST(SphericalIvfIndexTest, ListsPartitionCatalogAscending) {
@@ -254,6 +262,82 @@ TEST(SphericalIvfIndexTest, ProbeBatchMatchesSequentialProbes) {
   std::vector<ItemId> solo0;
   idx->Probe(queries.data(), want[0], &solo0);
   EXPECT_EQ(one[0], solo0);
+}
+
+TEST(SphericalIvfIndexTest, CodesDequantizeWithinHalfAStepInListOrder) {
+  // Position i of codes()/scales() is item list_ids()[i]: symmetric int8
+  // with scale max|x|/127, so code·scale is within half a step of x, the
+  // largest entry hits ±127, and the padding to 16 bytes is zero.
+  const size_t kItems = 300, kDim = 33;
+  DotScorer model(4, kItems, kDim, 9);
+  const auto idx =
+      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+  const size_t row_bytes = SphericalIvfIndex::CodeBytes(kDim);
+  ASSERT_EQ(row_bytes, 48u);
+  ASSERT_EQ(idx->codes().size(), kItems * row_bytes);
+  ASSERT_EQ(idx->scales().size(), kItems);
+  std::vector<float> x(kDim);
+  for (size_t i = 0; i < kItems; ++i) {
+    const ItemId v = idx->list_ids()[i];
+    model.CopyIndexVectors(v, v + 1, x.data());
+    const float scale = idx->scales()[i];
+    const int8_t* code = idx->codes().data() + i * row_bytes;
+    int max_code = 0;
+    for (size_t j = 0; j < kDim; ++j) {
+      EXPECT_LE(std::abs(code[j] * scale - x[j]), 0.5f * scale * 1.001f)
+          << "item " << v << " dim " << j;
+      max_code = std::max(max_code, std::abs(static_cast<int>(code[j])));
+    }
+    EXPECT_EQ(max_code, 127) << "item " << v;
+    for (size_t j = kDim; j < row_bytes; ++j) EXPECT_EQ(code[j], 0);
+  }
+}
+
+TEST(SphericalIvfIndexTest, ProbeReturnsTheWantBestAsAPrefix) {
+  // Below a full probe the probe keeps the `want` best of the probed lists
+  // under one total order (quantized score, then lower id), best first:
+  // a smaller want is a prefix of a larger one over the same lists.
+  const size_t kItems = 2000, kDim = 16;
+  DotScorer model(8, kItems, kDim, 10);
+  const auto idx =
+      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+  ASSERT_LT(idx->nprobe(), idx->num_centroids());
+  std::vector<float> query(kDim);
+  for (UserId u = 0; u < 8; ++u) {
+    model.WriteIndexQuery(u, query.data());
+    std::vector<ItemId> small, large;
+    idx->Probe(query.data(), 10, &small);
+    idx->Probe(query.data(), 40, &large);
+    ASSERT_EQ(small.size(), 10u);
+    ASSERT_EQ(large.size(), 40u);
+    EXPECT_TRUE(std::equal(small.begin(), small.end(), large.begin()))
+        << "user " << u;
+  }
+}
+
+TEST(SphericalIvfIndexTest, ProbeBatchSharingCodeRowsMatchesSoloProbes) {
+  // Below a full probe a batch scans each list once for every query that
+  // probes it, two queries per code-row load: an odd batch, lists probed
+  // by one, two or three queries, a want beyond the probed lists'
+  // population, and a full-probe want in the same batch must each return
+  // exactly the solo probe's ids, in order.
+  const size_t kItems = 2000, kDim = 33, kQueries = 7;
+  DotScorer model(kQueries, kItems, kDim, 11);
+  const auto idx =
+      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+  ASSERT_LT(idx->nprobe(), idx->num_centroids());
+  std::vector<float> queries(kQueries * kDim);
+  for (size_t q = 0; q < kQueries; ++q) {
+    model.WriteIndexQuery(static_cast<UserId>(q), queries.data() + q * kDim);
+  }
+  const std::vector<size_t> want = {40, 40, 1, kItems - 10, 40, kItems, 7};
+  std::vector<std::vector<ItemId>> batch(kQueries);
+  idx->ProbeBatch(queries.data(), kQueries, want.data(), &batch);
+  for (size_t q = 0; q < kQueries; ++q) {
+    std::vector<ItemId> solo;
+    idx->Probe(queries.data() + q * kDim, want[q], &solo);
+    EXPECT_EQ(batch[q], solo) << "query " << q;
+  }
 }
 
 TEST(SphericalIvfIndexTest, FactoryBuildsIvfForDotGeometry) {

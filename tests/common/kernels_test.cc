@@ -1,10 +1,14 @@
 #include "common/kernels.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/facet_store.h"
+#include "common/kernels_detail.h"
 #include "common/rng.h"
 #include "common/vec.h"
 
@@ -523,6 +527,144 @@ TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesPerLaneInsideAQuad) {
   for (size_t r = 0; r < 4; ++r) {
     EXPECT_EQ(got[r], DotBatchArgmax(rows.data() + r * n, centroids.data(),
                                      num_centroids, n, n));
+  }
+}
+
+
+/// Int16 query and int8 code rows at the extremes the probe allows: any
+/// code byte, query entries up to ±32767 (the bound keeps every sum
+/// inside int32 for rows up to 128 bytes).
+struct CodeRows {
+  std::vector<int16_t> q;
+  std::vector<int8_t> codes;
+};
+
+CodeRows RandomCodeRows(uint64_t seed, size_t dim, size_t row_bytes,
+                        size_t count) {
+  Rng rng(seed);
+  CodeRows r;
+  r.q.assign(row_bytes, 0);
+  r.codes.assign(count * row_bytes, 0);
+  for (size_t i = 0; i < dim; ++i) {
+    r.q[i] = static_cast<int16_t>(static_cast<int64_t>(rng.UniformInt(65535)) -
+                                  32767);
+  }
+  for (size_t v = 0; v < count; ++v) {
+    for (size_t i = 0; i < dim; ++i) {
+      r.codes[v * row_bytes + i] =
+          static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) - 128);
+    }
+  }
+  return r;
+}
+
+TEST(KernelsTest, CodeDotRowsAvx2MatchesScalar) {
+#if MARS_KERNELS_HAVE_AVX2
+  if (!kernels_detail::HasAvx2Fma()) GTEST_SKIP() << "no AVX2 on this host";
+  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const size_t row_bytes = (dim + 15) & ~size_t{15};
+    const CodeRows r = RandomCodeRows(dim, dim, row_bytes, 4);
+    int32_t got[4];
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(got),
+                     kernels_detail::CodeDotRowsAvx2X4(
+                         r.q.data(), r.codes.data(), row_bytes));
+    for (size_t j = 0; j < 4; ++j) {
+      EXPECT_EQ(got[j],
+                kernels_detail::CodeDotRowGeneric(
+                    r.q.data(), r.codes.data() + j * row_bytes, row_bytes))
+          << "row " << j;
+    }
+  }
+  // All extremes at once: the largest |sum| the bound admits.
+  const size_t row_bytes = 128;
+  std::vector<int16_t> q(row_bytes, -32767);
+  std::vector<int8_t> codes(4 * row_bytes, -128);
+  int32_t got[4];
+  _mm_storeu_si128(
+      reinterpret_cast<__m128i*>(got),
+      kernels_detail::CodeDotRowsAvx2X4(q.data(), codes.data(), row_bytes));
+  for (size_t j = 0; j < 4; ++j) EXPECT_EQ(got[j], 128 * 32767 * 128);
+#else
+  GTEST_SKIP() << "AVX2 kernels not compiled for this architecture";
+#endif
+}
+
+TEST(KernelsTest, CodeScoresAtLeastMatchesPerRowIncludingTail) {
+  // Every row whose scale·dot reaches the threshold, in row order, with
+  // the scalar score's bits — quads and the count mod 4 tail alike, and a
+  // threshold that sits exactly on one row's score.
+  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const size_t row_bytes = (dim + 15) & ~size_t{15};
+    const size_t count = 23;  // five quads and a tail of three
+    const CodeRows r = RandomCodeRows(100 + dim, dim, row_bytes, count);
+    Rng rng(dim);
+    std::vector<float> scales(count), want(count);
+    for (size_t v = 0; v < count; ++v) {
+      scales[v] = static_cast<float>(rng.Uniform()) * 1e-3f;
+      int64_t dot = 0;
+      for (size_t i = 0; i < row_bytes; ++i) {
+        dot += int64_t{r.q[i]} * r.codes[v * row_bytes + i];
+      }
+      want[v] = scales[v] * static_cast<float>(dot);
+    }
+    std::vector<float> sorted = want;
+    std::sort(sorted.begin(), sorted.end());
+    for (const float threshold :
+         {-std::numeric_limits<float>::infinity(), sorted[count / 2],
+          sorted[count - 1], std::numeric_limits<float>::infinity()}) {
+      std::vector<uint32_t> hits(count);
+      std::vector<float> hit_scores(count);
+      const size_t n =
+          CodeScoresAtLeast(r.q.data(), r.codes.data(), scales.data(), count,
+                            row_bytes, threshold, hits.data(),
+                            hit_scores.data());
+      size_t expect = 0;
+      for (size_t v = 0; v < count; ++v) {
+        if (!(want[v] >= threshold)) continue;
+        ASSERT_LT(expect, n);
+        EXPECT_EQ(hits[expect], v);
+        EXPECT_EQ(hit_scores[expect], want[v]) << "row " << v;
+        ++expect;
+      }
+      EXPECT_EQ(n, expect) << "threshold " << threshold;
+    }
+  }
+}
+
+TEST(KernelsTest, CodeScoresAtLeastPairMatchesTwoSingleScans) {
+  // Two queries over one block, each code row loaded once: per query the
+  // same rows and score bits as its own CodeScoresAtLeast call.
+  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const size_t row_bytes = (dim + 15) & ~size_t{15};
+    const size_t count = 23;  // five quads and a tail of three
+    const CodeRows a = RandomCodeRows(200 + dim, dim, row_bytes, count);
+    const CodeRows b = RandomCodeRows(300 + dim, dim, row_bytes, 0);
+    Rng rng(dim + 7);
+    std::vector<float> scales(count);
+    for (float& x : scales) x = static_cast<float>(rng.Uniform()) * 1e-3f;
+    const float threshold[2] = {-std::numeric_limits<float>::infinity(),
+                                0.0f};
+    const int16_t* const q[2] = {a.q.data(), b.q.data()};
+    std::vector<uint32_t> hits0(count), hits1(count), want_hits(count);
+    std::vector<float> scores0(count), scores1(count), want_scores(count);
+    uint32_t* const hits[2] = {hits0.data(), hits1.data()};
+    float* const scores[2] = {scores0.data(), scores1.data()};
+    size_t n[2];
+    CodeScoresAtLeastPair(q, a.codes.data(), scales.data(), count, row_bytes,
+                          threshold, hits, scores, n);
+    for (size_t k = 0; k < 2; ++k) {
+      const size_t want_n = CodeScoresAtLeast(
+          q[k], a.codes.data(), scales.data(), count, row_bytes, threshold[k],
+          want_hits.data(), want_scores.data());
+      ASSERT_EQ(n[k], want_n) << "query " << k;
+      for (size_t i = 0; i < want_n; ++i) {
+        EXPECT_EQ(hits[k][i], want_hits[i]);
+        EXPECT_EQ(scores[k][i], want_scores[i]);
+      }
+    }
   }
 }
 

@@ -101,5 +101,32 @@ TEST(NeuMfTest, ConcurrentScoreMatchesSerialBitForBit) {
   }
 }
 
+
+TEST(NeuMfTest, BatchScoringMatchesScoreBitForBit) {
+  // ScoreItems and ScoreItemRange write the user half of the tower input
+  // once per call; every score must keep Score's bits.
+  const auto data = GridDataset();
+  for (const NeuMfConfig& cfg : {NeuMfConfig{}, OddConfig()}) {
+    const auto model = FitNeuMf(*data, cfg);
+    const std::vector<float> grid = ScoreGrid(*model, *data);
+    const size_t n = data->num_items();
+    std::vector<ItemId> ids(n);
+    for (ItemId v = 0; v < n; ++v) ids[v] = n - 1 - v;  // not in id order
+    std::vector<float> items(n), range(n - 3);
+    for (UserId u = 0; u < data->num_users(); ++u) {
+      const float* row = grid.data() + u * n;
+      model->ScoreItems(u, ids, items.data());
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(&items[i], &row[ids[i]], sizeof(float)), 0)
+            << "user " << u << " item " << ids[i];
+      }
+      model->ScoreItemRange(u, 3, static_cast<ItemId>(n), range.data());
+      ASSERT_EQ(std::memcmp(range.data(), row + 3, range.size() * sizeof(float)),
+                0)
+          << "user " << u;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mars

@@ -297,6 +297,52 @@ TEST(TopKServerAnnTest, DefaultNprobeRecallFloorOnLargerCatalog) {
   EXPECT_EQ(server.stats().ann_probes, probe_users);
 }
 
+TEST(TopKServerAnnTest, MarsDefaultOptionsRecallOnHotShapedCatalog) {
+  // MARS ranks by Σ_k θ_uk·r_k·cos(u_k, v_k): the IVF's int8 first pass
+  // scores that weighted sum over half the lists, and the exact re-rank
+  // of its best 40 must recover the exact top-10. The catalog is the
+  // wire benchmark's hot shape (4000 users, 2000 items, K 4, dim 32, five
+  // epochs of ten interactions per user) at default AnnIndexOptions.
+  SyntheticConfig dc;
+  dc.num_users = 4000;
+  dc.num_items = 2000;
+  dc.target_interactions = 40000;
+  dc.num_facets = 4;
+  dc.seed = 20210419;
+  const auto data = GenerateSyntheticDataset(dc);
+  MultiFacetConfig mc;
+  mc.dim = 32;
+  mc.num_facets = 4;
+  Mars model(mc);
+  TrainOptions to;
+  to.epochs = 5;
+  to.learning_rate = 0.3;
+  to.seed = 20210419;
+  to.num_threads = 1;
+  model.Fit(*data, to);
+
+  const size_t k = 10, users = 200;
+  TopKServerOptions opts;
+  opts.k = k;
+  opts.ann.enable = true;
+  TopKServer server(&model, data->num_users(), data->num_items(), opts);
+  size_t hit = 0;
+  for (UserId u = 0; u < users; ++u) {
+    const UserId user = static_cast<UserId>(u * 19);  // spread over ids
+    const auto [want_items, want_scores] =
+        BruteForceTopK(model, user, data->num_items(), k);
+    const TopKResponse got = server.TopK(user);
+    ASSERT_EQ(got.items.size(), k);
+    for (const ItemId v : got.items) {
+      hit += std::count(want_items.begin(), want_items.end(), v);
+    }
+  }
+  EXPECT_EQ(server.stats().ann_probes, users);
+  const double recall =
+      static_cast<double>(hit) / static_cast<double>(k * users);
+  EXPECT_GE(recall, 0.95) << "recall@10 at default AnnIndexOptions";
+}
+
 TEST(TopKServerAnnTest, InjectedIndexImpliesAnnServing) {
   const auto data = SmallDataset();
   Bpr model(BprConfig{.dim = 16});
