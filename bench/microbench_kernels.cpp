@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/crc32_detail.h"
 #include "common/facet_store.h"
 #include "common/kernels.h"
 #include "common/kernels_detail.h"
@@ -641,19 +642,38 @@ void BM_EvaluateUser(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateUser);
 
-// Restart validates each MRSI region with Crc32 before serving from it;
-// bytes/s here bounds how fast a mapped index can come up.
-void BM_Crc32(benchmark::State& state) {
+// Restart validates each MRSI region with Crc32 before serving from it,
+// and every MRSN frame carries one; bytes/s here bounds how fast a mapped
+// index can come up. Sizes: one 64-byte frame payload, the 862 340 checked
+// bytes of wirebench's cold index (50k items, dim 128, 896 lists), and
+// 1 MiB. Each twin runs under its own name (BM_Crc32/portable/...,
+// BM_Crc32/pclmul/...) next to the dispatched entry point.
+void BM_Crc32(benchmark::State& state,
+              uint32_t (*crc)(const uint8_t*, size_t)) {
   const size_t n = static_cast<size_t>(state.range(0));
   Rng rng(9);
   std::vector<uint8_t> bytes(n);
   for (auto& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Crc32(bytes.data(), n));
+    benchmark::DoNotOptimize(crc(bytes.data(), n));
   }
   state.SetBytesProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, &Crc32)
+    ->Arg(64)->Arg(862340)->Arg(1 << 20);
+BENCHMARK_CAPTURE(BM_Crc32, portable, &crc32_detail::Crc32Portable)
+    ->Arg(64)->Arg(862340)->Arg(1 << 20);
+#if MARS_CRC32_HAVE_PCLMUL
+void BM_Crc32Pclmul(benchmark::State& state) {
+  if (!crc32_detail::HasPclmul()) {
+    state.SkipWithError("no PCLMULQDQ on this host");
+    return;
+  }
+  BM_Crc32(state, &crc32_detail::Crc32Pclmul);
+}
+BENCHMARK(BM_Crc32Pclmul)->Name("BM_Crc32/pclmul")
+    ->Arg(64)->Arg(862340)->Arg(1 << 20);
+#endif
 
 }  // namespace
 }  // namespace mars

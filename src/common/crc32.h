@@ -4,12 +4,20 @@
 // checksum their payload with it, and MRSI index files (ann/index_io.h,
 // docs/FORMAT.md) checksum each region with it.
 //
-// The implementation is slicing-by-16 (Kounavis & Berry, "Novel Table
-// Lookup-Based Algorithms for High-Performance CRC Generation", IEEE TC
-// 2008): 16 input bytes per step through 16 lookup tables that are
-// generated at compile time, with a byte-at-a-time loop for the tail. It
-// returns exactly the value of the classic one-table byte loop, which
-// tests/common/crc32_test.cc keeps as the oracle.
+// Two twins compute it (common/crc32_detail.h), picked once per process
+// by the CPU check:
+//  * a PCLMULQDQ fold (Gopal et al., "Fast CRC Computation for Generic
+//    Polynomials Using PCLMULQDQ Instruction", Intel 2009) on x86-64 CPUs
+//    that have it: four 16-byte lanes per 64-byte step, then 16-byte
+//    folds, a 128 → 64 → 32 bit reduction and a Barrett step, with the
+//    last < 16 bytes through the tables below;
+//  * the portable slicing-by-16 loop (Kounavis & Berry, "Novel Table
+//    Lookup-Based Algorithms for High-Performance CRC Generation", IEEE
+//    TC 2008) everywhere else and for inputs under 64 bytes: 16 bytes per
+//    step through 16 compile-time tables, a byte loop for the tail.
+// Both return exactly the value of the classic one-table byte loop, which
+// tests/common/crc32_test.cc keeps as the oracle for each twin, so no
+// file or frame byte depends on which one ran.
 #ifndef MARS_COMMON_CRC32_H_
 #define MARS_COMMON_CRC32_H_
 

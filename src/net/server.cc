@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 namespace mars {
 
@@ -24,6 +25,17 @@ bool SetNonBlocking(int fd) {
 
 /// The descriptor NetServer holds back for shedding under fd exhaustion.
 int OpenReserveFd() { return open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
+/// Sheds a just-accepted peer with a reason: one id-0 kError(kOverloaded)
+/// frame in a single non-blocking send whose result is ignored (a fresh
+/// socket's buffer takes the 28 bytes), then the close.
+void ShedWithOverloadedFrame(int fd) {
+  std::vector<uint8_t> frame;
+  EncodeError(0, WireStatus::kOverloaded, &frame);
+  [[maybe_unused]] const ssize_t n =
+      send(fd, frame.data(), frame.size(), MSG_NOSIGNAL | MSG_DONTWAIT);
+  close(fd);
+}
 
 }  // namespace
 
@@ -203,8 +215,10 @@ void NetServer::AcceptReady() {
       return;  // EAGAIN (drained) or transient accept failure
     }
     if (connections_.size() >= options_.max_connections) {
+      // Count before the frame: the peer must never see the reason
+      // before the stat.
       connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-      close(fd);
+      ShedWithOverloadedFrame(fd);
       continue;
     }
     const int one = 1;
@@ -223,16 +237,18 @@ bool NetServer::ShedWithReserveFd() {
   // Out of descriptors, the pending connection stays queued and the
   // listener stays readable: without a free slot the loop would spin on
   // it forever. Spend the reserve slot to take the connection off the
-  // queue and close it (the peer sees EOF), then hold the slot again.
+  // queue and shed it (the peer reads one kOverloaded frame, then EOF),
+  // then hold the slot again.
   if (reserve_fd_ < 0) return false;
   close(reserve_fd_);
   const int fd =
       accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
   const bool shed = fd >= 0;
   if (shed) {
-    // Count before the close: the peer's EOF must never overtake the stat.
+    // Count before the frame: the peer must never see the reason before
+    // the stat.
     connections_dropped_.fetch_add(1, std::memory_order_relaxed);
-    close(fd);
+    ShedWithOverloadedFrame(fd);
   }
   reserve_fd_ = OpenReserveFd();
   return shed;

@@ -45,7 +45,8 @@ struct NetServerOptions {
   uint16_t port = 0;
   /// Per-frame payload cap handed to each connection's decoder.
   size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Accepted connections beyond this are closed immediately.
+  /// Accepted connections beyond this are shed at once: one best-effort
+  /// kError(kOverloaded) frame with request id 0, then close.
   size_t max_connections = 1024;
   /// Backpressure: a connection whose queued-but-unsent response bytes
   /// exceed this cap is shed — one best-effort kError(kOverloaded) frame,
@@ -63,9 +64,9 @@ struct NetServerOptions {
 
 struct NetServerStats {
   uint64_t connections_accepted = 0;
-  /// Accepted and closed at once: over max_connections, or taken off the
-  /// listen queue with the reserve descriptor while the process was out
-  /// of file descriptors.
+  /// Accepted and shed at once (a kOverloaded frame, then close): over
+  /// max_connections, or taken off the listen queue with the reserve
+  /// descriptor while the process was out of file descriptors.
   uint64_t connections_dropped = 0;
   /// Connections shed for exceeding max_queued_response_bytes.
   uint64_t backpressure_closes = 0;
@@ -121,9 +122,10 @@ class NetServer {
  private:
   void RunLoop();
   void AcceptReady();
-  /// On EMFILE/ENFILE: closes the reserve descriptor, accepts and closes
-  /// one pending connection, and reopens the reserve. True when a
-  /// connection was shed (the caller keeps draining the queue).
+  /// On EMFILE/ENFILE: closes the reserve descriptor, accepts one pending
+  /// connection and sheds it (one best-effort kOverloaded frame, then
+  /// close), and reopens the reserve. True when a connection was shed
+  /// (the caller keeps draining the queue).
   bool ShedWithReserveFd();
   /// Serves every request decoded this wake-up whose connection is still
   /// open: TopKBatch in kMaxWireBatch chunks, responses queued to their

@@ -208,6 +208,47 @@ TEST_F(IndexIoFixture, IvfMappedProbesBitIdenticalToBuilt) {
   ExpectProbesBitIdentical(model, *built, *mapped);
 }
 
+TEST_F(IndexIoFixture, BorrowedIndexFileBytesArePinned) {
+  // An index over fixed arrays (no k-means, so nothing depends on the
+  // host): the CRC-32 of its whole saved file, recorded from the
+  // slicing-by-16 Crc32, pins the MRSI layout and every region checksum
+  // the header stores.
+  constexpr size_t kN = 40, kD = 8, kC = 4;
+  std::vector<float> centroids(kC * kD);
+  for (size_t i = 0; i < centroids.size(); ++i) {
+    centroids[i] = 0.125f * static_cast<float>(i % 7) - 0.25f;
+  }
+  std::vector<uint32_t> assign(kN), offsets(kC + 1);
+  std::vector<ItemId> list_ids;
+  for (size_t v = 0; v < kN; ++v) assign[v] = static_cast<uint32_t>(v % kC);
+  for (size_t c = 0; c < kC; ++c) {
+    for (size_t v = c; v < kN; v += kC) {
+      list_ids.push_back(static_cast<ItemId>(v));
+    }
+    offsets[c + 1] = static_cast<uint32_t>(list_ids.size());
+  }
+  std::vector<int8_t> codes(kN * SphericalIvfIndex::CodeBytes(kD));
+  for (size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = static_cast<int8_t>(static_cast<int>((i * 37) % 255) - 127);
+  }
+  std::vector<float> scales(kN);
+  for (size_t i = 0; i < kN; ++i) {
+    scales[i] = 0.01f * static_cast<float>(i + 1);
+  }
+  const auto index = SphericalIvfIndex::Borrow(
+      kN, kD, kC, 2, centroids.data(), assign.data(), offsets.data(),
+      list_ids.data(), codes.data(), scales.data(), nullptr);
+  ASSERT_TRUE(SaveCandidateIndex(*index, path_));
+  const std::string bytes = ReadFileBytes(path_);
+  ASSERT_EQ(bytes.size(), 1664u);
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(bytes.data()),
+                  bytes.size()),
+            0x286C2610u);
+  // The loader's region checks accept the pinned bytes.
+  const DotScorer model(4, kN, kD, 3);
+  EXPECT_NE(LoadCandidateIndexMapped(path_, model, kN), nullptr);
+}
+
 TEST_F(IndexIoFixture, MappedIndexOutlivesUnlinkAndLoadCall) {
   DotScorer model(12, kItems, kDim, 3);
   const auto built =
@@ -475,6 +516,85 @@ TEST_F(IndexIoRejectFixture, LoadRejectsChecksumMismatch) {
   const auto offset = PeekAt<uint64_t>(bytes_, kOffRegionTable);
   bytes_[offset] = static_cast<char>(bytes_[offset] ^ 0x40);
   ExpectRejected();
+}
+
+TEST_F(IndexIoRejectFixture,
+       LoadRejectsABitFlipAtEachFoldBoundaryOfEachCheckedRegion) {
+  // A geometry whose checked regions meet every part of Crc32: 301 items
+  // and dim 15 over 9 lists give centroids 540 bytes and assign and
+  // list_ids 1 204 bytes (64-byte folds, 16-byte folds and a table tail)
+  // and offsets 40 bytes (under 64: the portable loop alone). One bit
+  // flips at the first byte, inside the second 64-byte fold step (or mid
+  // region when there is none) and at the last byte; each file must fail
+  // that region's checksum, not a later check.
+  constexpr size_t kFoldItems = 301, kFoldDim = 15;
+  model_ = std::make_unique<DotScorer>(12, kFoldItems, kFoldDim, 7);
+  AnnIndexOptions opts;
+  opts.num_centroids = 9;
+  const auto built =
+      SphericalIvfIndex::Build(*model_, kFoldItems, opts, nullptr);
+  ASSERT_TRUE(SaveCandidateIndex(*built, path_));
+  const std::string original = ReadFileBytes(path_);
+  ASSERT_NE(LoadCandidateIndexMapped(path_, *model_, kFoldItems), nullptr);
+
+  const size_t expect_bytes[4] = {540, 1204, 40, 1204};
+  for (size_t r = 0; r < 4; ++r) {
+    const auto at =
+        PeekAt<uint64_t>(original, kOffRegionTable + r * kRegionEntryBytes);
+    const auto size = PeekAt<uint64_t>(
+        original, kOffRegionTable + r * kRegionEntryBytes + 8);
+    ASSERT_EQ(size, expect_bytes[r]) << "region " << r;
+    for (const uint64_t pos : {uint64_t{0}, std::min<uint64_t>(101, size / 2),
+                               size - 1}) {
+      SCOPED_TRACE("region " + std::to_string(r) + " byte " +
+                   std::to_string(pos));
+      bytes_ = original;
+      bytes_[at + pos] = static_cast<char>(bytes_[at + pos] ^ 0x10);
+      WriteFileBytes(path_, bytes_);
+      ::testing::internal::CaptureStderr();
+      const auto loaded =
+          LoadCandidateIndexMapped(path_, *model_, kFoldItems);
+      const std::string log = ::testing::internal::GetCapturedStderr();
+      EXPECT_EQ(loaded, nullptr);
+      EXPECT_NE(log.find("region " + std::to_string(r) +
+                         " checksum mismatch"),
+                std::string::npos)
+          << log;
+    }
+  }
+}
+
+TEST_F(IndexIoRejectFixture, ScalesCheckRejectsExactlyNegativeAndNonFinite) {
+  // The scales pass is one vectorized loop: a bad scale must reject at
+  // the first row, mid-file and in each of the last rows a vector tail
+  // handles, and every finite scale >= 0 (-0.0 included) must load.
+  const std::string original = bytes_;
+  const auto scales_at =
+      PeekAt<uint64_t>(original, kOffRegionTable + 5 * kRegionEntryBytes);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const size_t row : {size_t{0}, kItems / 2, kItems - 3, kItems - 2,
+                           kItems - 1}) {
+    for (const float bad : {nan, -nan, inf, -inf, -1.0f,
+                            -std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::max()}) {
+      SCOPED_TRACE("row " + std::to_string(row) + " scale " +
+                   std::to_string(bad));
+      bytes_ = original;
+      PokeAt(&bytes_, scales_at + 4 * row, bad);
+      ExpectRejected();
+    }
+    for (const float good : {0.0f, -0.0f,
+                             std::numeric_limits<float>::denorm_min(),
+                             std::numeric_limits<float>::max()}) {
+      SCOPED_TRACE("row " + std::to_string(row) + " scale " +
+                   std::to_string(good));
+      bytes_ = original;
+      PokeAt(&bytes_, scales_at + 4 * row, good);
+      WriteFileBytes(path_, bytes_);
+      EXPECT_NE(LoadCandidateIndexMapped(path_, *model_, kItems), nullptr);
+    }
+  }
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsCorruptCsrWithFixedUpChecksum) {

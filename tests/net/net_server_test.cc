@@ -12,10 +12,11 @@
 //    trust split — error frame + close for stream-level violations,
 //    error frame + live connection for frame-level ones — and a
 //    byte-at-a-time sender is reassembled correctly. A process out of file
-//    descriptors sheds a pending connection (the peer sees EOF) instead
-//    of spinning on the readable listener, and a peer dropped in the
-//    middle of a wake-up never hands its answers to the next client that
-//    gets its descriptor number.
+//    descriptors sheds a pending connection (the peer reads one
+//    kOverloaded frame, then EOF) instead of spinning on the readable
+//    listener, a connection over max_connections is shed the same way,
+//    and a peer dropped in the middle of a wake-up never hands its
+//    answers to the next client that gets its descriptor number.
 //  * Lifecycle: Start is one-shot; a second call opens nothing.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -94,6 +95,17 @@ class GateScorer : public ToyScorer {
 
 constexpr size_t kUsers = 64;
 constexpr size_t kItems = 200;
+
+/// The reason a shed peer reads before EOF: a kError frame with request
+/// id 0 and code kOverloaded.
+void ExpectOverloadedFrame(const Frame& frame) {
+  ASSERT_EQ(frame.type, FrameType::kError);
+  uint64_t id = 1;
+  WireStatus code = WireStatus::kOk;
+  ASSERT_TRUE(DecodeErrorPayload(frame.payload, &id, &code));
+  EXPECT_EQ(id, 0u);
+  EXPECT_EQ(code, WireStatus::kOverloaded);
+}
 
 TopKServerOptions ServeOptions(size_t k = 8) {
   TopKServerOptions opts;
@@ -447,8 +459,15 @@ TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
   ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &exhausted), 0);
   const int connected =
       connect(client, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
-  char byte = 0;
-  const ssize_t got = connected == 0 ? recv(client, &byte, 1, 0) : -1;
+  // Read up to EOF: the shed peer gets its reason, then the close.
+  std::vector<uint8_t> received;
+  ssize_t got = -1;
+  if (connected == 0) {
+    uint8_t buf[256];
+    while ((got = recv(client, buf, sizeof(buf), 0)) > 0) {
+      received.insert(received.end(), buf, buf + got);
+    }
+  }
   const int recv_errno = errno;
   ASSERT_EQ(setrlimit(RLIMIT_NOFILE, &saved), 0);  // before any bail-out
   close(client);
@@ -456,6 +475,12 @@ TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
   ASSERT_EQ(connected, 0);
   EXPECT_EQ(got, 0) << "no EOF within 1 s (errno " << recv_errno
                     << "): the pending client was neither served nor shed";
+  FrameDecoder decoder;
+  decoder.Append(received.data(), received.size());
+  Frame reply;
+  ASSERT_EQ(decoder.Next(&reply), FrameDecoder::Result::kFrame);
+  ExpectOverloadedFrame(reply);
+  EXPECT_EQ(decoder.buffered(), 0u) << "bytes after the frame";
   EXPECT_EQ(server.stats().connections_dropped, 1u);
   EXPECT_EQ(server.stats().connections_accepted, 0u);
 
@@ -465,6 +490,38 @@ TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
   WireResponse wire;
   ASSERT_TRUE(next.TopK(TopKRequest{.user = 3}, &wire));
   EXPECT_EQ(wire.response.items, top_k.TopK(3).items);
+  server.Stop();
+}
+
+TEST(NetServerTest, ConnectionOverTheCapGetsOverloadedThenClose) {
+  ToyScorer scorer;
+  TopKServer top_k(&scorer, kUsers, kItems, ServeOptions());
+  NetServerOptions opts;
+  opts.max_connections = 1;
+  NetServer server(&top_k, opts);
+  ASSERT_TRUE(server.Start());
+
+  // A round trip makes sure the first client holds the one slot.
+  NetClient first;
+  ASSERT_TRUE(first.Connect("127.0.0.1", server.port()));
+  WireResponse wire;
+  ASSERT_TRUE(first.TopK(TopKRequest{.user = 5}, &wire));
+
+  // The second is shed with its reason: one id-0 kOverloaded frame, EOF.
+  NetClient second;
+  ASSERT_TRUE(second.Connect("127.0.0.1", server.port(),
+                             /*recv_timeout_ms=*/5000));
+  Frame reply;
+  ASSERT_TRUE(second.RecvFrame(&reply));
+  ExpectOverloadedFrame(reply);
+  Frame next;
+  EXPECT_FALSE(second.RecvFrame(&next));
+  EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+
+  // The connection inside the cap keeps serving.
+  ASSERT_TRUE(first.TopK(TopKRequest{.user = 6}, &wire));
+  EXPECT_EQ(wire.response.items, top_k.TopK(6).items);
   server.Stop();
 }
 

@@ -44,6 +44,31 @@ TEST(ProtocolCodec, Crc32MatchesTheIeeeCheckValue) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
+TEST(ProtocolCodec, EncodedFrameBytesArePinned) {
+  // The CRC-32 of two whole encoded frames (header and payload, so each
+  // payload checksum the header carries is pinned too), recorded from the
+  // slicing-by-16 Crc32. Any change to the codec or to Crc32's values
+  // fails here. The response's 104-byte payload is long enough for
+  // Crc32's 64-byte folds; the request's 20 bytes take the short path.
+  std::vector<uint8_t> request;
+  EncodeTopKRequest(0x0123456789ABCDEFull,
+                    TopKRequest{48213, 10, kTopKFlagBypassCache}, &request);
+  TopKResponse top10;
+  for (uint32_t i = 0; i < 10; ++i) {
+    top10.items.push_back(49999 - 977 * i);
+    top10.scores.push_back(2.5f - 0.1875f * static_cast<float>(i));
+  }
+  top10.epoch = 17;
+  top10.status = TopKStatus::kOk;
+  std::vector<uint8_t> response;
+  EncodeTopKResponse(0xFEDCBA9876543210ull, top10, &response);
+
+  ASSERT_EQ(request.size(), kFrameHeaderBytes + 20);
+  ASSERT_EQ(response.size(), kFrameHeaderBytes + 24 + 8 * 10);
+  EXPECT_EQ(Crc32(request.data(), request.size()), 0x8054B323u);
+  EXPECT_EQ(Crc32(response.data(), response.size()), 0x45F17AF3u);
+}
+
 TEST(ProtocolCodec, RequestRoundTripsBitExact) {
   const std::vector<uint8_t> bytes =
       EncodedRequest(77, 12345, 10, kTopKFlagBypassCache);
