@@ -764,7 +764,7 @@ int main(int argc, char** argv) {
   }
 
   // --- ANN on MARS: the paper's model ranks by Σ_k θ_uk·r_k·cos(u_k,
-  // v_k), a weighted sum over four facet spaces that the IVF's int8 first
+  // v_k), a weighted sum over four facet spaces that the IVF's 4-bit first
   // pass has to follow. Trained at the wire benchmark's cold-catalog shape
   // (K 4, dim 32, 20k users x 50k items, ten interactions per user, four
   // epochs; a quarter of the users and a fifth of the items in fast

@@ -1,11 +1,15 @@
 // Kernel microbenchmarks (google-benchmark): the hot primitives every
-// training loop and the evaluator are built on, plus the CRC-32 that
-// validates every mapped index region on restart.
+// training loop and the evaluator are built on, the IVF probe's code scan,
+// and the CRC-32 that validates every mapped index region on restart.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
+#include <utility>
 #include <vector>
 
+#include "ann/ivf_index.h"
 #include "common/crc32.h"
 #include "common/crc32_detail.h"
 #include "common/facet_store.h"
@@ -641,6 +645,104 @@ void BM_EvaluateUser(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvaluateUser);
+
+// The IVF probe's first pass at wirebench's cold shape: 50 000 items of
+// dim 128 (64-byte 4-bit code rows) in 896 lists, 448 of them probed —
+// the auto nprobe — scanned run by run of adjacent lists as
+// SphericalIvfIndex::Probe does, at a threshold that 40 rows reach (the
+// k·overfetch the probe keeps). Each twin runs under its own name
+// (BM_CodeScan/generic, BM_CodeScan/avx2); `per_row` is the scan time of
+// one probed row.
+struct CodeScanShape {
+  static constexpr size_t kItems = 50000, kDim = 128, kLists = 896;
+  size_t row_bytes = SphericalIvfIndex::CodeBytes(kDim);
+  std::vector<uint8_t> codes;
+  std::vector<float> scales;
+  std::vector<int8_t> q;
+  CodeQuery query;
+  std::vector<std::pair<size_t, size_t>> runs;  // probed row ranges
+  size_t rows = 0;
+  float threshold = 0.0f;
+
+  CodeScanShape() {
+    Rng rng(26);
+    codes.resize(kItems * row_bytes);
+    for (auto& c : codes) {
+      c = static_cast<uint8_t>((1 + rng.UniformInt(15)) |
+                               ((1 + rng.UniformInt(15)) << 4));
+    }
+    scales.resize(kItems);
+    for (auto& s : scales) s = static_cast<float>(rng.Uniform(0.05, 0.2));
+    q.resize(2 * row_bytes);
+    for (auto& x : q) {
+      x = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
+      query.bias += 8 * x;
+    }
+    query.q = q.data();
+    // Lists of random sizes that tile the catalog, half of them probed.
+    std::vector<size_t> cuts = {0, kItems};
+    for (size_t c = 1; c < kLists; ++c) cuts.push_back(rng.UniformInt(kItems));
+    std::sort(cuts.begin(), cuts.end());
+    std::vector<size_t> lists(kLists);
+    for (size_t c = 0; c < kLists; ++c) lists[c] = c;
+    rng.Shuffle(&lists);
+    lists.resize(kLists / 2);
+    std::sort(lists.begin(), lists.end());
+    for (size_t i = 0; i < lists.size();) {
+      size_t j = i + 1;
+      while (j < lists.size() && lists[j] == lists[j - 1] + 1) ++j;
+      runs.push_back({cuts[lists[i]], cuts[lists[j - 1] + 1]});
+      rows += runs.back().second - runs.back().first;
+      i = j;
+    }
+    // The 40th best probed score: the threshold of a full probe heap.
+    std::vector<float> scores;
+    std::vector<uint32_t> hits(kItems);
+    std::vector<float> hit_scores(kItems);
+    for (const auto& [begin, end] : runs) {
+      const size_t n = kernels_detail::CodeScoresAtLeastGeneric(
+          query, codes.data() + begin * row_bytes, scales.data() + begin,
+          end - begin, row_bytes, -1e30f, hits.data(), hit_scores.data());
+      scores.insert(scores.end(), hit_scores.begin(), hit_scores.begin() + n);
+    }
+    std::nth_element(scores.begin(), scores.begin() + 39, scores.end(),
+                     std::greater<float>());
+    threshold = scores[39];
+  }
+};
+
+void BM_CodeScan(benchmark::State& state,
+                 decltype(&CodeScoresAtLeast) scan) {
+  static const CodeScanShape shape;
+  std::vector<uint32_t> hits(CodeScanShape::kItems);
+  std::vector<float> hit_scores(CodeScanShape::kItems);
+  for (auto _ : state) {
+    size_t found = 0;
+    for (const auto& [begin, end] : shape.runs) {
+      found += scan(shape.query, shape.codes.data() + begin * shape.row_bytes,
+                    shape.scales.data() + begin, end - begin, shape.row_bytes,
+                    shape.threshold, hits.data(), hit_scores.data());
+    }
+    benchmark::DoNotOptimize(found);
+  }
+  state.counters["rows"] = static_cast<double>(shape.rows);
+  state.counters["per_row"] = benchmark::Counter(
+      static_cast<double>(shape.rows),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(BM_CodeScan, generic,
+                  &kernels_detail::CodeScoresAtLeastGeneric);
+#if MARS_KERNELS_HAVE_AVX2
+void BM_CodeScanAvx2(benchmark::State& state) {
+  if (!kernels_detail::HasAvx2Fma()) {
+    state.SkipWithError("no AVX2 on this host");
+    return;
+  }
+  BM_CodeScan(state, &kernels_detail::CodeScoresAtLeastAvx2);
+}
+BENCHMARK(BM_CodeScanAvx2)->Name("BM_CodeScan/avx2");
+#endif
 
 // Restart validates each MRSI region with Crc32 before serving from it,
 // and every MRSN frame carries one; bytes/s here bounds how fast a mapped

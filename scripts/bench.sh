@@ -16,14 +16,18 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
+# The tree's state before anything below writes a BENCH_*.json into it:
+# stamped afterwards, the flag would read the fresh results as edits.
+GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
+GIT_DIRTY="$([ -n "$(git status --porcelain 2>/dev/null)" ] && echo 1 || echo 0)"
+export GIT_SHA GIT_DIRTY
+
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_train bench_serve bench_load
 
 # Rewrites $1 in place with a "provenance" object (git + build flags).
 stamp() {
   local json="$1"
-  GIT_SHA="$(git rev-parse HEAD 2>/dev/null || echo unknown)" \
-  GIT_DIRTY="$([ -n "$(git status --porcelain 2>/dev/null)" ] && echo 1 || echo 0)" \
   BUILD_CACHE="$BUILD_DIR/CMakeCache.txt" \
   python3 - "$json" <<'PY'
 import json, os, sys

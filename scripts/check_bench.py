@@ -252,7 +252,7 @@ def check_serve_ann(base, fresh, threshold):
 def check_serve_ann_mars(fresh):
     """ANN on MARS: recall@10 at the default nprobe, an absolute floor.
 
-    MARS ranks by a θ-weighted sum of facet cosines; the IVF's int8 first
+    MARS ranks by a θ-weighted sum of facet cosines; the IVF's 4-bit first
     pass must follow that sum well enough that the exact re-rank of its
     short list recovers the exact top-10 (recall@10 >= 0.95). The section
     trains its own model at a fixed shape, so the floor holds in fast mode

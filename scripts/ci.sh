@@ -120,8 +120,8 @@ if [ -n "$SANITIZER" ]; then
     # the generator's flat latent store.
     FILTER="$FILTER:*BatchKernelShapes.NearestCentroid*"
     FILTER="$FILTER:KernelsTest.NearestCentroid*:SyntheticTest.*"
-    # The int8 code kernel scores rows in quads with a single-row tail:
-    # every tail length at five row widths.
+    # The 4-bit code kernel scores rows in quads with a single-row tail:
+    # every tail length at six row widths.
     FILTER="$FILTER:KernelsTest.Code*"
   fi
   echo "== $SANITIZER-sanitized tests ($FILTER) =="

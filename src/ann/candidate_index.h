@@ -4,7 +4,7 @@
 // turns the serving miss path from "score the whole catalog" into "probe
 // the index for a short candidate list, then re-rank the list with the
 // model's exact scores". The probe scores every item of the probed lists
-// by its int8 code row and keeps the k·overfetch best, so the re-rank
+// by its 4-bit code row and keeps the k·overfetch best, so the re-rank
 // touches 40 float rows at k = 10 however many lists were probed. It
 // serves every indexable model of eval/scorer.h (index_dim() > 0: BPR,
 // MARS via concatenated θ·r-weighted facets); every other model (the
@@ -34,8 +34,8 @@ struct AnnIndexOptions {
   /// operating range; at least 8, clamped to the catalog).
   size_t num_centroids = 0;
   /// IVF lists probed per query; 0 = auto (num_centroids / 2, at least
-  /// 2). A probed item costs one contiguous int8 code row in the first
-  /// pass, not an exact re-rank, so half the lists is affordable, and
+  /// 2). A probed item costs one contiguous 4-bit code row (64 bytes at
+  /// dim 128) in the first pass, not an exact re-rank, so half the lists is affordable, and
   /// MARS's θ-weighted neighbours need it: recall@10 >= 0.95 on the
   /// bench's MARS catalog needs more than a quarter of the lists. Lower
   /// it to trade recall for latency; at num_centroids the probe skips the

@@ -20,7 +20,7 @@ namespace {
 // "MRSI" on disk (LE u32), the retrieval-tier sibling of the "MARS"
 // snapshot and "MRSK" sidecar magics.
 constexpr uint32_t kIndexMagic = 0x4953524Du;
-constexpr uint32_t kIndexVersion = 2;
+constexpr uint32_t kIndexVersion = 3;
 // The header's kind field: the saver writes this constant and the loader
 // rejects every other value.
 constexpr uint32_t kKindSphericalIvf = 1;
@@ -61,11 +61,11 @@ struct IndexLayout {
 };
 
 /// Region payload sizes, in declaration order:
-///   centroids f32 | assign u32 | offsets u32 | lists u32 | codes i8 |
+///   centroids f32 | assign u32 | offsets u32 | lists u32 | codes u8 |
 ///   scales f32
-/// (codes: CodeBytes(dim) bytes per item in list order; scales: one per
-/// item in list order). Fills offsets (64B-aligned tiling after the
-/// header) and file_bytes. Geometry must already be plausibility-bounded:
+/// (codes: CodeBytes(dim) bytes of 4-bit codes per item in list order;
+/// scales: one per item in list order). Fills offsets (64B-aligned tiling
+/// after the header) and file_bytes. Geometry must already be plausibility-bounded:
 /// with num_items ≤ 2³¹ and dim ≤ 65536 no product here can overflow u64.
 void ComputeRegions(IndexLayout* l) {
   l->region_bytes[0] = l->num_centroids * l->dim * sizeof(float);
@@ -150,25 +150,29 @@ std::span<const uint8_t> Bytes(std::span<const T> s) {
 /// CSR sanity for a loaded IVF — the bounds Probe/Rebuilt index with and
 /// the disjointness Probe's unique-ids promise rests on, so a corrupt
 /// (checksum-colliding) file can never read out of the mapping or the
-/// model, nor serve an id twice. One walk over the lists: offsets must
-/// tile [0, num_items] non-decreasingly, and every id must be in range,
-/// filed under the centroid its assign entry names, and above its
-/// predecessor in the list (lists are built ascending). An id can then
-/// sit only in its own centroid's list, and there at most once; so the
-/// num_items slots hold num_items distinct ids — the lists are a
-/// permutation — and every assign entry is a valid centroid.
+/// model, nor serve an id twice. The lists must be exactly the counting
+/// sort of `assign` (what RebuildLists writes), and one pass over `assign`
+/// in item order checks it, reading each list forward from a cursor
+/// instead of reading assign[v] at random in list order: the offsets
+/// must tile [0, num_items] non-decreasingly, and each item v must name a
+/// centroid whose list has an unread slot, holding v. Each item then
+/// takes one slot of its own list, and num_items items fill the
+/// num_items slots, so every slot is taken exactly once: each list holds
+/// exactly the ids assigned to it, in range, ascending, and the lists are
+/// a permutation.
 bool IvfPayloadValid(const IndexLayout& l, const uint32_t* assign,
                      const uint32_t* offsets, const ItemId* list_ids) {
   const uint64_t ncent = l.num_centroids;
   if (offsets[0] != 0 || offsets[ncent] != l.num_items) return false;
   for (uint64_t c = 0; c < ncent; ++c) {
-    if (offsets[c + 1] < offsets[c] || offsets[c + 1] > l.num_items) {
+    if (offsets[c + 1] < offsets[c]) return false;
+  }
+  std::vector<uint32_t> cursor(offsets, offsets + ncent);
+  for (uint64_t v = 0; v < l.num_items; ++v) {
+    const uint32_t c = assign[v];
+    if (c >= ncent || cursor[c] == offsets[c + 1] ||
+        list_ids[cursor[c]++] != v) {
       return false;
-    }
-    for (uint64_t i = offsets[c]; i < offsets[c + 1]; ++i) {
-      const ItemId v = list_ids[i];
-      if (v >= l.num_items || assign[v] != c) return false;
-      if (i > offsets[c] && v <= list_ids[i - 1]) return false;
     }
   }
   return true;
@@ -310,7 +314,7 @@ std::shared_ptr<const SphericalIvfIndex> LoadCandidateIndexMapped(
     return nullptr;
   }
   const auto* codes =
-      reinterpret_cast<const int8_t*>(base + l.region_offset[kCodesRegion]);
+      reinterpret_cast<const uint8_t*>(base + l.region_offset[kCodesRegion]);
   const auto* scales =
       reinterpret_cast<const float*>(base + l.region_offset[kScalesRegion]);
   if (!ScalesValid(scales, l.num_items)) {

@@ -3,7 +3,7 @@
 //
 // A built SphericalIvfIndex is a handful of flat contiguous arrays (the
 // centroids, the per-item assignment, the CSR inverted lists and the
-// list-ordered int8 code rows with their scales), so
+// list-ordered 4-bit code rows with their scales), so
 // persisting it follows the format-v3 playbook
 // (docs/FORMAT.md): SaveCandidateIndex writes the arrays at their
 // in-memory stride into a self-describing index file — fixed header
@@ -50,7 +50,7 @@ bool SaveCandidateIndex(const SphericalIvfIndex& index,
 /// for the life of the returned index and anything derived from it). `model`
 /// and `num_items` are the serving pair the index must match: a dim other than
 /// the model's index_dim() (an unindexable model's 0 never matches) or a wrong
-/// item count rejects, as do bad magic/version (v1 files included),
+/// item count rejects, as do bad magic/version (v1 and v2 files included),
 /// implausible or inconsistent headers, truncation, checksum mismatches and
 /// negative or non-finite code scales — always with a clean nullptr
 /// + error log, never a crash or allocation blow-up. The result plugs directly

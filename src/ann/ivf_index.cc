@@ -30,14 +30,6 @@ bool CanFanOut(ThreadPool* pool) {
   return pool != nullptr && !pool->IsWorkerThread();
 }
 
-/// Largest int16 query magnitude for code rows of `row_bytes` bytes: it
-/// keeps Σ|q| · 128 below 2³¹, so every int32 code dot is exact for any
-/// code byte (a mapped file's -128 included).
-int32_t QueryQuantMax(size_t row_bytes) {
-  return static_cast<int32_t>(
-      std::min<size_t>(32767, 2147483647u / (128 * row_bytes)));
-}
-
 /// An unsigned key that orders like the float, with both zeros equal and
 /// NaN (a corrupt centroid's dot) below everything, so the list ranking
 /// stays a total order.
@@ -73,22 +65,25 @@ uint32_t KthLargest(const std::vector<uint32_t>& keys, size_t m,
   return cand[0];
 }
 
-/// Symmetric int8 quantization of one n-float row into `row_bytes` code
-/// bytes: scale = max|x|/127, code = round(x/scale) in [-127, 127], the
-/// padding bytes zero. A row with no finite positive maximum gets scale 0
-/// and zero codes.
-void QuantizeRow(const float* x, size_t n, size_t row_bytes, int8_t* code,
+/// 4-bit quantization of one n-float row into `row_bytes` code bytes
+/// (the nibble layout of common/kernels.h): scale = max|x|/7, code =
+/// round(x/scale) in [-7, 7], stored biased by 8; padding dims hold code
+/// 0. A row with no finite positive maximum gets scale 0 and zero codes.
+void QuantizeRow(const float* x, size_t n, size_t row_bytes, uint8_t* code,
                  float* scale) {
-  std::fill(code, code + row_bytes, int8_t{0});
+  std::fill(code, code + row_bytes, uint8_t{0x88});
   *scale = 0.0f;
   float m = 0.0f;
   for (size_t i = 0; i < n; ++i) m = std::max(m, std::fabs(x[i]));
-  const float inv = 127.0f / m;
+  const float inv = 7.0f / m;
   if (!(m > 0.0f) || !std::isfinite(m) || !std::isfinite(inv)) return;
-  *scale = m / 127.0f;
+  *scale = m / 7.0f;
   for (size_t i = 0; i < n; ++i) {
-    code[i] = static_cast<int8_t>(std::clamp(std::lrintf(x[i] * inv), -127L,
-                                             127L));
+    const auto nibble = static_cast<uint8_t>(
+        std::clamp(std::lrintf(x[i] * inv), -7L, 7L) + 8);
+    uint8_t& byte = code[CodeByteOf(i)];
+    byte = static_cast<uint8_t>((byte & ~(15u << CodeShiftOf(i))) |
+                                (nibble << CodeShiftOf(i)));
   }
 }
 
@@ -99,7 +94,7 @@ void QuantizeRow(const float* x, size_t n, size_t row_bytes, int8_t* code,
 /// paying a chunk-sized allocation each.
 void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
                  const float* centroids, size_t num_centroids, size_t dim,
-                 uint32_t* assign, int8_t* codes = nullptr,
+                 uint32_t* assign, uint8_t* codes = nullptr,
                  float* scales = nullptr) {
   if (begin >= end) return;
   static thread_local std::vector<float> rows;
@@ -118,7 +113,7 @@ void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
 /// Quantizes the items at list positions [begin, end) into the code rows
 /// at those positions: list order directly, one row read per item.
 void QuantizeListRange(const ItemScorer& model, const ItemId* list_ids,
-                       size_t begin, size_t end, size_t dim, int8_t* codes,
+                       size_t begin, size_t end, size_t dim, uint8_t* codes,
                        float* scales) {
   const size_t row_bytes = SphericalIvfIndex::CodeBytes(dim);
   static thread_local std::vector<float> row;
@@ -175,7 +170,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
 
   // Auto centroid count ~ 4·sqrt(N) (the FAISS-recommended IVF range).
   // The auto probe takes half the lists: a probed item costs one
-  // contiguous int8 code row, not a gathered float row and an exact
+  // contiguous 4-bit code row, not a gathered float row and an exact
   // score, and MARS's θ-weighted neighbours spread over many lists
   // (bench_serve's ann_mars section: recall@10 0.49 at ncent/32, 0.98 at
   // ncent/2 on 50k items).
@@ -259,7 +254,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
   // Quantize straight into list order: no item-order copy of the codes.
   index->codes_.mutable_vec().resize(num_items * CodeBytes(dim));
   index->scales_.mutable_vec().resize(num_items);
-  int8_t* codes = index->codes_.mutable_data();
+  uint8_t* codes = index->codes_.mutable_data();
   float* scales = index->scales_.mutable_data();
   const ItemId* list_ids = index->list_ids_.data();
   ForEachChunk(num_items, pool, [&](size_t begin, size_t end) {
@@ -278,7 +273,7 @@ std::unique_ptr<SphericalIvfIndex> BuildCandidateIndex(
 std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Borrow(
     size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
     const float* centroids, const uint32_t* assign, const uint32_t* offsets,
-    const ItemId* list_ids, const int8_t* codes, const float* scales,
+    const ItemId* list_ids, const uint8_t* codes, const float* scales,
     std::shared_ptr<const void> keepalive) {
   MARS_CHECK(num_items >= 1 && dim >= 1);
   MARS_CHECK(num_centroids >= 1 && num_centroids <= num_items);
@@ -365,7 +360,8 @@ struct SphericalIvfIndex::QueryScan {
     }
   }
 
-  std::vector<int16_t> q16;
+  std::vector<int8_t> q8;
+  int32_t bias = 0;  // 8·Σq8
   std::vector<uint32_t> keys;    // per centroid, RankKey of its dot
   std::vector<uint32_t> order;   // the probed lists, ascending
   std::vector<uint32_t> select;  // KthLargest scratch
@@ -409,20 +405,22 @@ void SphericalIvfIndex::StartScan(const float* query, const float* cdots,
   scan->scanned = 0;
   scan->threshold = -std::numeric_limits<float>::infinity();
   scan->heap.clear();
-  // The query in int16, scaled so its largest entry maps to QueryQuantMax;
-  // the common query scale does not change the ranking, so it is dropped.
-  std::vector<int16_t>& q16 = scan->q16;
-  q16.assign(row_bytes, 0);
+  // The query in int8, scaled so its largest entry maps to ±127; the
+  // common query scale does not change the ranking, so it is dropped.
+  std::vector<int8_t>& q8 = scan->q8;
+  q8.assign(2 * row_bytes, 0);
   float qmax = 0.0f;
   for (size_t i = 0; i < dim_; ++i) qmax = std::max(qmax, std::fabs(query[i]));
-  const long qlimit = QueryQuantMax(row_bytes);
-  const float qscale = static_cast<float>(qlimit) / qmax;
+  const float qscale = 127.0f / qmax;
+  int32_t sum = 0;
   if (qmax > 0.0f && std::isfinite(qscale)) {
     for (size_t i = 0; i < dim_; ++i) {
-      q16[i] = static_cast<int16_t>(
-          std::clamp(std::lrintf(query[i] * qscale), -qlimit, qlimit));
+      q8[i] = static_cast<int8_t>(
+          std::clamp(std::lrintf(query[i] * qscale), -127L, 127L));
+      sum += q8[i];
     }
   }
+  scan->bias = 8 * sum;
 
   // The nprobe best lists (ties to the lower centroid index), picked in
   // ascending centroid order: their codes are then read in address order,
@@ -452,7 +450,7 @@ void SphericalIvfIndex::ScanRows(size_t begin, size_t end,
   const size_t row_bytes = CodeBytes(dim_);
   scan->Reserve(end - begin);
   const size_t n = CodeScoresAtLeast(
-      scan->q16.data(), codes_.data() + begin * row_bytes,
+      {scan->q8.data(), scan->bias}, codes_.data() + begin * row_bytes,
       scales_.data() + begin, end - begin, row_bytes, scan->threshold,
       scan->hits.data(), scan->hit_scores.data());
   scan->Take(n, list_ids_.data() + begin);
@@ -464,7 +462,7 @@ void SphericalIvfIndex::ScanRowsPair(size_t begin, size_t end, QueryScan* a,
   const size_t row_bytes = CodeBytes(dim_);
   a->Reserve(end - begin);
   b->Reserve(end - begin);
-  const int16_t* const q[2] = {a->q16.data(), b->q16.data()};
+  const CodeQuery q[2] = {{a->q8.data(), a->bias}, {b->q8.data(), b->bias}};
   const float threshold[2] = {a->threshold, b->threshold};
   uint32_t* const hits[2] = {a->hits.data(), b->hits.data()};
   float* const hit_scores[2] = {a->hit_scores.data(), b->hit_scores.data()};
@@ -593,7 +591,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
     dirty_begin[i] = begin;
     dirty_row[i + 1] = dirty_row[i] + (end - begin);
   }
-  std::vector<int8_t> dirty_codes(dirty_row[num_dirty] * row_bytes);
+  std::vector<uint8_t> dirty_codes(dirty_row[num_dirty] * row_bytes);
   std::vector<float> dirty_scales(dirty_row[num_dirty]);
   const auto reassign_shard = [&](size_t i) {
     const auto [begin, end] =
@@ -623,7 +621,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
   };
   next->codes_.mutable_vec().resize(num_items_ * row_bytes);
   next->scales_.mutable_vec().resize(num_items_);
-  int8_t* codes = next->codes_.mutable_data();
+  uint8_t* codes = next->codes_.mutable_data();
   float* scales = next->scales_.mutable_data();
   const ItemId* new_ids = next->list_ids_.data();
   const uint32_t* new_offsets = next->offsets_.data();
@@ -633,7 +631,7 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Rebuilt(
       for (size_t j = new_offsets[c]; j < new_offsets[c + 1]; ++j) {
         const ItemId v = new_ids[j];
         const size_t slot = slot_of(v);
-        const int8_t* src_code;
+        const uint8_t* src_code;
         float src_scale;
         if (slot != kClean) {
           const size_t row = dirty_row[slot] + (v - dirty_begin[slot]);

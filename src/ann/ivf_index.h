@@ -17,17 +17,18 @@
 // where cosine == dot, and BPR's bias-augmented vectors rank by dot.
 //
 // A probe scores the query against every centroid (one DotBatch over a
-// few hundred rows) and takes the nprobe best lists. Each item also has an
-// int8 code row — symmetric quantization with one scale per row
-// (max|x|/127), zero-padded to a multiple of 16 bytes — stored in list
-// order next to list_ids, so a probed list's codes are one contiguous
-// block. The probe scores every probed code row against the
-// int16-quantized query with an exact integer kernel (CodeDotBatch) and
-// returns only the `want` best ids by scale·dot: the server re-ranks
-// those few with exact model scores instead of gathering every probed
-// item's float row. When the requested candidate count exceeds the
-// nprobe lists' total population the probe keeps taking next-best lists,
-// so exclusion-heavy queries degrade toward the full catalog instead of
+// few hundred rows) and takes the nprobe best lists. Each item also has a
+// 4-bit code row — symmetric quantization to [-7, 7] with one scale per
+// row (max|x|/7), two codes a byte, dims padded to a multiple of 64 (64
+// bytes at dim 128, one cache line) — stored in list order next to
+// list_ids, so a probed list's codes are one contiguous block. The probe
+// quantizes the query to int8 and scores every probed code row with an
+// exact integer kernel (CodeScoresAtLeast, common/kernels.h), returning
+// only the `want` best ids by scale·dot: the server re-ranks those few
+// with exact model scores instead of gathering every probed item's float
+// row. When the requested candidate count exceeds the nprobe lists'
+// total population the probe keeps taking next-best lists, so
+// exclusion-heavy queries degrade toward the full catalog instead of
 // returning short. A full probe (nprobe == num_centroids, or want >=
 // num_items) skips the codes and returns the whole catalog, so an index
 // at full probe serves the exact ranking.
@@ -77,8 +78,8 @@ class SphericalIvfIndex {
   /// Wraps caller-owned flat arrays (a mapped index file) without copying
   /// a byte: `centroids` is num_centroids x dim unit rows, `assign` the
   /// per-item owning centroid, `offsets`/`list_ids` the CSR inverted
-  /// lists, `codes`/`scales` the list-ordered int8 rows (CodeBytes(dim)
-  /// bytes each) and their scales. `keepalive` pins the backing storage
+  /// lists, `codes`/`scales` the list-ordered 4-bit code rows
+  /// (CodeBytes(dim) bytes each) and their scales. `keepalive` pins the backing storage
   /// for the life of this index and everything derived from it. The
   /// caller (the index-file loader) is responsible for having validated
   /// the CSR invariants and the scales (finite, >= 0); any code byte is
@@ -87,11 +88,11 @@ class SphericalIvfIndex {
   static std::unique_ptr<SphericalIvfIndex> Borrow(
       size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
       const float* centroids, const uint32_t* assign, const uint32_t* offsets,
-      const ItemId* list_ids, const int8_t* codes, const float* scales,
+      const ItemId* list_ids, const uint8_t* codes, const float* scales,
       std::shared_ptr<const void> keepalive);
 
-  /// Bytes per int8 code row: dim rounded up to a multiple of 16.
-  static size_t CodeBytes(size_t dim) { return (dim + 15) & ~size_t{15}; }
+  /// Bytes per 4-bit code row: half of dim rounded up to a multiple of 64.
+  static size_t CodeBytes(size_t dim) { return (dim + 63) / 64 * 32; }
 
   size_t num_items() const { return num_items_; }
   size_t dim() const { return dim_; }
@@ -148,9 +149,10 @@ class SphericalIvfIndex {
   std::span<const float> centroids() const { return centroids_.span(); }
   std::span<const uint32_t> offsets() const { return offsets_.span(); }
   std::span<const ItemId> list_ids() const { return list_ids_.span(); }
-  /// List-ordered int8 code rows (CodeBytes(dim()) bytes each) and their
-  /// per-row scales: position i holds item list_ids()[i].
-  std::span<const int8_t> codes() const { return codes_.span(); }
+  /// List-ordered 4-bit code rows (CodeBytes(dim()) bytes each, the
+  /// nibble layout of common/kernels.h) and their per-row scales:
+  /// position i holds item list_ids()[i].
+  std::span<const uint8_t> codes() const { return codes_.span(); }
   std::span<const float> scales() const { return scales_.span(); }
 
   /// Cheap copy with a different probe width — the bench sweeps the
@@ -164,8 +166,8 @@ class SphericalIvfIndex {
   /// out ascending within each list).
   void RebuildLists();
 
-  /// One query's int8 list scan below a full probe (ivf_index.cc): its
-  /// int16 query, its probed lists and the `want` best items so far.
+  /// One query's code scan below a full probe (ivf_index.cc): its int8
+  /// query, its probed lists and the `want` best items so far.
   struct QueryScan;
   /// Starts `scan` for `query`: quantizes it and picks its nprobe best
   /// lists by the precomputed query-centroid dots (ties to the lower
@@ -202,8 +204,8 @@ class SphericalIvfIndex {
   MaybeOwned<uint32_t> assign_;    // per item, owning centroid
   MaybeOwned<uint32_t> offsets_;   // CSR offsets, num_centroids + 1
   MaybeOwned<ItemId> list_ids_;    // CSR payload, num_items total
-  MaybeOwned<int8_t> codes_;       // list order, CodeBytes(dim) per row
-  MaybeOwned<float> scales_;       // list order, max|x|/127 per row
+  MaybeOwned<uint8_t> codes_;      // list order, CodeBytes(dim) per row
+  MaybeOwned<float> scales_;       // list order, max|x|/7 per row
 };
 
 }  // namespace mars

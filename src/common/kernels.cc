@@ -245,26 +245,16 @@ MARS_AVX2_FN void NearestCentroidDotBatchAvx2(
   }
 }
 
-// The code-scan prefetch distance: a probe streams lists that live in L3
-// or DRAM, and the hardware prefetcher restarts at every list and page.
-constexpr size_t kCodePrefetchRows = 16;
-
-MARS_AVX2_FN inline void PrefetchCodeQuad(const int8_t* codes, size_t r,
-                                          size_t count, size_t row_bytes) {
-  if (r + kCodePrefetchRows >= count) return;
-  const int8_t* ahead = codes + (r + kCodePrefetchRows) * row_bytes;
-  for (size_t b = 0; b < 4 * row_bytes; b += 64) {
-    _mm_prefetch(reinterpret_cast<const char*>(ahead + b), _MM_HINT_T0);
-  }
-}
-
-/// Scores one quad's dots as scale·dot and appends the rows at or above
-/// the threshold; a quad with none costs one compare and no store.
-MARS_AVX2_FN inline size_t EmitCodeQuad(__m128i dots, const float* scales,
-                                        size_t r, __m128 thr, uint32_t* hits,
+/// Scores one quad's raw dots as scale·(dot − bias) and appends the rows
+/// at or above the threshold; a quad with none costs one compare and no
+/// store.
+MARS_AVX2_FN inline size_t EmitCodeQuad(__m128i dots, __m128i bias,
+                                        const float* scales, size_t r,
+                                        __m128 thr, uint32_t* hits,
                                         float* hit_scores, size_t n) {
   const __m128 score =
-      _mm_mul_ps(_mm_loadu_ps(scales + r), _mm_cvtepi32_ps(dots));
+      _mm_mul_ps(_mm_loadu_ps(scales + r),
+                 _mm_cvtepi32_ps(_mm_sub_epi32(dots, bias)));
   int mask = _mm_movemask_ps(_mm_cmp_ps(score, thr, _CMP_GE_OQ));
   if (mask == 0) return n;
   alignas(16) float s[4];
@@ -277,57 +267,33 @@ MARS_AVX2_FN inline size_t EmitCodeQuad(__m128i dots, const float* scales,
   return n;
 }
 
-// Rows in quads: four exact int32 dots, four scale products and one
-// compare against the threshold, with the count mod 4 tail row by row.
-MARS_AVX2_FN size_t CodeScoresAtLeastAvx2(const int16_t* q,
-                                          const int8_t* codes,
-                                          const float* scales, size_t count,
-                                          size_t row_bytes, float threshold,
-                                          uint32_t* hits, float* hit_scores) {
-  const __m128 thr = _mm_set1_ps(threshold);
-  size_t n = 0;
-  size_t r = 0;
-  for (; r + 4 <= count; r += 4) {
-    PrefetchCodeQuad(codes, r, count, row_bytes);
-    n = EmitCodeQuad(kernels_detail::CodeDotRowsAvx2X4(
-                         q, codes + r * row_bytes, row_bytes),
-                     scales, r, thr, hits, hit_scores, n);
-  }
-  for (; r < count; ++r) {
-    const float score =
-        scales[r] * static_cast<float>(kernels_detail::CodeDotRowAvx2(
-                        q, codes + r * row_bytes, row_bytes));
-    if (score >= threshold) {
-      hits[n] = static_cast<uint32_t>(r);
-      hit_scores[n++] = score;
-    }
-  }
-  return n;
-}
-
 MARS_AVX2_FN void CodeScoresAtLeastPairAvx2(
-    const int16_t* const* q, const int8_t* codes, const float* scales,
+    const CodeQuery* q, const uint8_t* codes, const float* scales,
     size_t count, size_t row_bytes, const float* threshold,
     uint32_t* const* hits, float* const* hit_scores, size_t* num_hits) {
+  const int8_t* const qs[2] = {q[0].q, q[1].q};
+  const __m128i bias[2] = {_mm_set1_epi32(q[0].bias),
+                           _mm_set1_epi32(q[1].bias)};
   const __m128 thr[2] = {_mm_set1_ps(threshold[0]),
                          _mm_set1_ps(threshold[1])};
   size_t n[2] = {0, 0};
   size_t r = 0;
   for (; r + 4 <= count; r += 4) {
-    PrefetchCodeQuad(codes, r, count, row_bytes);
     __m128i dots[2];
-    kernels_detail::CodeDotRowsAvx2X4Pair(q, codes + r * row_bytes,
+    kernels_detail::CodeDotRowsAvx2X4Pair(qs, codes + r * row_bytes,
                                           row_bytes, dots);
     for (size_t k = 0; k < 2; ++k) {
-      n[k] = EmitCodeQuad(dots[k], scales, r, thr[k], hits[k], hit_scores[k],
-                          n[k]);
+      n[k] = EmitCodeQuad(dots[k], bias[k], scales, r, thr[k], hits[k],
+                          hit_scores[k], n[k]);
     }
   }
   for (; r < count; ++r) {
     for (size_t k = 0; k < 2; ++k) {
       const float score =
           scales[r] * static_cast<float>(kernels_detail::CodeDotRowAvx2(
-                          q[k], codes + r * row_bytes, row_bytes));
+                                             qs[k], codes + r * row_bytes,
+                                             row_bytes) -
+                                         q[k].bias);
       if (score >= threshold[k]) {
         hits[k][n[k]] = static_cast<uint32_t>(r);
         hit_scores[k][n[k]++] = score;
@@ -382,29 +348,20 @@ void NegatedSquaredDistanceGather(const float* u, const float* base,
   }
 }
 
-size_t CodeScoresAtLeast(const int16_t* q, const int8_t* codes,
+size_t CodeScoresAtLeast(const CodeQuery& q, const uint8_t* codes,
                          const float* scales, size_t count, size_t row_bytes,
                          float threshold, uint32_t* hits, float* hit_scores) {
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
-    return CodeScoresAtLeastAvx2(q, codes, scales, count, row_bytes,
-                                 threshold, hits, hit_scores);
+    return kernels_detail::CodeScoresAtLeastAvx2(
+        q, codes, scales, count, row_bytes, threshold, hits, hit_scores);
   }
 #endif
-  size_t n = 0;
-  for (size_t r = 0; r < count; ++r) {
-    const float score =
-        scales[r] * static_cast<float>(kernels_detail::CodeDotRowGeneric(
-                        q, codes + r * row_bytes, row_bytes));
-    if (score >= threshold) {
-      hits[n] = static_cast<uint32_t>(r);
-      hit_scores[n++] = score;
-    }
-  }
-  return n;
+  return kernels_detail::CodeScoresAtLeastGeneric(
+      q, codes, scales, count, row_bytes, threshold, hits, hit_scores);
 }
 
-void CodeScoresAtLeastPair(const int16_t* const* q, const int8_t* codes,
+void CodeScoresAtLeastPair(const CodeQuery* q, const uint8_t* codes,
                            const float* scales, size_t count,
                            size_t row_bytes, const float* threshold,
                            uint32_t* const* hits, float* const* hit_scores,
@@ -417,8 +374,9 @@ void CodeScoresAtLeastPair(const int16_t* const* q, const int8_t* codes,
   }
 #endif
   for (size_t k = 0; k < 2; ++k) {
-    num_hits[k] = CodeScoresAtLeast(q[k], codes, scales, count, row_bytes,
-                                    threshold[k], hits[k], hit_scores[k]);
+    num_hits[k] = kernels_detail::CodeScoresAtLeastGeneric(
+        q[k], codes, scales, count, row_bytes, threshold[k], hits[k],
+        hit_scores[k]);
   }
 }
 
@@ -638,5 +596,59 @@ void WeightedFacetSquaredDistanceBatch(const float* u, size_t u_stride,
     out[r] = score;
   }
 }
+
+namespace kernels_detail {
+
+size_t CodeScoresAtLeastGeneric(const CodeQuery& q, const uint8_t* codes,
+                                const float* scales, size_t count,
+                                size_t row_bytes, float threshold,
+                                uint32_t* hits, float* hit_scores) {
+  size_t n = 0;
+  for (size_t r = 0; r < count; ++r) {
+    const float score =
+        scales[r] *
+        static_cast<float>(
+            CodeDotRowGeneric(q.q, codes + r * row_bytes, row_bytes) - q.bias);
+    if (score >= threshold) {
+      hits[n] = static_cast<uint32_t>(r);
+      hit_scores[n++] = score;
+    }
+  }
+  return n;
+}
+
+#if MARS_KERNELS_HAVE_AVX2
+
+// Rows in quads: four exact int32 dots, four scale products and one
+// compare against the threshold, with the count mod 4 tail row by row.
+MARS_AVX2_FN size_t CodeScoresAtLeastAvx2(const CodeQuery& q,
+                                          const uint8_t* codes,
+                                          const float* scales, size_t count,
+                                          size_t row_bytes, float threshold,
+                                          uint32_t* hits, float* hit_scores) {
+  const __m128i bias = _mm_set1_epi32(q.bias);
+  const __m128 thr = _mm_set1_ps(threshold);
+  size_t n = 0;
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    n = EmitCodeQuad(CodeDotRowsAvx2X4(q.q, codes + r * row_bytes, row_bytes),
+                     bias, scales, r, thr, hits, hit_scores, n);
+  }
+  for (; r < count; ++r) {
+    const float score =
+        scales[r] *
+        static_cast<float>(
+            CodeDotRowAvx2(q.q, codes + r * row_bytes, row_bytes) - q.bias);
+    if (score >= threshold) {
+      hits[n] = static_cast<uint32_t>(r);
+      hit_scores[n++] = score;
+    }
+  }
+  return n;
+}
+
+#endif  // MARS_KERNELS_HAVE_AVX2
+
+}  // namespace kernels_detail
 
 }  // namespace mars

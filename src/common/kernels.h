@@ -76,15 +76,30 @@ void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
                              size_t centroid_stride, size_t n, uint32_t* out);
 
-/// The int8 first pass of the IVF probe (ann/ivf_index.h): scores
-/// `count` code rows, `row_bytes` apart (a multiple of 16; rows are
-/// zero-padded), as score_r = scales[r] · float(Σ_j q[j] · code_r[j]), and
-/// writes the index and score of every row with score_r >= threshold to
-/// `hits`/`hit_scores` in ascending r, returning how many. The dot is
-/// summed exactly in int32 (the caller keeps Σ|q| · 128 below 2³¹), so the
-/// AVX2 (`vpmaddwd`) and generic forms report the same rows with the same
-/// bits on every host.
-size_t CodeScoresAtLeast(const int16_t* q, const int8_t* codes,
+/// The 4-bit first pass of the IVF probe (ann/ivf_index.h). A code row
+/// of `row_bytes` bytes (a multiple of 32) holds 2·row_bytes nibbles in
+/// 32-byte blocks: byte j of block b holds dim 64b + j in its low nibble
+/// and dim 64b + 32 + j in its high nibble (CodeByteOf/CodeShiftOf). A
+/// nibble is a code in [-7, 7] biased by 8, so 0 is never written, but
+/// any nibble scores exactly.
+constexpr size_t CodeByteOf(size_t dim) { return dim / 64 * 32 + dim % 32; }
+constexpr unsigned CodeShiftOf(size_t dim) { return dim % 64 < 32 ? 0 : 4; }
+
+/// An int8 query for the code scan: `q` holds 2·row_bytes entries in dim
+/// order (zero past the model's dim) and `bias` = 8·Σq, so a row's code
+/// dot is Σ_j q[j]·nibble[j] − bias.
+struct CodeQuery {
+  const int8_t* q = nullptr;
+  int32_t bias = 0;
+};
+
+/// Scores `count` code rows, `row_bytes` apart, as score_r = scales[r] ·
+/// float(Σ_j q[j]·nibble_r[j] − bias), and writes the index and score of
+/// every row with score_r >= threshold to `hits`/`hit_scores` in
+/// ascending r, returning how many. The dot is exact in int32 (each term
+/// is at most 127·15), so the AVX2 (`vpmaddubsw`) and generic forms
+/// report the same rows with the same bits on every host.
+size_t CodeScoresAtLeast(const CodeQuery& q, const uint8_t* codes,
                          const float* scales, size_t count, size_t row_bytes,
                          float threshold, uint32_t* hits, float* hit_scores);
 
@@ -92,7 +107,7 @@ size_t CodeScoresAtLeast(const int16_t* q, const int8_t* codes,
 /// whose queries probe the same list: each code row is loaded once for
 /// both. For k in {0, 1}, hits[k]/hit_scores[k]/num_hits[k] are exactly
 /// what CodeScoresAtLeast(q[k], ..., threshold[k], ...) reports.
-void CodeScoresAtLeastPair(const int16_t* const* q, const int8_t* codes,
+void CodeScoresAtLeastPair(const CodeQuery* q, const uint8_t* codes,
                            const float* scales, size_t count,
                            size_t row_bytes, const float* threshold,
                            uint32_t* const* hits, float* const* hit_scores,

@@ -24,6 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "common/kernels.h"
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define MARS_KERNELS_HAVE_AVX2 1
 #include <immintrin.h>
@@ -68,18 +70,32 @@ inline float SquaredDistanceRowGeneric(const float* a, const float* b,
   return s;
 }
 
-/// Σ_j q[j]·code[j] over one int8 code row of `n` bytes (the IVF probe's
-/// first pass, ann/ivf_index.h). Integer sums are exact while
-/// Σ|q| · 128 < 2³¹ (the caller bounds the query), so any summation order
-/// gives the same bits and the AVX2 twin below need not mirror this one.
-inline int32_t CodeDotRowGeneric(const int16_t* q, const int8_t* code,
+/// Σ_j q[j]·nibble[j] over one 4-bit code row of `n` bytes (the IVF
+/// probe's first pass, ann/ivf_index.h; the nibble layout is in
+/// common/kernels.h): the raw sum, before the scan subtracts the query's
+/// bias. `q` holds 2·n int8 entries in dim order. Every term is at most
+/// 127·15, so the int32 sum is exact for any row the index format admits
+/// and any summation order gives the same bits: the AVX2 twin below need
+/// not mirror this one.
+inline int32_t CodeDotRowGeneric(const int8_t* q, const uint8_t* code,
                                  size_t n) {
   int32_t s = 0;
-  for (size_t j = 0; j < n; ++j) {
-    s += static_cast<int32_t>(q[j]) * static_cast<int32_t>(code[j]);
+  for (size_t b = 0; b < n; b += 32) {
+    for (size_t j = 0; j < 32; ++j) {
+      s += q[2 * b + j] * (code[b + j] & 15) +
+           q[2 * b + 32 + j] * (code[b + j] >> 4);
+    }
   }
   return s;
 }
+
+/// The code scan's generic twin; CodeScoresAtLeast (common/kernels.h)
+/// dispatches between it and CodeScoresAtLeastAvx2, and the microbench
+/// times each by name.
+size_t CodeScoresAtLeastGeneric(const CodeQuery& q, const uint8_t* codes,
+                                const float* scales, size_t count,
+                                size_t row_bytes, float threshold,
+                                uint32_t* hits, float* hit_scores);
 
 #if MARS_KERNELS_HAVE_AVX2
 
@@ -261,64 +277,83 @@ MARS_AVX2_FN inline __m128i FoldCodeDotsX4(const __m256i* acc) {
                        _mm256_extracti128_si256(s, 1));
 }
 
-/// Four consecutive code rows (`n` bytes each, n a multiple of 16) against
-/// one int16 query: each 16-byte slice of the query is loaded once and fed
-/// to four `vpmaddwd` chains over the sign-extended codes. Lane j equals
-/// CodeDotRowGeneric(q, codes + j·n, n) exactly (integer sums).
-MARS_AVX2_FN inline __m128i CodeDotRowsAvx2X4(const int16_t* q,
-                                              const int8_t* codes, size_t n) {
+/// One 32-byte block of a code row against its 64 query entries — the low
+/// nibbles against q[0..32), the high nibbles against q[32..64) — as
+/// eight int32 partial sums. `vpmaddubsw` multiplies each unsigned nibble
+/// by its signed query byte and adds adjacent pairs into int16 with
+/// saturation, which never triggers here: a pair sums to at most
+/// 2·15·127 = 3810, the two halves' sum to 7620. `vpmaddwd` by ones then
+/// widens to int32, so every sum is exact.
+MARS_AVX2_FN inline __m256i CodeBlockDotsAvx2(__m256i code, __m256i q_lo,
+                                              __m256i q_hi) {
+  const __m256i mask = _mm256_set1_epi8(15);
+  const __m256i lo = _mm256_and_si256(code, mask);
+  const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(code, 4), mask);
+  return _mm256_madd_epi16(_mm256_add_epi16(_mm256_maddubs_epi16(lo, q_lo),
+                                            _mm256_maddubs_epi16(hi, q_hi)),
+                           _mm256_set1_epi16(1));
+}
+
+MARS_AVX2_FN inline __m256i LoadCodeBlock(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+/// Four consecutive code rows (`n` bytes each, n a multiple of 32) against
+/// one int8 query: each block's query bytes are loaded once and fed to the
+/// four rows' chains. Lane j equals CodeDotRowGeneric(q, codes + j·n, n)
+/// exactly (integer sums).
+MARS_AVX2_FN inline __m128i CodeDotRowsAvx2X4(const int8_t* q,
+                                              const uint8_t* codes,
+                                              size_t n) {
   __m256i acc[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
                     _mm256_setzero_si256(), _mm256_setzero_si256()};
-  for (size_t i = 0; i < n; i += 16) {
-    const __m256i qv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i));
+  for (size_t b = 0; b < n; b += 32) {
+    const __m256i q_lo = LoadCodeBlock(q + 2 * b);
+    const __m256i q_hi = LoadCodeBlock(q + 2 * b + 32);
     for (size_t j = 0; j < 4; ++j) {
-      const __m256i c = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(codes + j * n + i)));
-      acc[j] = _mm256_add_epi32(acc[j], _mm256_madd_epi16(qv, c));
+      acc[j] = _mm256_add_epi32(
+          acc[j], CodeBlockDotsAvx2(LoadCodeBlock(codes + j * n + b), q_lo,
+                                    q_hi));
     }
   }
   return FoldCodeDotsX4(acc);
 }
 
-/// The same four rows against two queries: each code slice is loaded and
-/// sign-extended once and fed to both queries' chains, so a row costs one
-/// load for two queries. d[k] holds query k's four dots, each exactly
+/// The same four rows against two queries: each code block is loaded once
+/// and fed to both queries' chains, so a row costs one load for two
+/// queries. d[k] holds query k's four dots, each exactly
 /// CodeDotRowGeneric's.
-MARS_AVX2_FN inline void CodeDotRowsAvx2X4Pair(const int16_t* const* q,
-                                               const int8_t* codes, size_t n,
+MARS_AVX2_FN inline void CodeDotRowsAvx2X4Pair(const int8_t* const* q,
+                                               const uint8_t* codes, size_t n,
                                                __m128i* d) {
   __m256i a[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
                   _mm256_setzero_si256(), _mm256_setzero_si256()};
   __m256i b[4] = {_mm256_setzero_si256(), _mm256_setzero_si256(),
                   _mm256_setzero_si256(), _mm256_setzero_si256()};
-  for (size_t i = 0; i < n; i += 16) {
-    const __m256i q0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q[0] + i));
-    const __m256i q1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q[1] + i));
+  for (size_t i = 0; i < n; i += 32) {
+    const __m256i a_lo = LoadCodeBlock(q[0] + 2 * i);
+    const __m256i a_hi = LoadCodeBlock(q[0] + 2 * i + 32);
+    const __m256i b_lo = LoadCodeBlock(q[1] + 2 * i);
+    const __m256i b_hi = LoadCodeBlock(q[1] + 2 * i + 32);
     for (size_t j = 0; j < 4; ++j) {
-      const __m256i c = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-          reinterpret_cast<const __m128i*>(codes + j * n + i)));
-      a[j] = _mm256_add_epi32(a[j], _mm256_madd_epi16(q0, c));
-      b[j] = _mm256_add_epi32(b[j], _mm256_madd_epi16(q1, c));
+      const __m256i c = LoadCodeBlock(codes + j * n + i);
+      a[j] = _mm256_add_epi32(a[j], CodeBlockDotsAvx2(c, a_lo, a_hi));
+      b[j] = _mm256_add_epi32(b[j], CodeBlockDotsAvx2(c, b_lo, b_hi));
     }
   }
   d[0] = FoldCodeDotsX4(a);
   d[1] = FoldCodeDotsX4(b);
 }
 
-/// One code row: CodeDotRowGeneric(q, code, n) for n a multiple of 16,
+/// One code row: CodeDotRowGeneric(q, code, n) for n a multiple of 32,
 /// with the X4 form's vector steps (the quad loop's tail rows).
-MARS_AVX2_FN inline int32_t CodeDotRowAvx2(const int16_t* q,
-                                           const int8_t* code, size_t n) {
+MARS_AVX2_FN inline int32_t CodeDotRowAvx2(const int8_t* q,
+                                           const uint8_t* code, size_t n) {
   __m256i acc = _mm256_setzero_si256();
-  for (size_t i = 0; i < n; i += 16) {
+  for (size_t b = 0; b < n; b += 32) {
     acc = _mm256_add_epi32(
-        acc, _mm256_madd_epi16(
-                 _mm256_loadu_si256(reinterpret_cast<const __m256i*>(q + i)),
-                 _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                     reinterpret_cast<const __m128i*>(code + i)))));
+        acc, CodeBlockDotsAvx2(LoadCodeBlock(code + b), LoadCodeBlock(q + 2 * b),
+                               LoadCodeBlock(q + 2 * b + 32)));
   }
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
                             _mm256_extracti128_si256(acc, 1));
@@ -326,6 +361,14 @@ MARS_AVX2_FN inline int32_t CodeDotRowAvx2(const int16_t* q,
   s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0xB1));
   return _mm_cvtsi128_si32(s);
 }
+
+/// The code scan's AVX2 twin: rows in quads (CodeDotRowsAvx2X4), the same
+/// rows and score bits as CodeScoresAtLeastGeneric.
+MARS_AVX2_FN size_t CodeScoresAtLeastAvx2(const CodeQuery& q,
+                                          const uint8_t* codes,
+                                          const float* scales, size_t count,
+                                          size_t row_bytes, float threshold,
+                                          uint32_t* hits, float* hit_scores);
 
 #else  // !MARS_KERNELS_HAVE_AVX2
 

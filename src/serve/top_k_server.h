@@ -10,7 +10,7 @@
 //
 // With ann.enable set (and an indexable model, index_dim() > 0 — see
 // eval/scorer.h), the miss path probes the one candidate index,
-// SphericalIvfIndex (ann/ivf_index.h), whose int8 first pass returns a
+// SphericalIvfIndex (ann/ivf_index.h), whose 4-bit first pass returns a
 // short overfetched candidate list, then re-ranks the list with the
 // model's *exact* ScoreItems. Because every
 // returned score still comes from the model's own gather kernel, an
@@ -419,7 +419,7 @@ class TopKServer {
 
   /// ANN miss path for B >= 1 users: per-user queries written into one
   /// packed buffer, one ProbeBatch that returns each user's AnnWant best
-  /// candidates by int8 code score (the IVF shares a single
+  /// candidates by 4-bit code score (the IVF shares a single
   /// centroid-matrix scan across the batch), then each short list is
   /// re-ranked with the model's exact ScoreItems under the usual
   /// exclusion + (score desc, id asc) ranking.

@@ -19,6 +19,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -176,43 +177,49 @@ struct IndexIoFixture : public ::testing::Test {
 constexpr size_t kItems = 300, kDim = 16, kShards = 8;
 
 TEST_F(IndexIoFixture, IvfMappedProbesBitIdenticalToBuilt) {
-  DotScorer model(12, kItems, kDim, 1);
-  const auto built =
-      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
-  ASSERT_NE(built, nullptr);
-  ASSERT_TRUE(SaveCandidateIndex(*built, path_));
-  const auto mapped = LoadCandidateIndexMapped(path_, model, kItems);
-  ASSERT_NE(mapped, nullptr);
-  EXPECT_TRUE(mapped->mapped());
-  EXPECT_FALSE(built->mapped());
+  // Dim 16 (one 32-byte code block, mostly padding) and dim 128 (the MARS
+  // row: two blocks, one cache line).
+  for (const size_t dim : {kDim, size_t{128}}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    DotScorer model(12, kItems, dim, 1);
+    const auto built =
+        SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+    ASSERT_NE(built, nullptr);
+    ASSERT_TRUE(SaveCandidateIndex(*built, path_));
+    const auto mapped = LoadCandidateIndexMapped(path_, model, kItems);
+    ASSERT_NE(mapped, nullptr);
+    EXPECT_TRUE(mapped->mapped());
+    EXPECT_FALSE(built->mapped());
 
-  const auto& mivf = static_cast<const SphericalIvfIndex&>(*mapped);
-  EXPECT_EQ(mivf.num_centroids(), built->num_centroids());
-  EXPECT_EQ(mivf.nprobe(), built->nprobe());
-  // The flat state round-trips bit for bit — probes over it then cannot
-  // diverge, but check both layers anyway.
-  EXPECT_TRUE(std::equal(mivf.centroids().begin(), mivf.centroids().end(),
-                         built->centroids().begin()));
-  EXPECT_TRUE(std::equal(mivf.assignments().begin(), mivf.assignments().end(),
-                         built->assignments().begin()));
-  EXPECT_TRUE(std::equal(mivf.offsets().begin(), mivf.offsets().end(),
-                         built->offsets().begin()));
-  EXPECT_TRUE(std::equal(mivf.list_ids().begin(), mivf.list_ids().end(),
-                         built->list_ids().begin()));
-  ASSERT_EQ(mivf.codes().size(),
-            kItems * SphericalIvfIndex::CodeBytes(kDim));
-  EXPECT_TRUE(std::equal(mivf.codes().begin(), mivf.codes().end(),
-                         built->codes().begin()));
-  EXPECT_TRUE(std::equal(mivf.scales().begin(), mivf.scales().end(),
-                         built->scales().begin()));
-  ExpectProbesBitIdentical(model, *built, *mapped);
+    const auto& mivf = static_cast<const SphericalIvfIndex&>(*mapped);
+    EXPECT_EQ(mivf.num_centroids(), built->num_centroids());
+    EXPECT_EQ(mivf.nprobe(), built->nprobe());
+    // The flat state round-trips bit for bit — probes over it then cannot
+    // diverge, but check both layers anyway.
+    EXPECT_TRUE(std::equal(mivf.centroids().begin(), mivf.centroids().end(),
+                           built->centroids().begin()));
+    EXPECT_TRUE(std::equal(mivf.assignments().begin(),
+                           mivf.assignments().end(),
+                           built->assignments().begin()));
+    EXPECT_TRUE(std::equal(mivf.offsets().begin(), mivf.offsets().end(),
+                           built->offsets().begin()));
+    EXPECT_TRUE(std::equal(mivf.list_ids().begin(), mivf.list_ids().end(),
+                           built->list_ids().begin()));
+    ASSERT_EQ(mivf.codes().size(),
+              kItems * SphericalIvfIndex::CodeBytes(dim));
+    EXPECT_TRUE(std::equal(mivf.codes().begin(), mivf.codes().end(),
+                           built->codes().begin()));
+    EXPECT_TRUE(std::equal(mivf.scales().begin(), mivf.scales().end(),
+                           built->scales().begin()));
+    ExpectProbesBitIdentical(model, *built, *mapped);
+  }
 }
 
 TEST_F(IndexIoFixture, BorrowedIndexFileBytesArePinned) {
   // An index over fixed arrays (no k-means, so nothing depends on the
-  // host): the CRC-32 of its whole saved file, recorded from the
-  // slicing-by-16 Crc32, pins the MRSI layout and every region checksum
-  // the header stores.
+  // host): the CRC-32 of its whole saved file pins the MRSI v3 layout
+  // (32-byte code rows at dim 8) and every region checksum the header
+  // stores.
   constexpr size_t kN = 40, kD = 8, kC = 4;
   std::vector<float> centroids(kC * kD);
   for (size_t i = 0; i < centroids.size(); ++i) {
@@ -227,9 +234,9 @@ TEST_F(IndexIoFixture, BorrowedIndexFileBytesArePinned) {
     }
     offsets[c + 1] = static_cast<uint32_t>(list_ids.size());
   }
-  std::vector<int8_t> codes(kN * SphericalIvfIndex::CodeBytes(kD));
+  std::vector<uint8_t> codes(kN * SphericalIvfIndex::CodeBytes(kD));
   for (size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = static_cast<int8_t>(static_cast<int>((i * 37) % 255) - 127);
+    codes[i] = static_cast<uint8_t>((i * 37) % 256);
   }
   std::vector<float> scales(kN);
   for (size_t i = 0; i < kN; ++i) {
@@ -240,10 +247,10 @@ TEST_F(IndexIoFixture, BorrowedIndexFileBytesArePinned) {
       list_ids.data(), codes.data(), scales.data(), nullptr);
   ASSERT_TRUE(SaveCandidateIndex(*index, path_));
   const std::string bytes = ReadFileBytes(path_);
-  ASSERT_EQ(bytes.size(), 1664u);
+  ASSERT_EQ(bytes.size(), 2304u);
   EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(bytes.data()),
                   bytes.size()),
-            0x286C2610u);
+            0x7F7DE74Fu);
   // The loader's region checks accept the pinned bytes.
   const DotScorer model(4, kN, kD, 3);
   EXPECT_NE(LoadCandidateIndexMapped(path_, model, kN), nullptr);
@@ -445,8 +452,20 @@ TEST_F(IndexIoRejectFixture, LoadRejectsBadMagic) {
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsFutureVersion) {
-  PokeAt(&bytes_, kOffVersion, uint32_t{3});
+  PokeAt(&bytes_, kOffVersion, uint32_t{4});
   ExpectRejected();
+}
+
+TEST_F(IndexIoRejectFixture, LoadRejectsVersion2ByVersion) {
+  // v2 files (int8 code rows) are not read: the version check rejects
+  // them before any region is interpreted, naming both versions.
+  PokeAt(&bytes_, kOffVersion, uint32_t{2});
+  WriteFileBytes(path_, bytes_);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(LoadCandidateIndexMapped(path_, *model_, kItems), nullptr);
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(log.find("is index format v2, expected v3"), std::string::npos)
+      << log;
 }
 
 TEST_F(IndexIoRejectFixture, LoadRejectsVersion1) {
@@ -661,6 +680,59 @@ TEST_F(IndexIoRejectFixture,
   PokeAt(&bytes_, first_at, PeekAt<uint32_t>(bytes_, first_at + 4));
   PokeAt(&bytes_, first_at + 4, first);
   FixupCrc(3);
+  ExpectRejected();
+}
+
+TEST_F(IndexIoRejectFixture,
+       LoadRejectsListsThatAreNotTheCountingSortOfAssignWithFixedUpChecksum) {
+  // The item-order check must reject, with every CRC recomputed: offsets
+  // that are not monotone, that end short of or past num_items, or that
+  // shift one boundary by an item; an assign entry past the last
+  // centroid; and two items whose assign entries are swapped across
+  // lists, which keeps every count and every list intact.
+  const std::string valid = bytes_;
+  const auto assign_at =
+      PeekAt<uint64_t>(bytes_, kOffRegionTable + kRegionEntryBytes);
+  const auto offsets_at =
+      PeekAt<uint64_t>(bytes_, kOffRegionTable + 2 * kRegionEntryBytes);
+  const auto ncent = PeekAt<uint64_t>(bytes_, kOffParams);
+  ASSERT_GE(ncent, 3u);
+  const auto offset = [&](uint64_t c) {
+    return PeekAt<uint32_t>(valid, offsets_at + 4 * c);
+  };
+  // A list boundary c with non-empty lists on both sides.
+  uint64_t c = 1;
+  while (offset(c) == offset(c - 1) || offset(c + 1) == offset(c)) {
+    ++c;
+    ASSERT_LT(c + 1, ncent + 1);
+  }
+  const std::vector<std::pair<uint64_t, uint32_t>> bad_offsets = {
+      {c, offset(c + 1) + 1},                   // above its successor
+      {ncent, static_cast<uint32_t>(kItems - 1)},  // ends short
+      {ncent, static_cast<uint32_t>(kItems + 1)},  // ends past the catalog
+      {c, offset(c) + 1}};                      // one item moved lists
+  for (const auto& [at, value] : bad_offsets) {
+    SCOPED_TRACE("offsets[" + std::to_string(at) + "] = " +
+                 std::to_string(value));
+    bytes_ = valid;
+    PokeAt(&bytes_, offsets_at + 4 * at, value);
+    FixupCrc(2);
+    ExpectRejected();
+  }
+
+  bytes_ = valid;
+  PokeAt(&bytes_, assign_at + 4 * (kItems / 2),
+         static_cast<uint32_t>(ncent));
+  FixupCrc(1);
+  ExpectRejected();
+
+  bytes_ = valid;
+  const auto owner0 = PeekAt<uint32_t>(valid, assign_at);
+  uint64_t other = 1;
+  while (PeekAt<uint32_t>(valid, assign_at + 4 * other) == owner0) ++other;
+  PokeAt(&bytes_, assign_at, PeekAt<uint32_t>(valid, assign_at + 4 * other));
+  PokeAt(&bytes_, assign_at + 4 * other, owner0);
+  FixupCrc(1);
   ExpectRejected();
 }
 

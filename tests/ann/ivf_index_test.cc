@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ann/candidate_index.h"
 #include "common/facet_store.h"
+#include "common/kernels.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/vec.h"
@@ -265,31 +267,42 @@ TEST(SphericalIvfIndexTest, ProbeBatchMatchesSequentialProbes) {
 }
 
 TEST(SphericalIvfIndexTest, CodesDequantizeWithinHalfAStepInListOrder) {
-  // Position i of codes()/scales() is item list_ids()[i]: symmetric int8
-  // with scale max|x|/127, so code·scale is within half a step of x, the
-  // largest entry hits ±127, and the padding to 16 bytes is zero.
-  const size_t kItems = 300, kDim = 33;
-  DotScorer model(4, kItems, kDim, 9);
-  const auto idx =
-      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
-  const size_t row_bytes = SphericalIvfIndex::CodeBytes(kDim);
-  ASSERT_EQ(row_bytes, 48u);
-  ASSERT_EQ(idx->codes().size(), kItems * row_bytes);
-  ASSERT_EQ(idx->scales().size(), kItems);
-  std::vector<float> x(kDim);
-  for (size_t i = 0; i < kItems; ++i) {
-    const ItemId v = idx->list_ids()[i];
-    model.CopyIndexVectors(v, v + 1, x.data());
-    const float scale = idx->scales()[i];
-    const int8_t* code = idx->codes().data() + i * row_bytes;
-    int max_code = 0;
-    for (size_t j = 0; j < kDim; ++j) {
-      EXPECT_LE(std::abs(code[j] * scale - x[j]), 0.5f * scale * 1.001f)
-          << "item " << v << " dim " << j;
-      max_code = std::max(max_code, std::abs(static_cast<int>(code[j])));
+  // Position i of codes()/scales() is item list_ids()[i]: 4-bit codes in
+  // [-7, 7] biased by 8, scale max|x|/7, so code·scale is within half a
+  // step of x, the largest entry hits ±7, no nibble is 0, and every
+  // padding dim holds code 0 (nibble 8). Dims 33 and 128 give one and two
+  // 32-byte blocks, the first with both nibble halves partly padded.
+  for (const size_t dim : {33ul, 128ul}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const size_t kItems = 300;
+    DotScorer model(4, kItems, dim, 9);
+    const auto idx =
+        SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+    const size_t row_bytes = SphericalIvfIndex::CodeBytes(dim);
+    ASSERT_EQ(row_bytes, dim == 33 ? 32u : 64u);
+    ASSERT_EQ(idx->codes().size(), kItems * row_bytes);
+    ASSERT_EQ(idx->scales().size(), kItems);
+    std::vector<float> x(dim);
+    for (size_t i = 0; i < kItems; ++i) {
+      const ItemId v = idx->list_ids()[i];
+      model.CopyIndexVectors(v, v + 1, x.data());
+      const float scale = idx->scales()[i];
+      const uint8_t* code = idx->codes().data() + i * row_bytes;
+      int max_code = 0;
+      for (size_t j = 0; j < 2 * row_bytes; ++j) {
+        const int nibble = (code[CodeByteOf(j)] >> CodeShiftOf(j)) & 15;
+        ASSERT_GE(nibble, 1) << "item " << v << " dim " << j;
+        if (j >= dim) {
+          EXPECT_EQ(nibble, 8) << "item " << v << " padding dim " << j;
+          continue;
+        }
+        EXPECT_LE(std::abs(static_cast<float>(nibble - 8) * scale - x[j]),
+                  0.5f * scale * 1.001f)
+            << "item " << v << " dim " << j;
+        max_code = std::max(max_code, std::abs(nibble - 8));
+      }
+      EXPECT_EQ(max_code, 7) << "item " << v;
     }
-    EXPECT_EQ(max_code, 127) << "item " << v;
-    for (size_t j = kDim; j < row_bytes; ++j) EXPECT_EQ(code[j], 0);
   }
 }
 
@@ -320,23 +333,27 @@ TEST(SphericalIvfIndexTest, ProbeBatchSharingCodeRowsMatchesSoloProbes) {
   // probes it, two queries per code-row load: an odd batch, lists probed
   // by one, two or three queries, a want beyond the probed lists'
   // population, and a full-probe want in the same batch must each return
-  // exactly the solo probe's ids, in order.
-  const size_t kItems = 2000, kDim = 33, kQueries = 7;
-  DotScorer model(kQueries, kItems, kDim, 11);
-  const auto idx =
-      SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
-  ASSERT_LT(idx->nprobe(), idx->num_centroids());
-  std::vector<float> queries(kQueries * kDim);
-  for (size_t q = 0; q < kQueries; ++q) {
-    model.WriteIndexQuery(static_cast<UserId>(q), queries.data() + q * kDim);
-  }
-  const std::vector<size_t> want = {40, 40, 1, kItems - 10, 40, kItems, 7};
-  std::vector<std::vector<ItemId>> batch(kQueries);
-  idx->ProbeBatch(queries.data(), kQueries, want.data(), &batch);
-  for (size_t q = 0; q < kQueries; ++q) {
-    std::vector<ItemId> solo;
-    idx->Probe(queries.data() + q * kDim, want[q], &solo);
-    EXPECT_EQ(batch[q], solo) << "query " << q;
+  // exactly the solo probe's ids, in order — at dim 33 (one code block)
+  // and dim 128 (two).
+  const size_t kItems = 2000, kQueries = 7;
+  for (const size_t dim : {33ul, 128ul}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    DotScorer model(kQueries, kItems, dim, 11);
+    const auto idx =
+        SphericalIvfIndex::Build(model, kItems, AnnIndexOptions{}, nullptr);
+    ASSERT_LT(idx->nprobe(), idx->num_centroids());
+    std::vector<float> queries(kQueries * dim);
+    for (size_t q = 0; q < kQueries; ++q) {
+      model.WriteIndexQuery(static_cast<UserId>(q), queries.data() + q * dim);
+    }
+    const std::vector<size_t> want = {40, 40, 1, kItems - 10, 40, kItems, 7};
+    std::vector<std::vector<ItemId>> batch(kQueries);
+    idx->ProbeBatch(queries.data(), kQueries, want.data(), &batch);
+    for (size_t q = 0; q < kQueries; ++q) {
+      std::vector<ItemId> solo;
+      idx->Probe(queries.data() + q * dim, want[q], &solo);
+      EXPECT_EQ(batch[q], solo) << "query " << q;
+    }
   }
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -531,138 +533,191 @@ TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesPerLaneInsideAQuad) {
 }
 
 
-/// Int16 query and int8 code rows at the extremes the probe allows: any
-/// code byte, query entries up to ±32767 (the bound keeps every sum
-/// inside int32 for rows up to 128 bytes).
+/// An int8 query and 4-bit code rows over the whole nibble range: any
+/// code byte (nibbles 0 and 15 included, though the quantizer writes only
+/// 1..15) and query entries in [-127, 127].
 struct CodeRows {
-  std::vector<int16_t> q;
-  std::vector<int8_t> codes;
+  std::vector<int8_t> q;
+  std::vector<uint8_t> codes;
+  int32_t bias = 0;
+  CodeQuery query() const { return {q.data(), bias}; }
 };
 
-CodeRows RandomCodeRows(uint64_t seed, size_t dim, size_t row_bytes,
-                        size_t count) {
+CodeRows RandomCodeRows(uint64_t seed, size_t row_bytes, size_t count) {
   Rng rng(seed);
   CodeRows r;
-  r.q.assign(row_bytes, 0);
-  r.codes.assign(count * row_bytes, 0);
-  for (size_t i = 0; i < dim; ++i) {
-    r.q[i] = static_cast<int16_t>(static_cast<int64_t>(rng.UniformInt(65535)) -
-                                  32767);
+  r.q.resize(2 * row_bytes);
+  r.codes.resize(count * row_bytes);
+  for (int8_t& x : r.q) {
+    x = static_cast<int8_t>(static_cast<int>(rng.UniformInt(255)) - 127);
+    r.bias += 8 * x;
   }
-  for (size_t v = 0; v < count; ++v) {
-    for (size_t i = 0; i < dim; ++i) {
-      r.codes[v * row_bytes + i] =
-          static_cast<int8_t>(static_cast<int>(rng.UniformInt(256)) - 128);
-    }
-  }
+  for (uint8_t& c : r.codes) c = static_cast<uint8_t>(rng.UniformInt(256));
   return r;
 }
 
+/// The documented layout, read one dim at a time: Σ_i q[i]·nibble(i) − bias
+/// with dim i's nibble found through CodeByteOf/CodeShiftOf.
+int32_t OracleCodeDot(const CodeRows& r, size_t row, size_t row_bytes) {
+  const uint8_t* code = r.codes.data() + row * row_bytes;
+  int64_t dot = -int64_t{r.bias};
+  for (size_t i = 0; i < 2 * row_bytes; ++i) {
+    dot += int64_t{r.q[i]} * ((code[CodeByteOf(i)] >> CodeShiftOf(i)) & 15);
+  }
+  return static_cast<int32_t>(dot);
+}
+
+/// Row widths: one to eight 32-byte blocks, across the AVX2 form's
+/// four-block int16 runs (64 bytes is the MARS row at dim 128).
+constexpr size_t kCodeRowBytes[] = {32, 64, 96, 128, 160, 256};
+
 TEST(KernelsTest, CodeDotRowsAvx2MatchesScalar) {
+  // The generic row dot follows the documented nibble layout, and the AVX2
+  // quad and single-row forms equal it bit for bit: random rows, then the
+  // extremes — every nibble 15 against a query of +127 or -127, the
+  // largest int16 run the pair sums can reach, and every nibble 0.
+  for (const size_t row_bytes : kCodeRowBytes) {
+    SCOPED_TRACE("row_bytes " + std::to_string(row_bytes));
+    std::vector<CodeRows> cases = {RandomCodeRows(row_bytes, row_bytes, 4)};
+    for (const int q : {127, -127}) {
+      for (const uint8_t fill : {uint8_t{0xFF}, uint8_t{0x00}, uint8_t{0xF0},
+                                 uint8_t{0x0F}}) {
+        CodeRows r;
+        r.q.assign(2 * row_bytes, static_cast<int8_t>(q));
+        r.bias = 8 * q * static_cast<int32_t>(2 * row_bytes);
+        r.codes.assign(4 * row_bytes, fill);
+        cases.push_back(std::move(r));
+      }
+    }
+    for (const CodeRows& r : cases) {
+      for (size_t j = 0; j < 4; ++j) {
+        EXPECT_EQ(kernels_detail::CodeDotRowGeneric(
+                      r.q.data(), r.codes.data() + j * row_bytes, row_bytes) -
+                      r.bias,
+                  OracleCodeDot(r, j, row_bytes))
+            << "row " << j;
+      }
 #if MARS_KERNELS_HAVE_AVX2
-  if (!kernels_detail::HasAvx2Fma()) GTEST_SKIP() << "no AVX2 on this host";
-  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
-    SCOPED_TRACE("dim " + std::to_string(dim));
-    const size_t row_bytes = (dim + 15) & ~size_t{15};
-    const CodeRows r = RandomCodeRows(dim, dim, row_bytes, 4);
-    int32_t got[4];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(got),
-                     kernels_detail::CodeDotRowsAvx2X4(
-                         r.q.data(), r.codes.data(), row_bytes));
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(got[j],
-                kernels_detail::CodeDotRowGeneric(
-                    r.q.data(), r.codes.data() + j * row_bytes, row_bytes))
-          << "row " << j;
+      if (!kernels_detail::HasAvx2Fma()) continue;
+      int32_t got[4];
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(got),
+                       kernels_detail::CodeDotRowsAvx2X4(
+                           r.q.data(), r.codes.data(), row_bytes));
+      for (size_t j = 0; j < 4; ++j) {
+        const int32_t want = kernels_detail::CodeDotRowGeneric(
+            r.q.data(), r.codes.data() + j * row_bytes, row_bytes);
+        EXPECT_EQ(got[j], want) << "row " << j;
+        EXPECT_EQ(kernels_detail::CodeDotRowAvx2(
+                      r.q.data(), r.codes.data() + j * row_bytes, row_bytes),
+                  want)
+            << "row " << j;
+      }
+#endif
     }
   }
-  // All extremes at once: the largest |sum| the bound admits.
-  const size_t row_bytes = 128;
-  std::vector<int16_t> q(row_bytes, -32767);
-  std::vector<int8_t> codes(4 * row_bytes, -128);
-  int32_t got[4];
-  _mm_storeu_si128(
-      reinterpret_cast<__m128i*>(got),
-      kernels_detail::CodeDotRowsAvx2X4(q.data(), codes.data(), row_bytes));
-  for (size_t j = 0; j < 4; ++j) EXPECT_EQ(got[j], 128 * 32767 * 128);
-#else
-  GTEST_SKIP() << "AVX2 kernels not compiled for this architecture";
+  // The all-15 row against +127 sums 2·row_bytes·127·15 before the bias.
+  CodeRows top;
+  top.q.assign(512, 127);
+  top.codes.assign(256, 0xFF);
+  EXPECT_EQ(kernels_detail::CodeDotRowGeneric(top.q.data(), top.codes.data(),
+                                              256),
+            512 * 127 * 15);
+}
+
+/// The scan twins by name: the dispatched entry point and each twin this
+/// host can run.
+std::vector<std::pair<const char*, decltype(&CodeScoresAtLeast)>>
+CodeScanTwins() {
+  std::vector<std::pair<const char*, decltype(&CodeScoresAtLeast)>> twins = {
+      {"dispatched", &CodeScoresAtLeast},
+      {"generic", &kernels_detail::CodeScoresAtLeastGeneric}};
+#if MARS_KERNELS_HAVE_AVX2
+  if (kernels_detail::HasAvx2Fma()) {
+    twins.push_back({"avx2", &kernels_detail::CodeScoresAtLeastAvx2});
+  }
 #endif
+  return twins;
 }
 
 TEST(KernelsTest, CodeScoresAtLeastMatchesPerRowIncludingTail) {
-  // Every row whose scale·dot reaches the threshold, in row order, with
-  // the scalar score's bits — quads and the count mod 4 tail alike, and a
-  // threshold that sits exactly on one row's score.
-  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
-    SCOPED_TRACE("dim " + std::to_string(dim));
-    const size_t row_bytes = (dim + 15) & ~size_t{15};
-    const size_t count = 23;  // five quads and a tail of three
-    const CodeRows r = RandomCodeRows(100 + dim, dim, row_bytes, count);
-    Rng rng(dim);
-    std::vector<float> scales(count), want(count);
-    for (size_t v = 0; v < count; ++v) {
-      scales[v] = static_cast<float>(rng.Uniform()) * 1e-3f;
-      int64_t dot = 0;
-      for (size_t i = 0; i < row_bytes; ++i) {
-        dot += int64_t{r.q[i]} * r.codes[v * row_bytes + i];
-      }
-      want[v] = scales[v] * static_cast<float>(dot);
-    }
-    std::vector<float> sorted = want;
-    std::sort(sorted.begin(), sorted.end());
-    for (const float threshold :
-         {-std::numeric_limits<float>::infinity(), sorted[count / 2],
-          sorted[count - 1], std::numeric_limits<float>::infinity()}) {
-      std::vector<uint32_t> hits(count);
-      std::vector<float> hit_scores(count);
-      const size_t n =
-          CodeScoresAtLeast(r.q.data(), r.codes.data(), scales.data(), count,
-                            row_bytes, threshold, hits.data(),
-                            hit_scores.data());
-      size_t expect = 0;
+  // Every row whose scale·(dot − bias) reaches the threshold, in row
+  // order, with the oracle score's bits — for every twin, at every count
+  // mod 4 (quads and the one-by-one tail), and at a threshold that sits
+  // exactly on one row's score.
+  for (const size_t row_bytes : kCodeRowBytes) {
+    for (const size_t count : {1ul, 2ul, 3ul, 20ul, 21ul, 22ul, 23ul}) {
+      SCOPED_TRACE("row_bytes " + std::to_string(row_bytes) + " count " +
+                   std::to_string(count));
+      const CodeRows r = RandomCodeRows(100 + row_bytes + count, row_bytes,
+                                        count);
+      Rng rng(row_bytes + count);
+      std::vector<float> scales(count), want(count);
       for (size_t v = 0; v < count; ++v) {
-        if (!(want[v] >= threshold)) continue;
-        ASSERT_LT(expect, n);
-        EXPECT_EQ(hits[expect], v);
-        EXPECT_EQ(hit_scores[expect], want[v]) << "row " << v;
-        ++expect;
+        scales[v] = static_cast<float>(rng.Uniform()) * 1e-3f;
+        want[v] = scales[v] *
+                  static_cast<float>(OracleCodeDot(r, v, row_bytes));
       }
-      EXPECT_EQ(n, expect) << "threshold " << threshold;
+      std::vector<float> sorted = want;
+      std::sort(sorted.begin(), sorted.end());
+      for (const auto& [name, scan] : CodeScanTwins()) {
+        for (const float threshold :
+             {-std::numeric_limits<float>::infinity(), sorted[count / 2],
+              sorted[count - 1], std::numeric_limits<float>::infinity()}) {
+          SCOPED_TRACE(std::string(name) + " threshold " +
+                       std::to_string(threshold));
+          std::vector<uint32_t> hits(count);
+          std::vector<float> hit_scores(count);
+          const size_t n =
+              scan(r.query(), r.codes.data(), scales.data(), count, row_bytes,
+                   threshold, hits.data(), hit_scores.data());
+          size_t expect = 0;
+          for (size_t v = 0; v < count; ++v) {
+            if (!(want[v] >= threshold)) continue;
+            ASSERT_LT(expect, n);
+            EXPECT_EQ(hits[expect], v);
+            EXPECT_EQ(hit_scores[expect], want[v]) << "row " << v;
+            ++expect;
+          }
+          EXPECT_EQ(n, expect);
+        }
+      }
     }
   }
 }
 
 TEST(KernelsTest, CodeScoresAtLeastPairMatchesTwoSingleScans) {
   // Two queries over one block, each code row loaded once: per query the
-  // same rows and score bits as its own CodeScoresAtLeast call.
-  for (const size_t dim : {1ul, 15ul, 16ul, 33ul, 128ul}) {
-    SCOPED_TRACE("dim " + std::to_string(dim));
-    const size_t row_bytes = (dim + 15) & ~size_t{15};
-    const size_t count = 23;  // five quads and a tail of three
-    const CodeRows a = RandomCodeRows(200 + dim, dim, row_bytes, count);
-    const CodeRows b = RandomCodeRows(300 + dim, dim, row_bytes, 0);
-    Rng rng(dim + 7);
-    std::vector<float> scales(count);
-    for (float& x : scales) x = static_cast<float>(rng.Uniform()) * 1e-3f;
-    const float threshold[2] = {-std::numeric_limits<float>::infinity(),
-                                0.0f};
-    const int16_t* const q[2] = {a.q.data(), b.q.data()};
-    std::vector<uint32_t> hits0(count), hits1(count), want_hits(count);
-    std::vector<float> scores0(count), scores1(count), want_scores(count);
-    uint32_t* const hits[2] = {hits0.data(), hits1.data()};
-    float* const scores[2] = {scores0.data(), scores1.data()};
-    size_t n[2];
-    CodeScoresAtLeastPair(q, a.codes.data(), scales.data(), count, row_bytes,
-                          threshold, hits, scores, n);
-    for (size_t k = 0; k < 2; ++k) {
-      const size_t want_n = CodeScoresAtLeast(
-          q[k], a.codes.data(), scales.data(), count, row_bytes, threshold[k],
-          want_hits.data(), want_scores.data());
-      ASSERT_EQ(n[k], want_n) << "query " << k;
-      for (size_t i = 0; i < want_n; ++i) {
-        EXPECT_EQ(hits[k][i], want_hits[i]);
-        EXPECT_EQ(scores[k][i], want_scores[i]);
+  // same rows and score bits as its own CodeScoresAtLeast call, at every
+  // count mod 4.
+  for (const size_t row_bytes : kCodeRowBytes) {
+    for (const size_t count : {1ul, 2ul, 3ul, 20ul, 21ul, 22ul, 23ul}) {
+      SCOPED_TRACE("row_bytes " + std::to_string(row_bytes) + " count " +
+                   std::to_string(count));
+      const CodeRows a = RandomCodeRows(200 + row_bytes + count, row_bytes,
+                                        count);
+      const CodeRows b = RandomCodeRows(300 + row_bytes + count, row_bytes, 0);
+      Rng rng(row_bytes + count + 7);
+      std::vector<float> scales(count);
+      for (float& x : scales) x = static_cast<float>(rng.Uniform()) * 1e-3f;
+      const float threshold[2] = {-std::numeric_limits<float>::infinity(),
+                                  0.0f};
+      const CodeQuery q[2] = {a.query(), b.query()};
+      std::vector<uint32_t> hits0(count), hits1(count), want_hits(count);
+      std::vector<float> scores0(count), scores1(count), want_scores(count);
+      uint32_t* const hits[2] = {hits0.data(), hits1.data()};
+      float* const scores[2] = {scores0.data(), scores1.data()};
+      size_t n[2];
+      CodeScoresAtLeastPair(q, a.codes.data(), scales.data(), count,
+                            row_bytes, threshold, hits, scores, n);
+      for (size_t k = 0; k < 2; ++k) {
+        const size_t want_n = kernels_detail::CodeScoresAtLeastGeneric(
+            q[k], a.codes.data(), scales.data(), count, row_bytes,
+            threshold[k], want_hits.data(), want_scores.data());
+        ASSERT_EQ(n[k], want_n) << "query " << k;
+        for (size_t i = 0; i < want_n; ++i) {
+          EXPECT_EQ(hits[k][i], want_hits[i]);
+          EXPECT_EQ(scores[k][i], want_scores[i]);
+        }
       }
     }
   }

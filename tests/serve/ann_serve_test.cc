@@ -10,6 +10,7 @@
 // point.
 #include <algorithm>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "ann/candidate_index.h"
 #include "ann/ivf_index.h"
 #include "common/facet_store.h"
+#include "common/kernels.h"
 #include "common/thread_pool.h"
 #include "core/mar.h"
 #include "core/mars.h"
@@ -297,30 +299,46 @@ TEST(TopKServerAnnTest, DefaultNprobeRecallFloorOnLargerCatalog) {
   EXPECT_EQ(server.stats().ann_probes, probe_users);
 }
 
-TEST(TopKServerAnnTest, MarsDefaultOptionsRecallOnHotShapedCatalog) {
-  // MARS ranks by Σ_k θ_uk·r_k·cos(u_k, v_k): the IVF's int8 first pass
-  // scores that weighted sum over half the lists, and the exact re-rank
-  // of its best 40 must recover the exact top-10. The catalog is the
-  // wire benchmark's hot shape (4000 users, 2000 items, K 4, dim 32, five
-  // epochs of ten interactions per user) at default AnnIndexOptions.
-  SyntheticConfig dc;
-  dc.num_users = 4000;
-  dc.num_items = 2000;
-  dc.target_interactions = 40000;
-  dc.num_facets = 4;
-  dc.seed = 20210419;
-  const auto data = GenerateSyntheticDataset(dc);
-  MultiFacetConfig mc;
-  mc.dim = 32;
-  mc.num_facets = 4;
-  Mars model(mc);
-  TrainOptions to;
-  to.epochs = 5;
-  to.learning_rate = 0.3;
-  to.seed = 20210419;
-  to.num_threads = 1;
-  model.Fit(*data, to);
+/// MARS trained on the wire benchmark's hot shape (4000 users, 2000
+/// items, K 4, dim 32, five epochs of ten interactions per user), built
+/// once for the tests below.
+struct HotShapedMars {
+  std::shared_ptr<ImplicitDataset> data;
+  std::unique_ptr<Mars> model;
+};
 
+const HotShapedMars& TrainedHotShapedMars() {
+  static const HotShapedMars trained = [] {
+    SyntheticConfig dc;
+    dc.num_users = 4000;
+    dc.num_items = 2000;
+    dc.target_interactions = 40000;
+    dc.num_facets = 4;
+    dc.seed = 20210419;
+    HotShapedMars t;
+    t.data = GenerateSyntheticDataset(dc);
+    MultiFacetConfig mc;
+    mc.dim = 32;
+    mc.num_facets = 4;
+    t.model = std::make_unique<Mars>(mc);
+    TrainOptions to;
+    to.epochs = 5;
+    to.learning_rate = 0.3;
+    to.seed = 20210419;
+    to.num_threads = 1;
+    t.model->Fit(*t.data, to);
+    return t;
+  }();
+  return trained;
+}
+
+TEST(TopKServerAnnTest, MarsDefaultOptionsRecallOnHotShapedCatalog) {
+  // MARS ranks by Σ_k θ_uk·r_k·cos(u_k, v_k): the IVF's 4-bit first pass
+  // scores that weighted sum over half the lists, and the exact re-rank
+  // of its best 40 must recover the exact top-10, at default
+  // AnnIndexOptions.
+  const auto& [data, model_ptr] = TrainedHotShapedMars();
+  const Mars& model = *model_ptr;
   const size_t k = 10, users = 200;
   TopKServerOptions opts;
   opts.k = k;
@@ -341,6 +359,61 @@ TEST(TopKServerAnnTest, MarsDefaultOptionsRecallOnHotShapedCatalog) {
   const double recall =
       static_cast<double>(hit) / static_cast<double>(k * users);
   EXPECT_GE(recall, 0.95) << "recall@10 at default AnnIndexOptions";
+}
+
+TEST(TopKServerAnnTest, MarsFirstPassKeepsTheProbedListsExactTop10) {
+  // The quantized first pass may only lose what the probe never saw: for
+  // at least 99% of sampled users, the k·overfetch ids it hands to the
+  // re-rank contain the exact top-10 (by model score, ties to the lower
+  // id) of the items in the probed lists — the nprobe best centroids by
+  // query dot, ties to the lower index, as Probe picks them.
+  const auto& [data, model_ptr] = TrainedHotShapedMars();
+  const Mars& model = *model_ptr;
+  const auto index = SphericalIvfIndex::Build(model, data->num_items(),
+                                              AnnIndexOptions{}, nullptr);
+  const size_t dim = index->dim(), ncent = index->num_centroids();
+  ASSERT_LT(index->nprobe(), ncent);
+  const size_t k = 10, users = 300;
+  std::vector<float> query(dim), cdots(ncent);
+  std::vector<uint32_t> lists(ncent);
+  size_t kept = 0;
+  for (UserId u = 0; u < users; ++u) {
+    const UserId user = static_cast<UserId>(u * 13);  // spread over ids
+    model.WriteIndexQuery(user, query.data());
+    DotBatch(query.data(), index->centroids().data(), ncent, dim, dim,
+             cdots.data());
+    std::iota(lists.begin(), lists.end(), 0u);
+    std::stable_sort(lists.begin(), lists.end(),
+                     [&cdots](uint32_t a, uint32_t b) {
+                       return cdots[a] > cdots[b];
+                     });
+    std::vector<ItemId> probed;
+    for (size_t i = 0; i < index->nprobe(); ++i) {
+      const auto list = index->List(lists[i]);
+      probed.insert(probed.end(), list.begin(), list.end());
+    }
+    std::vector<float> scores(probed.size());
+    model.ScoreItems(user, probed, scores.data());
+    std::vector<size_t> rank(probed.size());
+    std::iota(rank.begin(), rank.end(), size_t{0});
+    std::partial_sort(rank.begin(), rank.begin() + k, rank.end(),
+                      [&](size_t a, size_t b) {
+                        return scores[a] > scores[b] ||
+                               (scores[a] == scores[b] &&
+                                probed[a] < probed[b]);
+                      });
+    std::vector<ItemId> first_pass;
+    index->Probe(query.data(), k * AnnIndexOptions::overfetch, &first_pass);
+    ASSERT_EQ(first_pass.size(), k * AnnIndexOptions::overfetch);
+    bool all = true;
+    for (size_t i = 0; i < k; ++i) {
+      all &= std::find(first_pass.begin(), first_pass.end(),
+                       probed[rank[i]]) != first_pass.end();
+    }
+    kept += all;
+  }
+  EXPECT_GE(static_cast<double>(kept), 0.99 * users)
+      << kept << " of " << users << " users";
 }
 
 TEST(TopKServerAnnTest, InjectedIndexImpliesAnnServing) {
