@@ -688,8 +688,9 @@ TEST_F(IndexIoRejectFixture,
   // The item-order check must reject, with every CRC recomputed: offsets
   // that are not monotone, that end short of or past num_items, or that
   // shift one boundary by an item; an assign entry past the last
-  // centroid; and two items whose assign entries are swapped across
-  // lists, which keeps every count and every list intact.
+  // centroid; two items whose assign entries are swapped across lists,
+  // which keeps every count and every list intact; and items whose
+  // centroid's list is too short for them.
   const std::string valid = bytes_;
   const auto assign_at =
       PeekAt<uint64_t>(bytes_, kOffRegionTable + kRegionEntryBytes);
@@ -734,6 +735,26 @@ TEST_F(IndexIoRejectFixture,
   PokeAt(&bytes_, assign_at + 4 * other, owner0);
   FixupCrc(1);
   ExpectRejected();
+
+  // Every item assigned to centroid 0, but filed in list 1 with list 0
+  // empty: read past list 0's end, list 1 would hold exactly the ids in
+  // item order, so only the end of each list stops it.
+  constexpr size_t kN = 8, kD = 8;
+  const std::vector<float> centroids(2 * kD, 0.25f);
+  const std::vector<uint32_t> assign(kN, 0), offsets = {0, 0, kN};
+  std::vector<ItemId> list_ids(kN);
+  for (size_t v = 0; v < kN; ++v) list_ids[v] = static_cast<ItemId>(v);
+  const std::vector<uint8_t> codes(kN * SphericalIvfIndex::CodeBytes(kD),
+                                   0x88);
+  const std::vector<float> scales(kN, 1.0f);
+  ASSERT_TRUE(SaveCandidateIndex(
+      *SphericalIvfIndex::Borrow(kN, kD, 2, 1, centroids.data(),
+                                 assign.data(), offsets.data(),
+                                 list_ids.data(), codes.data(), scales.data(),
+                                 nullptr),
+      path_));
+  EXPECT_EQ(LoadCandidateIndexMapped(path_, DotScorer(4, kN, kD, 3), kN),
+            nullptr);
 }
 
 TEST_F(IndexIoRejectFixture, NanCentroidLoadsAndServesModelScores) {
