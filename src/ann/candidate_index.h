@@ -35,12 +35,12 @@ struct AnnIndexOptions {
   size_t num_centroids = 0;
   /// IVF lists probed per query; 0 = auto (num_centroids / 2, at least
   /// 2). A probed item costs one contiguous 4-bit code row (64 bytes at
-  /// dim 128) in the first pass, not an exact re-rank, so half the lists is affordable, and
-  /// MARS's θ-weighted neighbours need it: recall@10 >= 0.95 on the
-  /// bench's MARS catalog needs more than a quarter of the lists. Lower
-  /// it to trade recall for latency; at num_centroids the probe skips the
-  /// codes, the candidate list is the whole catalog and the served
-  /// ranking is exact.
+  /// dim 128) in the first pass, not an exact re-rank, so half the lists
+  /// is affordable, and MARS's θ-weighted neighbours need it: recall@10
+  /// >= 0.95 on the bench's MARS catalog needs more than a quarter of the
+  /// lists. Lower it to trade recall for latency; at num_centroids the
+  /// probe skips the codes, the candidate list is the whole catalog and
+  /// the served ranking is exact.
   size_t nprobe = 0;
   /// Training-sample bound for k-means (the full catalog is still
   /// assigned to the final centroids).

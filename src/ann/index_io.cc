@@ -65,8 +65,9 @@ struct IndexLayout {
 ///   scales f32
 /// (codes: CodeBytes(dim) bytes of 4-bit codes per item in list order;
 /// scales: one per item in list order). Fills offsets (64B-aligned tiling
-/// after the header) and file_bytes. Geometry must already be plausibility-bounded:
-/// with num_items ≤ 2³¹ and dim ≤ 65536 no product here can overflow u64.
+/// after the header) and file_bytes. Geometry must already be
+/// plausibility-bounded: with num_items ≤ 2³¹ and dim ≤ 65536 no product
+/// here can overflow u64.
 void ComputeRegions(IndexLayout* l) {
   l->region_bytes[0] = l->num_centroids * l->dim * sizeof(float);
   l->region_bytes[1] = l->num_items * sizeof(uint32_t);

@@ -79,12 +79,12 @@ class SphericalIvfIndex {
   /// a byte: `centroids` is num_centroids x dim unit rows, `assign` the
   /// per-item owning centroid, `offsets`/`list_ids` the CSR inverted
   /// lists, `codes`/`scales` the list-ordered 4-bit code rows
-  /// (CodeBytes(dim) bytes each) and their scales. `keepalive` pins the backing storage
-  /// for the life of this index and everything derived from it. The
-  /// caller (the index-file loader) is responsible for having validated
-  /// the CSR invariants and the scales (finite, >= 0); any code byte is
-  /// valid. Probes over the borrowed arrays are bit-identical to a
-  /// freshly built index holding the same bytes.
+  /// (CodeBytes(dim) bytes each) and their scales. `keepalive` pins the
+  /// backing storage for the life of this index and everything derived
+  /// from it. The caller (the index-file loader) is responsible for having
+  /// validated the CSR invariants and the scales (finite, >= 0); any code
+  /// byte is valid. Probes over the borrowed arrays are bit-identical to
+  /// a freshly built index holding the same bytes.
   static std::unique_ptr<SphericalIvfIndex> Borrow(
       size_t num_items, size_t dim, size_t num_centroids, size_t nprobe,
       const float* centroids, const uint32_t* assign, const uint32_t* offsets,

@@ -352,7 +352,8 @@ MARS_AVX2_FN inline int32_t CodeDotRowAvx2(const int8_t* q,
   __m256i acc = _mm256_setzero_si256();
   for (size_t b = 0; b < n; b += 32) {
     acc = _mm256_add_epi32(
-        acc, CodeBlockDotsAvx2(LoadCodeBlock(code + b), LoadCodeBlock(q + 2 * b),
+        acc, CodeBlockDotsAvx2(LoadCodeBlock(code + b),
+                               LoadCodeBlock(q + 2 * b),
                                LoadCodeBlock(q + 2 * b + 32)));
   }
   __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
