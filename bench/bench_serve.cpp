@@ -25,14 +25,6 @@
 //    per-entry refresh done by AbsorbWrites must cost ≤ 1/4 of a cold
 //    full-catalog sweep (the mostly-clean-epoch warm-cache bar);
 //
-//  * wire-to-wire QPS and p50/p99 — a loopback TCP client driving the
-//    NetServer front-end with pipelined bursts of B ∈ {1, 8, 32}
-//    requests, so the numbers include framing, checksums, syscalls, and
-//    the reactor hop; the multi-request-batch counters recorded
-//    alongside prove the front-end fed the bursts into TopKBatch
-//    (scripts/check_bench.py:check_serve_wire gates presence and the
-//    batching evidence; latency diffs are host_cpus-guarded);
-//
 //  * coalesced-batch serving — TopKBatch over B ∈ {2, 4, 8} cold users
 //    (one multi-user block sweep: each item block streamed once and
 //    scored for all B users) vs B solo cold sweeps, per-user. Measured
@@ -77,10 +69,6 @@
 #include "core/mars.h"
 #include "data/synthetic.h"
 #include "models/bpr.h"
-#include "net/client.h"
-#include "net/server.h"
-#include "scenario/scenario.h"
-#include "scenario/scenario_runner.h"
 #include "serve/top_k_server.h"
 #include "serve/write_tracker.h"
 
@@ -154,19 +142,6 @@ struct IncrementalResult {
   double refresh_ms_per_entry = 0.0;
   double cold_ms_per_query = 0.0;
   double refresh_vs_cold = 0.0;
-};
-
-/// One pipeline depth of the wire-to-wire section: QPS and latency
-/// percentiles through the TCP front-end (loopback), plus the batching
-/// evidence counters.
-struct WireResult {
-  size_t pipeline = 0;  // B requests per pipelined burst
-  double qps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  unsigned long long served = 0;
-  unsigned long long wire_batches_multi = 0;  // NetServer batches with >1 req
-  unsigned long long batch_sweeps = 0;        // serve-layer multi-user sweeps
 };
 
 /// Dot-geometry scorer with random tables for the restart-at-scale
@@ -313,9 +288,6 @@ int main(int argc, char** argv) {
   std::vector<IncrementalResult> incremental;
   std::vector<MtResult> mt_results;
   size_t mt_items = 0;
-  std::vector<WireResult> wire_results;
-  size_t wire_items = 0;
-  std::string wire_backend;
 
   for (const size_t num_items : catalog_sizes) {
     SyntheticConfig data_cfg;
@@ -354,7 +326,7 @@ int main(int argc, char** argv) {
     // miss): on hosts with invisible neighbor contention a single burst
     // can read 2x slow, and the regression gate needs the code's cost,
     // not the host's mood. Same policy for the cached and incremental
-    // sections below (and bench_load does the same).
+    // sections below.
     const size_t cold_queries = fast ? 50 : 200;
     const size_t kBursts = 3;
     double cold_ms = 0.0;
@@ -648,119 +620,6 @@ int main(int argc, char** argv) {
             threads, mr.qps, mr.speedup_vs_1, mr.served);
       }
     }
-
-    // --- Wire-to-wire at the 10k catalog: loopback TCP through
-    // NetServer, pipelined bursts of B requests ("macrobenchmarking is
-    // vital" — the wire adds framing, checksums, syscalls, and a
-    // reactor hop the in-process numbers never see). Depth B keeps B
-    // requests in flight: the whole burst is one send(), so the
-    // server's reactor wakes with all B frames buffered and feeds them
-    // to one TopKBatch — the natural-batching path under load. Each
-    // request's recorded latency is its burst's full round-trip (what a
-    // caller awaiting the burst observes); at B = 1 that is the exact
-    // per-request RTT. The 90/10 hot/cold user mix matches the mt
-    // section. On a 1-CPU host client and server time-slice one core,
-    // so the committed numbers are provenance, not scaling —
-    // check_bench.py diffs them only when both runs saw > 1 CPU. ------
-    if (num_items == 10000) {
-      wire_items = num_items;
-      TopKServerOptions wopts;
-      wopts.k = kTopK;
-      wopts.cache.max_users = 256;
-
-      // Each burst depth gets a *fresh* TopKServer + NetServer: stat
-      // attribution is per-B by construction (a lingering connection or
-      // an in-flight flush from the previous depth can't bleed into the
-      // next depth's wire_batches_multi/batch_sweeps counters the way a
-      // shared server's before/after deltas could), and every depth
-      // starts from the identical pre-warmed cache state.
-      const size_t kHotSet = 64;
-      for (const size_t depth : {1ul, 8ul, 32ul}) {
-        TopKServer wire_topk(&model, kUsers, num_items, wopts);
-        NetServerOptions nopts;
-        NetServer net(&wire_topk, nopts);
-        if (!net.Start()) {
-          std::fprintf(stderr, "wire: NetServer failed to start\n");
-          return 1;
-        }
-        wire_backend = net.backend_name();
-
-        // Wire ≡ in-process on the measured path (the acceptance
-        // bit-identity is pinned by tests/net; this guards the bench
-        // wiring itself).
-        {
-          TopKServer solo(&model, kUsers, num_items, wopts);
-          NetClient probe;
-          WireResponse got;
-          if (!probe.Connect("127.0.0.1", net.port()) ||
-              !probe.TopK(TopKRequest{.user = 0}, &got) ||
-              got.response.items != solo.TopK(0).items ||
-              got.response.scores != solo.TopK(0).scores) {
-            std::fprintf(stderr, "wire/in-process mismatch at items=%zu\n",
-                         num_items);
-            return 1;
-          }
-        }
-        for (UserId u = 0; u < kHotSet; ++u) wire_topk.TopK(u);  // pre-warm
-
-        NetClient client;
-        if (!client.Connect("127.0.0.1", net.port())) {
-          std::fprintf(stderr, "wire: connect failed\n");
-          return 1;
-        }
-        const auto before_net = net.stats();
-        const auto before_topk = wire_topk.stats();
-        const size_t total = fast ? 2000 : 10000;
-        const size_t bursts = total / depth;
-        std::vector<double> lat_us;
-        lat_us.reserve(bursts * depth);
-        std::vector<TopKRequest> burst(depth);
-        std::vector<WireResponse> responses;
-        size_t q = 0;
-        Timer run_timer;
-        for (size_t g = 0; g < bursts; ++g) {
-          for (size_t j = 0; j < depth; ++j, ++q) {
-            const UserId u =
-                q % 10 != 0
-                    ? static_cast<UserId>((q * 7) % kHotSet)
-                    : static_cast<UserId>(kHotSet +
-                                          (q * 11) % (kUsers - kHotSet));
-            burst[j] = TopKRequest{.user = u};
-          }
-          Timer burst_timer;
-          if (!client.TopKPipelined(burst, &responses)) {
-            std::fprintf(stderr, "wire: pipelined burst failed\n");
-            return 1;
-          }
-          const double us = burst_timer.ElapsedMillis() * 1e3;
-          for (size_t j = 0; j < depth; ++j) lat_us.push_back(us);
-        }
-        const double elapsed_ms = run_timer.ElapsedMillis();
-
-        std::sort(lat_us.begin(), lat_us.end());
-        WireResult wr;
-        wr.pipeline = depth;
-        wr.served = static_cast<unsigned long long>(lat_us.size());
-        wr.qps = elapsed_ms > 0.0 ? lat_us.size() / (elapsed_ms / 1e3)
-                                  : 0.0;
-        wr.p50_us = lat_us[lat_us.size() / 2];
-        wr.p99_us = lat_us[std::min(lat_us.size() - 1,
-                                    lat_us.size() * 99 / 100)];
-        const auto after_net = net.stats();
-        const auto after_topk = wire_topk.stats();
-        wr.wire_batches_multi =
-            after_net.wire_batches_multi - before_net.wire_batches_multi;
-        wr.batch_sweeps =
-            after_topk.batch_sweeps - before_topk.batch_sweeps;
-        wire_results.push_back(wr);
-        std::printf(
-            "             wire (%s) B=%-3zu %10.0f q/s   p50 %8.1f us   "
-            "p99 %8.1f us   (%llu served, %llu multi-req batches)\n",
-            wire_backend.c_str(), depth, wr.qps, wr.p50_us, wr.p99_us,
-            wr.served, wr.wire_batches_multi);
-        net.Stop();
-      }
-    }
   }
 
   // --- ANN on MARS: the paper's model ranks by Σ_k θ_uk·r_k·cos(u_k,
@@ -863,8 +722,8 @@ int main(int argc, char** argv) {
     }
 
     // Load repeatedly, best-of (page-cache-warm mmap + validation is the
-    // steady-state restart cost, same min-over-repeats policy as
-    // bench_load); the last mapping is the one served below.
+    // steady-state restart cost, the min-over-repeats policy of the
+    // sections above); the last mapping is the one served below.
     std::shared_ptr<const SphericalIvfIndex> mapped;
     for (size_t rep = 0; rep < 3; ++rep) {
       Timer load_timer;
@@ -961,34 +820,6 @@ int main(int argc, char** argv) {
         restart.warm_restart_ms, restart.save_ms, restart.restart_speedup,
         kTopK, restart.recall_built, restart.recall_mapped,
         restart.responses_identical, restart.responses_checked);
-  }
-
-  // --- Scenario sweep: the whole catalog of deterministic traffic
-  // scenarios (src/scenario) runs against the live stack — trainer
-  // publishing epochs, full-probe ANN serving, NetServer over loopback —
-  // with every invariant checker armed. The digests pin the exact
-  // traffic (replayable from name + seed); violations must be zero on
-  // any host; the latencies are provenance, diffed only when both runs
-  // saw > 1 CPU (scripts/check_bench.py check_serve_scenarios). --------
-  constexpr uint64_t kScenarioSeed = 42;
-  std::vector<std::pair<std::string, ScenarioReport>> scenario_results;
-  std::printf("\n  scenarios (seed %llu):\n",
-              static_cast<unsigned long long>(kScenarioSeed));
-  for (const std::string& name : ScenarioNames()) {
-    ScenarioRunner runner(CanonicalScenarioSpec(name, kScenarioSeed));
-    ScenarioReport rep = runner.Run();
-    if (!rep.ran) {
-      std::fprintf(stderr, "scenario %s failed: %s\n", name.c_str(),
-                   rep.error.c_str());
-      return 1;
-    }
-    std::printf(
-        "    %-20s digest %016llx  %5zu responses  %zu violations  "
-        "p50 %6.3f ms  p99 %6.3f ms%s\n",
-        name.c_str(), static_cast<unsigned long long>(rep.trace_digest),
-        rep.responses, rep.violations(), rep.p50_ms, rep.p99_ms,
-        rep.p99_enforced ? "" : "  (p99 unenforced: 1 cpu)");
-    scenario_results.emplace_back(name, std::move(rep));
   }
 
   FILE* out = std::fopen(out_path.c_str(), "w");
@@ -1106,42 +937,6 @@ int main(int argc, char** argv) {
                  "\"speedup_vs_1\": %.3f, \"served\": %llu}%s\n",
                  r.threads, r.qps, r.speedup_vs_1, r.served,
                  i + 1 < mt_results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]},\n");
-  std::fprintf(out,
-               "  \"wire\": {\"num_items\": %zu, \"host_cpus\": %u, "
-               "\"backend\": \"%s\", \"results\": [\n",
-               wire_items, host_cpus, wire_backend.c_str());
-  for (size_t i = 0; i < wire_results.size(); ++i) {
-    const WireResult& r = wire_results[i];
-    std::fprintf(out,
-                 "    {\"pipeline\": %zu, \"qps\": %.1f, "
-                 "\"p50_us\": %.2f, \"p99_us\": %.2f, \"served\": %llu, "
-                 "\"wire_batches_multi\": %llu, \"batch_sweeps\": %llu}%s\n",
-                 r.pipeline, r.qps, r.p50_us, r.p99_us, r.served,
-                 r.wire_batches_multi, r.batch_sweeps,
-                 i + 1 < wire_results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]},\n");
-  std::fprintf(out,
-               "  \"scenarios\": {\"host_cpus\": %u, \"seed\": %llu, "
-               "\"results\": [\n",
-               host_cpus, static_cast<unsigned long long>(kScenarioSeed));
-  for (size_t i = 0; i < scenario_results.size(); ++i) {
-    const ScenarioReport& r = scenario_results[i].second;
-    std::fprintf(
-        out,
-        "    {\"name\": \"%s\", \"digest\": \"%016llx\", "
-        "\"responses\": %zu, \"published_epochs\": %zu, "
-        "\"violations\": %zu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"p99_enforced\": %s, \"reconnects\": %zu, "
-        "\"stream_closes\": %zu, \"backpressure_closes\": %llu}%s\n",
-        scenario_results[i].first.c_str(),
-        static_cast<unsigned long long>(r.trace_digest), r.responses,
-        r.published_epochs, r.violations(), r.p50_ms, r.p99_ms,
-        r.p99_enforced ? "true" : "false", r.reconnects, r.stream_closes,
-        static_cast<unsigned long long>(r.backpressure_closes),
-        i + 1 < scenario_results.size() ? "," : "");
   }
   std::fprintf(out, "  ]}\n}\n");
   std::fclose(out);

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Builds (Release) and runs the perf benches, writing machine-readable
-# results to BENCH_train.json / BENCH_serve.json / BENCH_load.json at the
-# repo root so future PRs can diff perf against these baselines (compared
-# by scripts/check_bench.py, wired into scripts/ci.sh --bench).
+# results to BENCH_train.json / BENCH_serve.json at the repo root so
+# future changes can diff perf against these baselines (compared by
+# scripts/check_bench.py, wired into scripts/ci.sh --bench). Wire-to-wire
+# numbers (RTT, restart to first served query) come from wirebench/, not
+# from here.
 #
 # Every BENCH_*.json gets a "provenance" object stamped in (git SHA +
 # dirty flag, build type, CXX flags) so a committed baseline records what
@@ -23,7 +25,7 @@ GIT_DIRTY="$([ -n "$(git status --porcelain 2>/dev/null)" ] && echo 1 || echo 0)
 export GIT_SHA GIT_DIRTY
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_train bench_serve bench_load
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target bench_train bench_serve
 
 # Rewrites $1 in place with a "provenance" object (git + build flags).
 stamp() {
@@ -76,9 +78,3 @@ stamp BENCH_serve.json
 echo
 echo "== BENCH_serve.json =="
 cat BENCH_serve.json
-
-"$BUILD_DIR"/bench_load BENCH_load.json
-stamp BENCH_load.json
-echo
-echo "== BENCH_load.json =="
-cat BENCH_load.json

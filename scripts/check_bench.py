@@ -8,6 +8,9 @@ Each (BASELINE, FRESH) pair must be JSON emitted by the same bench binary
 (`bench_train` -> "mars_epoch_threads", `bench_serve` -> "topk_serve"); the
 "bench" field selects the comparison. A fresh single-thread timing more than
 `threshold` (default 25%) slower than the committed baseline fails the gate.
+A baseline that lacks a section or a row (catalog size, nprobe, batch size)
+the fresh run emits fails too: the gate never passes by having nothing to
+compare against. Regenerate the baseline with scripts/bench.sh instead.
 
 Scaling checks (multi-thread speedup) are skipped unless BOTH runs saw more
 than one CPU: a 1-core container serializes the Hogwild workers, so its
@@ -16,11 +19,7 @@ host_cpus). Every such skip is listed again in an end-of-run summary so a
 green run on a 1-core host states which gates never ran. The batched-miss
 serving gate (check_serve_batch: one TopKBatch over B cold users against B
 solo sweeps) is single-threaded by construction and stays armed regardless
-of core count. The wire-to-wire gate
-(check_serve_wire) splits the same way: section presence and the
-natural-batching evidence are always enforced, while its QPS/latency diffs
-join the host_cpus-guarded skips (loopback client and server time-slicing
-one core measure the scheduler, not the code).
+of core count.
 
 Wired into scripts/ci.sh as the opt-in `--bench` stage.
 """
@@ -53,6 +52,12 @@ def skip_cpu(msg):
     read as 'all gates passed'."""
     CPU_SKIPS.append(msg)
     skip(msg)
+
+
+def fail_no_baseline(what):
+    """A fresh section or row with nothing in the baseline to diff it
+    against: the baseline is stale, not the code slow."""
+    fail(f"{what}: not in the baseline (regenerate it with scripts/bench.sh)")
 
 
 # Timings below this (1 µs) are a single hash lookup; their run-to-run and
@@ -112,6 +117,8 @@ def check_serve(base, fresh, threshold):
     if not shared:
         fail("topk_serve: no shared catalog sizes between baseline and fresh")
         return
+    for m in sorted(set(fresh_by_m) - set(base_by_m)):
+        fail_no_baseline(f"serve results @{m} items")
     for m in shared:
         check_slower(f"serve cold_ms_per_query @{m} items",
                      base_by_m[m]["cold_ms_per_query"],
@@ -131,8 +138,6 @@ def check_serve(base, fresh, threshold):
     check_serve_batch(base, fresh, threshold)
     check_serve_incremental(base, fresh, threshold)
     check_serve_mt(base, fresh, threshold)
-    check_serve_wire(base, fresh, threshold)
-    check_serve_scenarios(base, fresh, threshold)
 
 
 def check_serve_batch(base, fresh, threshold):
@@ -154,11 +159,10 @@ def check_serve_batch(base, fresh, threshold):
     if "batch" not in fresh:
         fail("topk_serve: fresh run has no 'batch' section")
         return
+    if "batch" not in base:
+        fail_no_baseline("serve batch section")
     base_by_key = {(r["num_items"], r["batch_size"]): r
                    for r in base.get("batch", {}).get("results", [])}
-    if not base_by_key:
-        skip("serve batch diff: baseline has no 'batch' section "
-             "(pre-batching baseline; invariants still checked)")
     eligible = [r["num_items"] for r in fresh["batch"]["results"]
                 if r["num_items"] >= 50000 and r["batch_size"] == 8]
     gate_items = min(eligible) if eligible else None
@@ -169,6 +173,8 @@ def check_serve_batch(base, fresh, threshold):
             check_slower(f"serve batch_ms_per_user @{m} items B={bsz}",
                          b["batch_ms_per_user"], r["batch_ms_per_user"],
                          threshold)
+        elif "batch" in base:
+            fail_no_baseline(f"serve batch @{m} items B={bsz}")
         if bsz != 8 or m < 50000:
             continue
         speedup = r["speedup_per_user"]
@@ -207,13 +213,14 @@ def check_serve_ann(base, fresh, threshold):
     if not invariants:
         skip("serve ann invariants: fast mode (recall reflects the "
              "shrunken training set, not the index)")
+    if "ann" not in base:
+        fail_no_baseline("serve ann section")
     base_by_m = {r["num_items"]: r for r in base.get("ann", [])}
-    if not base_by_m:
-        skip("serve ann diff: baseline has no 'ann' section "
-             "(pre-ANN baseline; invariants still checked)")
     for r in fresh["ann"]:
         m = r["num_items"]
         b = base_by_m.get(m)
+        if b is None and "ann" in base:
+            fail_no_baseline(f"serve ann @{m} items")
         if b is not None:
             check_slower(f"serve ann default ms_per_query @{m} items",
                          b["default"]["ms_per_query"],
@@ -221,11 +228,14 @@ def check_serve_ann(base, fresh, threshold):
             base_sweep = {p["nprobe"]: p for p in b.get("sweep", [])}
             for p in r.get("sweep", []):
                 bp = base_sweep.get(p["nprobe"])
-                if bp is not None:
-                    check_slower(
-                        f"serve ann ms_per_query @{m} items nprobe="
-                        f"{p['nprobe']}", bp["ms_per_query"],
-                        p["ms_per_query"], threshold)
+                if bp is None:
+                    fail_no_baseline(f"serve ann @{m} items nprobe="
+                                     f"{p['nprobe']}")
+                    continue
+                check_slower(
+                    f"serve ann ms_per_query @{m} items nprobe="
+                    f"{p['nprobe']}", bp["ms_per_query"],
+                    p["ms_per_query"], threshold)
         # Acceptance invariants (retrieval-tier roadmap): the committed
         # default nprobe must hold recall@10 >= 0.95, and at >= 50k items
         # the ANN miss path must beat the cold exact sweep >= 3x.
@@ -317,9 +327,10 @@ def check_serve_ann_restart(base, fresh, threshold):
              f"point (got {m} items)")
     b = base.get("ann_restart")
     if b is None:
-        skip("serve ann_restart diff: baseline has no 'ann_restart' section "
-             "(pre-persistence baseline; invariants still checked)")
-    elif b["num_items"] == m:
+        fail_no_baseline("serve ann_restart section")
+    elif b["num_items"] != m:
+        fail_no_baseline(f"serve ann_restart @{m} items")
+    else:
         check_slower(f"serve ann_restart warm_restart_ms @{m} items",
                      b["warm_restart_ms"], r["warm_restart_ms"], threshold)
 
@@ -329,6 +340,8 @@ def check_serve_incremental(base, fresh, threshold):
     if "incremental" not in fresh:
         fail("topk_serve: fresh run has no 'incremental' section")
         return
+    if "incremental" not in base:
+        fail_no_baseline("serve incremental section")
     base_by_m = {r["num_items"]: r for r in base.get("incremental", [])}
     for r in fresh["incremental"]:
         m = r["num_items"]
@@ -336,6 +349,8 @@ def check_serve_incremental(base, fresh, threshold):
             check_slower(f"serve refresh_ms_per_entry @{m} items",
                          base_by_m[m]["refresh_ms_per_entry"],
                          r["refresh_ms_per_entry"], threshold)
+        elif "incremental" in base:
+            fail_no_baseline(f"serve incremental @{m} items")
         # Acceptance invariant (serving roadmap): with <= 1/8 of the item
         # shards dirty, refreshing a cached entry must cost <= 1/4 of a
         # cold full-catalog sweep at >= 10k items.
@@ -383,196 +398,9 @@ def check_serve_mt(base, fresh, threshold):
                f"{base_s:.2f}x")
 
 
-def check_serve_wire(base, fresh, threshold):
-    """Wire-to-wire serving: QPS and p50/p99 through the TCP front-end.
-
-    Presence and the natural-batching evidence are invariants at any core
-    count: the fresh run must have measured the wire, served every request,
-    and — at pipeline depth >= 8 — demonstrably fed multi-request batches
-    into TopKBatch (the wire_batches_multi / batch_sweeps counters the
-    bench records). The regression diffs (QPS, p50/p99) are
-    host_cpus-guarded like the other scaling gates: on a 1-core container
-    the loopback client and the server time-slice one CPU, so wire latency
-    measures the scheduler, not the code.
-    """
-    if "wire" not in fresh:
-        fail("topk_serve: fresh run has no 'wire' section")
-        return
-    fresh_rows = {r["pipeline"]: r for r in fresh["wire"]["results"]}
-    if not fresh_rows:
-        fail("topk_serve: 'wire' section has no results")
-        return
-    for d, r in sorted(fresh_rows.items()):
-        if r["served"] <= 0 or r["qps"] <= 0:
-            fail(f"serve wire @B={d}: served={r['served']} qps={r['qps']}")
-            continue
-        if d >= 8:
-            if r["wire_batches_multi"] <= 0 or r["batch_sweeps"] <= 0:
-                fail(f"serve wire @B={d}: no multi-request TopKBatch "
-                     f"evidence (wire_batches_multi="
-                     f"{r['wire_batches_multi']}, batch_sweeps="
-                     f"{r['batch_sweeps']})")
-            else:
-                ok(f"serve wire @B={d}: {r['wire_batches_multi']} "
-                   f"multi-request batches, {r['batch_sweeps']} "
-                   f"multi-user sweeps")
-    base_cpus = base.get("wire", {}).get("host_cpus",
-                                         base.get("host_cpus", 1))
-    fresh_cpus = fresh.get("wire", {}).get("host_cpus",
-                                           fresh.get("host_cpus", 1))
-    if base_cpus <= 1 or fresh_cpus <= 1:
-        skip_cpu("serve wire regression diff: host_cpus == 1 on at least "
-                 "one side (loopback client and server time-slice one "
-                 "core; wire latency measures the scheduler)")
-        return
-    base_rows = {r["pipeline"]: r
-                 for r in base.get("wire", {}).get("results", [])}
-    if not base_rows:
-        skip("serve wire diff: baseline has no 'wire' section "
-             "(pre-wire baseline; invariants still checked)")
-        return
-    for d in sorted(set(base_rows) & set(fresh_rows)):
-        check_slower(f"serve wire p50_us @B={d}", base_rows[d]["p50_us"],
-                     fresh_rows[d]["p50_us"], threshold)
-        check_slower(f"serve wire p99_us @B={d}", base_rows[d]["p99_us"],
-                     fresh_rows[d]["p99_us"], threshold)
-        base_q, fresh_q = base_rows[d]["qps"], fresh_rows[d]["qps"]
-        if base_q > 0 and fresh_q < base_q * (1.0 - threshold):
-            fail(f"serve wire qps @B={d}: {fresh_q:.0f} vs baseline "
-                 f"{base_q:.0f}")
-        else:
-            ok(f"serve wire qps @B={d}: {fresh_q:.0f} vs {base_q:.0f}")
-
-
-def check_serve_scenarios(base, fresh, threshold):
-    """Deterministic traffic scenarios: the live-system invariant suite.
-
-    Correctness is an invariant at any core count: every shipped scenario
-    must have run, answered traffic, and finished with zero invariant
-    violations (snapshot membership, per-user epoch monotonicity, status
-    soundness, unexpected closes, and — where enforced — the p99 bound);
-    slow_reader must actually have tripped the backpressure cap and
-    restart_mid_traffic must show the post-restart reconnects. Digests are
-    diffed against the baseline when the same seed was used: a digest
-    change means the generated traffic itself changed — a deliberate,
-    baseline-updating event, never drift. Latency diffs (p50/p99) are
-    host_cpus-guarded like every other scaling gate.
-    """
-    if "scenarios" not in fresh:
-        fail("topk_serve: fresh run has no 'scenarios' section")
-        return
-    fresh_rows = {r["name"]: r for r in fresh["scenarios"]["results"]}
-    expected = {"zipf_hot_users", "flash_crowd", "publish_storm",
-                "restart_mid_traffic", "slow_reader"}
-    missing = expected - set(fresh_rows)
-    if missing:
-        fail(f"serve scenarios: missing {sorted(missing)}")
-    for name, r in sorted(fresh_rows.items()):
-        if r["violations"] != 0:
-            fail(f"serve scenario {name}: {r['violations']} invariant "
-                 f"violations")
-        elif r["responses"] <= 0:
-            fail(f"serve scenario {name}: no responses served")
-        else:
-            ok(f"serve scenario {name}: {r['responses']} responses, "
-               f"0 violations")
-    if "slow_reader" in fresh_rows:
-        bp = fresh_rows["slow_reader"]["backpressure_closes"]
-        if bp < 1:
-            fail(f"serve scenario slow_reader: backpressure never tripped "
-                 f"(backpressure_closes={bp})")
-        else:
-            ok(f"serve scenario slow_reader: {bp} backpressure close(s)")
-    if "restart_mid_traffic" in fresh_rows:
-        rc = fresh_rows["restart_mid_traffic"]["reconnects"]
-        if rc < 1:
-            fail(f"serve scenario restart_mid_traffic: no reconnects "
-                 f"across the restart boundary")
-        else:
-            ok(f"serve scenario restart_mid_traffic: {rc} reconnect(s) "
-               f"across the persistence boundary")
-
-    base_rows = {r["name"]: r
-                 for r in base.get("scenarios", {}).get("results", [])}
-    if base_rows:
-        if base.get("scenarios", {}).get("seed") == \
-                fresh["scenarios"].get("seed"):
-            for name in sorted(set(base_rows) & set(fresh_rows)):
-                if base_rows[name]["digest"] != fresh_rows[name]["digest"]:
-                    fail(f"serve scenario {name}: trace digest changed "
-                         f"({base_rows[name]['digest']} -> "
-                         f"{fresh_rows[name]['digest']}) at the same seed "
-                         f"— traffic generation changed; update baselines "
-                         f"deliberately")
-                else:
-                    ok(f"serve scenario {name}: digest stable "
-                       f"({fresh_rows[name]['digest']})")
-        else:
-            skip("serve scenario digests: baseline used a different seed")
-    else:
-        skip("serve scenario diff: baseline has no 'scenarios' section "
-             "(pre-scenario baseline; invariants still checked)")
-
-    base_cpus = base.get("scenarios", {}).get("host_cpus",
-                                              base.get("host_cpus", 1))
-    fresh_cpus = fresh["scenarios"].get("host_cpus",
-                                        fresh.get("host_cpus", 1))
-    if base_cpus <= 1 or fresh_cpus <= 1:
-        skip_cpu("serve scenario latency diff: host_cpus == 1 on at least "
-                 "one side (actors, reactor, and trainer time-slice one "
-                 "core; the percentile measures the scheduler)")
-        return
-    for name in sorted(set(base_rows) & set(fresh_rows)):
-        check_slower(f"serve scenario {name} p99_ms",
-                     base_rows[name]["p99_ms"],
-                     fresh_rows[name]["p99_ms"], threshold)
-
-
-def check_load(base, fresh, threshold):
-    base_by_m = {r["num_items"]: r for r in base["results"]}
-    fresh_by_m = {r["num_items"]: r for r in fresh["results"]}
-    shared = sorted(set(base_by_m) & set(fresh_by_m))
-    if not shared:
-        fail("mmap_load: no shared catalog sizes between baseline and fresh")
-        return
-    for m in shared:
-        check_slower(f"load v2_total_ms @{m} items",
-                     base_by_m[m]["v2_total_ms"],
-                     fresh_by_m[m]["v2_total_ms"], threshold)
-        check_slower(f"load v3_cold_total_ms @{m} items",
-                     base_by_m[m]["v3_cold_total_ms"],
-                     fresh_by_m[m]["v3_cold_total_ms"], threshold)
-        check_slower(f"load v3_warm_total_ms @{m} items",
-                     base_by_m[m]["v3_warm_total_ms"],
-                     fresh_by_m[m]["v3_warm_total_ms"], threshold)
-        # The retrieval-tier restart unit (mmap model + mapped ANN index +
-        # sidecar -> first query) must have been measured; diffed when the
-        # baseline has it.
-        if "v3_index_warm_total_ms" not in fresh_by_m[m]:
-            fail(f"load @{m} items: no v3_index_warm_total_ms (the mapped-"
-                 f"index lifecycle must be measured)")
-        elif "v3_index_warm_total_ms" in base_by_m[m]:
-            check_slower(f"load v3_index_warm_total_ms @{m} items",
-                         base_by_m[m]["v3_index_warm_total_ms"],
-                         fresh_by_m[m]["v3_index_warm_total_ms"], threshold)
-        else:
-            skip(f"load v3_index_warm_total_ms @{m} items: baseline predates "
-                 f"the mapped-index lifecycle (invariant still checked)")
-        # Roadmap acceptance invariant, not a diff: the v3 restart lifecycle
-        # (mmap + sidecar warm + first query) must reach its first served
-        # query >= 5x faster than v2 copy-load at >= 10k items.
-        if m >= 10000:
-            speedup = fresh_by_m[m]["speedup_warm"]
-            if speedup < 5.0:
-                fail(f"load speedup_warm @{m} items: {speedup:.1f}x < 5x")
-            else:
-                ok(f"load speedup_warm @{m} items: {speedup:.1f}x >= 5x")
-
-
 CHECKERS = {
     "mars_epoch_threads": check_train,
     "topk_serve": check_serve,
-    "mmap_load": check_load,
 }
 
 
@@ -602,7 +430,7 @@ def main():
             continue
         checker = CHECKERS.get(name)
         if checker is None:
-            skip(f"no checker for bench kind '{name}'")
+            fail(f"no checker for bench kind '{name}'")
             continue
         checker(base, fresh, args.threshold)
 

@@ -12,9 +12,11 @@
 #   (none)    configure + build + ctest + quickstart smokes, plus a build
 #             (not a run) of the wire-to-wire benchmark package wirebench/
 #             in <build-dir>-wirebench
-#   --bench   additionally run bench_train/bench_serve/bench_load and gate
-#             fresh timings against the committed BENCH_*.json via
-#             scripts/check_bench.py (>25% single-thread regression fails)
+#   --bench   additionally run bench_train/bench_serve and gate fresh
+#             timings against the committed BENCH_*.json via
+#             scripts/check_bench.py (>25% single-thread regression fails;
+#             a baseline missing a section or row the fresh run emits
+#             fails too)
 #   --san     sanitizer build only: compile with -DMARS_SANITIZE=... and run
 #             the concurrency-sensitive tests (ShardView concurrent-writer
 #             stress, parallel trainer, write tracker / top-k server) under
@@ -203,11 +205,9 @@ if [ "$RUN_BENCH" = 1 ]; then
   echo "== bench regression gate (fresh run vs committed BENCH_*.json) =="
   "$BUILD_DIR"/bench_train "$BUILD_DIR/fresh_train.json"
   "$BUILD_DIR"/bench_serve "$BUILD_DIR/fresh_serve.json"
-  "$BUILD_DIR"/bench_load "$BUILD_DIR/fresh_load.json"
   python3 scripts/check_bench.py \
     BENCH_train.json "$BUILD_DIR/fresh_train.json" \
-    BENCH_serve.json "$BUILD_DIR/fresh_serve.json" \
-    BENCH_load.json "$BUILD_DIR/fresh_load.json"
+    BENCH_serve.json "$BUILD_DIR/fresh_serve.json"
 fi
 
 echo "CI OK"

@@ -72,7 +72,8 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   // training it is a caller bug, not a recoverable condition.
   MARS_CHECK_MSG(!mapped(),
                  "cannot Fit a mapped model (LoadMarsMapped serves an "
-                 "immutable snapshot; copy-load with LoadMars to retrain)");
+                 "immutable snapshot; copy it with ServingSnapshot to "
+                 "retrain)");
   const size_t d = config_.dim;
   const size_t kf = config_.num_facets;
   Rng rng(options.seed);

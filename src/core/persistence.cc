@@ -217,9 +217,4 @@ std::unique_ptr<Mars> LoadMarsMapped(const std::string& path) {
   return model;
 }
 
-std::unique_ptr<Mars> LoadMars(const std::string& path) {
-  const auto mapped = LoadMarsMapped(path);
-  return mapped == nullptr ? nullptr : mapped->ServingSnapshot();
-}
-
 }  // namespace mars

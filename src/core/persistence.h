@@ -4,9 +4,9 @@
 // facet tensors at the exact in-memory FacetStore stride, each region on a
 // 64-byte file offset, so the payload of a v3 file IS a valid FacetStore
 // buffer. One parser reads it: LoadMarsMapped maps the file and borrows
-// the tensors in place (FacetStore::BorrowConst over a MappedFile); LoadMars
-// is that load plus an owned copy. Versions 1 and 2, the packed formats
-// earlier releases wrote, are rejected.
+// the tensors in place (FacetStore::BorrowConst over a MappedFile);
+// Mars::ServingSnapshot copies a mapped model into owned storage. Versions
+// 1 and 2, the packed formats earlier releases wrote, are rejected.
 #ifndef MARS_CORE_PERSISTENCE_H_
 #define MARS_CORE_PERSISTENCE_H_
 
@@ -35,11 +35,6 @@ bool SaveMarsV3(const Mars& model, const std::string& path);
 /// nullptr (with an error log) on bad magic, any version but 3, an
 /// implausible shape, bad alignment, wrong stride, or truncation.
 std::unique_ptr<Mars> LoadMarsMapped(const std::string& path);
-
-/// LoadMarsMapped followed by Mars::ServingSnapshot: the same checks, the
-/// same bits, in freshly allocated owned storage (the mapping is released
-/// before return). The returned model scores immediately and can be Fit.
-std::unique_ptr<Mars> LoadMars(const std::string& path);
 
 }  // namespace mars
 

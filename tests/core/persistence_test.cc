@@ -52,8 +52,10 @@ struct PersistenceFixture : public ::testing::Test {
 
 TEST_F(PersistenceFixture, RoundTripPreservesScores) {
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
-  const auto loaded = LoadMars(path_);
-  ASSERT_NE(loaded, nullptr);
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const auto loaded = mapped->ServingSnapshot();
+  EXPECT_FALSE(loaded->mapped());
   for (UserId u = 0; u < 20; ++u) {
     for (ItemId v = 0; v < 20; ++v) {
       EXPECT_FLOAT_EQ(loaded->Score(u, v), model_->Score(u, v));
@@ -63,8 +65,10 @@ TEST_F(PersistenceFixture, RoundTripPreservesScores) {
 
 TEST_F(PersistenceFixture, RoundTripPreservesMetadata) {
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
-  const auto loaded = LoadMars(path_);
-  ASSERT_NE(loaded, nullptr);
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const auto loaded = mapped->ServingSnapshot();
+  EXPECT_FALSE(loaded->mapped());
   EXPECT_EQ(loaded->config().num_facets, 3u);
   EXPECT_EQ(loaded->config().dim, 12u);
   for (UserId u = 0; u < 10; ++u) {
@@ -86,7 +90,7 @@ TEST_F(PersistenceFixture, UnfitModelRefusesToSave) {
 }
 
 TEST_F(PersistenceFixture, LoadRejectsMissingFile) {
-  EXPECT_EQ(LoadMars("/no/such/model.bin"), nullptr);
+  EXPECT_EQ(LoadMarsMapped("/no/such/model.bin"), nullptr);
 }
 
 TEST_F(PersistenceFixture, LoadRejectsGarbage) {
@@ -94,7 +98,7 @@ TEST_F(PersistenceFixture, LoadRejectsGarbage) {
     std::ofstream f(path_, std::ios::binary);
     f << "this is not a MARS model";
   }
-  EXPECT_EQ(LoadMars(path_), nullptr);
+  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
 TEST_F(PersistenceFixture, LoadRejectsTruncatedPayload) {
@@ -109,7 +113,7 @@ TEST_F(PersistenceFixture, LoadRejectsTruncatedPayload) {
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size() / 2));
   }
-  EXPECT_EQ(LoadMars(path_), nullptr);
+  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
 TEST_F(PersistenceFixture, RoundTripUnpaddedDim) {
@@ -124,8 +128,10 @@ TEST_F(PersistenceFixture, RoundTripUnpaddedDim) {
   opts.learning_rate = 0.2;
   dense_model.Fit(*split_.train, opts);
   ASSERT_TRUE(SaveMarsV3(dense_model, path_));
-  const auto loaded = LoadMars(path_);
-  ASSERT_NE(loaded, nullptr);
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const auto loaded = mapped->ServingSnapshot();
+  EXPECT_FALSE(loaded->mapped());
   for (UserId u = 0; u < 10; ++u) {
     for (ItemId v = 0; v < 10; ++v) {
       EXPECT_FLOAT_EQ(loaded->Score(u, v), dense_model.Score(u, v));
@@ -149,7 +155,7 @@ TEST_F(PersistenceFixture, LoadRejectsOverflowingEntityCounts) {
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
-  EXPECT_EQ(LoadMars(path_), nullptr);
+  EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
 // --- Format v3: aligned-stride snapshots + zero-copy mmap loading --------
@@ -200,8 +206,9 @@ TEST_F(PersistenceFixture, V3HeaderLayoutIsPinned) {
 
 TEST_F(PersistenceFixture, V3CopyLoadRoundTrips) {
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
-  const auto loaded = LoadMars(path_);
-  ASSERT_NE(loaded, nullptr);
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const auto loaded = mapped->ServingSnapshot();
   EXPECT_FALSE(loaded->mapped());
   for (UserId u = 0; u < 20; ++u) {
     for (ItemId v = 0; v < 20; ++v) {
@@ -324,8 +331,7 @@ TEST_F(PersistenceFixture, ResaveOverALiveV3MappingLeavesItIntact) {
 
 TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
   // Version 2, the packed format earlier releases wrote, is not read: a v3
-  // file relabelled as version 2 is rejected by the mapped loader and, since
-  // v3 is the only format, by the copy loader too.
+  // file relabelled as version 2 is rejected.
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
   const std::string v3 = Slurp(path_);
   std::string v2 = v3;
@@ -333,7 +339,6 @@ TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
   std::memcpy(v2.data() + 4, &version2, 4);
   Spit(path_, v2);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
-  EXPECT_EQ(LoadMars(path_), nullptr);
   Spit(path_, v3);
   EXPECT_NE(LoadMarsMapped(path_), nullptr);
 }
@@ -341,15 +346,13 @@ TEST_F(PersistenceFixture, MappedLoadRejectsV2Files) {
 TEST_F(PersistenceFixture, LoadersRejectOtherVersions) {
   // v3 is the only format: a v3 file relabelled as version 1 (the
   // facet-major format of the first release) or as a future 4 is rejected
-  // by both loaders, before any other field is trusted. Version 2 is
-  // MappedLoadRejectsV2Files.
+  // before any other field is trusted. Version 2 is MappedLoadRejectsV2Files.
   ASSERT_TRUE(SaveMarsV3(*model_, path_));
   const std::string v3 = Slurp(path_);
   for (const uint32_t version : {1u, 4u}) {
     std::string bytes = v3;
     std::memcpy(bytes.data() + 4, &version, 4);
     Spit(path_, bytes);
-    EXPECT_EQ(LoadMars(path_), nullptr) << "version " << version;
     EXPECT_EQ(LoadMarsMapped(path_), nullptr) << "version " << version;
   }
   Spit(path_, v3);
@@ -361,15 +364,12 @@ TEST_F(PersistenceFixture, V3LoadersRejectTruncatedPayload) {
   const std::string bytes = Slurp(path_);
   // Cut inside the item tensor: header parses, payload doesn't.
   Spit(path_, bytes.substr(0, bytes.size() / 2));
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
   // Cut inside the header.
   Spit(path_, bytes.substr(0, 60));
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
   // Cut inside the tail (mapped loader materializes it with bounds checks).
   Spit(path_, bytes.substr(0, bytes.size() - 16));
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
@@ -381,7 +381,6 @@ TEST_F(PersistenceFixture, V3LoadersRejectWrongStride) {
   const uint64_t wrong = stride + 16;  // aligned, but not the stride for d
   std::memcpy(bytes.data() + 48, &wrong, 8);
   Spit(path_, bytes);
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
@@ -397,7 +396,6 @@ TEST_F(PersistenceFixture, V3LoadersRejectMisalignedOffsets) {
     std::memcpy(bytes.data() + field, &v, 8);
   }
   Spit(path_, bytes);
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
@@ -410,7 +408,6 @@ TEST_F(PersistenceFixture, LoadersRejectHugeShapeOnTinyFile) {
   const uint64_t huge_users = 1ull << 30;  // plausible (< 2^31), enormous
   std::memcpy(bytes.data() + 24, &huge_users, 8);
   Spit(path_, bytes);
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
@@ -420,7 +417,6 @@ TEST_F(PersistenceFixture, V3LoadersRejectImplausibleShape) {
   const uint64_t huge = ~0ull;
   std::memcpy(bytes.data() + 24, &huge, 8);  // n_users
   Spit(path_, bytes);
-  EXPECT_EQ(LoadMars(path_), nullptr);
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
 
@@ -491,8 +487,10 @@ TEST_F(PersistenceFixture, RadiiSurviveRoundTrip) {
   opts.learning_rate = 0.2;
   radius_model.Fit(*split_.train, opts);
   ASSERT_TRUE(SaveMarsV3(radius_model, path_));
-  const auto loaded = LoadMars(path_);
-  ASSERT_NE(loaded, nullptr);
+  const auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const auto loaded = mapped->ServingSnapshot();
+  EXPECT_FALSE(loaded->mapped());
   ASSERT_EQ(loaded->FacetRadii().size(), 2u);
   EXPECT_FLOAT_EQ(loaded->FacetRadii()[0], radius_model.FacetRadii()[0]);
   EXPECT_FLOAT_EQ(loaded->FacetRadii()[1], radius_model.FacetRadii()[1]);
@@ -516,10 +514,10 @@ TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
   // cleanly. Start from a small v3 file and corrupt it: every single-bit
   // flip across the 128-byte header and the num_margins word, seeded
   // multi-bit flips over the same bits, a self-consistent header that
-  // outgrows the file, and every truncation length. Both loaders must
-  // return null, or return models that score bit for bit alike (a flip in
-  // a reserved byte, a flag, or a dim that keeps the row stride still
-  // loads).
+  // outgrows the file, and every truncation length. The loader must
+  // return null, or a mapped model whose owned copy (ServingSnapshot)
+  // scores bit for bit alike (a flip in a reserved byte, a flag, or a dim
+  // that keeps the row stride still loads).
   SyntheticConfig data_cfg;
   data_cfg.num_users = 8;
   data_cfg.num_items = 10;
@@ -548,15 +546,13 @@ TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
   size_t loaded = 0, rejected = 0;
   const auto check = [&](const std::string& bytes) {
     Spit(path_, bytes);
-    const auto owned = LoadMars(path_);
     const auto mapped = LoadMarsMapped(path_);
-    ASSERT_EQ(owned == nullptr, mapped == nullptr);
     if (mapped == nullptr) {
       ++rejected;
       return;
     }
     ++loaded;
-    ExpectBitIdenticalScores(*owned, *mapped, 8, 10);
+    ExpectBitIdenticalScores(*mapped->ServingSnapshot(), *mapped, 8, 10);
   };
   const auto flip = [](std::string* bytes, size_t bit) {
     (*bytes)[bit / 8] = static_cast<char>((*bytes)[bit / 8] ^ (1 << (bit % 8)));
@@ -590,7 +586,6 @@ TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
     std::memcpy(bytes.data() + 72, &tail, 8);
     Spit(path_, bytes);
     EXPECT_EQ(LoadMarsMapped(path_), nullptr);
-    EXPECT_EQ(LoadMars(path_), nullptr);
   }
 
   // Cut the file back one byte at a time, from one byte short to empty.
@@ -598,7 +593,6 @@ TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
   for (size_t len = original.size(); len-- > 0;) {
     ASSERT_EQ(::truncate(path_.c_str(), static_cast<off_t>(len)), 0);
     ASSERT_EQ(LoadMarsMapped(path_), nullptr) << "len " << len;
-    ASSERT_EQ(LoadMars(path_), nullptr) << "len " << len;
   }
 }
 

@@ -3,8 +3,8 @@
 // These never open a socket — the decoder must behave identically no
 // matter how the transport splits the byte stream, so the tests drive
 // it with adversarial splits directly. The crafted-frame cases mirror
-// the LoadMars crafted-file bounds tests: every field that could let a
-// hostile peer over-read or over-allocate is violated once.
+// the LoadMarsMapped crafted-file bounds tests: every field that could
+// let a hostile peer over-read or over-allocate is violated once.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>

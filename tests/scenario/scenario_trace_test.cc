@@ -54,7 +54,7 @@ TEST(ScenarioTraceTest, DifferentSeedsDiverge) {
 // Golden digests: the replayability contract across processes and
 // machines. If trace generation changes shape, these change — that is a
 // *breaking* change to scenario replay and must be deliberate (update
-// docs/SCENARIOS.md and scripts/BENCH_serve.json baselines with it).
+// docs/SCENARIOS.md with it).
 TEST(ScenarioTraceTest, GoldenDigestsPinTraceBytes) {
   struct Golden {
     const char* name;
