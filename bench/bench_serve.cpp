@@ -1,7 +1,6 @@
 // Serving-throughput bench: cold full-catalog sweeps vs cached hot-user
-// queries through the TopKServer, at several catalog sizes, plus the ANN
-// probe-then-rerank curve and the two concurrency measurements the
-// serving roadmap gates on:
+// queries through the TopKServer, at several catalog sizes, plus the
+// measurements the serving roadmap gates on:
 //
 //  * ANN recall/latency — one spherical IVF build per catalog >= 10k,
 //    swept over nprobe fractions via cheap clones; the committed default
