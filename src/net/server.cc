@@ -217,7 +217,7 @@ void NetServer::AcceptReady() {
     if (connections_.size() >= options_.max_connections) {
       // Count before the frame: the peer must never see the reason
       // before the stat.
-      connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+      shed_max_connections_.fetch_add(1, std::memory_order_relaxed);
       ShedWithOverloadedFrame(fd);
       continue;
     }
@@ -247,7 +247,7 @@ bool NetServer::ShedWithReserveFd() {
   if (shed) {
     // Count before the frame: the peer must never see the reason before
     // the stat.
-    connections_dropped_.fetch_add(1, std::memory_order_relaxed);
+    shed_fd_exhaustion_.fetch_add(1, std::memory_order_relaxed);
     ShedWithOverloadedFrame(fd);
   }
   reserve_fd_ = OpenReserveFd();
@@ -340,8 +340,10 @@ NetServerStats NetServer::stats() const {
   NetServerStats s;
   s.connections_accepted =
       connections_accepted_.load(std::memory_order_relaxed);
-  s.connections_dropped =
-      connections_dropped_.load(std::memory_order_relaxed);
+  s.shed_max_connections =
+      shed_max_connections_.load(std::memory_order_relaxed);
+  s.shed_fd_exhaustion = shed_fd_exhaustion_.load(std::memory_order_relaxed);
+  s.connections_dropped = s.shed_max_connections + s.shed_fd_exhaustion;
   s.backpressure_closes =
       backpressure_closes_.load(std::memory_order_relaxed);
   s.frames_decoded = frames_decoded_.load(std::memory_order_relaxed);

@@ -64,10 +64,14 @@ struct NetServerOptions {
 
 struct NetServerStats {
   uint64_t connections_accepted = 0;
-  /// Accepted and shed at once (a kOverloaded frame, then close): over
-  /// max_connections, or taken off the listen queue with the reserve
-  /// descriptor while the process was out of file descriptors.
+  /// Accepted and shed at once (a kOverloaded frame, then close): the sum
+  /// of the two per-reason counters below.
   uint64_t connections_dropped = 0;
+  /// Shed because max_connections connections were already open.
+  uint64_t shed_max_connections = 0;
+  /// Taken off the listen queue with the reserve descriptor and shed while
+  /// the process was out of file descriptors (EMFILE/ENFILE).
+  uint64_t shed_fd_exhaustion = 0;
   /// Connections shed for exceeding max_queued_response_bytes.
   uint64_t backpressure_closes = 0;
   uint64_t frames_decoded = 0;
@@ -148,7 +152,8 @@ class NetServer {
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
 
   std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_dropped_{0};
+  std::atomic<uint64_t> shed_max_connections_{0};
+  std::atomic<uint64_t> shed_fd_exhaustion_{0};
   std::atomic<uint64_t> backpressure_closes_{0};
   std::atomic<uint64_t> frames_decoded_{0};
   std::atomic<uint64_t> requests_served_{0};

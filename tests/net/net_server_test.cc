@@ -482,6 +482,8 @@ TEST(NetServerTest, FdExhaustionShedsThePendingClient) {
   ExpectOverloadedFrame(reply);
   EXPECT_EQ(decoder.buffered(), 0u) << "bytes after the frame";
   EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_EQ(server.stats().shed_fd_exhaustion, 1u);
+  EXPECT_EQ(server.stats().shed_max_connections, 0u);
   EXPECT_EQ(server.stats().connections_accepted, 0u);
 
   // With descriptors back, the same server serves normally.
@@ -517,6 +519,8 @@ TEST(NetServerTest, ConnectionOverTheCapGetsOverloadedThenClose) {
   Frame next;
   EXPECT_FALSE(second.RecvFrame(&next));
   EXPECT_EQ(server.stats().connections_dropped, 1u);
+  EXPECT_EQ(server.stats().shed_max_connections, 1u);
+  EXPECT_EQ(server.stats().shed_fd_exhaustion, 0u);
   EXPECT_EQ(server.stats().connections_accepted, 1u);
 
   // The connection inside the cap keeps serving.
