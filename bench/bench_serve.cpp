@@ -586,19 +586,34 @@ int main(int argc, char** argv) {
           }
         });
 
-        const size_t queries_per_thread = fast ? 20000 : 50000;
+        // Full mode serves a fixed count per thread. Fast mode serves for
+        // a fixed wall time instead, long enough for ~50 publishes: a
+        // fixed 20 000 queries took 16-20 ms at one thread, only a few
+        // 5 ms publish periods, and the speedups read 0.17-0.93x.
+        constexpr auto kFastMtRun = std::chrono::milliseconds(250);
+        constexpr size_t kQueriesPerThread = 50000;
+        std::atomic<bool> frontends_stop{false};
+        std::vector<size_t> served(threads, 0);
         std::vector<std::thread> frontends;
         Timer mt_timer;
         for (size_t t = 0; t < threads; ++t) {
           frontends.emplace_back([&, t] {
-            for (size_t q = 0; q < queries_per_thread; ++q) {
+            size_t q = 0;
+            for (; fast ? !frontends_stop.load(std::memory_order_relaxed)
+                        : q < kQueriesPerThread;
+                 ++q) {
               // 90% hot working set (hits), 10% cold tail (miss+evict).
               const UserId u = q % 10 != 0
                                    ? hot[(q * 7 + t * 13) % kHotSet]
                                    : cold[(q * 11 + t * 17) % cold.size()];
               mt_server.TopK(u);
             }
+            served[t] = q;
           });
+        }
+        if (fast) {
+          std::this_thread::sleep_for(kFastMtRun);
+          frontends_stop.store(true, std::memory_order_relaxed);
         }
         for (auto& th : frontends) th.join();
         const double elapsed_ms = mt_timer.ElapsedMillis();
@@ -607,8 +622,7 @@ int main(int argc, char** argv) {
 
         MtResult mr;
         mr.threads = threads;
-        mr.served = static_cast<unsigned long long>(threads) *
-                    queries_per_thread;
+        for (const size_t n : served) mr.served += n;
         mr.qps = elapsed_ms > 0.0 ? mr.served / (elapsed_ms / 1e3) : 0.0;
         mr.speedup_vs_1 =
             mt_results.empty() ? 1.0 : mr.qps / mt_results.front().qps;
