@@ -65,6 +65,23 @@ class ByteReader {
     return true;
   }
 
+  /// Points `*v` at the next `n` elements where they lie instead of
+  /// copying them out: the zero-copy ReadArray for a reader over a
+  /// mapping that outlives `*v`. Fails, consuming nothing, when fewer than
+  /// `n` elements remain or the bytes are not aligned for T.
+  template <typename T>
+  bool Borrow(const T** v, size_t n) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (n > left_ / sizeof(T) ||
+        reinterpret_cast<uintptr_t>(at_) % alignof(T) != 0) {
+      return false;
+    }
+    *v = reinterpret_cast<const T*>(at_);
+    at_ += n * sizeof(T);
+    left_ -= n * sizeof(T);
+    return true;
+  }
+
   /// Steps over `n` bytes (reserved fields).
   bool Skip(size_t n) {
     if (n > left_) return false;

@@ -33,7 +33,8 @@ class MaybeOwned {
   MaybeOwned() = default;
 
   /// Copying a borrowed buffer copies the pointer, not the payload — the
-  /// holder must carry the keepalive along (SphericalIvfIndex does).
+  /// holder must carry the keepalive along (SphericalIvfIndex does), or
+  /// take an OwnedCopy.
   MaybeOwned(const MaybeOwned&) = default;
   MaybeOwned& operator=(const MaybeOwned&) = default;
   MaybeOwned(MaybeOwned&&) = default;
@@ -63,6 +64,13 @@ class MaybeOwned {
     return owned_;
   }
   T* mutable_data() { return mutable_vec().data(); }
+
+  /// An owned copy of the payload, whether this buffer owns it or not.
+  MaybeOwned OwnedCopy() const {
+    MaybeOwned copy;
+    copy.owned_.assign(data(), data() + size());
+    return copy;
+  }
 
   /// Copy-on-write: a borrowed buffer becomes an owned copy; an owned
   /// buffer is untouched. After this, the write surface is usable.

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/kernels.h"
+#include "common/matrix.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "core/adaptive_margin.h"
@@ -106,17 +107,24 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     }
   }
 
-  theta_logits_ =
-      config_.theta_init_nmf
-          ? InitThetaLogitsFromNmf(train, kf, config_.theta_nmf_iterations,
-                                   options.seed + 17)
-          : InitThetaLogitsUniform(train.num_users(), kf);
+  {
+    const Matrix theta_init =
+        config_.theta_init_nmf
+            ? InitThetaLogitsFromNmf(train, kf, config_.theta_nmf_iterations,
+                                     options.seed + 17)
+            : InitThetaLogitsUniform(train.num_users(), kf);
+    theta_logits_.mutable_vec().assign(
+        theta_init.data(), theta_init.data() + theta_init.size());
+  }
   radii_.assign(kf, 1.0f);
 
-  margins_ = config_.adaptive_margin
-                 ? ComputeAdaptiveMargins(train)
-                 : std::vector<float>(train.num_users(),
-                                      static_cast<float>(config_.fixed_margin));
+  margins_.mutable_vec() =
+      config_.adaptive_margin
+          ? ComputeAdaptiveMargins(train)
+          : std::vector<float>(train.num_users(),
+                               static_cast<float>(config_.fixed_margin));
+  float* const theta_logits = theta_logits_.mutable_data();
+  const float* const margins = margins_.data();
 
   const TripletSampler sampler(train,
                                config_.biased_sampling
@@ -226,8 +234,8 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     DotMany(lhs, rhs, 2 * kf, d, sc.cos.data());
     const float* const sp = sc.cos.data();
     const float* const sq = sp + kf;
-    Softmax(theta_logits_.Row(t.user), theta, kf);
-    float push_val = margins_[t.user];
+    Softmax(theta_logits + t.user * kf, theta, kf);
+    float push_val = margins[t.user];
     for (size_t k = 0; k < kf; ++k) {
       push_val += theta[k] * radii_[k] * (sq[k] - sp[k]);
     }
@@ -282,7 +290,7 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
                               static_cast<float>(lambda_pull) * sp[k]);
       mean_c += theta[k] * coeff[k];
     }
-    float* logits = theta_logits_.Row(t.user);
+    float* logits = theta_logits + t.user * kf;
     for (size_t k = 0; k < kf; ++k) {
       logits[k] -= theta_lr * theta[k] * (coeff[k] - mean_c);
     }
@@ -345,7 +353,7 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
 float Mars::Score(UserId u, ItemId v) const {
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
-  Softmax(theta_logits_.Row(u), theta.data(), kf);
+  Softmax(ThetaLogits(u), theta.data(), kf);
   for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
   return WeightedFacetDot(user_facets_.EntityBlock(u),
                           user_facets_.row_stride(),
@@ -358,7 +366,7 @@ void Mars::ScoreItems(UserId u, std::span<const ItemId> items,
                       float* out) const {
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
-  Softmax(theta_logits_.Row(u), theta.data(), kf);
+  Softmax(ThetaLogits(u), theta.data(), kf);
   for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
   // Per candidate, both entity blocks are contiguous: one fused pass over
   // 2·K·D floats instead of K scattered row pairs.
@@ -377,7 +385,7 @@ void Mars::ScoreItemRange(UserId u, ItemId begin, ItemId end,
   if (begin >= end) return;
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
-  Softmax(theta_logits_.Row(u), theta.data(), kf);
+  Softmax(ThetaLogits(u), theta.data(), kf);
   for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
   const size_t count = end - begin;
   // The item store is contiguous: the sweep streams over `count`
@@ -401,7 +409,7 @@ void Mars::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
   std::vector<const float*> ublocks(users.size()), ws(users.size());
   for (size_t b = 0; b < users.size(); ++b) {
     float* theta = thetas.data() + b * kf;
-    Softmax(theta_logits_.Row(users[b]), theta, kf);
+    Softmax(ThetaLogits(users[b]), theta, kf);
     for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
     ublocks[b] = user_facets_.EntityBlock(users[b]);
     ws[b] = theta;
@@ -426,7 +434,7 @@ void Mars::WriteIndexQuery(UserId u, float* out) const {
   const size_t kf = config_.num_facets;
   const size_t d = config_.dim;
   std::vector<float> theta(kf);
-  Softmax(theta_logits_.Row(u), theta.data(), kf);
+  Softmax(ThetaLogits(u), theta.data(), kf);
   for (size_t k = 0; k < kf; ++k) theta[k] *= radii_[k];
   for (size_t k = 0; k < kf; ++k) {
     const float* row = user_facets_.Row(u, k);
@@ -451,7 +459,7 @@ std::vector<float> Mars::ItemFacetEmbedding(ItemId v, size_t k) const {
 
 std::vector<float> Mars::FacetWeights(UserId u) const {
   std::vector<float> theta(config_.num_facets);
-  Softmax(theta_logits_.Row(u), theta.data(), config_.num_facets);
+  Softmax(ThetaLogits(u), theta.data(), config_.num_facets);
   return theta;
 }
 
@@ -464,9 +472,9 @@ std::unique_ptr<Mars> Mars::ServingSnapshot(ThreadPool* pool) const {
   auto snap = std::make_unique<Mars>(config_, mars_options_);
   SnapshotFacetStore(user_facets_, &snap->user_facets_, pool);
   SnapshotFacetStore(item_facets_, &snap->item_facets_, pool);
-  snap->theta_logits_ = theta_logits_;
+  snap->theta_logits_ = theta_logits_.OwnedCopy();
   snap->radii_ = radii_;
-  snap->margins_ = margins_;
+  snap->margins_ = margins_.OwnedCopy();
   return snap;
 }
 

@@ -30,7 +30,7 @@
 #include <vector>
 
 #include "common/facet_store.h"
-#include "common/matrix.h"
+#include "common/maybe_owned.h"
 #include "core/facet_config.h"
 #include "models/recommender.h"
 
@@ -115,16 +115,23 @@ class Mars : public Recommender {
   friend bool SaveMarsV3(const Mars& model, const std::string& path);
   friend std::unique_ptr<Mars> LoadMarsMapped(const std::string& path);
 
+  /// User u's K Θ logits (row u of the N×K table).
+  const float* ThetaLogits(UserId u) const {
+    return theta_logits_.data() + static_cast<size_t>(u) * config_.num_facets;
+  }
+
   MultiFacetConfig config_;
   MarsOptions mars_options_;
 
   FacetStore user_facets_;  // N×K×D, unit rows
   FacetStore item_facets_;  // M×K×D, unit rows
-  Matrix theta_logits_;     // N×K
+  // Θ logits (N×K, row-major) and the per-user margins: owned by a fitted
+  // model, borrowed from the mapped file's tail by LoadMarsMapped.
+  MaybeOwned<float> theta_logits_;
   std::vector<float> radii_;         // K sphere radii (learn_radius)
-  std::vector<float> margins_;
-  // Backing storage of mapped (borrowed) facet tensors — the MappedFile of
-  // LoadMarsMapped. Null for ordinary owned models.
+  MaybeOwned<float> margins_;
+  // Backing storage of mapped (borrowed) facet tensors, Θ and margins —
+  // the MappedFile of LoadMarsMapped. Null for ordinary owned models.
   std::shared_ptr<const void> storage_keepalive_;
 };
 

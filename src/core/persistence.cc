@@ -182,26 +182,30 @@ std::unique_ptr<Mars> LoadMarsMapped(const std::string& path) {
     return nullptr;
   }
 
-  // The small tail (Θ logits, radii, margin vector) is materialized —
-  // together a few KB against the MBs of facet tensors.
+  // The tail grows with the user count (Θ logits are N×K floats, the
+  // margins N), so Θ and the margins are borrowed in place like the
+  // tensors; only the K radii are copied. tail_offset ends the item
+  // tensor, so it is 64-byte aligned and the margins, after the u64
+  // count, 4-byte aligned: Borrow's alignment check cannot fail on a
+  // well-formed file, and every read is bounded by the mapped size.
   auto model = MakeModelForShape(shape);
-  model->theta_logits_ = Matrix(shape.n_users, shape.kf);
-  model->radii_.assign(shape.kf, 1.0f);
   ByteReader tail(file->data() + layout.tail_offset,
                   file->size() - layout.tail_offset);
+  const float* theta_logits = nullptr;
+  const float* margins = nullptr;
   uint64_t n_margins = 0;
-  if (!tail.ReadArray(model->theta_logits_.data(),
-                      shape.n_users * shape.kf) ||
+  if (!tail.Borrow(&theta_logits, shape.n_users * shape.kf) ||
       !tail.ReadArray(model->radii_.data(), shape.kf) ||
       !tail.Read(&n_margins) || n_margins != shape.n_users) {
     MARS_LOG(ERROR) << who << ": truncated or corrupt tail in " << path;
     return nullptr;
   }
-  model->margins_.assign(n_margins, 0.0f);
-  if (!tail.ReadArray(model->margins_.data(), n_margins)) {
+  if (!tail.Borrow(&margins, n_margins)) {
     MARS_LOG(ERROR) << who << ": truncated margin vector in " << path;
     return nullptr;
   }
+  model->theta_logits_.Borrow(theta_logits, shape.n_users * shape.kf);
+  model->margins_.Borrow(margins, n_margins);
 
   // Point the model's stores straight at the mapping (validated above:
   // aligned offsets, the aligned stride, in bounds); the shared MappedFile

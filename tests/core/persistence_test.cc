@@ -368,7 +368,7 @@ TEST_F(PersistenceFixture, V3LoadersRejectTruncatedPayload) {
   // Cut inside the header.
   Spit(path_, bytes.substr(0, 60));
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
-  // Cut inside the tail (mapped loader materializes it with bounds checks).
+  // Cut inside the tail (the mapped loader borrows it with bounds checks).
   Spit(path_, bytes.substr(0, bytes.size() - 16));
   EXPECT_EQ(LoadMarsMapped(path_), nullptr);
 }
@@ -594,6 +594,52 @@ TEST_F(PersistenceFixture, V3MutationsLoadNothingOrAgree) {
     ASSERT_EQ(::truncate(path_.c_str(), static_cast<off_t>(len)), 0);
     ASSERT_EQ(LoadMarsMapped(path_), nullptr) << "len " << len;
   }
+}
+
+TEST_F(PersistenceFixture, V3MappedModelResavesTheSameBytes) {
+  // Θ and the margins of a mapped model are views of the file's tail:
+  // saving the mapped model writes them back from the views, so the new
+  // file equals the old one byte for byte, and its owned copy scores bit
+  // for bit like it — after the mapping is gone too, so the copy owns
+  // every byte it reads.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  auto mapped = LoadMarsMapped(path_);
+  ASSERT_NE(mapped, nullptr);
+  const std::string resaved = path_ + ".resaved";
+  ASSERT_TRUE(SaveMarsV3(*mapped, resaved));
+  EXPECT_EQ(Slurp(resaved), Slurp(path_));
+  std::remove(resaved.c_str());
+
+  const auto owned = mapped->ServingSnapshot();
+  EXPECT_FALSE(owned->mapped());
+  ExpectBitIdenticalScores(*owned, *mapped, 80, 120);
+  mapped.reset();
+  ExpectBitIdenticalScores(*owned, *model_, 80, 120);
+  for (UserId u = 0; u < 80; ++u) {
+    EXPECT_EQ(owned->MarginOf(u), model_->MarginOf(u)) << "user " << u;
+    EXPECT_EQ(owned->FacetWeights(u), model_->FacetWeights(u)) << "user " << u;
+  }
+}
+
+TEST_F(PersistenceFixture, V3CutInsideThetaOrMarginsLoadsNothing) {
+  // The tail is Θ (80 users x 3 facets), the radii (3), the margin count
+  // (u64) and the margins (80). A cut anywhere in it must load nothing,
+  // and the file loads again once whole.
+  ASSERT_TRUE(SaveMarsV3(*model_, path_));
+  const std::string bytes = Slurp(path_);
+  uint64_t tail_offset = 0;
+  std::memcpy(&tail_offset, bytes.data() + 72, 8);
+  const size_t theta_end = tail_offset + 80 * 3 * sizeof(float);
+  const size_t margins_at = theta_end + 3 * sizeof(float) + 8;
+  ASSERT_EQ(margins_at + 80 * sizeof(float), bytes.size());
+  for (const size_t len :
+       {static_cast<size_t>(tail_offset) + 4, theta_end - 1, theta_end + 4,
+        margins_at - 4, margins_at + 4, bytes.size() - 1}) {
+    Spit(path_, bytes.substr(0, len));
+    EXPECT_EQ(LoadMarsMapped(path_), nullptr) << "cut at " << len;
+  }
+  Spit(path_, bytes);
+  EXPECT_NE(LoadMarsMapped(path_), nullptr);
 }
 
 }  // namespace
