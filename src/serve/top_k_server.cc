@@ -1,6 +1,7 @@
 #include "serve/top_k_server.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/check.h"
@@ -133,6 +134,7 @@ TopKServer::TopKServer(std::shared_ptr<const ItemScorer> model,
   for (size_t i = 0; i < n; ++i) {
     stripes_[i].capacity =
         options_.cache.max_users / n + (i < options_.cache.max_users % n);
+    stripes_[i].depth = std::min(options_.k, num_items_);
   }
   if (options_.ann.prebuilt != nullptr) {
     MARS_CHECK_MSG(options_.ann.prebuilt->num_items() == num_items_,
@@ -153,17 +155,89 @@ size_t TopKServer::StripeOf(UserId u) const {
   return FacetStore::ShardOf(num_users_, u, stripes_.size());
 }
 
+void TopKServer::Stripe::Unlink(uint32_t s) {
+  CacheSlot& slot = slots[s];
+  (slot.prev == kNoSlot ? lru_head : slots[slot.prev].next) = slot.next;
+  (slot.next == kNoSlot ? lru_tail : slots[slot.next].prev) = slot.prev;
+}
+
+void TopKServer::Stripe::PushFront(uint32_t s) {
+  CacheSlot& slot = slots[s];
+  slot.prev = kNoSlot;
+  slot.next = lru_head;
+  (lru_head == kNoSlot ? lru_tail : slots[lru_head].prev) = s;
+  lru_head = s;
+}
+
+void TopKServer::Stripe::Store(uint32_t s,
+                               std::span<const ItemId> ranked_items,
+                               std::span<const float> ranked_scores,
+                               uint64_t epoch) {
+  MARS_DCHECK(ranked_items.size() <= depth &&
+              ranked_scores.size() == ranked_items.size());
+  CacheSlot& slot = slots[s];
+  slot.size = static_cast<uint32_t>(ranked_items.size());
+  slot.epoch = epoch;
+  if (slot.size == 0) return;
+  std::memcpy(items(s), ranked_items.data(), slot.size * sizeof(ItemId));
+  std::memcpy(scores(s), ranked_scores.data(), slot.size * sizeof(float));
+}
+
+std::pmr::unordered_map<UserId, uint32_t>::iterator
+TopKServer::Stripe::Release(
+    std::pmr::unordered_map<UserId, uint32_t>::iterator it) {
+  const uint32_t s = it->second;
+  Unlink(s);
+  slots[s].next = free_head;
+  free_head = s;
+  return map.erase(it);
+}
+
+uint32_t TopKServer::Stripe::Claim(UserId u) {
+  if (map.size() >= capacity && lru_tail != kNoSlot) {
+    // Full: the least recently used entry gives up its slot, and its map
+    // node is re-keyed in place of a fresh one.
+    const uint32_t s = lru_tail;
+    Unlink(s);
+    auto node = map.extract(slots[s].user);
+    node.key() = u;
+    map.insert(std::move(node));
+    slots[s].user = u;
+    ++evictions;
+    return s;
+  }
+  uint32_t s = free_head;
+  if (s != kNoSlot) {
+    free_head = slots[s].next;
+  } else {
+    s = static_cast<uint32_t>(slots.size());
+    slots.emplace_back();
+    if (s / kSlotsPerBlock == item_blocks.size()) {
+      item_blocks.push_back(std::make_unique_for_overwrite<ItemId[]>(
+          kSlotsPerBlock * depth));
+      score_blocks.push_back(std::make_unique_for_overwrite<float[]>(
+          kSlotsPerBlock * depth));
+    }
+  }
+  slots[s].user = u;
+  map.emplace(u, s);
+  return s;
+}
+
 bool TopKServer::TryCacheHit(UserId u, TopKResponse* out) {
   Stripe& stripe = stripes_[StripeOf(u)];
   std::unique_lock<std::mutex> lock(stripe.mu);
   const auto it = stripe.map.find(u);
   if (it == stripe.map.end()) return false;
   ++stripe.hits;
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_pos);
-  out->items = it->second.items;
-  out->scores = it->second.scores;
+  const uint32_t s = it->second;
+  stripe.Unlink(s);
+  stripe.PushFront(s);
+  const CacheSlot& slot = stripe.slots[s];
+  out->items.assign(stripe.items(s), stripe.items(s) + slot.size);
+  out->scores.assign(stripe.scores(s), stripe.scores(s) + slot.size);
   out->from_cache = true;
-  out->epoch = it->second.epoch;
+  out->epoch = slot.epoch;
   return true;
 }
 
@@ -271,19 +345,18 @@ void TopKServer::InsertMissEntry(UserId u, const TopKResponse& result,
   // flags), or the epoch moved before we got here and we must not
   // publish a ranking of a superseded snapshot into the cache.
   if (stripe.capacity > 0 && model_.epoch() == pinned_epoch) {
-    auto [it, inserted] = stripe.map.try_emplace(u);
-    if (!inserted) {
+    const auto it = stripe.map.find(u);
+    uint32_t s = 0;
+    if (it != stripe.map.end()) {
       // A concurrent miss for the same user beat us here; replace its
-      // payload (identical unless epochs differ) and reuse its LRU slot.
-      stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second.lru_pos);
+      // payload (identical unless epochs differ) and reuse its slot.
+      s = it->second;
+      stripe.Unlink(s);
     } else {
-      stripe.lru.push_front(u);
-      it->second.lru_pos = stripe.lru.begin();
+      s = stripe.Claim(u);
     }
-    it->second.items = result.items;
-    it->second.scores = result.scores;
-    it->second.epoch = pinned_epoch;
-    EvictIfOverCap(&stripe);
+    stripe.Store(s, result.items, result.scores, pinned_epoch);
+    stripe.PushFront(s);
   } else if (stripe.capacity > 0) {
     // The epoch moved mid-sweep, so this ranking must not be cached —
     // but the caller has already been *served* it at pinned_epoch. An
@@ -293,10 +366,10 @@ void TopKServer::InsertMissEntry(UserId u, const TopKResponse& result,
     // the epoch going backwards. Drop it: per-user observed epochs stay
     // monotone, at the price of one lazy re-miss.
     const auto it = stripe.map.find(u);
-    if (it != stripe.map.end() && it->second.epoch < pinned_epoch) {
+    if (it != stripe.map.end() &&
+        stripe.slots[it->second].epoch < pinned_epoch) {
       ++stripe.invalidated;
-      stripe.lru.erase(it->second.lru_pos);
-      stripe.map.erase(it);
+      stripe.Release(it);
     }
   }
 }
@@ -560,14 +633,14 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
   for (Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock(stripe.mu);
     for (auto it = stripe.map.begin(); it != stripe.map.end();) {
-      CacheEntry& entry = it->second;
       const bool user_dirty =
           tracker->UserShardDirty(tracker->UserShardOf(it->first));
       bool drop = user_dirty || all_items_dirty;
       if (!drop && !dirty_items.empty()) {
         if (RefreshEntry(*snapshot, it->first, dirty_items,
-                         refresh_index.get(), &scratch, &entry)) {
-          entry.epoch = current_epoch;
+                         refresh_index.get(), &scratch, &stripe,
+                         it->second)) {
+          stripe.slots[it->second].epoch = current_epoch;
           ++stripe.refreshed;
         } else {
           // The k-th-rank cutoff dropped: exactness is unprovable by the
@@ -579,8 +652,7 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
       }
       if (drop) {
         ++stripe.invalidated;
-        stripe.lru.erase(entry.lru_pos);
-        it = stripe.map.erase(it);
+        it = stripe.Release(it);
       } else {
         ++it;
       }
@@ -592,17 +664,20 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
 bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
                               const std::vector<size_t>& dirty,
                               const SphericalIvfIndex* ann,
-                              RefreshScratch* scratch, CacheEntry* entry) {
+                              RefreshScratch* scratch, Stripe* stripe,
+                              uint32_t slot) {
   const size_t k = std::min(options_.k, num_items_);
   if (k == 0) return true;  // nothing cached at k == 0; trivially exact
   const ImplicitDataset* exclude = options_.exclude_interactions;
+  const size_t size = stripe->slots[slot].size;
+  const ItemId* const items = stripe->items(slot);
+  const float* const scores = stripe->scores(slot);
 
   // Old k-th rank — the exactness cutoff. An entry shorter than k listed
   // the whole eligible catalog, so its merge is exhaustive and exact.
-  const bool old_full = entry->items.size() >= k;
+  const bool old_full = size >= k;
   const std::pair<float, ItemId> old_kth =
-      old_full ? std::pair<float, ItemId>{entry->scores.back(),
-                                          entry->items.back()}
+      old_full ? std::pair<float, ItemId>{scores[size - 1], items[size - 1]}
                : std::pair<float, ItemId>{};
 
   // Survivors: cached rows outside every dirty shard (their scores are
@@ -610,11 +685,10 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
   // sorted, so membership is a binary search.
   std::vector<std::pair<float, ItemId>>& candidates = scratch->candidates;
   candidates.clear();
-  for (size_t i = 0; i < entry->items.size(); ++i) {
-    const size_t s =
-        FacetStore::ShardOf(num_items_, entry->items[i], item_shards_);
+  for (size_t i = 0; i < size; ++i) {
+    const size_t s = FacetStore::ShardOf(num_items_, items[i], item_shards_);
     if (!std::binary_search(dirty.begin(), dirty.end(), s)) {
-      candidates.emplace_back(entry->scores[i], entry->items[i]);
+      candidates.emplace_back(scores[i], items[i]);
     }
   }
 
@@ -703,10 +777,7 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
       (merged_items.size() == k &&
        !RanksBetter(old_kth, {merged_scores.back(), merged_items.back()}));
   if (!exact) return false;
-  // Swap, not move: the entry's old buffers go back into the scratch for
-  // the next refresh.
-  entry->items.swap(merged_items);
-  entry->scores.swap(merged_scores);
+  stripe->Store(slot, merged_items, merged_scores, stripe->slots[slot].epoch);
   return true;
 }
 
@@ -743,58 +814,85 @@ void TopKServer::InvalidateAll() {
     std::unique_lock<std::mutex> lock(stripe.mu);
     stripe.invalidated += stripe.map.size();
     stripe.map.clear();
-    stripe.lru.clear();
+    // Every slot is free again; the ranking blocks stay for reuse.
+    stripe.slots.clear();
+    stripe.lru_head = stripe.lru_tail = stripe.free_head = kNoSlot;
   }
 }
 
-bool TopKServer::Prime(UserId u, std::vector<ItemId> items,
-                       std::vector<float> scores) {
+bool TopKServer::Prime(UserId u, const std::vector<ItemId>& items,
+                       const std::vector<float>& scores) {
+  const PrimeEntry entry{u, items, scores};
+  return Prime({&entry, 1}) == 1;
+}
+
+size_t TopKServer::Prime(std::span<const PrimeEntry> entries) {
+  if (options_.cache.max_users == 0) return 0;
   const size_t cap = std::min(options_.k, num_items_);
-  if (u >= num_users_ || items.size() != scores.size() ||
-      items.size() > cap || options_.cache.max_users == 0) {
-    return false;
+  const auto primable = [this, cap](const PrimeEntry& e) {
+    return e.user < num_users_ && e.items.size() == e.scores.size() &&
+           e.items.size() <= cap &&
+           std::all_of(e.items.begin(), e.items.end(),
+                       [this](ItemId v) { return v < num_items_; });
+  };
+  const uint64_t epoch = model_.epoch();
+  size_t primed = 0;
+  // A run of entries whose users share a stripe (a sidecar lists each
+  // stripe's entries together) is primed under one hold of its lock.
+  size_t i = 0;
+  while (i < entries.size()) {
+    if (!primable(entries[i])) {
+      ++i;
+      continue;
+    }
+    const size_t s = StripeOf(entries[i].user);
+    const auto [first_user, end_user] =
+        FacetStore::ShardRange(num_users_, s, stripes_.size());
+    size_t end = i + 1;
+    while (end < entries.size() && entries[end].user >= first_user &&
+           entries[end].user < end_user) {
+      ++end;
+    }
+    Stripe& stripe = stripes_[s];
+    std::unique_lock<std::mutex> lock(stripe.mu);
+    if (stripe.map.empty()) {
+      // A warm start: size the stripe once for what it will hold.
+      const size_t will_hold = std::min(stripe.capacity, end - i);
+      stripe.map.reserve(will_hold);
+      stripe.slots.reserve(will_hold);
+    }
+    for (; i < end; ++i) {
+      const PrimeEntry& e = entries[i];
+      if (!primable(e)) continue;
+      const auto it = stripe.map.find(e.user);
+      uint32_t slot = 0;
+      if (it != stripe.map.end()) {
+        // A replaced entry goes to the front, as a fresh one would.
+        slot = it->second;
+        stripe.Unlink(slot);
+      } else {
+        slot = stripe.Claim(e.user);
+      }
+      stripe.Store(slot, e.items, e.scores, epoch);
+      stripe.PushFront(slot);
+      ++stripe.primed;
+      ++primed;
+    }
   }
-  for (const ItemId v : items) {
-    if (v >= num_items_) return false;
-  }
-  Stripe& stripe = stripes_[StripeOf(u)];
-  std::unique_lock<std::mutex> lock(stripe.mu);
-  const auto it = stripe.map.find(u);
-  if (it != stripe.map.end()) {
-    stripe.lru.erase(it->second.lru_pos);
-    stripe.map.erase(it);
-  }
-  CacheEntry entry;
-  entry.items = std::move(items);
-  entry.scores = std::move(scores);
-  entry.epoch = model_.epoch();
-  stripe.lru.push_front(u);
-  entry.lru_pos = stripe.lru.begin();
-  stripe.map.emplace(u, std::move(entry));
-  ++stripe.primed;
-  EvictIfOverCap(&stripe);
-  return true;
+  return primed;
 }
 
 void TopKServer::ForEachCached(
-    const std::function<void(UserId, const std::vector<ItemId>&,
-                             const std::vector<float>&)>& fn) const {
+    const std::function<void(UserId, std::span<const ItemId>,
+                             std::span<const float>)>& fn) const {
   for (const Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock(stripe.mu);
-    for (const UserId u : stripe.lru) {
-      const auto it = stripe.map.find(u);
-      MARS_DCHECK(it != stripe.map.end());
-      fn(u, it->second.items, it->second.scores);
+    for (uint32_t s = stripe.lru_head; s != kNoSlot;
+         s = stripe.slots[s].next) {
+      const CacheSlot& slot = stripe.slots[s];
+      fn(slot.user, {stripe.items(s), slot.size},
+         {stripe.scores(s), slot.size});
     }
-  }
-}
-
-void TopKServer::EvictIfOverCap(Stripe* stripe) {
-  while (stripe->map.size() > stripe->capacity) {
-    const UserId victim = stripe->lru.back();
-    stripe->lru.pop_back();
-    stripe->map.erase(victim);
-    ++stripe->evictions;
   }
 }
 

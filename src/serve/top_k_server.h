@@ -90,8 +90,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
+#include <memory_resource>
 #include <mutex>
 #include <span>
 #include <unordered_map>
@@ -295,6 +295,14 @@ class TopKServer {
   /// Drops every cached entry (e.g. after a model swap of unknown delta).
   void InvalidateAll();
 
+  /// One precomputed ranking for Prime: views that need only outlive the
+  /// Prime call (WarmFromSidecar passes views of its mapped file).
+  struct PrimeEntry {
+    UserId user = 0;
+    std::span<const ItemId> items;  // ranked best-first
+    std::span<const float> scores;  // parallel to items
+  };
+
   /// Inserts a precomputed ranking for `u` as if a sweep had produced it
   /// (the warm-start path of serve/top_k_sidecar.h). The list must be
   /// ranked best-first with parallel scores, at most min(k, num_items)
@@ -304,18 +312,27 @@ class TopKServer {
   /// it really was the current snapshot's top-k, which is the sidecar
   /// pairing contract. Returns false (no insert) on out-of-range user or
   /// item, mismatched lengths, or an over-long list.
-  bool Prime(UserId u, std::vector<ItemId> items, std::vector<float> scores);
+  bool Prime(UserId u, const std::vector<ItemId>& items,
+             const std::vector<float>& scores);
+
+  /// Primes `entries` exactly as one Prime call per entry, in order,
+  /// would (the last one ends up most recently used), but copies each
+  /// ranking straight into its cache slot and takes a stripe's lock once
+  /// per run of consecutive entries in that stripe. Returns the number of
+  /// entries primed.
+  size_t Prime(std::span<const PrimeEntry> entries);
 
   /// Visits every cached entry, most recently used first *within each
   /// stripe* (stripes are visited in user-shard order; there is no global
   /// recency order across stripes — configure cache.stripes = 1 when one
   /// is required). Maintenance-side only, like AbsorbWrites (used to
-  /// persist the cache as a sidecar). The callback runs under the
+  /// persist the cache as a sidecar). The spans view the cache slot and
+  /// are valid only during the call. The callback runs under the
   /// stripe's lock: it must not call back into this server (TopK, stats,
   /// Prime, … would self-deadlock on the non-recursive stripe mutex).
   void ForEachCached(
-      const std::function<void(UserId, const std::vector<ItemId>&,
-                               const std::vector<float>&)>& fn) const;
+      const std::function<void(UserId, std::span<const ItemId>,
+                               std::span<const float>)>& fn) const;
 
   /// The currently published candidate index — null when ANN serving is
   /// off, the model is not indexable, or no index exists yet. The
@@ -332,20 +349,48 @@ class TopKServer {
   TopKServerStats stats() const;
 
  private:
-  struct CacheEntry {
-    std::vector<ItemId> items;  // ranked best-first
-    std::vector<float> scores;
+  /// Slot index meaning "none": the end of an LRU or free list.
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+  /// Cache slots per block of a stripe's slot storage.
+  static constexpr size_t kSlotsPerBlock = 64;
+
+  /// One cached entry's header. The ranking itself lives in the slot's
+  /// row of its block (Stripe::items / Stripe::scores).
+  struct CacheSlot {
+    UserId user = 0;
+    uint32_t size = 0;  // ranked items held, at most the slot depth
+    uint32_t prev = kNoSlot;  // toward the most recently used
+    uint32_t next = kNoSlot;  // toward the least recently used; when the
+                              // slot is free, the next free slot
     uint64_t epoch = 0;  // epoch the entry was computed/refreshed against
-    std::list<UserId>::iterator lru_pos;
   };
 
   /// One cache segment: its own lock, map, LRU, capacity share, counters.
   /// Counters live here (not in one global struct) so the hot path never
   /// touches a cross-stripe cache line; stats() sums them.
+  ///
+  /// Each entry is a slot: a header in `slots` and a row of `depth` ids
+  /// and `depth` scores in the ranking blocks, which hold kSlotsPerBlock
+  /// rows each and are never moved or freed before the stripe. The LRU
+  /// is a doubly linked list threaded through the headers. A dropped
+  /// entry's slot goes on the free list; an eviction hands the victim's
+  /// slot and map node straight to the incoming user. Map nodes come from
+  /// the stripe's own pool, which takes memory from the heap in growing
+  /// chunks and reuses freed nodes. So a new entry costs one pooled map
+  /// node plus a share of a block, an evict-then-insert allocates
+  /// nothing, and dropping a warmed server frees a few chunks per stripe
+  /// instead of one heap block per entry.
   struct Stripe {
     mutable std::mutex mu;
-    std::unordered_map<UserId, CacheEntry> map;
-    std::list<UserId> lru;  // front = most recently used
+    std::pmr::unsynchronized_pool_resource map_pool;  // guarded by mu
+    std::pmr::unordered_map<UserId, uint32_t> map{&map_pool};  // user -> slot
+    std::vector<CacheSlot> slots;
+    std::vector<std::unique_ptr<ItemId[]>> item_blocks;
+    std::vector<std::unique_ptr<float[]>> score_blocks;
+    uint32_t lru_head = kNoSlot;  // most recently used
+    uint32_t lru_tail = kNoSlot;  // least recently used
+    uint32_t free_head = kNoSlot;
+    size_t depth = 0;  // ranking capacity of a slot: min(k, num_items)
     size_t capacity = 0;
     uint64_t hits = 0;
     uint64_t misses = 0;
@@ -354,6 +399,29 @@ class TopKServer {
     uint64_t refresh_drops = 0;
     uint64_t evictions = 0;
     uint64_t primed = 0;
+
+    ItemId* items(uint32_t s) const {
+      return item_blocks[s / kSlotsPerBlock].get() +
+             (s % kSlotsPerBlock) * depth;
+    }
+    float* scores(uint32_t s) const {
+      return score_blocks[s / kSlotsPerBlock].get() +
+             (s % kSlotsPerBlock) * depth;
+    }
+    void Unlink(uint32_t s);
+    void PushFront(uint32_t s);
+    /// Copies a ranking of at most `depth` items into slot `s`.
+    void Store(uint32_t s, std::span<const ItemId> ranked_items,
+               std::span<const float> ranked_scores, uint64_t epoch);
+    /// Unlinks slot `s`, frees it and erases its map entry `it`; returns
+    /// the iterator after `it`.
+    std::pmr::unordered_map<UserId, uint32_t>::iterator Release(
+        std::pmr::unordered_map<UserId, uint32_t>::iterator it);
+    /// The slot for `u`, which must not be cached: the LRU victim's slot
+    /// and map node when the stripe is full (counted in `evictions`),
+    /// else a free or new slot. Maps `u` to it; the caller fills it and
+    /// links it in.
+    uint32_t Claim(UserId u);
   };
 
   /// Buffers reused across RefreshEntry calls within one AbsorbWrites
@@ -447,7 +515,8 @@ class TopKServer {
   void RefreshAnnIndex(const std::shared_ptr<const ItemScorer>& snapshot,
                        const std::vector<size_t>* dirty_items);
 
-  /// Incremental refresh: re-scores the `dirty` item shards (sorted ids)
+  /// Incremental refresh of the entry in `slot` of `stripe` (the caller
+  /// holds its lock): re-scores the `dirty` item shards (sorted ids)
   /// and merges with the entry's surviving rows. With `ann` non-null (the
   /// just-rebuilt, snapshot-compatible candidate index) the dirty-shard
   /// candidates come from one index probe filtered to the dirty shards —
@@ -464,9 +533,7 @@ class TopKServer {
   bool RefreshEntry(const ItemScorer& model, UserId u,
                     const std::vector<size_t>& dirty,
                     const SphericalIvfIndex* ann, RefreshScratch* scratch,
-                    CacheEntry* entry);
-
-  void EvictIfOverCap(Stripe* stripe);
+                    Stripe* stripe, uint32_t slot);
 
   SnapshotHandle<ItemScorer> model_;
   size_t num_users_;

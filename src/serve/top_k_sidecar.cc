@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -28,8 +28,8 @@ constexpr uint32_t kSidecarVersion = 1;
 /// desc, item id asc) — the order TopKServer's RanksBetter selects by, so
 /// an item listed twice at one score fails too. This checks form, not
 /// truth: like a made-up score, an item listed at two scores passes.
-bool RankingServable(const std::vector<ItemId>& items,
-                     const std::vector<float>& scores, uint64_t n_items) {
+bool RankingServable(std::span<const ItemId> items,
+                     std::span<const float> scores, uint64_t n_items) {
   for (size_t j = 0; j < items.size(); ++j) {
     const ItemId v = items[j];
     if (v >= n_items || std::isnan(scores[j])) return false;
@@ -48,39 +48,42 @@ bool SaveTopKSidecar(const TopKServer& server, const std::string& path) {
   // the count actually collected: reading the count and the entries in
   // separate passes could disagree when frontend queries race the save
   // (the server's read front is allowed to run during maintenance), and
-  // a mismatched count makes the loader reject the whole sidecar.
-  struct Entry {
-    UserId user;
-    std::vector<ItemId> items;
-    std::vector<float> scores;
-  };
-  std::vector<Entry> entries;
-  server.ForEachCached([&entries](UserId u, const std::vector<ItemId>& items,
-                                  const std::vector<float>& scores) {
-    entries.push_back({u, items, scores});
+  // a mismatched count makes the loader reject the whole sidecar. The
+  // rankings are gathered back to back: entry i holds counts[i] items.
+  std::vector<UserId> users;
+  std::vector<uint32_t> counts;
+  std::vector<ItemId> items;
+  std::vector<float> scores;
+  server.ForEachCached([&](UserId u, std::span<const ItemId> entry_items,
+                           std::span<const float> entry_scores) {
+    users.push_back(u);
+    counts.push_back(static_cast<uint32_t>(entry_items.size()));
+    items.insert(items.end(), entry_items.begin(), entry_items.end());
+    scores.insert(scores.end(), entry_scores.begin(), entry_scores.end());
   });
-  return WriteFileAtomic(
-      path, "SaveTopKSidecar", [&server, &entries](std::ostream& out) {
-        WriteU32(out, kSidecarMagic);
-        WriteU32(out, kSidecarVersion);
-        WriteU64(out, server.options().k);
-        WriteU64(out, server.num_users());
-        WriteU64(out, server.num_items());
-        WriteU64(out, entries.size());
-        for (const Entry& e : entries) {
-          WriteU32(out, e.user);
-          WriteU32(out, static_cast<uint32_t>(e.items.size()));
-          WriteFloats(out, e.scores.data(), e.scores.size());
-          // Entries are tiny (<= k ids), so per-element writes through the
-          // shared helper beat a raw byte dump that would bypass it.
-          for (const ItemId v : e.items) WriteU32(out, v);
-        }
-      });
+  return WriteFileAtomic(path, "SaveTopKSidecar", [&](std::ostream& out) {
+    WriteU32(out, kSidecarMagic);
+    WriteU32(out, kSidecarVersion);
+    WriteU64(out, server.options().k);
+    WriteU64(out, server.num_users());
+    WriteU64(out, server.num_items());
+    WriteU64(out, users.size());
+    size_t at = 0;
+    for (size_t i = 0; i < users.size(); ++i) {
+      WriteU32(out, users[i]);
+      WriteU32(out, counts[i]);
+      WriteFloats(out, scores.data() + at, counts[i]);
+      // Entries are tiny (<= k ids), so per-element writes through the
+      // shared helper beat a raw byte dump that would bypass it.
+      for (size_t j = 0; j < counts[i]; ++j) WriteU32(out, items[at + j]);
+      at += counts[i];
+    }
+  });
 }
 
 size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
-  // Map the file once and parse it in place; every read below is bounded
-  // by the mapped size, never by a length the file claims.
+  // Map the file once and validate it in place; every read below is
+  // bounded by the mapped size, never by a length the file claims.
   const std::shared_ptr<MappedFile> file = MappedFile::Open(path);
   if (file == nullptr) {
     MARS_LOG(ERROR) << "WarmFromSidecar: cannot open " << path;
@@ -118,18 +121,16 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
     return 0;
   }
 
-  // Parse every entry before touching the server: a corrupt sidecar loads
-  // nothing instead of half a cache. The saver writes each cached user
-  // once, so a repeated user is corruption too (Prime would silently
-  // replace the first entry and the count would over-report).
-  struct Entry {
-    UserId user;
-    std::vector<ItemId> items;
-    std::vector<float> scores;
-  };
+  // Validate every entry before touching the server: a corrupt sidecar
+  // loads nothing instead of half a cache. The saver writes each cached
+  // user once, so a repeated user is corruption too (priming would
+  // silently replace the first entry and the count would over-report).
+  // Each entry becomes a view of its bytes in the mapping (the layout
+  // keeps every field 4-byte aligned), filled back to front: the file
+  // stores most-recent-first, and priming in reverse puts the hottest
+  // user at the front of the LRU again.
   const uint64_t max_count = std::min<uint64_t>(k, n_items);
-  std::vector<Entry> entries;
-  entries.reserve(n_entries);
+  std::vector<TopKServer::PrimeEntry> entries(n_entries);
   std::vector<bool> seen(n_users);
   for (uint64_t i = 0; i < n_entries; ++i) {
     uint32_t user = 0, count = 0;
@@ -140,39 +141,28 @@ size_t WarmFromSidecar(TopKServer* server, const std::string& path) {
       return 0;
     }
     seen[user] = true;
-    Entry e;
-    e.user = user;
-    e.scores.resize(count);
-    e.items.resize(count);
-    if (!r.ReadArray(e.scores.data(), count) ||
-        !r.ReadArray(e.items.data(), count)) {
+    const float* scores = nullptr;
+    const ItemId* items = nullptr;
+    if (!r.Borrow(&scores, count) || !r.Borrow(&items, count)) {
       MARS_LOG(ERROR) << "WarmFromSidecar: truncated entry " << i << " in "
                       << path;
       return 0;
     }
+    TopKServer::PrimeEntry& e = entries[n_entries - 1 - i];
+    e = {user, {items, count}, {scores, count}};
     if (!RankingServable(e.items, e.scores, n_items)) {
       MARS_LOG(ERROR) << "WarmFromSidecar: entry " << i << " of " << path
                       << " is not a ranking the server could produce";
       return 0;
     }
-    entries.push_back(std::move(e));
   }
   if (r.remaining() != 0) {
     MARS_LOG(ERROR) << "WarmFromSidecar: " << r.remaining()
                     << " bytes after the last entry of " << path;
     return 0;
   }
-
-  // The file stores most-recent-first; prime in reverse so the hottest
-  // user ends up at the front of the LRU again.
-  size_t primed = 0;
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    if (server->Prime(it->user, std::move(it->items),
-                      std::move(it->scores))) {
-      ++primed;
-    }
-  }
-  return primed;
+  // The views die with `file`, after Prime has copied every ranking.
+  return server->Prime(entries);
 }
 
 }  // namespace mars

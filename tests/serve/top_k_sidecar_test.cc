@@ -427,5 +427,32 @@ TEST_F(SidecarFixture, PrimeValidatesInput) {
   EXPECT_EQ(server.stats().cached_users, 1u);
 }
 
+TEST_F(SidecarFixture, WarmThenSaveReproducesTheSidecarBytes) {
+  // A striped server whose stripes have evicted and reordered: warming a
+  // fresh server from its sidecar and saving that one again must write
+  // the same bytes, which pins every stripe's recency order and every
+  // ranking through the prime path.
+  TopKServerOptions opts;
+  opts.k = 10;
+  opts.cache.max_users = 16;
+  opts.cache.stripes = 4;
+  TopKServer hot(model_.get(), dataset_->num_users(), dataset_->num_items(),
+                 opts);
+  for (UserId step = 0; step < 90; ++step) {
+    hot.TopK(static_cast<UserId>((step * 37 + step / 7) % 60));
+  }
+  ASSERT_GT(hot.stats().evictions, 0u);
+  ASSERT_EQ(hot.stats().cached_users, 16u);
+  ASSERT_TRUE(SaveTopKSidecar(hot, path_));
+  const std::string saved = ReadAll(path_);
+
+  TopKServer fresh(model_.get(), dataset_->num_users(),
+                   dataset_->num_items(), opts);
+  EXPECT_EQ(WarmFromSidecar(&fresh, path_), 16u);
+  EXPECT_EQ(fresh.stats().evictions, 0u);
+  ASSERT_TRUE(SaveTopKSidecar(fresh, path_));
+  EXPECT_EQ(ReadAll(path_), saved);
+}
+
 }  // namespace
 }  // namespace mars

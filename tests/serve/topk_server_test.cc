@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -328,6 +329,76 @@ TEST(TopKServerTest, StripedCacheDistributesTheBoundByUserShard) {
   EXPECT_TRUE(server.TopK(35).from_cache);  // other stripe untouched
   EXPECT_TRUE(server.TopK(1).from_cache);
   EXPECT_FALSE(server.TopK(0).from_cache);
+}
+
+TEST(TopKServerTest, OneSlotStripeEvictsAndInsertsInLruOrder) {
+  // 4 stripes share a bound of 5: stripe 0 (users 0-9) holds 2 entries,
+  // stripes 1-3 one each. An insert into a full stripe evicts its least
+  // recently used entry and takes over the slot; the eviction and prime
+  // counters and each stripe's recency order must read as before.
+  ToyScorer scorer;
+  TopKServerOptions opts;
+  opts.k = 3;
+  opts.cache.max_users = 5;
+  opts.cache.stripes = 4;
+  TopKServer server(&scorer, 40, 30, opts);
+  TopKServer reference(&scorer, 40, 30, opts);
+  const auto cached = [&server] {
+    std::vector<UserId> users;
+    server.ForEachCached([&users](UserId u, std::span<const ItemId>,
+                                  std::span<const float>) {
+      users.push_back(u);
+    });
+    return users;
+  };
+
+  ASSERT_TRUE(server.Prime(12, {7, 3}, {0.5f, 0.25f}));  // stripe 1
+  const std::vector<ItemId> items0 = {1, 2, 3};
+  const std::vector<float> scores0 = {0.9f, 0.8f, 0.7f};
+  const std::vector<TopKServer::PrimeEntry> stripe0 = {
+      {0, items0, scores0}, {1, items0, scores0}};
+  EXPECT_EQ(server.Prime(stripe0), 2u);
+  EXPECT_EQ(cached(), (std::vector<UserId>{1, 0, 12}));
+  EXPECT_EQ(server.stats().primed, 3u);
+  EXPECT_EQ(server.stats().evictions, 0u);
+
+  EXPECT_FALSE(server.TopK(15).from_cache);  // stripe 1 full: evicts 12
+  EXPECT_EQ(server.stats().evictions, 1u);
+  EXPECT_EQ(cached(), (std::vector<UserId>{1, 0, 15}));
+
+  // A batch prime into the one-slot stripe evicts once per entry; the
+  // last entry stays.
+  const std::vector<TopKServer::PrimeEntry> stripe1 = {
+      {13, items0, scores0}, {14, {items0.data(), 1}, {scores0.data(), 1}}};
+  EXPECT_EQ(server.Prime(stripe1), 2u);
+  EXPECT_EQ(server.stats().evictions, 3u);
+  EXPECT_EQ(server.stats().primed, 5u);
+  EXPECT_EQ(cached(), (std::vector<UserId>{1, 0, 14}));
+  const TopKResponse primed = server.TopK(14);
+  EXPECT_TRUE(primed.from_cache);
+  EXPECT_EQ(primed.items, (std::vector<ItemId>{1}));
+  EXPECT_EQ(primed.scores, (std::vector<float>{0.9f}));
+
+  EXPECT_TRUE(server.TopK(0).from_cache);  // 0 becomes most recent
+  EXPECT_EQ(cached(), (std::vector<UserId>{0, 1, 14}));
+  const TopKResponse swept = server.TopK(2);  // evicts 1, not 0
+  EXPECT_FALSE(swept.from_cache);
+  EXPECT_EQ(server.stats().evictions, 4u);
+  EXPECT_EQ(cached(), (std::vector<UserId>{2, 0, 14}));
+  const TopKResponse hit = server.TopK(2);
+  EXPECT_TRUE(hit.from_cache);
+  EXPECT_EQ(hit.items, reference.TopK(2).items);
+  EXPECT_EQ(hit.scores, reference.TopK(2).scores);
+  EXPECT_EQ(server.stats().cached_users, 3u);
+
+  // Dropped slots are reused.
+  server.InvalidateAll();
+  EXPECT_TRUE(cached().empty());
+  EXPECT_FALSE(server.TopK(3).from_cache);
+  EXPECT_FALSE(server.TopK(4).from_cache);
+  EXPECT_EQ(cached(), (std::vector<UserId>{4, 3}));
+  EXPECT_EQ(server.TopK(3).items, reference.TopK(3).items);
+  EXPECT_EQ(server.stats().evictions, 4u);
 }
 
 TEST(TopKServerTest, ZeroCapacityDisablesCaching) {
