@@ -382,7 +382,12 @@ class TopKServer {
   /// instead of one heap block per entry.
   struct Stripe {
     mutable std::mutex mu;
-    std::pmr::unsynchronized_pool_resource map_pool;  // guarded by mu
+    // Pools only blocks of up to 32 bytes, the map's nodes (its bucket
+    // arrays come from the heap), in chunks of at most kSlotsPerBlock
+    // nodes, so a stripe's pool stays near the size of its map.
+    std::pmr::unsynchronized_pool_resource map_pool{  // guarded by mu
+        std::pmr::pool_options{.max_blocks_per_chunk = kSlotsPerBlock,
+                               .largest_required_pool_block = 32}};
     std::pmr::unordered_map<UserId, uint32_t> map{&map_pool};  // user -> slot
     std::vector<CacheSlot> slots;
     std::vector<std::unique_ptr<ItemId[]>> item_blocks;
