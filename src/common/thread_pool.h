@@ -43,9 +43,10 @@ class ThreadPool {
   /// batch* — not the whole queue — has finished. Unlike Submit+Wait,
   /// which waits on the pool-global in-flight count, each RunBatch call
   /// tracks its own completion, so several non-worker threads can fan out
-  /// batches concurrently without waiting on one another's work (the
-  /// concurrent top-k sweep path). Tasks are still serviced by the shared
-  /// worker queue; the same re-entrancy rule applies (never from a worker).
+  /// batches concurrently without waiting on one another's work (the IVF
+  /// index build and rebuild use it). Tasks are still serviced by the
+  /// shared worker queue; the same re-entrancy rule applies (never from a
+  /// worker).
   void RunBatch(size_t n, const std::function<void(size_t)>& fn);
 
   size_t num_threads() const { return workers_.size(); }

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/facet_store.h"
-#include "common/thread_pool.h"
 
 namespace mars {
 
@@ -16,8 +15,7 @@ namespace {
 /// block (B · 2048 · 4 bytes) stay cache-resident while the per-user
 /// selection consumes them, and the block's item rows are streamed from
 /// memory exactly once for the whole batch. Blocking is invisible in the
-/// results — selection carries across blocks and the per-chunk pools merge
-/// exactly.
+/// results — selection carries across blocks.
 constexpr size_t kBatchBlockItems = 2048;
 
 /// Ranking order of the served lists: score descending, item id ascending
@@ -38,6 +36,19 @@ inline void CompactTopK(std::vector<std::pair<float, ItemId>>* buf,
   std::nth_element(buf->begin(), buf->begin() + (k - 1), buf->end(),
                    RanksBetter);
   buf->resize(k);
+}
+
+/// Sorts a candidate pool's k best into the final ranked (items, scores).
+void RankCandidates(std::vector<std::pair<float, ItemId>>* pool, size_t k,
+                    std::vector<ItemId>* items, std::vector<float>* scores) {
+  CompactTopK(pool, k);
+  std::sort(pool->begin(), pool->end(), RanksBetter);
+  items->resize(pool->size());
+  scores->resize(pool->size());
+  for (size_t i = 0; i < pool->size(); ++i) {
+    (*items)[i] = (*pool)[i].second;
+    (*scores)[i] = (*pool)[i].first;
+  }
 }
 
 /// Streaming top-k selection over score ranges: threshold + bounded
@@ -71,12 +82,9 @@ class RangeTopKSelector {
     }
   }
 
-  /// Appends the k best consumed entries (unsorted) to `out`.
-  void Finish(std::vector<std::pair<float, ItemId>>* out) {
-    CompactTopK(&buf_, k_);
-    out->insert(out->end(), buf_.begin(), buf_.end());
-    buf_.clear();
-    has_threshold_ = false;
+  /// Ranks the k best consumed entries into (items, scores).
+  void Finish(std::vector<ItemId>* items, std::vector<float>* scores) {
+    RankCandidates(&buf_, k_, items, scores);
   }
 
  private:
@@ -89,19 +97,6 @@ class RangeTopKSelector {
   std::pair<float, ItemId> threshold_{};
   bool has_threshold_ = false;
 };
-
-/// Sorts a candidate pool's k best into the final ranked (items, scores).
-void RankCandidates(std::vector<std::pair<float, ItemId>>* pool, size_t k,
-                    std::vector<ItemId>* items, std::vector<float>* scores) {
-  CompactTopK(pool, k);
-  std::sort(pool->begin(), pool->end(), RanksBetter);
-  items->resize(pool->size());
-  scores->resize(pool->size());
-  for (size_t i = 0; i < pool->size(); ++i) {
-    (*items)[i] = (*pool)[i].second;
-    (*scores)[i] = (*pool)[i].first;
-  }
-}
 
 size_t ResolveStripeCount(const TopKServerOptions& options,
                           size_t num_users) {
@@ -403,7 +398,7 @@ std::vector<TopKResponse> TopKServer::TopKBatch(
     miss_users.push_back(u);
   }
   if (miss_users.empty()) return out;
-  // Misses go out in groups of kMaxBatch, bounding the per-chunk score
+  // Misses go out in groups of kMaxBatch, bounding the sweep's score
   // buffers for arbitrarily large requests. Each group pins its own epoch,
   // like consecutive TopK calls.
   std::vector<TopKResponse> results(miss_users.size());
@@ -443,78 +438,45 @@ void TopKServer::BatchSweep(const ItemScorer& model,
   const size_t k = std::min(options_.k, num_items_);
   const ImplicitDataset* exclude = options_.exclude_interactions;
 
-  // One chunk per pool thread. A pool worker sweeps serially: the pool is
-  // not re-entrant, so a task must never RunBatch on it.
-  const size_t chunks =
-      options_.pool == nullptr || options_.pool->IsWorkerThread()
-          ? 1
-          : std::min(num_items_,
-                     std::max<size_t>(1, options_.pool->num_threads()));
-
-  // chunks x B candidate pools, chunk-major: each chunk task owns a
-  // contiguous run and never touches another task's pools.
-  std::vector<std::vector<std::pair<float, ItemId>>> per_chunk(chunks * B);
-  const auto scan_chunk = [&, k, B](size_t c) {
-    const auto [begin, end] = FacetStore::ShardRange(num_items_, c, chunks);
-    if (begin == end) return;
-    // The chunk is scanned in kBatchBlockItems blocks: every item row in a
-    // block is read once and scored for all B users (ScoreItemRangeMulti),
-    // and the B score rows stay cache-resident while the per-user
-    // selection consumes them. An item's score does not depend on the
-    // range it was scored in, and the union of per-block top-ks contains
-    // the chunk top-k, so blocking never changes the served ranking.
-    static thread_local std::vector<float> block_scores;
-    std::vector<float*> outs(B);
-    // One selector per user for the whole chunk: the rejection threshold
-    // tightens once over the first blocks and then survives block
-    // boundaries, keeping selection at one comparison per item.
-    std::vector<RangeTopKSelector> selectors;
-    selectors.reserve(B);
-    for (size_t b = 0; b < B; ++b) {
-      selectors.emplace_back(users[b], k, exclude);
-    }
-    for (ItemId bb = begin; bb < end;
-         bb += static_cast<ItemId>(kBatchBlockItems)) {
-      const ItemId be =
-          std::min<ItemId>(end, bb + static_cast<ItemId>(kBatchBlockItems));
-      block_scores.resize(B * (be - bb));
-      for (size_t b = 0; b < B; ++b) {
-        outs[b] = block_scores.data() + b * (be - bb);
-      }
-      if (B == 1) {
-        // A lone user scores through the single-user kernels: their row
-        // loop runs ~30% faster than the multi-user kernels' one-user tail
-        // (DotBatch vs DotBatchMulti, dim 32), and the ScoreItemRangeMulti
-        // contract makes the two bit-identical.
-        model.ScoreItemRange(users[0], bb, be, outs[0]);
-      } else {
-        model.ScoreItemRangeMulti(users, bb, be, outs.data());
-      }
-      for (size_t b = 0; b < B; ++b) {
-        selectors[b].Consume(outs[b], bb, be);
-      }
-    }
-    // Each pool carries <= k entries out of the chunk, bounding the merge.
-    for (size_t b = 0; b < B; ++b) {
-      selectors[b].Finish(&per_chunk[c * B + b]);
-    }
-  };
-
-  if (chunks > 1) {
-    options_.pool->RunBatch(chunks, scan_chunk);
-  } else {
-    scan_chunk(0);
-  }
-
-  std::vector<std::pair<float, ItemId>> merged;
+  // The catalog is scanned in kBatchBlockItems blocks: every item row in a
+  // block is read once and scored for all B users (ScoreItemRangeMulti),
+  // and the B score rows stay cache-resident while the per-user selection
+  // consumes them. An item's score does not depend on the range it was
+  // scored in, and the union of per-block top-ks contains the catalog
+  // top-k, so blocking never changes the served ranking.
+  static thread_local std::vector<float> block_scores;
+  std::vector<float*> outs(B);
+  // One selector per user for the whole catalog: the rejection threshold
+  // tightens once over the first blocks and then survives block
+  // boundaries, keeping selection at one comparison per item.
+  std::vector<RangeTopKSelector> selectors;
+  selectors.reserve(B);
   for (size_t b = 0; b < B; ++b) {
-    merged.clear();
-    merged.reserve(chunks * k);
-    for (size_t c = 0; c < chunks; ++c) {
-      const auto& pool = per_chunk[c * B + b];
-      merged.insert(merged.end(), pool.begin(), pool.end());
+    selectors.emplace_back(users[b], k, exclude);
+  }
+  const ItemId end = static_cast<ItemId>(num_items_);
+  for (ItemId bb = 0; bb < end; bb += static_cast<ItemId>(kBatchBlockItems)) {
+    const ItemId be =
+        std::min<ItemId>(end, bb + static_cast<ItemId>(kBatchBlockItems));
+    block_scores.resize(B * (be - bb));
+    for (size_t b = 0; b < B; ++b) {
+      outs[b] = block_scores.data() + b * (be - bb);
     }
-    RankCandidates(&merged, k, &(*results)[b].items, &(*results)[b].scores);
+    if (B == 1) {
+      // A lone user scores through the single-user kernels: their row
+      // loop runs ~30% faster than the multi-user kernels' one-user tail
+      // (DotBatch vs DotBatchMulti, dim 32), and the ScoreItemRangeMulti
+      // contract makes the two bit-identical.
+      model.ScoreItemRange(users[0], bb, be, outs[0]);
+    } else {
+      model.ScoreItemRangeMulti(users, bb, be, outs.data());
+    }
+    for (size_t b = 0; b < B; ++b) {
+      selectors[b].Consume(outs[b], bb, be);
+    }
+  }
+  for (size_t b = 0; b < B; ++b) {
+    selectors[b].Finish(&(*results)[b].items, &(*results)[b].scores);
   }
 }
 
@@ -577,15 +539,15 @@ void TopKServer::RefreshAnnIndex(
       ann_index_.Acquire();
   if (dirty_items != nullptr && current != nullptr &&
       snapshot->index_dim() == current->dim()) {
-    ann_index_.Publish(current->Rebuilt(*snapshot, *dirty_items, item_shards_,
-                                        options_.pool));
+    ann_index_.Publish(
+        current->Rebuilt(*snapshot, *dirty_items, item_shards_, nullptr));
     return;
   }
   // From-scratch build: no index yet, an unknown delta, or the model
   // changed shape. Publishing null (an unindexable model) routes misses to
   // the exact sweep.
   ann_index_.Publish(BuildCandidateIndex(*snapshot, num_items_,
-                                         options_.ann.index, options_.pool));
+                                         options_.ann.index, nullptr));
 }
 
 void TopKServer::AbsorbWrites(WriteTracker* tracker) {

@@ -39,11 +39,10 @@
 //    maintenance side swaps in the next. The cache is sharded into
 //    mutex-striped segments keyed by user shard; queries for users in
 //    different stripes never contend, and a cache miss runs its sweep
-//    entirely outside any stripe lock (fanned over the pool through
-//    ThreadPool::RunBatch, whose batch-scoped completion lets concurrent
-//    misses share the pool without waiting on each other's work).
-//    Concurrent misses for the same user may sweep redundantly (last
-//    insert wins) — wasted work, never wrong answers.
+//    entirely outside any stripe lock, on the thread that asked, so
+//    concurrent misses never wait on each other's work. Concurrent misses
+//    for the same user may sweep redundantly (last insert wins) — wasted
+//    work, never wrong answers.
 //
 //  * Maintenance path — ReplaceModel / AbsorbWrites / PublishEpoch /
 //    Prime / InvalidateAll / ForEachCached. Single-caller, run at a
@@ -107,8 +106,6 @@
 
 namespace mars {
 
-class ThreadPool;
-
 /// Cache knobs (TopKServerOptions::cache).
 struct CacheOptions {
   /// Bounded cache: least-recently-queried users are evicted beyond this.
@@ -154,10 +151,6 @@ struct TopKServerOptions {
   /// Recommendations per query. Results are (score desc, item id asc);
   /// fewer than k come back when the catalog (minus exclusions) is smaller.
   size_t k = 10;
-  /// Pool for the exact sweep, which scans one item chunk per pool thread
-  /// (null → one serial chunk). A miss served on a pool worker thread
-  /// sweeps serially.
-  ThreadPool* pool = nullptr;
   /// When set, items the user already interacted with are not recommended.
   const ImplicitDataset* exclude_interactions = nullptr;
   CacheOptions cache;
@@ -200,7 +193,7 @@ struct TopKServerStats {
 class TopKServer {
  public:
   /// Users per multi-user sweep, at most: TopKBatch sweeps its misses in
-  /// groups of this many, bounding the per-chunk score buffers.
+  /// groups of this many, bounding the sweep's per-block score buffers.
   static constexpr size_t kMaxBatch = 16;
 
   /// `model` scores the catalog [0, num_items) for users [0, num_users);
@@ -480,13 +473,12 @@ class TopKServer {
   void InsertMissEntry(UserId u, const TopKResponse& result,
                        uint64_t pinned_epoch);
 
-  /// Exact full-catalog sweep for B >= 1 users: one RunBatch job per
-  /// item chunk scores *all* users per block through ScoreItemRangeMulti
-  /// (ScoreItemRange for a lone user), then runs the per-user bounded
-  /// selection while the block's score rows are cache-hot; the per-(user,
-  /// chunk) pools merge exactly, so a batch of B ranks bit-identically to
-  /// B batches of one. Runs outside every stripe lock; fans out one chunk
-  /// per pool thread unless the calling thread is itself a pool worker.
+  /// Exact full-catalog sweep for B >= 1 users: one serial pass over the
+  /// catalog in blocks scores *all* users per block through
+  /// ScoreItemRangeMulti (ScoreItemRange for a lone user), then runs the
+  /// per-user bounded selection while the block's score rows are
+  /// cache-hot, so a batch of B ranks bit-identically to B batches of
+  /// one. Runs outside every stripe lock, on the calling thread.
   void BatchSweep(const ItemScorer& model, std::span<const UserId> users,
                   std::vector<TopKResponse>* results);
 

@@ -111,12 +111,11 @@ TEST(ThreadPoolTest, RunBatchZeroIsNoop) {
 }
 
 TEST(ThreadPoolTest, ConcurrentRunBatchOwnersOnlyWaitForTheirOwnBatch) {
-  // Two frontend threads fan out batches on one shared pool (the
-  // concurrent top-k sweep shape). Each RunBatch call must return as
-  // soon as *its* indices are done — it must not hang on, or steal
-  // completions from, the other owner's batch. The check: every batch
-  // observes its own counter complete at return, many times in a row,
-  // from both owners concurrently, raced under TSAN in CI.
+  // Two non-worker threads fan out batches on one shared pool. Each
+  // RunBatch call must return as soon as *its* indices are done — it must
+  // not hang on, or steal completions from, the other owner's batch. The
+  // check: every batch observes its own counter complete at return, many
+  // times in a row, from both owners concurrently, raced under TSAN in CI.
   ThreadPool pool(3);
   std::atomic<int> mismatches{0};
   const auto owner = [&](int salt) {

@@ -20,7 +20,6 @@
 #include "ann/ivf_index.h"
 #include "common/facet_store.h"
 #include "common/kernels.h"
-#include "common/thread_pool.h"
 #include "core/mar.h"
 #include "core/mars.h"
 #include "data/dataset.h"
@@ -554,32 +553,6 @@ TEST(TopKServerAnnTest, PublishEpochRebuildsIndexIncrementally) {
   const TopKServerStats st = server.stats();
   EXPECT_EQ(st.exact_fallbacks, 0u);
   EXPECT_EQ(st.ann_probes, st.misses);
-}
-
-TEST(TopKServerAnnTest, ParallelAnnSweepMatchesSerial) {
-  const auto data = SmallDataset(60, 400);
-  Bpr model(BprConfig{.dim = 16});
-  model.Fit(*data, QuickTrain());
-
-  ThreadPool pool(3);
-  TopKServerOptions par;
-  par.k = 9;
-  par.ann.enable = true;
-  par.pool = &pool;  // parallel index build, same served answers
-  TopKServer parallel_server(&model, data->num_users(), data->num_items(),
-                             par);
-  TopKServerOptions ser;
-  ser.k = 9;
-  ser.ann.enable = true;
-  TopKServer serial_server(&model, data->num_users(), data->num_items(), ser);
-  for (UserId u = 0; u < 10; ++u) {
-    const TopKResponse a = parallel_server.TopK(u);
-    const TopKResponse b = serial_server.TopK(u);
-    EXPECT_EQ(a.items, b.items) << "user " << u;
-    EXPECT_EQ(a.scores, b.scores) << "user " << u;
-  }
-  EXPECT_EQ(parallel_server.stats().ann_probes, 10u);
-  EXPECT_EQ(serial_server.stats().ann_probes, 10u);
 }
 
 }  // namespace

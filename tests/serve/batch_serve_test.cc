@@ -92,20 +92,6 @@ TopKServerOptions ExactOpts(const ImplicitDataset& data) {
   return opts;
 }
 
-/// The per-model cases run once serially (one chunk) and once over a
-/// pool of 3, whose sweep scans one chunk per pool thread and merges the
-/// chunks' pools (like the solo equivalence suite).
-void ExpectBatchMatchesSoloSerialAndPooled(Recommender* model,
-                                           const ImplicitDataset& data) {
-  ThreadPool pool(3);
-  for (ThreadPool* sweep_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    SCOPED_TRACE(sweep_pool == nullptr ? "no pool" : "pool of 3");
-    TopKServerOptions opts = ExactOpts(data);
-    opts.pool = sweep_pool;
-    ExpectBatchMatchesSolo(model, data, opts);
-  }
-}
-
 TEST(TopKServerBatchEquivalence, Mars) {
   const auto data = SmallDataset();
   MultiFacetConfig cfg;
@@ -114,7 +100,7 @@ TEST(TopKServerBatchEquivalence, Mars) {
   cfg.theta_init_nmf = false;
   Mars model(cfg);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
@@ -128,7 +114,7 @@ TEST(TopKServerBatchEquivalence, MarsSingleFacetCosinePath) {
   // K = 1 runs the one-facet WeightedFacetDotBatchMulti against the solo
   // WeightedFacetDotBatch: the same row primitive per user, so batch and
   // solo stay bit-equal.
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, MarFree) {
@@ -139,7 +125,7 @@ TEST(TopKServerBatchEquivalence, MarFree) {
   cfg.theta_init_nmf = false;
   Mar model(cfg, FacetParam::kFree);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, MarProjected) {
@@ -150,49 +136,49 @@ TEST(TopKServerBatchEquivalence, MarProjected) {
   cfg.theta_init_nmf = false;
   Mar model(cfg, FacetParam::kProjected);
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, Bpr) {
   const auto data = SmallDataset();
   Bpr model(BprConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, Cml) {
   const auto data = SmallDataset();
   Cml model(CmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, Sml) {
   const auto data = SmallDataset();
   Sml model(SmlConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, MetricF) {
   const auto data = SmallDataset();
   MetricF model(MetricFConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, TransCf) {
   const auto data = SmallDataset();
   TransCf model(TransCfConfig{.dim = 16});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, Lrml) {
   const auto data = SmallDataset();
   Lrml model(LrmlConfig{.dim = 16, .memory_slots = 4});
   model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSoloSerialAndPooled(&model, *data);
+  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
 TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
@@ -205,18 +191,6 @@ TEST(TopKServerBatchEquivalence, BprAnnSharedProbe) {
   model.Fit(*data, QuickTrain());
   TopKServerOptions opts = ExactOpts(*data);
   opts.ann.enable = true;
-  ExpectBatchMatchesSolo(&model, *data, opts);
-}
-
-TEST(TopKServerBatchEquivalence, PoolBackedBatchSweepMatchesSolo) {
-  // Six chunks: the batched sweep fans RunBatch jobs over the pool, each
-  // scoring all users of the batch per block.
-  const auto data = SmallDataset();
-  Bpr model(BprConfig{.dim = 16});
-  model.Fit(*data, QuickTrain());
-  ThreadPool pool(6);
-  TopKServerOptions opts = ExactOpts(*data);
-  opts.pool = &pool;
   ExpectBatchMatchesSolo(&model, *data, opts);
 }
 
@@ -427,8 +401,7 @@ TEST(TopKServerConcurrentMissTest, ConcurrentSameUserMissesCountEachQuery) {
 
 TEST(TopKServerConcurrentMissTest, TopKFromPoolWorkersSweepsSerially) {
   // TopK called *from* pool worker threads (embedded serving inside a
-  // pipeline task) must not fan its sweep out over the pool it runs on —
-  // the pool is not re-entrant. Each worker sweeps its miss serially,
+  // pipeline task): each worker sweeps its miss on its own thread,
   // exactly and without deadlock.
   const size_t kUsers = 12, kItems = 200, kK = 5;
   GenScorer scorer(0.0f);
@@ -438,7 +411,6 @@ TEST(TopKServerConcurrentMissTest, TopKFromPoolWorkersSweepsSerially) {
   TopKServerOptions opts;
   opts.k = kK;
   opts.cache.max_users = 0;
-  opts.pool = &pool;
   TopKServer server(&scorer, kUsers, kItems, opts);
 
   std::atomic<size_t> wrong{0};

@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "common/snapshot_handle.h"
-#include "common/thread_pool.h"
 #include "common/vec.h"
 #include "data/dataset.h"
 #include "eval/scorer.h"
@@ -114,18 +113,16 @@ TEST(SnapshotHandleServeTest, ConcurrentQueriesMatchSingleThreaded) {
 TEST(SnapshotHandleServeTest, EvictionChurnUnderConcurrentQueriesStaysExact) {
   // The striped-LRU stress from the issue checklist: a cache so small
   // that nearly every query inserts + evicts, across stripes, from many
-  // threads, with a pool-parallel sweep underneath. Checked for exact
-  // answers and a consistent hit/miss ledger (and raced under TSAN).
+  // threads. Checked for exact answers and a consistent hit/miss ledger
+  // (and raced under TSAN).
   const size_t kUsers = 48, kItems = 500, kK = 5;
   GenScorer scorer(0.0f);
   const auto want = BruteForceAll(scorer, kUsers, kItems, kK);
 
-  ThreadPool sweep_pool(3);
   TopKServerOptions opts;
   opts.k = kK;
   opts.cache.max_users = 6;
   opts.cache.stripes = 3;
-  opts.pool = &sweep_pool;
   TopKServer server(&scorer, kUsers, kItems, opts);
 
   const size_t kThreads = 4, kQueriesPerThread = 150;

@@ -1,15 +1,16 @@
 #include "serve/top_k_server.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/facet_store.h"
-#include "common/thread_pool.h"
 #include "core/mar.h"
 #include "core/mars.h"
 #include "data/dataset.h"
@@ -85,29 +86,22 @@ TrainOptions QuickTrain() {
   return options;
 }
 
-/// Runs once serially (one chunk) and once over a pool of 3, whose sweep
-/// scans one chunk per pool thread and merges the chunks' pools.
 void ExpectServerMatchesBruteForce(Recommender* model,
                                    const ImplicitDataset& data) {
   const size_t k = 7;
-  ThreadPool pool(3);
-  for (ThreadPool* sweep_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    SCOPED_TRACE(sweep_pool == nullptr ? "no pool" : "pool of 3");
-    TopKServerOptions opts;
-    opts.k = k;
-    opts.pool = sweep_pool;
-    TopKServer server(model, data.num_users(), data.num_items(), opts);
-    for (UserId u = 0; u < 8; ++u) {
-      const auto [want_items, want_scores] =
-          BruteForceTopK(*model, u, data.num_items(), k);
-      const TopKResponse got = server.TopK(u);
-      ASSERT_EQ(got.items.size(), want_items.size()) << model->name();
-      for (size_t i = 0; i < want_items.size(); ++i) {
-        EXPECT_EQ(got.items[i], want_items[i])
-            << model->name() << " user " << u << " rank " << i;
-        EXPECT_EQ(got.scores[i], want_scores[i])
-            << model->name() << " user " << u << " rank " << i;
-      }
+  TopKServerOptions opts;
+  opts.k = k;
+  TopKServer server(model, data.num_users(), data.num_items(), opts);
+  for (UserId u = 0; u < 8; ++u) {
+    const auto [want_items, want_scores] =
+        BruteForceTopK(*model, u, data.num_items(), k);
+    const TopKResponse got = server.TopK(u);
+    ASSERT_EQ(got.items.size(), want_items.size()) << model->name();
+    for (size_t i = 0; i < want_items.size(); ++i) {
+      EXPECT_EQ(got.items[i], want_items[i])
+          << model->name() << " user " << u << " rank " << i;
+      EXPECT_EQ(got.scores[i], want_scores[i])
+          << model->name() << " user " << u << " rank " << i;
     }
   }
 }
@@ -201,35 +195,10 @@ TEST(TopKServerModelEquivalence, Lrml) {
   ExpectServerMatchesBruteForce(&model, *data);
 }
 
-TEST(TopKServerTest, ParallelSweepMatchesSerial) {
-  const auto data = SmallDataset();
-  Bpr model(BprConfig{.dim = 16});
-  model.Fit(*data, QuickTrain());
-
-  ThreadPool pool(3);
-  TopKServerOptions par;
-  par.k = 9;
-  par.pool = &pool;
-  TopKServer parallel_server(&model, data->num_users(), data->num_items(),
-                             par);
-  TopKServerOptions ser;
-  ser.k = 9;
-  TopKServer serial_server(&model, data->num_users(), data->num_items(), ser);
-
-  for (UserId u = 0; u < 10; ++u) {
-    const TopKResponse a = parallel_server.TopK(u);
-    const TopKResponse b = serial_server.TopK(u);
-    EXPECT_EQ(a.items, b.items) << "user " << u;
-    EXPECT_EQ(a.scores, b.scores) << "user " << u;
-  }
-}
-
 TEST(TopKServerTest, KLargerThanCatalogReturnsWholeCatalogRanked) {
   ToyScorer scorer;
-  ThreadPool pool(4);  // four chunks over five items: a merge of short pools
   TopKServerOptions opts;
   opts.k = 50;
-  opts.pool = &pool;
   TopKServer server(&scorer, /*num_users=*/10, /*num_items=*/5, opts);
   const TopKResponse result = server.TopK(3);
   ASSERT_EQ(result.items.size(), 5u);
@@ -244,13 +213,148 @@ TEST(TopKServerTest, TiesBreakTowardSmallerItemId) {
     float Score(UserId, ItemId) const override { return 1.0f; }
   };
   ConstantScorer scorer;
-  ThreadPool pool(3);  // ties across chunk boundaries
   TopKServerOptions opts;
   opts.k = 4;
-  opts.pool = &pool;
   TopKServer server(&scorer, 2, 20, opts);
   const TopKResponse result = server.TopK(0);
   EXPECT_EQ(result.items, (std::vector<ItemId>{0, 1, 2, 3}));
+}
+
+/// The exact sweep scores the catalog in blocks of this many items
+/// (kBatchBlockItems in top_k_server.cc). The block tests below span two
+/// full blocks and a partial third one.
+constexpr size_t kSweepBlock = 2048;
+constexpr size_t kThreeBlockItems = 2 * kSweepBlock + 300;
+
+/// Integer scores in [0, 65536) that look random across items and users
+/// (a few ties, which the block-boundary tie test covers on purpose).
+class HashScorer : public ItemScorer {
+ public:
+  float Score(UserId u, ItemId v) const override {
+    uint64_t h = (uint64_t{u} << 32 | v) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+    h *= 0xBF58476D1CE4E5B9ULL;
+    h ^= h >> 32;
+    return static_cast<float>(h % 65536);
+  }
+};
+
+TEST(TopKServerTest, ExactSweepAcrossBlocksMatchesBruteForce) {
+  // Each user's two best items of every block are excluded, so every
+  // block has holes exactly where the selection would otherwise look.
+  // k = 40 draws about three answers per user from the partial block.
+  HashScorer scorer;
+  const size_t kUsers = 7, k = 40;
+  std::vector<Interaction> log;
+  for (UserId u = 0; u < kUsers; ++u) {
+    for (size_t bb = 0; bb < kThreeBlockItems; bb += kSweepBlock) {
+      const size_t be = std::min(kThreeBlockItems, bb + kSweepBlock);
+      std::vector<std::pair<float, ItemId>> block;
+      for (size_t v = bb; v < be; ++v) {
+        block.emplace_back(scorer.Score(u, v), static_cast<ItemId>(v));
+      }
+      std::partial_sort(block.begin(), block.begin() + 2, block.end(),
+                        [](const auto& a, const auto& b) {
+                          return a.first > b.first ||
+                                 (a.first == b.first && a.second < b.second);
+                        });
+      for (size_t i = 0; i < 2; ++i) log.push_back({u, block[i].second, 0});
+    }
+  }
+  ImplicitDataset data(kUsers, kThreeBlockItems, std::move(log));
+  TopKServerOptions opts;
+  opts.k = k;
+  opts.exclude_interactions = &data;
+  opts.cache.max_users = 0;  // every TopK below sweeps
+  TopKServer server(&scorer, kUsers, kThreeBlockItems, opts);
+
+  std::vector<UserId> users(kUsers);
+  for (UserId u = 0; u < kUsers; ++u) users[u] = u;
+  const std::vector<TopKResponse> batch = server.TopKBatch(users);
+  ASSERT_EQ(server.stats().batch_sweeps, 1u);
+  std::vector<bool> block_served(3, false);
+  for (UserId u = 0; u < kUsers; ++u) {
+    const auto [want_items, want_scores] =
+        BruteForceTopK(scorer, u, kThreeBlockItems, k, &data);
+    ASSERT_EQ(want_items.size(), k);
+    for (ItemId v : want_items) block_served[v / kSweepBlock] = true;
+    const TopKResponse solo = server.TopK(u);
+    EXPECT_EQ(solo.items, want_items) << "user " << u;
+    EXPECT_EQ(solo.scores, want_scores) << "user " << u;
+    EXPECT_EQ(batch[u].items, want_items) << "user " << u;
+    EXPECT_EQ(batch[u].scores, want_scores) << "user " << u;
+  }
+  // The answers draw on every block, the partial last one included.
+  EXPECT_EQ(block_served, std::vector<bool>(3, true));
+}
+
+TEST(TopKServerTest, TiesStraddlingBlockBoundariesBreakTowardSmallerIds) {
+  // Sixteen items tie at the top score: eight around the first block
+  // boundary (2044..2051) and eight around the second (4092..4099).
+  class StraddleScorer : public ItemScorer {
+   public:
+    float Score(UserId, ItemId v) const override {
+      const bool tied = (v + 4 >= kSweepBlock && v < kSweepBlock + 4) ||
+                        (v + 4 >= 2 * kSweepBlock && v < 2 * kSweepBlock + 4);
+      return tied ? 5.0f : static_cast<float>(v % 5);
+    }
+  };
+  StraddleScorer scorer;
+  std::vector<ItemId> tied;
+  for (ItemId v = 2044; v < 2052; ++v) tied.push_back(v);
+  for (ItemId v = 4092; v < 4100; ++v) tied.push_back(v);
+  // k = 6 cuts the ties just past the 2048 boundary, k = 14 just past the
+  // 4096 one.
+  for (size_t k : {size_t{6}, size_t{14}}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    TopKServerOptions opts;
+    opts.k = k;
+    TopKServer server(&scorer, 3, kThreeBlockItems, opts);
+    const std::vector<ItemId> want(tied.begin(), tied.begin() + k);
+    const TopKResponse solo = server.TopK(0);
+    EXPECT_EQ(solo.items, want);
+    EXPECT_EQ(solo.scores, std::vector<float>(k, 5.0f));
+    for (const TopKResponse& r : server.TopKBatch(std::vector<UserId>{1, 2})) {
+      EXPECT_EQ(r.items, want);
+    }
+  }
+}
+
+TEST(TopKServerTest, SelectionThresholdCarriesAcrossBlocks) {
+  // Block 0 scores v % 50, so it alone fills the selector past its
+  // compaction point and sets a rejection threshold at score 49. Block 1
+  // ties that score everywhere (larger ids: all rejected) except item
+  // 3000, which beats it; the partial block 2 ties it at item 4100 and
+  // ends with the best item of the catalog.
+  class CarryScorer : public ItemScorer {
+   public:
+    float Score(UserId, ItemId v) const override {
+      if (v < kSweepBlock) return static_cast<float>(v % 50);
+      if (v < 2 * kSweepBlock) return v == 3000 ? 49.5f : 49.0f;
+      if (v == kThreeBlockItems - 1) return 60.0f;
+      return v == 4100 ? 49.0f : 0.0f;
+    }
+  };
+  CarryScorer scorer;
+  const size_t k = 10;
+  TopKServerOptions opts;
+  opts.k = k;
+  TopKServer server(&scorer, 6, kThreeBlockItems, opts);
+  const std::vector<ItemId> want_items = {
+      static_cast<ItemId>(kThreeBlockItems - 1), 3000, 49, 99, 149, 199,
+      249, 299, 349, 399};
+  const std::vector<float> want_scores = {60.0f, 49.5f, 49.0f, 49.0f,
+                                          49.0f, 49.0f, 49.0f, 49.0f,
+                                          49.0f, 49.0f};
+  const TopKResponse solo = server.TopK(0);
+  EXPECT_EQ(solo.items, want_items);
+  EXPECT_EQ(solo.scores, want_scores);
+  EXPECT_EQ(solo.items, BruteForceTopK(scorer, 0, kThreeBlockItems, k).first);
+  for (const TopKResponse& r :
+       server.TopKBatch(std::vector<UserId>{1, 2, 3, 4, 5})) {
+    EXPECT_EQ(r.items, want_items);
+    EXPECT_EQ(r.scores, want_scores);
+  }
 }
 
 TEST(TopKServerTest, ExcludesInteractedItemsAndServesZeroInteractionUsers) {
