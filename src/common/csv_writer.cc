@@ -1,7 +1,5 @@
 #include "common/csv_writer.h"
 
-#include "common/string_util.h"
-
 namespace mars {
 
 CsvWriter::CsvWriter(const std::string& path) : out_(path) {}
@@ -12,13 +10,6 @@ void CsvWriter::WriteRow(const std::vector<std::string>& fields) {
     out_ << fields[i];
   }
   out_ << "\n";
-}
-
-void CsvWriter::WriteNumericRow(const std::vector<double>& values) {
-  std::vector<std::string> fields;
-  fields.reserve(values.size());
-  for (double v : values) fields.push_back(FormatFixed(v, 6));
-  WriteRow(fields);
 }
 
 void CsvWriter::Flush() { out_.flush(); }

@@ -21,9 +21,6 @@ class CsvWriter {
   /// Writes one row; fields are written verbatim (caller quotes if needed).
   void WriteRow(const std::vector<std::string>& fields);
 
-  /// Convenience: writes a row of doubles with 6 decimal digits.
-  void WriteNumericRow(const std::vector<double>& values);
-
   /// Flushes buffered output.
   void Flush();
 

@@ -84,19 +84,4 @@ void Gram(const Matrix& a, Matrix* c) {
   }
 }
 
-void Matmul(const Matrix& a, const Matrix& b, Matrix* c) {
-  MARS_CHECK(a.cols() == b.rows());
-  MARS_CHECK(c->rows() == a.rows() && c->cols() == b.cols());
-  c->Fill(0.0f);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c->Row(i);
-    for (size_t k = 0; k < a.cols(); ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;
-      Axpy(aik, b.Row(k), crow, b.cols());
-    }
-  }
-}
-
 }  // namespace mars

@@ -88,9 +88,6 @@ void AddOuterProduct(float alpha, const float* x, const float* y, Matrix* m);
 /// C = A^T A  (A is rows×cols; C must be cols×cols). Used by NMF and PCA.
 void Gram(const Matrix& a, Matrix* c);
 
-/// C = A B    (A rows×inner, B inner×cols, C rows×cols).
-void Matmul(const Matrix& a, const Matrix& b, Matrix* c);
-
 }  // namespace mars
 
 #endif  // MARS_COMMON_MATRIX_H_

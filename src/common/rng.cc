@@ -129,6 +129,4 @@ std::vector<double> Rng::Dirichlet(const std::vector<double>& alpha) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-Rng Rng::Fork() { return Rng(Next() ^ 0xD1B54A32D192ED03ULL); }
-
 }  // namespace mars

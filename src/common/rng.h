@@ -62,9 +62,6 @@ class Rng {
     }
   }
 
-  /// Derives an independent child generator (for parallel streams).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   bool has_spare_normal_ = false;

@@ -17,16 +17,6 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string Trim(const std::string& text) {
   size_t begin = 0;
   size_t end = text.size();

@@ -10,10 +10,6 @@ namespace mars {
 /// Splits `text` on `sep`, keeping empty fields.
 std::vector<std::string> Split(const std::string& text, char sep);
 
-/// Joins `parts` with `sep`.
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& sep);
-
 /// Removes leading/trailing whitespace.
 std::string Trim(const std::string& text);
 

@@ -11,10 +11,7 @@ class Timer {
  public:
   Timer() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed seconds since construction or last Reset().
+  /// Elapsed seconds since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

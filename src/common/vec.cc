@@ -122,12 +122,6 @@ void Softmax(const float* logits, float* out, size_t n) {
   for (size_t i = 0; i < n; ++i) out[i] *= inv;
 }
 
-double Softplus(double x) {
-  if (x > 30.0) return x;
-  if (x < -30.0) return std::exp(x);
-  return std::log1p(std::exp(x));
-}
-
 double Sigmoid(double x) {
   if (x >= 0.0) {
     const double z = std::exp(-x);

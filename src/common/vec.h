@@ -134,9 +134,6 @@ bool ProjectToUnitBall(float* a, size_t n);
 /// Numerically-stable softmax of `logits` into `out` (sizes must match).
 void Softmax(const float* logits, float* out, size_t n);
 
-/// Stable log(1 + exp(x)).
-double Softplus(double x);
-
 /// Logistic sigmoid 1/(1+exp(-x)), numerically stable.
 double Sigmoid(double x);
 

@@ -18,15 +18,6 @@ void InitEmbeddingInBall(Matrix* table, Rng* rng) {
   ProjectAllRowsToBall(table);
 }
 
-void InitEmbeddingOnSphere(Matrix* table, Rng* rng) {
-  InitEmbedding(table, rng);
-  for (size_t r = 0; r < table->rows(); ++r) {
-    if (!NormalizeInPlace(table->Row(r), table->cols())) {
-      table->Row(r)[0] = 1.0f;
-    }
-  }
-}
-
 void ProjectAllRowsToBall(Matrix* table) {
   for (size_t r = 0; r < table->rows(); ++r) {
     ProjectToUnitBall(table->Row(r), table->cols());

@@ -19,9 +19,6 @@ void InitEmbedding(Matrix* table, Rng* rng);
 /// InitEmbedding followed by projecting every row into the unit ball.
 void InitEmbeddingInBall(Matrix* table, Rng* rng);
 
-/// InitEmbedding followed by normalizing every row onto the unit sphere.
-void InitEmbeddingOnSphere(Matrix* table, Rng* rng);
-
 /// Projects every row of `table` onto the unit ball (post-update sweep).
 void ProjectAllRowsToBall(Matrix* table);
 

@@ -8,12 +8,6 @@ void SgdStep(float* x, const float* grad, float lr, size_t n) {
   Axpy(-lr, grad, x, n);
 }
 
-void SgdStepL2(float* x, const float* grad, float lr, float l2, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    x[i] -= lr * (grad[i] + l2 * x[i]);
-  }
-}
-
 void SgdStepBallProjected(float* x, const float* grad, float lr, size_t n) {
   Axpy(-lr, grad, x, n);
   ProjectToUnitBall(x, n);

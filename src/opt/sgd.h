@@ -14,9 +14,6 @@ namespace mars {
 /// x -= lr * grad.
 void SgdStep(float* x, const float* grad, float lr, size_t n);
 
-/// x -= lr * (grad + l2 * x): SGD with weight decay.
-void SgdStepL2(float* x, const float* grad, float lr, float l2, size_t n);
-
 /// SGD step followed by projection onto the unit ball (CML constraint).
 void SgdStepBallProjected(float* x, const float* grad, float lr, size_t n);
 

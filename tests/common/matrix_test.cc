@@ -136,20 +136,6 @@ TEST(MatrixTest, GramMatchesDefinition) {
   EXPECT_NEAR(g.At(0, 1), g.At(1, 0), 1e-5f);
 }
 
-TEST(MatrixTest, MatmulMatchesManual) {
-  Matrix a(2, 3), b(3, 2), c(2, 2);
-  float va = 1.0f;
-  for (size_t i = 0; i < a.size(); ++i) a.data()[i] = va++;
-  float vb = 1.0f;
-  for (size_t i = 0; i < b.size(); ++i) b.data()[i] = vb++;
-  Matmul(a, b, &c);
-  // a = [[1,2,3],[4,5,6]], b = [[1,2],[3,4],[5,6]]
-  EXPECT_FLOAT_EQ(c.At(0, 0), 22);
-  EXPECT_FLOAT_EQ(c.At(0, 1), 28);
-  EXPECT_FLOAT_EQ(c.At(1, 0), 49);
-  EXPECT_FLOAT_EQ(c.At(1, 1), 64);
-}
-
 TEST(MatrixTest, FrobeniusNorm) {
   Matrix m(2, 2);
   m.At(0, 0) = 3;

@@ -164,16 +164,6 @@ TEST(RngTest, ShuffleChangesOrder) {
   EXPECT_NE(v, original);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(53);
-  Rng child = a.Fork();
-  int same = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == child.Next()) ++same;
-  }
-  EXPECT_LT(same, 4);
-}
-
 TEST(RngTest, SplitMix64Advances) {
   uint64_t s = 0;
   const uint64_t a = SplitMix64(&s);

@@ -27,13 +27,6 @@ TEST(StringUtilTest, SplitSingleField) {
   EXPECT_EQ(parts[0], "hello");
 }
 
-TEST(StringUtilTest, JoinRoundTrip) {
-  const std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(Join(parts, "-"), "x-y-z");
-  EXPECT_EQ(Join({}, "-"), "");
-  EXPECT_EQ(Join({"solo"}, "-"), "solo");
-}
-
 TEST(StringUtilTest, Trim) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("\t\nhi"), "hi");

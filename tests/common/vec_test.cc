@@ -147,18 +147,6 @@ TEST(VecTest, SoftmaxUniformForEqualLogits) {
   for (float x : p) EXPECT_NEAR(x, 0.2f, 1e-6f);
 }
 
-TEST(VecTest, SoftplusMatchesReference) {
-  for (double x : {-5.0, -1.0, 0.0, 1.0, 5.0}) {
-    EXPECT_NEAR(Softplus(x), std::log1p(std::exp(x)), 1e-9);
-  }
-}
-
-TEST(VecTest, SoftplusStableAtExtremes) {
-  EXPECT_NEAR(Softplus(100.0), 100.0, 1e-9);
-  EXPECT_NEAR(Softplus(-100.0), 0.0, 1e-9);
-  EXPECT_FALSE(std::isnan(Softplus(1e6)));
-}
-
 TEST(VecTest, SigmoidProperties) {
   EXPECT_NEAR(Sigmoid(0.0), 0.5, 1e-12);
   EXPECT_NEAR(Sigmoid(100.0), 1.0, 1e-9);

@@ -244,7 +244,8 @@ TEST_F(PersistenceFixture, V3MappedServesBitIdenticalScores) {
       EXPECT_EQ(mapped_scores[v], owned_scores[v]) << "u=" << u << " v=" << v;
     }
   }
-  // Metadata tails are materialized, not mapped, but must match too.
+  // The metadata tails (Θ logits, margins) are borrowed from the mapping,
+  // like the facet stores, and must match too.
   for (UserId u = 0; u < 10; ++u) {
     EXPECT_EQ(mapped->MarginOf(u), model_->MarginOf(u));
     const auto a = mapped->FacetWeights(u);

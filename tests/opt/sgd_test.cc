@@ -17,13 +17,6 @@ TEST(SgdTest, StepMovesAgainstGradient) {
   EXPECT_FLOAT_EQ(x[1], 2.1f);
 }
 
-TEST(SgdTest, L2StepDecaysWeights) {
-  std::vector<float> x = {1.0f};
-  const std::vector<float> g = {0.0f};
-  SgdStepL2(x.data(), g.data(), 0.1f, 0.5f, 1);
-  EXPECT_FLOAT_EQ(x[0], 1.0f - 0.1f * 0.5f);
-}
-
 TEST(SgdTest, BallProjectedStepStaysInBall) {
   std::vector<float> x = {0.9f, 0.0f};
   const std::vector<float> g = {-10.0f, 0.0f};  // pushes far outside
