@@ -6,8 +6,8 @@
 // (init only) and one with `kEpochs` — and reports the difference per
 // epoch, so initialization (facet projection, margins, sampler build) does
 // not pollute the epoch time. No dev evaluator is configured: this isolates
-// raw SGD throughput; overlapped evaluation is exercised by the test suite
-// and the ci.sh smoke run.
+// raw SGD throughput; multi-thread fits with dev evaluation are exercised
+// by the test suite and the ci.sh smoke run.
 //
 // Speedup is relative to num_threads=1 *on the machine the bench ran on*;
 // host_cpus is recorded so a 1-core container result is not mistaken for a

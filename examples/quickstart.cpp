@@ -78,16 +78,15 @@ int main(int argc, char** argv) {
   train.epochs = arg_epochs;
   train.learning_rate = 0.3;
   train.seed = 42;
-  // >1 shards each epoch across Hogwild workers and overlaps the dev
-  // evaluation with the next epoch (see src/train/parallel_trainer.h).
+  // >1 shards each epoch across Hogwild workers (see
+  // src/train/parallel_trainer.h); the dev set is ranked between epochs.
   train.num_threads = arg_threads;
   // Early stopping against the dev split.
   Evaluator dev(*split.train, split.dev_item, EvalProtocol{.seed = 5});
   train.dev_evaluator = &dev;
   model.Fit(*split.train, train);
   if (arg_threads > 1) {
-    std::printf("trained with %zu Hogwild workers (overlapped eval)\n",
-                arg_threads);
+    std::printf("trained with %zu Hogwild workers\n", arg_threads);
   }
 
   // 4. Test-set quality under the paper's protocol (100 negatives/user).

@@ -18,7 +18,7 @@
 #             a baseline missing a section or row the fresh run emits
 #             fails too)
 #   --san     sanitizer build only: compile with -DMARS_SANITIZE=... and run
-#             the concurrency-sensitive tests (ShardView concurrent-writer
+#             the concurrency-sensitive tests (disjoint-shard writer
 #             stress, parallel trainer, write tracker / top-k server) under
 #             the sanitizer. TSAN uses scripts/tsan.supp to suppress the
 #             *tolerated* Hogwild races documented in ROADMAP.md
@@ -77,7 +77,7 @@ if [ -n "$SANITIZER" ]; then
   echo "== build =="
   cmake --build "$BUILD_DIR" -j"$(nproc)" --target mars_tests
 
-  # The concurrency surface: shard stress, Hogwild trainer, snapshotting,
+  # The concurrency surface: shard stress, Hogwild trainer, store copies,
   # the serving cache (trackers are marked from concurrent workers), and
   # the concurrent read front — snapshot-handle epoch swaps and the
   # striped LRU — raced by the SnapshotHandle* suites (TopKServer*/
@@ -86,7 +86,7 @@ if [ -n "$SANITIZER" ]; then
   # parallel IVF builds fan assignment work over RunBatch. The
   # serve-layer races have NO suppressions (tsan.supp is scoped to model
   # Fit lambdas); any report from these tests is a real bug.
-  FILTER='ShardViewTest.*:ParallelTrainerTest.*:SnapshotFacetStoreTest.*'
+  FILTER='ShardViewTest.*:ParallelTrainerTest.*:FacetStoreOwnedCopyTest.*'
   FILTER="$FILTER:WriteTrackerTest.*:TopKServer*:SnapshotHandle*"
   FILTER="$FILTER:ThreadPoolTest.*:SphericalIvfIndex*"
   # The wire front-end: reactor thread vs Stop(), per-connection state
@@ -202,9 +202,9 @@ echo "== quickstart smoke (tiny synthetic dataset, serial) =="
 # Items must exceed the eval protocol's 100 sampled negatives.
 "$BUILD_DIR"/quickstart 120 200 3
 
-echo "== quickstart smoke (num_threads=4 Hogwild + overlapped eval) =="
-# 6 epochs so the default eval_every=5 actually fires one overlapped dev
-# eval (snapshot + eval thread + join) before the final epoch.
+echo "== quickstart smoke (num_threads=4 Hogwild + dev eval) =="
+# 6 epochs so the default eval_every=5 actually fires one dev eval between
+# multi-thread epochs before the final epoch.
 "$BUILD_DIR"/quickstart 120 200 6 4
 
 if [ "$RUN_BENCH" = 1 ]; then

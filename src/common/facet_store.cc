@@ -33,6 +33,17 @@ FacetStore FacetStore::BorrowConst(const float* base, size_t num_entities,
   return store;
 }
 
+FacetStore FacetStore::OwnedCopy() const {
+  FacetStore copy;
+  copy.num_entities_ = num_entities_;
+  copy.num_facets_ = num_facets_;
+  copy.dim_ = dim_;
+  copy.row_stride_ = row_stride_;
+  const float* src = cdata();
+  copy.data_.assign(src, src + num_entities_ * entity_stride());
+  return copy;
+}
+
 void FacetStore::CopyEntityTo(size_t e, float* out) const {
   if (row_stride_ == dim_) {
     std::memcpy(out, EntityBlock(e), num_facets_ * dim_ * sizeof(float));
@@ -69,15 +80,6 @@ size_t FacetStore::ShardOf(size_t num_entities, size_t e, size_t num_shards) {
   const size_t big_total = rem * (base + 1);
   if (e < big_total) return e / (base + 1);
   return rem + (e - big_total) / base;
-}
-
-void FacetStore::ShardView::CopyFrom(const FacetStore& src) const {
-  MARS_CHECK(src.num_entities() == store_->num_entities() &&
-             src.num_facets() == store_->num_facets() &&
-             src.dim() == store_->dim());
-  if (empty()) return;
-  std::memcpy(data(), src.EntityBlock(begin_),
-              size_floats() * sizeof(float));
 }
 
 }  // namespace mars

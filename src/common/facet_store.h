@@ -55,7 +55,7 @@ struct AlignedAllocator {
 ///
 /// Two storage modes share the same read surface:
 ///   - *owned* (the default): the store allocates and may be written —
-///     training, snapshots, and copy-loads use this;
+///     training and serving snapshots (OwnedCopy) use this;
 ///   - *borrowed* (BorrowConst): the store is a read-only view over
 ///     external memory with exactly this layout — e.g. the payload region
 ///     of an mmap'd format-v3 snapshot (core/persistence.h). Borrowed
@@ -63,7 +63,8 @@ struct AlignedAllocator {
 ///     mapping alive. Mutable accessors on a borrowed store are a
 ///     programming error and abort (MARS_CHECK — the external bytes are
 ///     never writable through this class). Copies of a borrowed store are
-///     further borrowed views of the same memory.
+///     further borrowed views of the same memory; OwnedCopy makes an
+///     owned one.
 class FacetStore {
  public:
   /// Rows are padded to this many bytes.
@@ -77,115 +78,6 @@ class FacetStore {
     return (dim + kAlignFloats - 1) / kAlignFloats * kAlignFloats;
   }
 
-  /// Mutable view of the contiguous entity range [entity_begin, entity_end).
-  ///
-  /// Because entity blocks are whole multiples of the 64-byte row stride and
-  /// the buffer base is 64-byte aligned, every shard's base pointer is
-  /// 64-byte aligned and two disjoint shards never share a cache line —
-  /// a worker may write its shard without false sharing against neighbors.
-  /// Views are invalidated by reassigning the store.
-  class ShardView {
-   public:
-    ShardView(FacetStore* store, size_t entity_begin, size_t entity_end)
-        : store_(store), begin_(entity_begin), end_(entity_end) {
-      MARS_DCHECK(store != nullptr);
-      MARS_DCHECK(entity_begin <= entity_end);
-      MARS_DCHECK(entity_end <= store->num_entities());
-    }
-
-    size_t entity_begin() const { return begin_; }
-    size_t entity_end() const { return end_; }
-    size_t num_entities() const { return end_ - begin_; }
-    bool empty() const { return begin_ == end_; }
-    const FacetStore& store() const { return *store_; }
-
-    /// True when the view owns global entity id `e`.
-    bool Contains(size_t e) const { return e >= begin_ && e < end_; }
-
-    /// Facet row `k` of *global* entity id `e`; must be inside the shard.
-    float* Row(size_t e, size_t k) const {
-      MARS_DCHECK(Contains(e));
-      return store_->Row(e, k);
-    }
-    /// Entity block of *global* entity id `e`; must be inside the shard.
-    float* EntityBlock(size_t e) const {
-      MARS_DCHECK(Contains(e));
-      return store_->EntityBlock(e);
-    }
-
-    /// Base pointer of the shard (64-byte aligned; empty shards → nullptr).
-    float* data() const {
-      return empty() ? nullptr : store_->EntityBlock(begin_);
-    }
-    /// Total floats covered, padding included.
-    size_t size_floats() const {
-      return num_entities() * store_->entity_stride();
-    }
-
-    /// Bulk-copies the same entity range of `src` into this shard. Both
-    /// stores must have identical shape (entities, facets, dim).
-    void CopyFrom(const FacetStore& src) const;
-
-   private:
-    FacetStore* store_;
-    size_t begin_;
-    size_t end_;
-  };
-
-  /// Read-only view of the contiguous entity range [entity_begin,
-  /// entity_end) — the const counterpart of ShardView, with the same
-  /// alignment guarantees. This is the shard surface a borrowed
-  /// (mmap-backed) store exposes: sweeps partition it exactly like an
-  /// owned store, but nothing can write through it. Today's serving sweep
-  /// goes through ScoreItemRange and only needs ShardRange, so the
-  /// current consumers are the owned/borrowed parity tests; shard-level
-  /// readers (e.g. a future row-partitioned rescorer over mapped
-  /// snapshots) should take this view rather than grow a writable one.
-  class ConstShardView {
-   public:
-    ConstShardView(const FacetStore* store, size_t entity_begin,
-                   size_t entity_end)
-        : store_(store), begin_(entity_begin), end_(entity_end) {
-      MARS_DCHECK(store != nullptr);
-      MARS_DCHECK(entity_begin <= entity_end);
-      MARS_DCHECK(entity_end <= store->num_entities());
-    }
-
-    size_t entity_begin() const { return begin_; }
-    size_t entity_end() const { return end_; }
-    size_t num_entities() const { return end_ - begin_; }
-    bool empty() const { return begin_ == end_; }
-    const FacetStore& store() const { return *store_; }
-
-    /// True when the view covers global entity id `e`.
-    bool Contains(size_t e) const { return e >= begin_ && e < end_; }
-
-    /// Facet row `k` of *global* entity id `e`; must be inside the shard.
-    const float* Row(size_t e, size_t k) const {
-      MARS_DCHECK(Contains(e));
-      return store_->Row(e, k);
-    }
-    /// Entity block of *global* entity id `e`; must be inside the shard.
-    const float* EntityBlock(size_t e) const {
-      MARS_DCHECK(Contains(e));
-      return store_->EntityBlock(e);
-    }
-
-    /// Base pointer of the shard (64-byte aligned; empty shards → nullptr).
-    const float* data() const {
-      return empty() ? nullptr : store_->EntityBlock(begin_);
-    }
-    /// Total floats covered, padding included.
-    size_t size_floats() const {
-      return num_entities() * store_->entity_stride();
-    }
-
-   private:
-    const FacetStore* store_;
-    size_t begin_;
-    size_t end_;
-  };
-
   FacetStore() = default;
   FacetStore(size_t num_entities, size_t num_facets, size_t dim);
 
@@ -198,6 +90,10 @@ class FacetStore {
   static FacetStore BorrowConst(const float* base, size_t num_entities,
                                 size_t num_facets, size_t dim,
                                 size_t row_stride);
+
+  /// An owned copy of this store (one allocation, one copy of the
+  /// buffer), whether this store owns its bytes or borrows them.
+  FacetStore OwnedCopy() const;
 
   size_t num_entities() const { return num_entities_; }
   size_t num_facets() const { return num_facets_; }
@@ -246,7 +142,9 @@ class FacetStore {
   /// the first (num_entities % num_shards) shards get one extra entity.
   /// Returns {begin, end}; ranges of consecutive shards tile
   /// [0, num_entities) exactly. `num_shards` may exceed num_entities
-  /// (trailing shards come back empty).
+  /// (trailing shards come back empty). Entity blocks are whole multiples
+  /// of the 64-byte row stride, so every shard starts on a cache line and
+  /// writers of disjoint shards never share one.
   static std::pair<size_t, size_t> ShardRange(size_t num_entities,
                                               size_t shard, size_t num_shards);
 
@@ -254,20 +152,6 @@ class FacetStore {
   /// entity `e`. Used by the serving layer to map a dirtied row back to the
   /// shard-granular invalidation unit.
   static size_t ShardOf(size_t num_entities, size_t e, size_t num_shards);
-
-  /// Mutable view of shard `shard` of `num_shards` (see ShardRange).
-  ShardView Shard(size_t shard, size_t num_shards) {
-    MARS_CHECK(!borrowed_);
-    const auto [b, e] = ShardRange(num_entities_, shard, num_shards);
-    return ShardView(this, b, e);
-  }
-
-  /// Read-only view of shard `shard` of `num_shards` (see ShardRange);
-  /// works on owned and borrowed stores alike.
-  ConstShardView ConstShard(size_t shard, size_t num_shards) const {
-    const auto [b, e] = ShardRange(num_entities_, shard, num_shards);
-    return ConstShardView(this, b, e);
-  }
 
  private:
   /// Read-side base pointer: the allocation when owned, the external

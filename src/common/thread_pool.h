@@ -20,8 +20,8 @@ namespace mars {
 /// pool that runs it. Wait() counts the calling task itself as in-flight,
 /// so a nested Wait() deadlocks by construction; Wait() aborts loudly
 /// (always, not just in debug) when called from a worker, and Submit
-/// asserts in debug builds. Code that needs nested parallelism (e.g.
-/// evaluation overlapped with training) must use two distinct pools.
+/// asserts in debug builds. Code that needs nested parallelism (a task
+/// that fans out work of its own) must use two distinct pools.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (at least 1).

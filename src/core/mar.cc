@@ -1,7 +1,6 @@
 #include "core/mar.h"
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -16,7 +15,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -304,35 +302,12 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     backprop_entity(item_universal_, psi_, t.negative, vqf, vq_scale, gvq);
   };
 
-  // Overlapped-eval snapshot (double-buffered; facet stores copied by
-  // shard on the idle trainer pool).
-  std::unique_ptr<Mar> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    if (snap == nullptr) {
-      snap = std::make_unique<Mar>(config_, param_mode_);
-    }
-    if (param_mode_ == FacetParam::kFree) {
-      SnapshotFacetStore(user_facets_, &snap->user_facets_, trainer.pool());
-      SnapshotFacetStore(item_facets_, &snap->item_facets_, trainer.pool());
-    } else {
-      snap->user_universal_ = user_universal_;
-      snap->item_universal_ = item_universal_;
-      snap->phi_ = phi_;
-      snap->psi_ = psi_;
-    }
-    snap->theta_logits_ = theta_logits_;
-    return snap.get();
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d) * lr_comp;
-        theta_lr = static_cast<float>(lr_d) *
-                   static_cast<float>(config_.theta_lr_scale);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d) * lr_comp;
+    theta_lr = static_cast<float>(lr_d) *
+               static_cast<float>(config_.theta_lr_scale);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 float Mar::Score(UserId u, ItemId v) const {

@@ -17,7 +17,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -325,29 +324,12 @@ void Mars::Fit(const ImplicitDataset& train, const TrainOptions& options) {
                               clip, d, calibrated);
   };
 
-  // Overlapped-eval snapshot: the big facet stores are copied shard-by-
-  // shard on the (idle) trainer pool into a reusable buffer.
-  std::unique_ptr<Mars> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    if (snap == nullptr) {
-      snap = std::make_unique<Mars>(config_, mars_options_);
-    }
-    SnapshotFacetStore(user_facets_, &snap->user_facets_, trainer.pool());
-    SnapshotFacetStore(item_facets_, &snap->item_facets_, trainer.pool());
-    snap->theta_logits_ = theta_logits_;
-    snap->radii_ = radii_;
-    return snap.get();
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d) * lr_comp;
-        theta_lr = static_cast<float>(lr_d) *
-                   static_cast<float>(config_.theta_lr_scale);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d) * lr_comp;
+    theta_lr = static_cast<float>(lr_d) *
+               static_cast<float>(config_.theta_lr_scale);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 float Mars::Score(UserId u, ItemId v) const {
@@ -468,10 +450,10 @@ float Mars::MarginOf(UserId u) const {
   return margins_[u];
 }
 
-std::unique_ptr<Mars> Mars::ServingSnapshot(ThreadPool* pool) const {
+std::unique_ptr<Mars> Mars::ServingSnapshot() const {
   auto snap = std::make_unique<Mars>(config_, mars_options_);
-  SnapshotFacetStore(user_facets_, &snap->user_facets_, pool);
-  SnapshotFacetStore(item_facets_, &snap->item_facets_, pool);
+  snap->user_facets_ = user_facets_.OwnedCopy();
+  snap->item_facets_ = item_facets_.OwnedCopy();
   snap->theta_logits_ = theta_logits_.OwnedCopy();
   snap->radii_ = radii_;
   snap->margins_ = margins_.OwnedCopy();

@@ -106,10 +106,10 @@ class Mars : public Recommender {
   /// Owned frozen copy of the current weights — the unit a serving epoch
   /// publishes (TopKServer::PublishEpoch / common/snapshot_handle.h).
   /// Call only while training is quiesced: between Fit calls, or from a
-  /// TrainOptions::epoch_callback at an epoch boundary (the same contract
-  /// as the overlapped-eval snapshot). With a non-null idle `pool` the
-  /// facet stores are copied one shard per worker.
-  std::unique_ptr<Mars> ServingSnapshot(ThreadPool* pool = nullptr) const;
+  /// TrainOptions::epoch_callback at an epoch boundary. Each table is one
+  /// allocation and one copy, and the copy is owned whether this model
+  /// owns its tables or maps them (LoadMarsMapped).
+  std::unique_ptr<Mars> ServingSnapshot() const;
 
  private:
   friend bool SaveMarsV3(const Mars& model, const std::string& path);

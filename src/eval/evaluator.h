@@ -11,12 +11,10 @@
 // always outrank it; exact ties are counted as half a position (rounded
 // down), which is deterministic and model-agnostic.
 //
-// The scorer's parameters need not live in model-owned tables: during
-// overlapped training it is a quiesced double-buffered snapshot, and in
-// serving it may be an immutable mmap'd format-v3 snapshot
-// (core/persistence.h LoadMarsMapped) — the evaluator only ever reads
-// through the const ItemScorer surface, so all three back ends rank
-// identically.
+// The scorer's parameters need not live in model-owned tables: in serving
+// it may be an immutable mmap'd format-v3 snapshot (core/persistence.h
+// LoadMarsMapped) — the evaluator only ever reads through the const
+// ItemScorer surface, so owned and mapped models rank identically.
 #ifndef MARS_EVAL_EVALUATOR_H_
 #define MARS_EVAL_EVALUATOR_H_
 

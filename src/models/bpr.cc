@@ -1,6 +1,5 @@
 #include "models/bpr.h"
 
-#include <memory>
 #include <vector>
 
 #include "common/kernels.h"
@@ -11,7 +10,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -50,9 +48,7 @@ void Bpr::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     float* qp = item_.Row(t.positive);
     float* qq = item_.Row(t.negative);
     float x = Dot(pu, qp, d) - Dot(pu, qq, d);
-    if (config_.use_item_bias) {
-      x += item_bias_[t.positive] - item_bias_[t.negative];
-    }
+    x += item_bias_[t.positive] - item_bias_[t.negative];
     const float g = static_cast<float>(Sigmoid(-x));  // dL/dx with sign
     // Gradient ascent on log σ(x): p += lr (g (qp - qq) - λ p), etc.
     for (size_t i = 0; i < d; ++i) {
@@ -61,39 +57,25 @@ void Bpr::Fit(const ImplicitDataset& train, const TrainOptions& options) {
       qp[i] += lr * (g * pu_i - l2 * qp[i]);
       qq[i] += lr * (-g * pu_i - l2 * qq[i]);
     }
-    if (config_.use_item_bias) {
-      item_bias_[t.positive] += lr * (g - l2 * item_bias_[t.positive]);
-      item_bias_[t.negative] += lr * (-g - l2 * item_bias_[t.negative]);
-    }
+    item_bias_[t.positive] += lr * (g - l2 * item_bias_[t.positive]);
+    item_bias_[t.negative] += lr * (-g - l2 * item_bias_[t.negative]);
   };
 
-  std::unique_ptr<Bpr> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    return CopyModelSnapshot(*this, &snap);
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 float Bpr::Score(UserId u, ItemId v) const {
-  float s = Dot(user_.Row(u), item_.Row(v), config_.dim);
-  if (config_.use_item_bias) s += item_bias_[v];
-  return s;
+  return Dot(user_.Row(u), item_.Row(v), config_.dim) + item_bias_[v];
 }
 
 void Bpr::ScoreItems(UserId u, std::span<const ItemId> items,
                      float* out) const {
   DotGather(user_.Row(u), item_.data(), item_.cols(), items.data(),
             items.size(), config_.dim, out);
-  if (config_.use_item_bias) {
-    for (size_t i = 0; i < items.size(); ++i) out[i] += item_bias_[items[i]];
-  }
+  for (size_t i = 0; i < items.size(); ++i) out[i] += item_bias_[items[i]];
 }
 
 void Bpr::ScoreItemRange(UserId u, ItemId begin, ItemId end,
@@ -101,9 +83,7 @@ void Bpr::ScoreItemRange(UserId u, ItemId begin, ItemId end,
   if (begin >= end) return;
   DotBatch(user_.Row(u), item_.Row(begin), end - begin, item_.cols(),
            config_.dim, out);
-  if (config_.use_item_bias) {
-    for (ItemId v = begin; v < end; ++v) out[v - begin] += item_bias_[v];
-  }
+  for (ItemId v = begin; v < end; ++v) out[v - begin] += item_bias_[v];
 }
 
 void Bpr::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
@@ -113,10 +93,8 @@ void Bpr::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
   for (size_t b = 0; b < users.size(); ++b) urows[b] = user_.Row(users[b]);
   DotBatchMulti(urows.data(), users.size(), item_.Row(begin), end - begin,
                 item_.cols(), config_.dim, out);
-  if (config_.use_item_bias) {
-    for (size_t b = 0; b < users.size(); ++b) {
-      for (ItemId v = begin; v < end; ++v) out[b][v - begin] += item_bias_[v];
-    }
+  for (size_t b = 0; b < users.size(); ++b) {
+    for (ItemId v = begin; v < end; ++v) out[b][v - begin] += item_bias_[v];
   }
 }
 
@@ -124,14 +102,14 @@ void Bpr::CopyIndexVectors(ItemId begin, ItemId end, float* out) const {
   const size_t d = config_.dim;
   for (ItemId v = begin; v < end; ++v) {
     Copy(item_.Row(v), out, d);
-    if (config_.use_item_bias) out[d] = item_bias_[v];
+    out[d] = item_bias_[v];
     out += index_dim();
   }
 }
 
 void Bpr::WriteIndexQuery(UserId u, float* out) const {
   Copy(user_.Row(u), out, config_.dim);
-  if (config_.use_item_bias) out[config_.dim] = 1.0f;
+  out[config_.dim] = 1.0f;
 }
 
 }  // namespace mars

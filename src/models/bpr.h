@@ -19,7 +19,6 @@ namespace mars {
 struct BprConfig {
   size_t dim = 32;
   double l2_reg = 1e-4;
-  bool use_item_bias = true;
 };
 
 /// BPR-MF recommender.
@@ -40,9 +39,7 @@ class Bpr : public Recommender {
   // ANN capability: the item bias is folded in as one appended vector
   // component against a constant-1 query component, so
   // dot(query, item_vec) == Score exactly (eval/scorer.h contract).
-  size_t index_dim() const override {
-    return config_.dim + (config_.use_item_bias ? 1 : 0);
-  }
+  size_t index_dim() const override { return config_.dim + 1; }
   void CopyIndexVectors(ItemId begin, ItemId end, float* out) const override;
   void WriteIndexQuery(UserId u, float* out) const override;
 

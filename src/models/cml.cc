@@ -1,7 +1,6 @@
 #include "models/cml.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/vec.h"
@@ -11,7 +10,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -77,18 +75,10 @@ void Cml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     ProjectToUnitBall(vq, d);
   };
 
-  std::unique_ptr<Cml> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    return CopyModelSnapshot(*this, &snap);
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 }  // namespace mars

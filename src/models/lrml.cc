@@ -1,6 +1,5 @@
 #include "models/lrml.h"
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,7 +9,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -151,18 +149,10 @@ void Lrml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     BackwardPair(u, vq, grad_e.data(), lr);
   };
 
-  std::unique_ptr<Lrml> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    return CopyModelSnapshot(*this, &snap);
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 void Lrml::ScoreItemRange(UserId u, ItemId begin, ItemId end,

@@ -1,7 +1,6 @@
 #include "models/metricf.h"
 
 #include <cmath>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/vec.h"
@@ -10,7 +9,6 @@
 #include "sampling/negative_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -74,18 +72,10 @@ void MetricF::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     }
   };
 
-  std::unique_ptr<MetricF> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    return CopyModelSnapshot(*this, &snap);
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 }  // namespace mars

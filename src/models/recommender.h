@@ -16,7 +16,6 @@
 #include "data/dataset.h"
 #include "eval/evaluator.h"
 #include "eval/scorer.h"
-#include "opt/schedule.h"
 
 namespace mars {
 
@@ -29,16 +28,13 @@ struct TrainOptions {
   size_t epochs = 30;
   /// SGD steps per epoch; 0 means one step per training interaction.
   size_t steps_per_epoch = 0;
-  /// Base learning rate.
+  /// Base learning rate (decays linearly, opt/schedule.h).
   double learning_rate = 0.05;
-  /// Learning-rate decay shape.
-  LrDecay decay = LrDecay::kLinear;
   /// Seed for initialization and sampling.
   uint64_t seed = 7;
   /// Hogwild training workers (train/parallel_trainer.h). 1 reproduces the
   /// historical single-threaded training sequence bit-for-bit; more workers
-  /// shard each epoch's steps across a pool and overlap dev evaluation with
-  /// the next epoch (models score a double-buffered snapshot).
+  /// shard each epoch's steps across a pool.
   size_t num_threads = 1;
 
   /// Optional dev-set evaluator; when set, training early-stops on HR@10.
@@ -67,9 +63,6 @@ struct TrainOptions {
   /// blocking in-flight queries. Keep the callback bounded: the next
   /// epoch does not start until it returns.
   std::function<void(size_t epoch)> epoch_callback = nullptr;
-
-  /// Log per-epoch progress.
-  bool verbose = false;
 };
 
 /// Abstract recommender.

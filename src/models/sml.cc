@@ -1,7 +1,6 @@
 #include "models/sml.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "common/rng.h"
 #include "common/vec.h"
@@ -11,7 +10,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -108,18 +106,10 @@ void Sml::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     ProjectToUnitBall(vq, d);
   };
 
-  std::unique_ptr<Sml> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    return CopyModelSnapshot(*this, &snap);
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
 }
 
 }  // namespace mars

@@ -1,8 +1,5 @@
 #include "models/train_loop.h"
 
-#include <thread>
-
-#include "common/check.h"
 #include "common/logging.h"
 #include "eval/early_stopping.h"
 #include "eval/evaluator.h"
@@ -10,16 +7,10 @@
 
 namespace mars {
 
-namespace {
-
-/// Classic protocol: train, stop, evaluate, decide. Kept byte-for-byte
-/// equivalent to the pre-parallel trainer — the num_threads=1 regression
-/// tests pin this path.
-size_t RunSynchronous(const TrainOptions& options, const ItemScorer& scorer,
-                      const std::string& model_name,
-                      const EpochFn& run_epoch) {
-  const LrSchedule schedule(options.learning_rate, options.decay,
-                            options.epochs);
+size_t RunTrainingLoop(const TrainOptions& options, const ItemScorer& scorer,
+                       const std::string& model_name,
+                       const EpochFn& run_epoch) {
+  const LrSchedule schedule(options.learning_rate, options.epochs);
   EarlyStopper stopper(options.patience);
   size_t epochs_run = 0;
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
@@ -34,91 +25,12 @@ size_t RunSynchronous(const TrainOptions& options, const ItemScorer& scorer,
         ((epoch + 1) % options.eval_every == 0) && !last_epoch) {
       const RankingMetrics dev =
           options.dev_evaluator->Evaluate(scorer, options.eval_pool);
-      if (options.verbose) {
-        MARS_LOG(INFO) << model_name << " epoch " << (epoch + 1)
-                       << " dev HR@10=" << dev.hr10;
-      }
-      if (stopper.ShouldStop(dev.hr10)) {
-        if (options.verbose) {
-          MARS_LOG(INFO) << model_name << " early stop at epoch "
-                         << (epoch + 1);
-        }
-        break;
-      }
+      MARS_LOG(DEBUG) << model_name << " epoch " << (epoch + 1)
+                      << " dev HR@10=" << dev.hr10;
+      if (stopper.ShouldStop(dev.hr10)) break;
     }
   }
   return epochs_run;
-}
-
-/// Overlapped protocol: dev evaluation of a frozen snapshot runs on its own
-/// thread while the next epoch trains; the pending eval is joined right
-/// after that epoch, before the early-stop decision. options.eval_pool (a
-/// pool distinct from the trainer's — ThreadPool is not re-entrant) further
-/// parallelizes the ranking inside the eval thread.
-size_t RunOverlapped(const TrainOptions& options,
-                     const std::string& model_name, const EpochFn& run_epoch,
-                     const SnapshotFn& snapshot) {
-  const LrSchedule schedule(options.learning_rate, options.decay,
-                            options.epochs);
-  EarlyStopper stopper(options.patience);
-  size_t epochs_run = 0;
-  std::thread eval_thread;
-  RankingMetrics pending_metrics;
-  size_t pending_epoch = 0;
-  bool has_pending = false;
-  for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    run_epoch(epoch, schedule.At(epoch));
-    ++epochs_run;
-    // Same quiesced-boundary hook as the synchronous path: the trainer
-    // pool is idle here (RunEpoch joined its workers); only the previous
-    // eval may still be running, and it reads its own frozen snapshot.
-    if (options.epoch_callback) options.epoch_callback(epoch);
-    if (has_pending) {
-      eval_thread.join();
-      has_pending = false;
-      if (options.verbose) {
-        MARS_LOG(INFO) << model_name << " epoch " << pending_epoch
-                       << " dev HR@10=" << pending_metrics.hr10
-                       << " (overlapped)";
-      }
-      if (stopper.ShouldStop(pending_metrics.hr10)) {
-        if (options.verbose) {
-          MARS_LOG(INFO) << model_name << " early stop at epoch "
-                         << (epoch + 1);
-        }
-        break;
-      }
-    }
-    const bool last_epoch = (epoch + 1 == options.epochs);
-    if (options.eval_every > 0 && ((epoch + 1) % options.eval_every == 0) &&
-        !last_epoch) {
-      const ItemScorer* frozen = snapshot();
-      pending_epoch = epoch + 1;
-      has_pending = true;
-      eval_thread = std::thread([&options, &pending_metrics, frozen] {
-        pending_metrics =
-            options.dev_evaluator->Evaluate(*frozen, options.eval_pool);
-      });
-    }
-  }
-  // Invariant: evals launch only when another epoch follows (!last_epoch),
-  // and that epoch's iteration joins them — nothing can still be pending.
-  MARS_CHECK(!has_pending);
-  return epochs_run;
-}
-
-}  // namespace
-
-size_t RunTrainingLoop(const TrainOptions& options, const ItemScorer& scorer,
-                       const std::string& model_name, const EpochFn& run_epoch,
-                       const SnapshotFn& snapshot) {
-  const bool overlap = snapshot != nullptr && options.num_threads > 1 &&
-                       options.dev_evaluator != nullptr &&
-                       options.eval_every > 0;
-  if (overlap) {
-    return RunOverlapped(options, model_name, run_epoch, snapshot);
-  }
-  return RunSynchronous(options, scorer, model_name, run_epoch);
 }
 
 size_t ResolveStepsPerEpoch(const TrainOptions& options,

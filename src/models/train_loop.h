@@ -2,21 +2,15 @@
 // the dev set, and early-stops. Every model's Fit() delegates here so the
 // training protocol is identical across the comparison.
 //
-// Two evaluation modes:
-//  * Synchronous (num_threads <= 1, or no snapshot function): the classic
-//    protocol — training stops while the dev set is ranked. This path is
-//    bit-identical to the pre-parallel trainer.
-//  * Overlapped (num_threads > 1 and a snapshot function): after an eval
-//    epoch the loop snapshots the model (double-buffered copy) and ranks
-//    the snapshot on a dedicated thread (plus options.eval_pool) while the
-//    next epoch trains. The eval is joined after that epoch, before the
-//    early-stop decision, so a stop triggers at most one epoch later than
-//    the synchronous protocol but eval wall-clock is hidden entirely.
+// One protocol for every thread count: train an epoch, then (on eval
+// epochs) stop and rank the dev set on the live model, then decide. With
+// num_threads > 1 the epoch's steps run on the trainer pool, which is
+// joined before the evaluation, so the ranking never races a write.
 //
-// Both protocols invoke options.epoch_callback right after each epoch's
-// steps, with the trainer pool quiesced — the hook the serving layer uses
-// to publish a fresh epoch (snapshot + TopKServer::PublishEpoch) without
-// stopping either training or in-flight queries.
+// options.epoch_callback runs right after each epoch's steps, with the
+// trainer pool quiesced — the hook the serving layer uses to publish a
+// fresh epoch (snapshot + TopKServer::PublishEpoch) without stopping
+// in-flight queries.
 #ifndef MARS_MODELS_TRAIN_LOOP_H_
 #define MARS_MODELS_TRAIN_LOOP_H_
 
@@ -30,20 +24,13 @@ namespace mars {
 /// Callback invoked once per epoch with (epoch index, learning rate).
 using EpochFn = std::function<void(size_t epoch, double lr)>;
 
-/// Returns a frozen scorer reflecting the model's current weights; called
-/// only between epochs (workers quiesced). The returned pointer must stay
-/// valid until the next call or the end of training — models back it with
-/// a reusable snapshot instance (double buffer) rather than a fresh copy.
-using SnapshotFn = std::function<const ItemScorer*()>;
-
 /// Runs up to `options.epochs` epochs of `run_epoch`, early-stopping on the
 /// dev evaluator's HR@10 when one is configured. `scorer` is the model
-/// being trained (used for dev evaluation). When `snapshot` is provided and
-/// options.num_threads > 1, dev evaluation overlaps the next epoch (see
-/// file comment). Returns the number of epochs actually run.
+/// being trained (used for dev evaluation); `model_name` labels the
+/// per-evaluation DEBUG log line. Returns the number of epochs actually run.
 size_t RunTrainingLoop(const TrainOptions& options, const ItemScorer& scorer,
-                       const std::string& model_name, const EpochFn& run_epoch,
-                       const SnapshotFn& snapshot = nullptr);
+                       const std::string& model_name,
+                       const EpochFn& run_epoch);
 
 /// Resolves steps-per-epoch: `options.steps_per_epoch` or, when zero, the
 /// number of training interactions.

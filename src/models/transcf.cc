@@ -1,6 +1,5 @@
 #include "models/transcf.h"
 
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -10,7 +9,6 @@
 #include "sampling/triplet_sampler.h"
 #include "serve/write_tracker.h"
 #include "train/parallel_trainer.h"
-#include "train/snapshot.h"
 
 namespace mars {
 
@@ -120,29 +118,16 @@ void TransCf::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     ProjectToUnitBall(vq, d);
   };
 
-  // Snapshot for overlapped eval. Scoring reads the neighborhood means, so
-  // they are refreshed on the snapshot copy — the live means stay as the
-  // trainer left them for the epoch.
-  std::unique_ptr<TransCf> snap;
-  const auto snapshot = [&]() -> const ItemScorer* {
-    TransCf* frozen = CopyModelSnapshot(*this, &snap);
-    frozen->RefreshNeighborhoodMeans(train);
-    return frozen;
-  };
-
-  RunTrainingLoop(
-      options, *this, name(),
-      [&](size_t, double lr_d) {
-        RefreshNeighborhoodMeans(train);
-        // The refreshed means enter every pair's score: the whole catalog
-        // (and every user) is effectively rewritten each epoch.
-        if (tracker != nullptr) {
-          tracker->MarkAll();
-        }
-        lr = static_cast<float>(lr_d);
-        trainer.RunEpoch(steps, step);
-      },
-      snapshot);
+  RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
+    RefreshNeighborhoodMeans(train);
+    // The refreshed means enter every pair's score: the whole catalog
+    // (and every user) is effectively rewritten each epoch.
+    if (tracker != nullptr) {
+      tracker->MarkAll();
+    }
+    lr = static_cast<float>(lr_d);
+    trainer.RunEpoch(steps, step);
+  });
   // Means must reflect the final embeddings for scoring.
   RefreshNeighborhoodMeans(train);
 }

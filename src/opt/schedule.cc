@@ -1,38 +1,27 @@
 #include "opt/schedule.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
 namespace mars {
 
-LrSchedule::LrSchedule(double base_lr, LrDecay decay, size_t total_epochs,
-                       double gamma, double min_factor)
-    : base_lr_(base_lr),
-      decay_(decay),
-      total_epochs_(std::max<size_t>(1, total_epochs)),
-      gamma_(gamma),
-      min_factor_(min_factor) {
+namespace {
+
+/// The decay never drops the rate below this fraction of the base rate.
+constexpr double kMinFactor = 0.1;
+
+}  // namespace
+
+LrSchedule::LrSchedule(double base_lr, size_t total_epochs)
+    : base_lr_(base_lr), total_epochs_(std::max<size_t>(1, total_epochs)) {
   MARS_CHECK(base_lr > 0.0);
-  MARS_CHECK(gamma > 0.0 && gamma <= 1.0);
-  MARS_CHECK(min_factor >= 0.0 && min_factor <= 1.0);
 }
 
 double LrSchedule::At(size_t epoch) const {
-  switch (decay_) {
-    case LrDecay::kConstant:
-      return base_lr_;
-    case LrDecay::kLinear: {
-      const double t = static_cast<double>(epoch) /
-                       static_cast<double>(total_epochs_);
-      return base_lr_ * std::max(min_factor_, 1.0 - t);
-    }
-    case LrDecay::kExponential:
-      return std::max(base_lr_ * min_factor_,
-                      base_lr_ * std::pow(gamma_, static_cast<double>(epoch)));
-  }
-  return base_lr_;
+  const double t =
+      static_cast<double>(epoch) / static_cast<double>(total_epochs_);
+  return base_lr_ * std::max(kMinFactor, 1.0 - t);
 }
 
 }  // namespace mars

@@ -1,4 +1,4 @@
-// Learning-rate schedules for the training loops.
+// Learning-rate schedule for the training loops.
 #ifndef MARS_OPT_SCHEDULE_H_
 #define MARS_OPT_SCHEDULE_H_
 
@@ -6,20 +6,10 @@
 
 namespace mars {
 
-/// Supported decay shapes.
-enum class LrDecay {
-  kConstant,
-  kLinear,       // lr0 * (1 - t/T), floored at lr0 * min_factor
-  kExponential,  // lr0 * gamma^epoch
-};
-
-/// Stateless learning-rate schedule.
+/// Stateless linear decay: lr0 * (1 - epoch/T), floored at lr0 * 0.1.
 class LrSchedule {
  public:
-  /// `total_epochs` is only used by the linear decay; `gamma` only by the
-  /// exponential decay.
-  LrSchedule(double base_lr, LrDecay decay, size_t total_epochs,
-             double gamma = 0.95, double min_factor = 0.1);
+  LrSchedule(double base_lr, size_t total_epochs);
 
   /// Learning rate to use during `epoch` (0-based).
   double At(size_t epoch) const;
@@ -28,10 +18,7 @@ class LrSchedule {
 
  private:
   double base_lr_;
-  LrDecay decay_;
   size_t total_epochs_;
-  double gamma_;
-  double min_factor_;
 };
 
 }  // namespace mars

@@ -312,7 +312,6 @@ ScenarioReport ScenarioRunner::Run() {
   TrainOptions warm;
   warm.epochs = 1;
   warm.seed = spec_.seed ^ 0xF17u;
-  warm.verbose = false;
   model.Fit(*dataset, warm);
 
   SnapshotOracle oracle(spec_.num_users, spec_.num_items, spec_.k);
@@ -361,7 +360,6 @@ ScenarioReport ScenarioRunner::Run() {
     topts.learning_rate = 0.1;
     topts.seed = spec_.seed ^ 0x7EA1u;
     topts.num_threads = 2;
-    topts.verbose = false;
     topts.write_tracker = &tracker;
     TopKServer* live = topk.get();  // stable: restart joins the trainer first
     topts.epoch_callback = [&oracle, &published, &tracker, &model,

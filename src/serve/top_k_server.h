@@ -46,12 +46,13 @@
 //
 //  * Maintenance path — ReplaceModel / AbsorbWrites / PublishEpoch /
 //    Prime / InvalidateAll / ForEachCached. Single-caller, run at a
-//    quiesced epoch boundary (trainer pool idle) exactly like the
-//    overlapped-eval snapshot; it may race freely with the read front but
-//    not with itself. Publish order matters: swap the model first, then
-//    absorb the tracker flags (PublishEpoch does both in order) — the
-//    epoch bump is what stops in-flight queries from caching results of
-//    the superseded snapshot after the absorb scan has passed.
+//    quiesced epoch boundary (trainer pool idle), from the same
+//    epoch_callback that takes Mars::ServingSnapshot; it may race freely
+//    with the read front but not with itself. Publish order matters:
+//    swap the model first, then absorb the tracker flags (PublishEpoch
+//    does both in order) — the epoch bump is what stops in-flight queries
+//    from caching results of the superseded snapshot after the absorb
+//    scan has passed.
 //
 // Invalidation is shard-granular and *incremental*: training steps mark
 // dirtied rows in a WriteTracker (serve/write_tracker.h), and

@@ -9,7 +9,7 @@
 // memory/keys, TransCF neighborhood means, MAR's shared projections, MARS
 // radii) mark the whole catalog instead, since every score depends on them.
 //
-// Concurrency contract (mirrors the snapshot contract of overlapped eval):
+// Concurrency contract (the snapshot / quiesce contract, ARCHITECTURE.md):
 // Mark* calls may race freely with each other; the read/clear side
 // (dirty queries, Clear, TopKServer::AbsorbWrites) must run quiesced, at an
 // epoch boundary with the trainer pool idle.

@@ -47,8 +47,7 @@ class ParallelTrainer {
 
   size_t num_workers() const { return num_workers_; }
 
-  /// Worker pool; null when single-threaded. Idle between epochs, so
-  /// models may borrow it for epoch-boundary work (e.g. snapshot copies).
+  /// Worker pool; null when single-threaded.
   ThreadPool* pool() const { return pool_.get(); }
 
   /// Runs `steps` total steps of `step` for one epoch. Steps are split as

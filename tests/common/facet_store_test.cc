@@ -118,6 +118,46 @@ TEST(FacetStoreTest, FillAndCopySemantics) {
   EXPECT_FLOAT_EQ(copy.Row(2, 1)[5], -1.0f);
 }
 
+// An owned copy of an owned, a borrowed and an empty store: each copy owns
+// its bytes and holds the source's values.
+TEST(FacetStoreOwnedCopyTest, CopiesOwnedBorrowedAndEmptyStores) {
+  FacetStore owned(37, 3, 9);
+  Rng rng(1);
+  for (size_t e = 0; e < 37; ++e) {
+    for (size_t k = 0; k < 3; ++k) {
+      float* row = owned.Row(e, k);
+      for (size_t i = 0; i < 9; ++i) {
+        row[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      }
+    }
+  }
+  const FacetStore borrowed = FacetStore::BorrowConst(
+      owned.EntityBlock(0), 37, 3, 9, owned.row_stride());
+  ASSERT_TRUE(borrowed.borrowed());
+
+  const FacetStore* const sources[] = {&owned, &borrowed};
+  for (const FacetStore* src : sources) {
+    const FacetStore copy = src->OwnedCopy();
+    EXPECT_FALSE(copy.borrowed());
+    ASSERT_EQ(copy.num_entities(), 37u);
+    ASSERT_EQ(copy.num_facets(), 3u);
+    ASSERT_EQ(copy.dim(), 9u);
+    ASSERT_EQ(copy.row_stride(), src->row_stride());
+    EXPECT_NE(copy.EntityBlock(0), src->EntityBlock(0));
+    for (size_t e = 0; e < 37; ++e) {
+      for (size_t k = 0; k < 3; ++k) {
+        for (size_t i = 0; i < 9; ++i) {
+          ASSERT_EQ(copy.Row(e, k)[i], src->Row(e, k)[i]);
+        }
+      }
+    }
+  }
+
+  const FacetStore empty_copy = FacetStore().OwnedCopy();
+  EXPECT_TRUE(empty_copy.empty());
+  EXPECT_FALSE(empty_copy.borrowed());
+}
+
 TEST(ShardViewTest, ShardRangeTilesExactly) {
   // Non-divisible: 10 entities over 4 shards → 3/3/2/2.
   EXPECT_EQ(FacetStore::ShardRange(10, 0, 4), (std::pair<size_t, size_t>{0, 3}));
@@ -149,34 +189,15 @@ TEST(ShardViewTest, ShardOfMatchesShardRangeBoundaries) {
   EXPECT_EQ(FacetStore::ShardOf(1, 0, 1), 0u);
 }
 
-TEST(ShardViewTest, ViewMapsGlobalEntityIds) {
-  FacetStore store(10, 2, 4);
-  for (size_t e = 0; e < 10; ++e) {
-    store.Row(e, 1)[2] = static_cast<float>(e);
-  }
-  auto shard = store.Shard(1, 3);  // entities [4, 7)
-  EXPECT_EQ(shard.entity_begin(), 4u);
-  EXPECT_EQ(shard.entity_end(), 7u);
-  EXPECT_EQ(shard.num_entities(), 3u);
-  EXPECT_FALSE(shard.Contains(3));
-  EXPECT_TRUE(shard.Contains(4));
-  EXPECT_TRUE(shard.Contains(6));
-  EXPECT_FALSE(shard.Contains(7));
-  EXPECT_EQ(shard.Row(5, 1)[2], 5.0f);           // global id addressing
-  EXPECT_EQ(shard.EntityBlock(4), store.EntityBlock(4));
-  EXPECT_EQ(shard.data(), store.EntityBlock(4));
-  EXPECT_EQ(shard.size_floats(), 3u * store.entity_stride());
-}
-
 TEST(ShardViewTest, ShardBasesAreCacheLineAligned) {
   // dim 9 pads to a 16-float row stride; any shard boundary must still land
   // on a 64-byte line so disjoint shards never share a cache line.
   FacetStore store(23, 3, 9);
   for (size_t num_shards : {1u, 2u, 3u, 5u, 8u, 23u}) {
     for (size_t s = 0; s < num_shards; ++s) {
-      auto shard = store.Shard(s, num_shards);
-      if (shard.empty()) continue;
-      EXPECT_EQ(reinterpret_cast<uintptr_t>(shard.data()) %
+      const auto [begin, end] = FacetStore::ShardRange(23, s, num_shards);
+      if (begin == end) continue;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(store.EntityBlock(begin)) %
                     FacetStore::kRowAlignBytes,
                 0u)
           << "shard " << s << "/" << num_shards;
@@ -184,62 +205,8 @@ TEST(ShardViewTest, ShardBasesAreCacheLineAligned) {
   }
 }
 
-TEST(ShardViewTest, ConstShardViewsTileABorrowedStore) {
-  // A borrowed store (the view LoadMarsMapped puts over a mapping) shards
-  // exactly like the owned store whose bytes it borrows: the const views
-  // tile it, stay cache-line aligned, and address the borrowed memory.
-  FacetStore owned(7, 2, 12);
-  float x = 0.5f;
-  for (size_t e = 0; e < 7; ++e) {
-    for (size_t k = 0; k < 2; ++k) {
-      for (size_t i = 0; i < 12; ++i) owned.Row(e, k)[i] = x += 0.25f;
-    }
-  }
-  const FacetStore borrowed = FacetStore::BorrowConst(
-      owned.EntityBlock(0), 7, 2, 12, owned.row_stride());
-  ASSERT_TRUE(borrowed.borrowed());
-  size_t covered = 0;
-  for (size_t s = 0; s < 3; ++s) {
-    const FacetStore::ConstShardView view = borrowed.ConstShard(s, 3);
-    EXPECT_EQ(view.entity_begin(), covered);
-    EXPECT_EQ(view.num_entities(), owned.ConstShard(s, 3).num_entities());
-    covered = view.entity_end();
-    if (view.empty()) continue;
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(view.data()) %
-                  FacetStore::kRowAlignBytes,
-              0u);
-    for (size_t e = view.entity_begin(); e < view.entity_end(); ++e) {
-      EXPECT_EQ(view.EntityBlock(e), owned.EntityBlock(e));
-    }
-  }
-  EXPECT_EQ(covered, 7u);
-}
-
-TEST(ShardViewTest, CopyFromCopiesOnlyTheRange) {
-  FacetStore src(9, 2, 5), dst(9, 2, 5);
-  for (size_t e = 0; e < 9; ++e) {
-    for (size_t k = 0; k < 2; ++k) {
-      for (size_t i = 0; i < 5; ++i) {
-        src.Row(e, k)[i] = static_cast<float>(100 * e + 10 * k + i);
-      }
-    }
-  }
-  dst.Fill(-1.0f);
-  dst.Shard(1, 3).CopyFrom(src);  // entities [3, 6)
-  for (size_t e = 0; e < 9; ++e) {
-    const bool copied = e >= 3 && e < 6;
-    for (size_t k = 0; k < 2; ++k) {
-      for (size_t i = 0; i < 5; ++i) {
-        EXPECT_EQ(dst.Row(e, k)[i],
-                  copied ? src.Row(e, k)[i] : -1.0f)
-            << "entity " << e;
-      }
-    }
-  }
-}
-
-// Workers writing disjoint shards concurrently must never corrupt a
-// neighboring shard's rows — the ownership model behind Hogwild-by-shard.
+// Workers writing disjoint ShardRange ranges concurrently must never corrupt
+// a neighboring shard's rows — the ownership model behind Hogwild-by-shard.
 TEST(ShardViewTest, DisjointShardWritesDoNotCorruptNeighbors) {
   constexpr size_t kEntities = 257;  // prime: uneven shard boundaries
   constexpr size_t kFacets = 2;
@@ -252,11 +219,11 @@ TEST(ShardViewTest, DisjointShardWritesDoNotCorruptNeighbors) {
   threads.reserve(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     threads.emplace_back([&store, s] {
-      auto shard = store.Shard(s, kShards);
+      const auto [begin, end] = FacetStore::ShardRange(kEntities, s, kShards);
       for (int round = 0; round < kRounds; ++round) {
-        for (size_t e = shard.entity_begin(); e < shard.entity_end(); ++e) {
+        for (size_t e = begin; e < end; ++e) {
           for (size_t k = 0; k < kFacets; ++k) {
-            float* row = shard.Row(e, k);
+            float* row = store.Row(e, k);
             for (size_t i = 0; i < kDim; ++i) {
               row[i] = static_cast<float>(1000 * s + 10 * k + i) +
                        static_cast<float>(round);

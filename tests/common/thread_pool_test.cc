@@ -87,7 +87,7 @@ TEST(ThreadPoolTest, IsWorkerThreadIdentifiesPoolTasks) {
       // From a task, the executing pool must flag re-entrancy...
       if (pool.IsWorkerThread()) inside.fetch_add(1);
       // ...but an unrelated pool must not (two-pool nesting is the
-      // sanctioned pattern for overlapped evaluation).
+      // sanctioned pattern for nested parallelism).
       if (!other.IsWorkerThread()) outside_other.fetch_add(1);
     });
   }

@@ -64,14 +64,6 @@ TEST_F(BaselineFixture, BprBeatsChance) {
   EXPECT_GT(TrainAndScore(&model, FastOptions()), kChanceHr10 * 1.5);
 }
 
-TEST_F(BaselineFixture, BprWithoutBiasAlsoTrains) {
-  BprConfig cfg;
-  cfg.dim = 16;
-  cfg.use_item_bias = false;
-  Bpr model(cfg);
-  EXPECT_GT(TrainAndScore(&model, FastOptions()), kChanceHr10 * 1.3);
-}
-
 TEST_F(BaselineFixture, NmfBeatsChance) {
   Nmf model(NmfConfig{.factors = 16});
   TrainOptions opts;

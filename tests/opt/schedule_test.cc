@@ -5,40 +5,24 @@
 namespace mars {
 namespace {
 
-TEST(ScheduleTest, ConstantIsConstant) {
-  LrSchedule sched(0.05, LrDecay::kConstant, 100);
-  EXPECT_DOUBLE_EQ(sched.At(0), 0.05);
-  EXPECT_DOUBLE_EQ(sched.At(50), 0.05);
-  EXPECT_DOUBLE_EQ(sched.At(99), 0.05);
-}
-
 TEST(ScheduleTest, LinearDecays) {
-  LrSchedule sched(1.0, LrDecay::kLinear, 10);
+  LrSchedule sched(1.0, 10);
   EXPECT_DOUBLE_EQ(sched.At(0), 1.0);
   EXPECT_DOUBLE_EQ(sched.At(5), 0.5);
-  // Floored at min_factor (default 0.1).
+  // Floored at 0.1 of the base rate.
   EXPECT_DOUBLE_EQ(sched.At(10), 0.1);
   EXPECT_DOUBLE_EQ(sched.At(1000), 0.1);
 }
 
 TEST(ScheduleTest, LinearIsMonotoneNonIncreasing) {
-  LrSchedule sched(0.5, LrDecay::kLinear, 30);
+  LrSchedule sched(0.5, 30);
   for (size_t e = 1; e < 60; ++e) {
     EXPECT_LE(sched.At(e), sched.At(e - 1));
   }
 }
 
-TEST(ScheduleTest, ExponentialDecays) {
-  LrSchedule sched(1.0, LrDecay::kExponential, 100, 0.5);
-  EXPECT_DOUBLE_EQ(sched.At(0), 1.0);
-  EXPECT_DOUBLE_EQ(sched.At(1), 0.5);
-  EXPECT_DOUBLE_EQ(sched.At(2), 0.25);
-  // Floored at base * min_factor.
-  EXPECT_DOUBLE_EQ(sched.At(50), 0.1);
-}
-
 TEST(ScheduleTest, BaseLrAccessor) {
-  LrSchedule sched(0.01, LrDecay::kConstant, 10);
+  LrSchedule sched(0.01, 10);
   EXPECT_DOUBLE_EQ(sched.base_lr(), 0.01);
 }
 

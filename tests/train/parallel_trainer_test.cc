@@ -27,7 +27,6 @@
 #include "models/train_loop.h"
 #include "opt/schedule.h"
 #include "sampling/triplet_sampler.h"
-#include "train/snapshot.h"
 
 namespace mars {
 namespace {
@@ -143,8 +142,7 @@ TEST(ParallelTrainerTest, BprSingleThreadMatchesSerialReferenceBitForBit) {
   const TripletSampler sampler(train, TripletUserMode::kUniformInteraction);
   const size_t steps = ResolveStepsPerEpoch(options, train);
   const float l2 = static_cast<float>(config.l2_reg);
-  const LrSchedule schedule(options.learning_rate, options.decay,
-                            options.epochs);
+  const LrSchedule schedule(options.learning_rate, options.epochs);
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     const float lr = static_cast<float>(schedule.At(epoch));
     Triplet t;
@@ -309,7 +307,7 @@ TEST(ParallelTrainerTest, MarsParallelTrainingProducesValidModel) {
   }
 }
 
-TEST(ParallelTrainerTest, MarsOverlappedEvalTrainsAndStops) {
+TEST(ParallelTrainerTest, MarsMultiThreadFitWithDevEvalStopsWithoutDeadlock) {
   const auto full = SmallDataset(13);
   const LeaveOneOutSplit split = MakeLeaveOneOutSplit(*full, 2);
   const Evaluator dev(*split.train, split.dev_item, EvalProtocol{});
@@ -334,49 +332,6 @@ TEST(ParallelTrainerTest, MarsOverlappedEvalTrainsAndStops) {
   const RankingMetrics m = dev.Evaluate(model, &eval_pool);
   EXPECT_GT(m.users_evaluated, 0u);
   EXPECT_TRUE(std::isfinite(m.hr10));
-}
-
-TEST(SnapshotFacetStoreTest, CopiesAndReusesBuffer) {
-  FacetStore src(37, 3, 9);
-  Rng rng(1);
-  for (size_t e = 0; e < 37; ++e) {
-    for (size_t k = 0; k < 3; ++k) {
-      float* row = src.Row(e, k);
-      for (size_t i = 0; i < 9; ++i) {
-        row[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
-      }
-    }
-  }
-
-  ThreadPool pool(4);
-  FacetStore dst;
-  SnapshotFacetStore(src, &dst, &pool);
-  ASSERT_EQ(dst.num_entities(), 37u);
-  for (size_t e = 0; e < 37; ++e) {
-    for (size_t k = 0; k < 3; ++k) {
-      for (size_t i = 0; i < 9; ++i) {
-        ASSERT_EQ(dst.Row(e, k)[i], src.Row(e, k)[i]);
-      }
-    }
-  }
-
-  // Double-buffer path: mutate src, snapshot again into the same dst.
-  const float* buffer_before = dst.Row(0, 0);
-  src.Row(5, 1)[3] = 42.0f;
-  SnapshotFacetStore(src, &dst, &pool);
-  EXPECT_EQ(dst.Row(0, 0), buffer_before);  // no reallocation
-  EXPECT_EQ(dst.Row(5, 1)[3], 42.0f);
-
-  // Serial path (null pool) must agree.
-  FacetStore serial;
-  SnapshotFacetStore(src, &serial, nullptr);
-  for (size_t e = 0; e < 37; ++e) {
-    for (size_t k = 0; k < 3; ++k) {
-      for (size_t i = 0; i < 9; ++i) {
-        ASSERT_EQ(serial.Row(e, k)[i], src.Row(e, k)[i]);
-      }
-    }
-  }
 }
 
 }  // namespace
