@@ -292,15 +292,11 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
   const std::shared_ptr<const ItemScorer> snapshot =
       model_.Acquire(&pinned_epoch);
   results->resize(users.size());
-  // Probe the ANN index when one is live and still shaped like the pinned
-  // model (a swap to an unindexable or different-dim model quietly falls
-  // back to the exact sweep). The index may be one epoch stale relative to
-  // the snapshot — recall cost only; the re-rank scores with the snapshot.
+  // The index may be one epoch stale relative to the snapshot — recall
+  // cost only; the re-rank scores with the snapshot.
   const std::shared_ptr<const SphericalIvfIndex> index =
-      ann_enabled_ ? ann_index_.Acquire() : nullptr;
-  const bool ann_ok =
-      index != nullptr && snapshot->index_dim() == index->dim();
-  if (ann_ok) {
+      ProbeIndex(*snapshot);
+  if (index != nullptr) {
     AnnBatchSweep(*snapshot, *index, users, results);
   } else {
     BatchSweep(*snapshot, users, results);
@@ -316,7 +312,7 @@ uint64_t TopKServer::SweepMisses(std::span<const UserId> users,
                                              std::memory_order_relaxed)) {
     }
   }
-  if (ann_ok) {
+  if (index != nullptr) {
     ann_probes_.fetch_add(users.size(), std::memory_order_relaxed);
   } else {
     exact_fallbacks_.fetch_add(users.size(), std::memory_order_relaxed);
@@ -531,17 +527,26 @@ size_t TopKServer::AnnWant(UserId u) const {
   return std::max(k * AnnIndexOptions::overfetch, k + excluded);
 }
 
+std::shared_ptr<const SphericalIvfIndex> TopKServer::ProbeIndex(
+    const ItemScorer& snapshot) const {
+  if (!ann_enabled_) return nullptr;
+  std::shared_ptr<const SphericalIvfIndex> index = ann_index_.Acquire();
+  if (index == nullptr || snapshot.index_dim() != index->dim()) {
+    return nullptr;
+  }
+  return index;
+}
+
 void TopKServer::RefreshAnnIndex(
     const std::shared_ptr<const ItemScorer>& snapshot,
     const std::vector<size_t>* dirty_items) {
   if (!ann_enabled_) return;
-  const std::shared_ptr<const SphericalIvfIndex> current =
-      ann_index_.Acquire();
-  if (dirty_items != nullptr && current != nullptr &&
-      snapshot->index_dim() == current->dim()) {
-    ann_index_.Publish(
-        current->Rebuilt(*snapshot, *dirty_items, item_shards_, nullptr));
-    return;
+  if (dirty_items != nullptr) {
+    if (const auto current = ProbeIndex(*snapshot)) {
+      ann_index_.Publish(
+          current->Rebuilt(*snapshot, *dirty_items, item_shards_, nullptr));
+      return;
+    }
   }
   // From-scratch build: no index yet, an unknown delta, or the model
   // changed shape. Publishing null (an unindexable model) routes misses to
@@ -556,14 +561,12 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
   MARS_CHECK(tracker->num_items() == num_items_);
   MARS_CHECK_MSG(tracker->num_item_shards() == item_shards_,
                  "WriteTracker item-shard count must match the server's "
-                 "(TopKServerOptions::item_shards)");
+                 "(TopKServerOptions::cache.item_shards)");
 
   std::vector<size_t> dirty_items;
   for (size_t s = 0; s < item_shards_; ++s) {
     if (tracker->ItemShardDirty(s)) dirty_items.push_back(s);
   }
-  // Refreshing every shard costs what the cold sweep it replaces would;
-  // drop instead and let the next query pay one miss lazily.
   const bool all_items_dirty = dirty_items.size() == item_shards_;
 
   uint64_t current_epoch = 0;
@@ -577,37 +580,31 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
   if (!dirty_items.empty()) {
     RefreshAnnIndex(snapshot, all_items_dirty ? nullptr : &dirty_items);
   }
-  // Pin the just-rebuilt index for the refresh scan below: a compatible
-  // one turns each entry refresh from "re-score every dirty shard" into
-  // one probe + a handful of exact scores (RefreshEntry's ANN path). The
-  // usual per-miss compatibility re-check applies — an unindexable model
-  // or a shape change keeps the refresh on the exact path.
-  std::shared_ptr<const SphericalIvfIndex> refresh_index;
-  if (ann_enabled_ && !dirty_items.empty() && !all_items_dirty) {
-    refresh_index = ann_index_.Acquire();
-    if (refresh_index != nullptr &&
-        (snapshot->index_dim() != refresh_index->dim() ||
-         refresh_index->num_items() != num_items_)) {
-      refresh_index = nullptr;
-    }
-  }
+  // With item shards dirty, entries of clean users are dropped instead of
+  // refreshed when every item shard is dirty (refreshing them all costs
+  // the cold sweeps they would save) or when misses probe the index (a
+  // refresh would run a miss's own probe under the stripe lock, even for
+  // entries nobody reads again). Either way the next query pays one lazy
+  // miss; only servers whose misses take the exact sweep refresh.
+  const bool drop_item_dirty =
+      !dirty_items.empty() &&
+      (all_items_dirty || ProbeIndex(*snapshot) != nullptr);
   RefreshScratch scratch;
   for (Stripe& stripe : stripes_) {
     std::unique_lock<std::mutex> lock(stripe.mu);
     for (auto it = stripe.map.begin(); it != stripe.map.end();) {
       const bool user_dirty =
           tracker->UserShardDirty(tracker->UserShardOf(it->first));
-      bool drop = user_dirty || all_items_dirty;
+      bool drop = user_dirty || drop_item_dirty;
       if (!drop && !dirty_items.empty()) {
-        if (RefreshEntry(*snapshot, it->first, dirty_items,
-                         refresh_index.get(), &scratch, &stripe,
-                         it->second)) {
+        if (RefreshEntry(*snapshot, it->first, dirty_items, &scratch,
+                         &stripe, it->second)) {
           stripe.slots[it->second].epoch = current_epoch;
           ++stripe.refreshed;
         } else {
           // The k-th-rank cutoff dropped: exactness is unprovable by the
           // cheap merge. Drop and let the next query pay one lazy miss —
-          // same bounded-stall policy as the all-dirty case above.
+          // same bounded-stall policy as the drops above.
           drop = true;
           ++stripe.refresh_drops;
         }
@@ -625,7 +622,6 @@ void TopKServer::AbsorbWrites(WriteTracker* tracker) {
 
 bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
                               const std::vector<size_t>& dirty,
-                              const SphericalIvfIndex* ann,
                               RefreshScratch* scratch, Stripe* stripe,
                               uint32_t slot) {
   const size_t k = std::min(options_.k, num_items_);
@@ -664,63 +660,24 @@ bool TopKServer::RefreshEntry(const ItemScorer& model, UserId u,
   // catalog sizes). The threshold only tightens when accepts pile up.
   std::pair<float, ItemId> threshold = old_kth;
   bool has_threshold = old_full;
-  if (ann != nullptr) {
-    // ANN candidate path: one probe of the rebuilt index supplies the
-    // dirty-shard candidates, and only those few are exact-scored. The
-    // want is the miss path's own (AnnWant: k·overfetch, widened by the
-    // user's exclusion count), which is what makes an exhaustive probe
-    // sufficient: any dirty item that can enter the new top-k ranks in
-    // the global top-(k + excluded) under the new snapshot, so it is in
-    // the probe set; every clean item above the old cutoff is already a
-    // survivor. The acceptance threshold and exactness cutoff below are
-    // shared with the exact path, so the refreshed entry — and the drop
-    // decision — match it bit for bit (an approximate probe costs
-    // candidate coverage only, the usual ANN recall axis).
-    ann_refresh_probes_.fetch_add(1, std::memory_order_relaxed);
-    scratch->query.resize(ann->dim());
-    model.WriteIndexQuery(u, scratch->query.data());
-    scratch->probe_ids.clear();
-    ann->Probe(scratch->query.data(), AnnWant(u), &scratch->probe_ids);
-    std::vector<ItemId>& dirty_cands = scratch->dirty_cands;
-    dirty_cands.clear();
-    for (const ItemId v : scratch->probe_ids) {
-      const size_t s = FacetStore::ShardOf(num_items_, v, item_shards_);
-      if (!std::binary_search(dirty.begin(), dirty.end(), s)) continue;
+  const size_t buf_cap = candidates.size() + 4 * k;
+  for (const size_t s : dirty) {
+    const auto [begin, end] =
+        FacetStore::ShardRange(num_items_, s, item_shards_);
+    if (begin >= end) continue;
+    scratch->scores.resize(end - begin);
+    model.ScoreItemRange(u, begin, end, scratch->scores.data());
+    for (ItemId v = begin; v < end; ++v) {
       if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
-      dirty_cands.push_back(v);
-    }
-    if (!dirty_cands.empty()) {
-      scratch->scores.resize(dirty_cands.size());
-      model.ScoreItems(u, dirty_cands, scratch->scores.data());
-      for (size_t i = 0; i < dirty_cands.size(); ++i) {
-        const std::pair<float, ItemId> cand{scratch->scores[i],
-                                            dirty_cands[i]};
-        // Strictly-worse rejection, as below: the old k-th member must
-        // survive its shard being dirtied.
-        if (has_threshold && RanksBetter(threshold, cand)) continue;
-        candidates.push_back(cand);
-      }
-    }
-  } else {
-    const size_t buf_cap = candidates.size() + 4 * k;
-    for (const size_t s : dirty) {
-      const auto [begin, end] =
-          FacetStore::ShardRange(num_items_, s, item_shards_);
-      if (begin >= end) continue;
-      scratch->scores.resize(end - begin);
-      model.ScoreItemRange(u, begin, end, scratch->scores.data());
-      for (ItemId v = begin; v < end; ++v) {
-        if (exclude != nullptr && exclude->HasInteraction(u, v)) continue;
-        const std::pair<float, ItemId> cand{scratch->scores[v - begin], v};
-        // Reject only what is *strictly* worse than the threshold — the
-        // old k-th member itself must survive its shard being dirtied.
-        if (has_threshold && RanksBetter(threshold, cand)) continue;
-        candidates.push_back(cand);
-        if (candidates.size() >= buf_cap) {
-          CompactTopK(&candidates, k);
-          threshold = candidates[k - 1];
-          has_threshold = true;
-        }
+      const std::pair<float, ItemId> cand{scratch->scores[v - begin], v};
+      // Reject only what is *strictly* worse than the threshold — the
+      // old k-th member itself must survive its shard being dirtied.
+      if (has_threshold && RanksBetter(threshold, cand)) continue;
+      candidates.push_back(cand);
+      if (candidates.size() >= buf_cap) {
+        CompactTopK(&candidates, k);
+        threshold = candidates[k - 1];
+        has_threshold = true;
       }
     }
   }
@@ -873,7 +830,6 @@ TopKServerStats TopKServer::stats() const {
   }
   s.ann_probes = ann_probes_.load(std::memory_order_relaxed);
   s.exact_fallbacks = exact_fallbacks_.load(std::memory_order_relaxed);
-  s.ann_refresh_probes = ann_refresh_probes_.load(std::memory_order_relaxed);
   s.coalesced_misses = coalesced_misses_.load(std::memory_order_relaxed);
   s.batch_sweeps = batch_sweeps_.load(std::memory_order_relaxed);
   s.max_batch_size = max_batch_.load(std::memory_order_relaxed);

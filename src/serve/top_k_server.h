@@ -26,9 +26,8 @@
 // delta). A probe against a one-epoch-stale index costs recall only: the
 // re-rank always scores with the pinned model snapshot. Cached entries
 // produced by ANN misses are approximate in the same candidate-coverage
-// sense, and incremental refresh preserves that: survivors keep their
-// exact scores and dirty shards are re-scored exactly, so refresh never
-// *lowers* an entry's recall.
+// sense, and are never refreshed: a refresh would cost the probe a miss
+// costs (see AbsorbWrites below).
 //
 // The server is split into two roles with different concurrency rights:
 //
@@ -54,12 +53,16 @@
 //    from caching results of the superseded snapshot after the absorb
 //    scan has passed.
 //
-// Invalidation is shard-granular and *incremental*: training steps mark
-// dirtied rows in a WriteTracker (serve/write_tracker.h), and
-// AbsorbWrites
+// Invalidation is shard-granular: training steps mark dirtied rows in a
+// WriteTracker (serve/write_tracker.h), and AbsorbWrites
 //  - drops entries whose *user* shard was dirtied (the user row moved, so
 //    every score of that user is stale),
-//  - refreshes surviving entries in place when item shards dirtied:
+//  - when misses probe the ANN index, drops every entry once any item
+//    shard is dirty: refreshing an entry would run the probe its next
+//    miss runs, under the stripe lock, even for entries nobody reads
+//    again — the next query pays that one miss lazily instead,
+//  - when misses take the exact sweep, and is *incremental* there: it
+//    refreshes surviving entries in place when item shards dirtied:
 //    cached entries lying in dirty shards are discarded (stale scores),
 //    only the dirty shards are re-scored against the current snapshot,
 //    and the k best of (surviving old entries + re-scored dirty
@@ -74,9 +77,9 @@
 //    Mostly-clean epochs therefore keep the cache warm at a fraction of
 //    the cold-sweep cost (bench/bench_serve.cpp measures the ratio;
 //    scripts/check_bench.py gates it),
-//  - falls back to dropping everything when every item shard is dirty (a
-//    full re-sweep per entry costs the same as the cold miss it would
-//    save — let the next query pay it lazily).
+//  - drops everything when every item shard is dirty (a full re-sweep per
+//    entry costs the same as the cold miss it would save — let the next
+//    query pay it lazily).
 //
 // The snapshot may equally be an immutable *mapped* model
 // (core/persistence.h LoadMarsMapped): an mmap'd format-v3 file whose
@@ -122,9 +125,9 @@ struct CacheOptions {
   /// (or lower stripes) if hot users are known to be id-contiguous rather
   /// than spread.
   size_t stripes = 0;
-  /// Item-shard granularity of incremental refresh — must match the
-  /// WriteTracker handed to AbsorbWrites (both sides clamp to the
-  /// catalog size the same way).
+  /// Item-shard granularity of AbsorbWrites (exact-sweep refresh and the
+  /// index re-insert) — must match the WriteTracker handed to it (both
+  /// sides clamp to the catalog size the same way).
   size_t item_shards = WriteTracker::kDefaultShards;
 };
 
@@ -164,6 +167,8 @@ struct TopKServerStats {
   uint64_t misses = 0;
   uint64_t invalidated = 0;  // cached entries dropped by AbsorbWrites
   uint64_t refreshed = 0;    // entries incrementally refreshed in place
+                             // (exact-sweep servers only: an ANN server
+                             // drops instead, counted in `invalidated`)
   uint64_t refresh_drops = 0;  // refresh candidates dropped instead (the
                                // k-th-rank cutoff dropped; see file doc —
                                // also counted in `invalidated`)
@@ -172,14 +177,6 @@ struct TopKServerStats {
   uint64_t ann_probes = 0;   // misses served via the ANN probe/re-rank path
   uint64_t exact_fallbacks = 0;  // misses served by the exact full sweep
                                  // (ann_probes + exact_fallbacks == misses)
-  uint64_t ann_refresh_probes = 0;  // entry refreshes whose dirty-shard
-                                    // candidates came from an ANN probe
-                                    // instead of full shard re-scores. A
-                                    // maintenance-side counter: not an
-                                    // ann_probe, so the miss identity
-                                    // above stays exact. refreshed +
-                                    // refresh_drops - ann_refresh_probes
-                                    // = exact-path refresh attempts.
   // Batching efficacy (TopKBatch; a "batch" here is a multi-user sweep of
   // >= 2 users — lone misses don't count):
   uint64_t coalesced_misses = 0;  // misses served by a multi-user sweep
@@ -264,20 +261,18 @@ class TopKServer {
   void ReplaceModel(const ItemScorer* model);
 
   /// Consumes the tracker's dirty flags (and clears them): entries of
-  /// users in dirtied user shards are dropped; surviving entries are
-  /// incrementally refreshed against the *current* snapshot when item
-  /// shards dirtied (see file comment — call ReplaceModel first). The
-  /// tracker's shard counts must match the server's (same defaults, same
-  /// clamping). When ANN serving is on, dirty item shards are first
+  /// users in dirtied user shards are dropped. When item shards dirtied,
+  /// a server whose misses probe the ANN index drops every other entry
+  /// too, and an exact-sweep server refreshes them incrementally against
+  /// the *current* snapshot (see file comment — call ReplaceModel first).
+  /// The tracker's shard counts must match the server's (same defaults,
+  /// same clamping). When ANN serving is on, dirty item shards are first
   /// re-inserted into the candidate index (an epoch-swapped Rebuilt — see
-  /// the file comment) so post-absorb misses probe fresh lists, and the
-  /// surviving entries then refresh *through* that rebuilt index: one
-  /// probe supplies the dirty-shard candidates instead of re-scoring
-  /// whole shards (stats().ann_refresh_probes; see RefreshEntry). Each
-  /// stripe is refreshed under its own lock, so hits for
-  /// that stripe's users stall for its refresh (≤ 1/4 of a cold sweep
-  /// per entry on a mostly-clean epoch) while every other stripe keeps
-  /// serving.
+  /// the file comment) so post-absorb misses probe fresh lists. Each
+  /// stripe is scanned under its own lock, so hits for that stripe's
+  /// users stall for its drops, or its exact refreshes (≤ 1/4 of a cold
+  /// sweep per entry on a mostly-clean epoch), while every other stripe
+  /// keeps serving.
   void AbsorbWrites(WriteTracker* tracker);
 
   /// The epoch-boundary hook: ReplaceModel followed by AbsorbWrites, in
@@ -302,10 +297,11 @@ class TopKServer {
   /// ranked best-first with parallel scores, at most min(k, num_items)
   /// long, with every id inside the catalog; an existing entry for `u` is
   /// replaced. Counts as neither hit nor miss; the stripe's LRU bound
-  /// still applies. A primed entry refreshes like a swept one — provided
-  /// it really was the current snapshot's top-k, which is the sidecar
-  /// pairing contract. Returns false (no insert) on out-of-range user or
-  /// item, mismatched lengths, or an over-long list.
+  /// still applies. AbsorbWrites refreshes or drops a primed entry like a
+  /// swept one; a refresh is exact provided the entry really was the
+  /// current snapshot's top-k, which is the sidecar pairing contract.
+  /// Returns false (no insert) on out-of-range user or item, mismatched
+  /// lengths, or an over-long list.
   bool Prime(UserId u, const std::vector<ItemId>& items,
              const std::vector<float>& scores);
 
@@ -431,11 +427,6 @@ class TopKServer {
     std::vector<std::pair<float, ItemId>> candidates;
     std::vector<ItemId> merged_items;
     std::vector<float> merged_scores;
-    // ANN refresh path (see RefreshEntry): probe query, probed ids, and
-    // the dirty-shard subset that actually gets re-scored.
-    std::vector<float> query;
-    std::vector<ItemId> probe_ids;
-    std::vector<ItemId> dirty_cands;
   };
 
   size_t StripeOf(UserId u) const;
@@ -461,10 +452,11 @@ class TopKServer {
 
   /// The one miss path, shared by TopK and TopKBatch: pins one (snapshot,
   /// epoch) for the whole span of users, runs one exact sweep
-  /// (BatchSweep) or one ANN sweep (AnnBatchSweep) over all of them — a
-  /// lone miss is a span of one — stamps per-result epochs, and attributes
-  /// stats. `users` must be deduplicated and non-empty; returns the pinned
-  /// epoch. The batching counters see only spans of >= 2 users.
+  /// (BatchSweep) or, when ProbeIndex returns an index, one ANN sweep
+  /// (AnnBatchSweep) over all of them — a lone miss is a span of one —
+  /// stamps per-result epochs, and attributes stats. `users` must be
+  /// deduplicated and non-empty; returns the pinned epoch. The batching
+  /// counters see only spans of >= 2 users.
   uint64_t SweepMisses(std::span<const UserId> users,
                        std::vector<TopKResponse>* results);
 
@@ -501,9 +493,17 @@ class TopKServer {
   /// user's interaction count guarantees exclusion filtering alone can
   /// never shorten the answer below k (under an exhaustive probe, IVF at
   /// full nprobe, this keeps the served top-k exactly the brute-force
-  /// one). The miss path and RefreshEntry both ask for this count — the
-  /// refresh's exactness argument requires the two to be equal.
+  /// one).
   size_t AnnWant(UserId u) const;
+
+  /// The one predicate for whether misses against `snapshot` probe: the
+  /// live candidate index when ANN serving is on and the index's dim()
+  /// matches snapshot.index_dim(), else null (the exact sweep). SweepMisses
+  /// routes each miss by it, AbsorbWrites drops instead of refreshing
+  /// when it holds, and RefreshAnnIndex re-inserts into the index it
+  /// returns.
+  std::shared_ptr<const SphericalIvfIndex> ProbeIndex(
+      const ItemScorer& snapshot) const;
 
   /// Maintenance-side index refresh against `snapshot`: incremental
   /// (SphericalIvfIndex::Rebuilt over `dirty_items`) when a compatible
@@ -514,24 +514,15 @@ class TopKServer {
                        const std::vector<size_t>* dirty_items);
 
   /// Incremental refresh of the entry in `slot` of `stripe` (the caller
-  /// holds its lock): re-scores the `dirty` item shards (sorted ids)
-  /// and merges with the entry's surviving rows. With `ann` non-null (the
-  /// just-rebuilt, snapshot-compatible candidate index) the dirty-shard
-  /// candidates come from one index probe filtered to the dirty shards —
-  /// probe cost instead of full shard re-scores — and only those few
-  /// candidates are exact-scored; the acceptance threshold, merge, and
-  /// exactness cutoff are the exact path's, so under an exhaustive probe
-  /// (IVF at full nprobe) the refreshed entry and the drop decision are
-  /// bit-identical to `ann == nullptr`. An approximate probe
-  /// degrades candidate coverage only — the same recall axis as
-  /// ANN-served misses, never a mis-scored item. Returns false when the
-  /// merge cannot prove exactness (the k-th-rank cutoff dropped) — the
-  /// caller drops the entry and its next query re-sweeps lazily, keeping
-  /// the per-entry stripe-lock hold bounded.
+  /// holds its lock) on a server whose misses take the exact sweep:
+  /// re-scores the `dirty` item shards (sorted ids) and merges with the
+  /// entry's surviving rows. Returns false when the merge cannot prove
+  /// exactness (the k-th-rank cutoff dropped) — the caller drops the
+  /// entry and its next query re-sweeps lazily, keeping the per-entry
+  /// stripe-lock hold bounded.
   bool RefreshEntry(const ItemScorer& model, UserId u,
                     const std::vector<size_t>& dirty,
-                    const SphericalIvfIndex* ann, RefreshScratch* scratch,
-                    Stripe* stripe, uint32_t slot);
+                    RefreshScratch* scratch, Stripe* stripe, uint32_t slot);
 
   SnapshotHandle<ItemScorer> model_;
   size_t num_users_;
@@ -541,13 +532,12 @@ class TopKServer {
 
   /// ANN serving state: the index epoch-swaps exactly like the model. A
   /// null slot (unindexable model, or ann disabled) keeps misses on the
-  /// exact sweep. ann_enabled_ is fixed at construction; the per-miss dim
+  /// exact sweep. ann_enabled_ is fixed at construction; ProbeIndex's dim
   /// re-check handles model swaps that invalidate the index.
   bool ann_enabled_ = false;
   SnapshotHandle<SphericalIvfIndex> ann_index_;
   std::atomic<uint64_t> ann_probes_{0};
   std::atomic<uint64_t> exact_fallbacks_{0};
-  std::atomic<uint64_t> ann_refresh_probes_{0};
 
   std::vector<Stripe> stripes_;
 

@@ -9,9 +9,9 @@
 // server with them, preserving the LRU order (per cache stripe — a
 // striped server has no global recency order; configure cache.stripes=1
 // when the exact global order matters), so the first query of a
-// previously-hot user is a cache hit. Primed entries participate in
-// incremental AbsorbWrites refreshes like swept ones, so a warmed cache
-// also stays warm across mostly-clean training epochs.
+// previously-hot user is a cache hit. AbsorbWrites treats primed entries
+// like swept ones, so on a server whose misses take the exact sweep a
+// warmed cache also stays warm across mostly-clean training epochs.
 //
 // Pairing contract: a sidecar stores rankings, not parameters, so it is
 // only meaningful next to the exact model snapshot it was generated

@@ -47,9 +47,6 @@ class ParallelTrainer {
 
   size_t num_workers() const { return num_workers_; }
 
-  /// Worker pool; null when single-threaded.
-  ThreadPool* pool() const { return pool_.get(); }
-
   /// Runs `steps` total steps of `step` for one epoch. Steps are split as
   /// evenly as possible across workers (first `steps % W` workers run one
   /// extra); blocks until every worker finished. Worker RNG streams

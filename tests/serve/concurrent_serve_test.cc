@@ -423,8 +423,9 @@ TEST(SnapshotHandleServeTest, AnnQueriesRacingIndexSwapsSeeOnlySnapshots) {
       // Generations g-1 and g differ exactly in the shards either one
       // re-randomized; user rows are shared and clean item rows are
       // byte-identical, so this is the genuine strict-subset delta: the
-      // cache refreshes entries in place while the index goes through
-      // the incremental Rebuilt — both racing the probes.
+      // cache drops every entry (its misses probe, so nothing refreshes)
+      // while the index goes through the incremental Rebuilt — both
+      // racing the probes.
       for (ItemId v = 0; v < kItems; ++v) {
         const size_t s = tracker.ItemShardOf(v);
         if (s == (g - 1) % kShards || s == g % kShards) tracker.MarkItem(v);

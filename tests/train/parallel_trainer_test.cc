@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,11 +57,12 @@ TEST(ParallelTrainerTest, SingleThreadedRunsInlineOnSerialRng) {
   Rng reference(7);
   ParallelTrainer trainer(/*num_threads=*/1, /*seed=*/7, &rng);
   EXPECT_EQ(trainer.num_workers(), 1u);
-  EXPECT_EQ(trainer.pool(), nullptr);
 
   std::vector<uint64_t> drawn;
+  const std::thread::id caller = std::this_thread::get_id();
   trainer.RunEpoch(5, [&](size_t worker, Rng& r) {
     EXPECT_EQ(worker, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);  // inline, no pool
     EXPECT_EQ(&r, &rng);  // the model's own generator, same object
     drawn.push_back(r.Next());
   });
@@ -72,16 +74,19 @@ TEST(ParallelTrainerTest, RunEpochCoversAllStepsAcrossWorkers) {
   Rng rng(3);
   ParallelTrainer trainer(/*num_threads=*/4, /*seed=*/3, &rng);
   EXPECT_EQ(trainer.num_workers(), 4u);
-  ASSERT_NE(trainer.pool(), nullptr);
 
   std::atomic<size_t> total{0};
+  std::atomic<size_t> on_caller{0};
   std::vector<std::atomic<size_t>> per_worker(4);
+  const std::thread::id caller = std::this_thread::get_id();
   // 1003 steps split 251/251/251/250 (non-divisible on purpose).
   trainer.RunEpoch(1003, [&](size_t worker, Rng&) {
     total.fetch_add(1);
     per_worker[worker].fetch_add(1);
+    if (std::this_thread::get_id() == caller) on_caller.fetch_add(1);
   });
   EXPECT_EQ(total.load(), 1003u);
+  EXPECT_EQ(on_caller.load(), 0u);  // every step ran on a pool worker
   EXPECT_EQ(per_worker[0].load(), 251u);
   EXPECT_EQ(per_worker[1].load(), 251u);
   EXPECT_EQ(per_worker[2].load(), 251u);
