@@ -135,9 +135,10 @@ def main():
                 workload, trace, name, fmt(pm), fmt(cm), fmt(iqr),
                 "-" if wins is None else "%d/%d" % (wins, len(pairs)),
                 ", ".join(notes)))
-        if bad:
-            print("| %s | %d | runs not correct or with failures | %s |"
-                  "  |  |  |  |" % (workload, trace, bad))
+        for s, side in bad:
+            print("warning: %s trace %d seed %s (%s) was not correct or had "
+                  "failed requests" % (workload, trace, s, side),
+                  file=sys.stderr)
     return 0
 
 
