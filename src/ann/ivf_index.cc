@@ -87,21 +87,132 @@ void QuantizeRow(const float* x, size_t n, size_t row_bytes, uint8_t* code,
   }
 }
 
+/// Marks a row with no answer against the centroids before the last
+/// update: UpdateNearest scans it against every centroid.
+constexpr uint32_t kNoAnswer = std::numeric_limits<uint32_t>::max();
+
+/// Rows UpdateNearest gathers per kernel call: a fixed scratch block,
+/// and enough row quads to keep the kernel's blocking.
+constexpr size_t kGatherRows = 64;
+
+/// The centroids whose bits the last Lloyd update changed: a flag per
+/// centroid, and the changed rows packed in ascending index order.
+struct MovedCentroids {
+  std::vector<uint8_t> moved;
+  std::vector<uint32_t> ids;
+  std::vector<float> rows;
+};
+
+/// Brings rows [0, count)'s nearest centroids up to date after an update
+/// that changed `moved`. On entry (assign[r], best[r]) is row r's answer
+/// and winning dot against the centroids before the update, or assign[r]
+/// is kNoAnswer; on exit they are what NearestCentroidDotBatch over all
+/// `centroids` returns, bit for bit.
+///
+/// A row whose centroid a kept its bits dots a as before, and so does
+/// every other unchanged centroid c, which the old scan ranked no higher
+/// than a (strictly lower when c < a). So the full scan ends at a or at a
+/// changed centroid: scanning only the changed ones, in index order, and
+/// keeping a unless one beats it (or ties it at a lower index) gives the
+/// same answer. A NaN dot breaks that order (the scan keeps a NaN only on
+/// its first centroid), so a NaN old dot or a NaN first changed dot sends
+/// the row to the full scan, as do rows with no answer or a changed a.
+void UpdateNearest(const float* rows, size_t count, size_t dim,
+                   const float* centroids, size_t num_centroids,
+                   const MovedCentroids& moved, uint32_t* assign,
+                   float* best) {
+  static thread_local std::vector<float> batch;
+  static thread_local std::vector<uint8_t> full;
+  batch.resize(kGatherRows * dim);
+  full.resize(count);
+  for (size_t r = 0; r < count; ++r) {
+    full[r] = assign[r] == kNoAnswer || moved.moved[assign[r]] != 0 ||
+              std::isnan(best[r]);
+  }
+  // Scores the rows whose full flag equals `want_full` against `cents`,
+  // kGatherRows at a time, and hands each answer to `apply`.
+  const auto scan = [&](bool want_full, const float* cents, size_t ncents,
+                        const auto& apply) {
+    uint32_t ids[kGatherRows], got[kGatherRows];
+    float got_dot[kGatherRows];
+    size_t n = 0;
+    const auto flush = [&] {
+      NearestCentroidDotBatch(batch.data(), n, dim, cents, ncents, dim, dim,
+                              got, got_dot);
+      for (size_t j = 0; j < n; ++j) apply(ids[j], got[j], got_dot[j]);
+      n = 0;
+    };
+    for (size_t r = 0; r < count; ++r) {
+      if ((full[r] != 0) != want_full) continue;
+      Copy(rows + r * dim, batch.data() + n * dim, dim);
+      ids[n++] = static_cast<uint32_t>(r);
+      if (n == kGatherRows) flush();
+    }
+    if (n > 0) flush();
+  };
+  if (!moved.ids.empty()) {
+    scan(false, moved.rows.data(), moved.ids.size(),
+         [&](uint32_t r, uint32_t j, float d) {
+           if (std::isnan(d)) {
+             full[r] = 1;
+             return;
+           }
+           const uint32_t c = moved.ids[j];
+           if (d > best[r] || (d == best[r] && c < assign[r])) {
+             assign[r] = c;
+             best[r] = d;
+           }
+         });
+  }
+  scan(true, centroids, num_centroids, [&](uint32_t r, uint32_t c, float d) {
+    assign[r] = c;
+    best[r] = d;
+  });
+}
+
+/// The k-means sample's last answers (UpdateNearest's inputs) for the
+/// catalog assignment: sample item sample_ids[i] (ascending) was assigned
+/// sample_assign[i] with dot sample_best[i] before `moved`'s update.
+struct SampleAnswers {
+  const std::vector<ItemId>& sample_ids;
+  const std::vector<uint32_t>& sample_assign;
+  const std::vector<float>& sample_best;
+  const MovedCentroids& moved;
+};
+
 /// Reads items [begin, end) through the model's index-vector surface and
 /// assigns each to its max-dot centroid; with `codes` set, also quantizes
-/// row v into codes + (v - begin)·row_bytes and scales[v - begin]. The copy
-/// buffer is per-thread: chunks re-use it across RunBatch tasks instead of
-/// paying a chunk-sized allocation each.
+/// row v into codes + (v - begin)·row_bytes and scales[v - begin]. With
+/// `known` set, the sample items in the range start from their last
+/// answer (UpdateNearest) instead of a scan over every centroid. The copy
+/// buffers are per-thread: chunks re-use them across RunBatch tasks
+/// instead of paying a chunk-sized allocation each.
 void AssignRange(const ItemScorer& model, ItemId begin, ItemId end,
                  const float* centroids, size_t num_centroids, size_t dim,
                  uint32_t* assign, uint8_t* codes = nullptr,
-                 float* scales = nullptr) {
+                 float* scales = nullptr,
+                 const SampleAnswers* known = nullptr) {
   if (begin >= end) return;
   static thread_local std::vector<float> rows;
   rows.resize((end - begin) * dim);
   model.CopyIndexVectors(begin, end, rows.data());
-  NearestCentroidDotBatch(rows.data(), end - begin, dim, centroids,
-                          num_centroids, dim, dim, assign + begin);
+  if (known == nullptr) {
+    NearestCentroidDotBatch(rows.data(), end - begin, dim, centroids,
+                            num_centroids, dim, dim, assign + begin);
+  } else {
+    static thread_local std::vector<float> best;
+    best.resize(end - begin);
+    std::fill(assign + begin, assign + end, kNoAnswer);
+    const auto& ids = known->sample_ids;
+    for (size_t i = std::lower_bound(ids.begin(), ids.end(), begin) -
+                    ids.begin();
+         i < ids.size() && ids[i] < end; ++i) {
+      assign[ids[i]] = known->sample_assign[i];
+      best[ids[i] - begin] = known->sample_best[i];
+    }
+    UpdateNearest(rows.data(), end - begin, dim, centroids, num_centroids,
+                  known->moved, assign + begin, best.data());
+  }
   if (codes == nullptr) return;
   const size_t row_bytes = SphericalIvfIndex::CodeBytes(dim);
   for (size_t r = 0; r < end - begin; ++r) {
@@ -211,18 +322,25 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
     NormalizeCentroid(centroids.data() + c * dim, dim);
   }
 
-  // Lloyd iterations with the spherical mean-direction update.
-  std::vector<uint32_t> sample_assign(sample_count);
+  // Lloyd iterations with the spherical mean-direction update. Each
+  // assignment step starts from the previous step's answers and re-scores
+  // a row against every centroid only when its own centroid moved
+  // (UpdateNearest); the answers are the full scan's either way.
+  std::vector<uint32_t> sample_assign(sample_count, kNoAnswer);
+  std::vector<float> sample_best(sample_count);
   std::vector<float> sums(ncent * dim);
   std::vector<uint32_t> counts(ncent);
+  std::vector<float> next(dim);
+  MovedCentroids moved;
+  moved.moved.assign(ncent, 0);
   for (size_t iter = 0; iter < kKmeansIters; ++iter) {
     // The assignment step fans out over the pool; the accumulation below
     // stays serial and in sample order, so the centroids' float sums (and
     // so every later bit of the index) do not depend on the pool.
     ForEachChunk(sample_count, pool, [&](size_t begin, size_t end) {
-      NearestCentroidDotBatch(sample.data() + begin * dim, end - begin, dim,
-                              centroids.data(), ncent, dim, dim,
-                              sample_assign.data() + begin);
+      UpdateNearest(sample.data() + begin * dim, end - begin, dim,
+                    centroids.data(), ncent, moved,
+                    sample_assign.data() + begin, sample_best.data() + begin);
     });
     std::fill(sums.begin(), sums.end(), 0.0f);
     std::fill(counts.begin(), counts.end(), 0u);
@@ -231,24 +349,36 @@ std::unique_ptr<SphericalIvfIndex> SphericalIvfIndex::Build(
            sums.data() + sample_assign[i] * dim, dim);
       ++counts[sample_assign[i]];
     }
+    moved.ids.clear();
+    moved.rows.clear();
     for (size_t c = 0; c < ncent; ++c) {
-      float* row = centroids.data() + c * dim;
       if (counts[c] == 0) {
         // Empty cluster: reseed deterministically from the sample so the
         // centroid count never silently shrinks.
         const size_t r = (iter * 2654435761u + c) % sample_count;
-        Copy(sample.data() + r * dim, row, dim);
+        Copy(sample.data() + r * dim, next.data(), dim);
       } else {
-        Copy(sums.data() + c * dim, row, dim);
+        Copy(sums.data() + c * dim, next.data(), dim);
       }
-      NormalizeCentroid(row, dim);
+      NormalizeCentroid(next.data(), dim);
+      float* row = centroids.data() + c * dim;
+      moved.moved[c] =
+          std::memcmp(next.data(), row, dim * sizeof(float)) != 0;
+      if (moved.moved[c] == 0) continue;
+      Copy(next.data(), row, dim);
+      moved.ids.push_back(static_cast<uint32_t>(c));
+      moved.rows.insert(moved.rows.end(), next.begin(), next.end());
     }
   }
 
+  // The catalog assignment: the sample items start from their last
+  // answer, against the centroids before the final update.
   index->assign_.mutable_vec().resize(num_items);
   uint32_t* assign = index->assign_.mutable_data();
+  const SampleAnswers known{sample_ids, sample_assign, sample_best, moved};
   ForEachChunk(num_items, pool, [&](size_t begin, size_t end) {
-    AssignRange(model, begin, end, centroids.data(), ncent, dim, assign);
+    AssignRange(model, begin, end, centroids.data(), ncent, dim, assign,
+                nullptr, nullptr, &known);
   });
   index->RebuildLists();
   // Quantize straight into list order: no item-order copy of the codes.

@@ -71,6 +71,19 @@ class SphericalIvfIndex {
   /// full-catalog assignment (may be null). The centroid updates stay serial
   /// and in sample order, so the index is bit-identical with or without a
   /// pool.
+  ///
+  /// Each assignment step after the first starts from the previous one's
+  /// answers (the nearest centroid and its winning dot, both from
+  /// NearestCentroidDotBatch) and re-scores a row against only the
+  /// centroids whose bits the update changed, unless the row's own
+  /// centroid changed. That is exact: the row's own centroid and every
+  /// other unchanged centroid dot the row as before, and the old scan put
+  /// the own centroid ahead of (or, at a higher index, level with) each of
+  /// them, so the full scan can only end on it or on a changed centroid.
+  /// Rows whose dots turn NaN take the full scan. The catalog assignment
+  /// starts the sample's items from their last answer the same way. The
+  /// index is therefore bit-identical to scanning every centroid every
+  /// step (SphericalIvfIndexTest.BuildGoldenDigestPinsIndexBytes).
   static std::unique_ptr<SphericalIvfIndex> Build(
       const ItemScorer& model, size_t num_items,
       const AnnIndexOptions& options, ThreadPool* pool);

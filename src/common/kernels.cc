@@ -21,6 +21,7 @@ using kernels_detail::SquaredDistanceRowGeneric;
 
 using kernels_detail::DotRowAvx2;
 using kernels_detail::DotRowAvx2X4;
+using kernels_detail::Hsum256X4;
 using kernels_detail::SquaredDistanceRowAvx2;
 using kernels_detail::SquaredDistanceRowAvx2X4;
 
@@ -200,48 +201,150 @@ MARS_AVX2_FN void WeightedFacetSquaredDistanceBatchMultiAvx2(
   }
 }
 
-// Rows in quads: each centroid row is loaded once per four sample rows
-// (DotRowAvx2X4 shares its vector loads across four FMA chains and gives
-// every lane the DotRowAvx2 bits), and each lane keeps its own strict-'>'
-// running argmax in one vector compare-and-blend, so ties still resolve to
-// the lowest centroid index. The count mod 4 tail rows run the single-row
-// loop.
+// Four rows against three centroids: the twelve (row, centroid) dots of
+// DotRowAvx2, each with its own two FMA chains. Twelve accumulators and
+// the three centroid vectors fill the sixteen ymm registers (the row
+// vectors are memory operands), so each pair's chains run as two passes:
+// the even 8-float blocks (plus the lone 8-float tail block) into acc0,
+// then the odd blocks into acc1, each chain in DotRowAvx2's order.
+// acc0 + acc1, the Hsum256X4 pairing and the in-order scalar tail then
+// give lane j of out[k] the DotRowAvx2(a[j], b[k]) bits.
+MARS_AVX2_FN inline void DotRowsAvx2X4X3(const float* const* a,
+                                         const float* const* b, size_t n,
+                                         __m128* out) {
+  __m256 even[3][4];
+  __m256 acc[3][4];
+#pragma GCC unroll 3
+  for (size_t k = 0; k < 3; ++k) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) acc[k][j] = _mm256_setzero_ps();
+  }
+  const size_t pairs_end = n & ~static_cast<size_t>(15);
+  const size_t even_end = n & ~static_cast<size_t>(7);
+  for (size_t i = 0; i < even_end; i += 16) {
+    const __m256 b0 = _mm256_loadu_ps(b[0] + i);
+    const __m256 b1 = _mm256_loadu_ps(b[1] + i);
+    const __m256 b2 = _mm256_loadu_ps(b[2] + i);
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      const __m256 x = _mm256_loadu_ps(a[j] + i);
+      acc[0][j] = _mm256_fmadd_ps(x, b0, acc[0][j]);
+      acc[1][j] = _mm256_fmadd_ps(x, b1, acc[1][j]);
+      acc[2][j] = _mm256_fmadd_ps(x, b2, acc[2][j]);
+    }
+  }
+#pragma GCC unroll 3
+  for (size_t k = 0; k < 3; ++k) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      even[k][j] = acc[k][j];
+      acc[k][j] = _mm256_setzero_ps();
+    }
+  }
+  for (size_t i = 8; i < pairs_end; i += 16) {
+    const __m256 b0 = _mm256_loadu_ps(b[0] + i);
+    const __m256 b1 = _mm256_loadu_ps(b[1] + i);
+    const __m256 b2 = _mm256_loadu_ps(b[2] + i);
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      const __m256 x = _mm256_loadu_ps(a[j] + i);
+      acc[0][j] = _mm256_fmadd_ps(x, b0, acc[0][j]);
+      acc[1][j] = _mm256_fmadd_ps(x, b1, acc[1][j]);
+      acc[2][j] = _mm256_fmadd_ps(x, b2, acc[2][j]);
+    }
+  }
+#pragma GCC unroll 3
+  for (size_t k = 0; k < 3; ++k) {
+#pragma GCC unroll 4
+    for (size_t j = 0; j < 4; ++j) {
+      acc[k][j] = _mm256_add_ps(even[k][j], acc[k][j]);
+    }
+    out[k] = Hsum256X4(acc[k]);
+  }
+  if (even_end == n) return;
+  for (size_t k = 0; k < 3; ++k) {
+    alignas(16) float d[4];
+    _mm_store_ps(d, out[k]);
+    for (size_t j = 0; j < 4; ++j) {
+      float s = d[j];
+      for (size_t t = even_end; t < n; ++t) s += a[j][t] * b[k][t];
+      d[j] = s;
+    }
+    out[k] = _mm_load_ps(d);
+  }
+}
+
+/// One step of four lanes' strict-'>' running argmax: lane j takes
+/// centroid c where dv[j] > best[j].
+MARS_AVX2_FN inline void TakeBetter(size_t c, __m128 dv, __m128* best,
+                                    __m128i* best_c) {
+  const __m128 better = _mm_cmp_ps(dv, *best, _CMP_GT_OQ);  // d > best
+  *best = _mm_blendv_ps(*best, dv, better);
+  *best_c = _mm_blendv_epi8(*best_c, _mm_set1_epi32(static_cast<int32_t>(c)),
+                            _mm_castps_si128(better));
+}
+
+// Rows in quads, centroids in threes (DotRowsAvx2X4X3: each centroid row
+// is loaded once per four sample rows and each row vector once per three
+// centroids); the num_centroids mod 3 tail centroids run DotRowAvx2X4,
+// whose lanes carry the same bits. Each lane keeps its own strict-'>'
+// running argmax in one vector compare-and-blend, taken in centroid
+// order, so ties still resolve to the lowest centroid index. The count
+// mod 4 tail rows run the single-row loop.
 MARS_AVX2_FN void NearestCentroidDotBatchAvx2(
     const float* rows, size_t count, size_t stride, const float* centroids,
-    size_t num_centroids, size_t centroid_stride, size_t n, uint32_t* out) {
+    size_t num_centroids, size_t centroid_stride, size_t n, uint32_t* out,
+    float* best_dot) {
+  const auto centroid = [&](size_t c) {
+    return centroids + c * centroid_stride;
+  };
   const size_t quads = count & ~static_cast<size_t>(3);
   size_t r = 0;
   for (; r < quads; r += 4) {
     const float* const quad[4] = {rows + r * stride, rows + (r + 1) * stride,
                                   rows + (r + 2) * stride,
                                   rows + (r + 3) * stride};
-    float d[4];
-    DotRowAvx2X4(quad, centroids, n, d);
-    __m128 best = _mm_loadu_ps(d);
+    __m128 best = _mm_setzero_ps();  // set from centroid 0 below
     __m128i best_c = _mm_setzero_si128();
-    for (size_t c = 1; c < num_centroids; ++c) {
-      DotRowAvx2X4(quad, centroids + c * centroid_stride, n, d);
-      const __m128 dv = _mm_loadu_ps(d);
-      const __m128 better = _mm_cmp_ps(dv, best, _CMP_GT_OQ);  // d > best
-      best = _mm_blendv_ps(best, dv, better);
-      best_c = _mm_blendv_epi8(best_c,
-                               _mm_set1_epi32(static_cast<int32_t>(c)),
-                               _mm_castps_si128(better));
+    size_t c = 0;
+    for (; c + 3 <= num_centroids; c += 3) {
+      const float* const trio[3] = {centroid(c), centroid(c + 1),
+                                    centroid(c + 2)};
+      __m128 d[3];
+      DotRowsAvx2X4X3(quad, trio, n, d);
+      if (c == 0) {
+        best = d[0];
+      } else {
+        TakeBetter(c, d[0], &best, &best_c);
+      }
+      TakeBetter(c + 1, d[1], &best, &best_c);
+      TakeBetter(c + 2, d[2], &best, &best_c);
+    }
+    for (; c < num_centroids; ++c) {
+      float d[4];
+      DotRowAvx2X4(quad, centroid(c), n, d);
+      if (c == 0) {
+        best = _mm_loadu_ps(d);
+      } else {
+        TakeBetter(c, _mm_loadu_ps(d), &best, &best_c);
+      }
     }
     _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r), best_c);
+    if (best_dot != nullptr) _mm_storeu_ps(best_dot + r, best);
   }
   for (; r < count; ++r) {
     const float* row = rows + r * stride;
     float best = DotRowAvx2(row, centroids, n);
     uint32_t best_c = 0;
     for (size_t c = 1; c < num_centroids; ++c) {
-      const float d = DotRowAvx2(row, centroids + c * centroid_stride, n);
+      const float d = DotRowAvx2(row, centroid(c), n);
       if (d > best) {
         best = d;
         best_c = static_cast<uint32_t>(c);
       }
     }
     out[r] = best_c;
+    if (best_dot != nullptr) best_dot[r] = best;
   }
 }
 
@@ -429,13 +532,13 @@ void NegatedSquaredDistanceBatch(const float* u, const float* rows,
 
 void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
-                             size_t centroid_stride, size_t n,
-                             uint32_t* out) {
+                             size_t centroid_stride, size_t n, uint32_t* out,
+                             float* best_dot) {
   if (count == 0 || num_centroids == 0) return;
 #if MARS_KERNELS_HAVE_AVX2
   if (HasAvx2Fma()) {
     NearestCentroidDotBatchAvx2(rows, count, stride, centroids, num_centroids,
-                                centroid_stride, n, out);
+                                centroid_stride, n, out, best_dot);
     return;
   }
 #endif
@@ -451,6 +554,7 @@ void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
       }
     }
     out[r] = best_c;
+    if (best_dot != nullptr) best_dot[r] = best;
   }
 }
 

@@ -71,10 +71,20 @@ void NegatedSquaredDistanceBatchMulti(const float* const* us,
 /// for i in [0, count); ties resolve to the lowest centroid index. This is
 /// the IVF coarse-assignment step of ann/ivf_index.h: with unit-norm
 /// centroids, max dot over c equals max cosine (the row's own norm is
-/// constant across centroids), so rows need no normalization.
+/// constant across centroids), so rows need no normalization. With
+/// `best_dot` set, best_dot[i] receives the winning dot, bit-identical to
+/// DotBatch's score of that (row, centroid) pair.
+///
+/// The argmax is the sequential scan `best = dot(c0); take c if dot > best`
+/// over c in order: a NaN dot never wins, and a NaN dot on centroid 0
+/// keeps centroid 0. The AVX2 twin blocks four rows against three
+/// centroids (twelve DotBatch-exact dots per block, each pair's two FMA
+/// chains run as two passes so the accumulators fit the registers) and
+/// takes the three in centroid order, so it returns the scan's answer.
 void NearestCentroidDotBatch(const float* rows, size_t count, size_t stride,
                              const float* centroids, size_t num_centroids,
-                             size_t centroid_stride, size_t n, uint32_t* out);
+                             size_t centroid_stride, size_t n, uint32_t* out,
+                             float* best_dot = nullptr);
 
 /// The 4-bit first pass of the IVF probe (ann/ivf_index.h). A code row
 /// of `row_bytes` bytes (a multiple of 32) holds 2·row_bytes nibbles in

@@ -44,11 +44,13 @@ void GemvTransposed(const Matrix& m, const float* x, float* out) {
   const size_t rows = m.rows();
   const size_t cols = m.cols();
   Fill(0.0f, out, cols);
+  // Axpy's per-element sums, inline: a call per row costs more than a
+  // short row's arithmetic (MARS's init runs this per entity and facet).
   for (size_t r = 0; r < rows; ++r) {
     const float xr = x[r];
     if (xr == 0.0f) continue;
     const float* row = m.Row(r);
-    Axpy(xr, row, out, cols);
+    for (size_t c = 0; c < cols; ++c) out[c] += xr * row[c];
   }
 }
 
@@ -79,7 +81,8 @@ void Gram(const Matrix& a, Matrix* c) {
     for (size_t i = 0; i < cols; ++i) {
       const float xi = row[i];
       if (xi == 0.0f) continue;
-      Axpy(xi, row, c->Row(i), cols);
+      float* out = c->Row(i);
+      for (size_t j = 0; j < cols; ++j) out[j] += xi * row[j];
     }
   }
 }

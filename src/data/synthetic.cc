@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <limits>
+#include <vector>
 
 #include "common/check.h"
 #include "common/facet_store.h"
@@ -194,11 +195,15 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
   // --- Interaction generation ------------------------------------------
   std::vector<Interaction> log;
   log.reserve(config.target_interactions + n_users);
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(config.target_interactions * 2);
-
-  auto encode = [](UserId u, ItemId v) {
-    return (static_cast<uint64_t>(u) << 32) | static_cast<uint64_t>(v);
+  // taken_by[v] is the last user that took item v. Users are generated
+  // one after another, so "u already took v" is taken_by[v] == u: one
+  // stamp per item instead of a set of every (user, item) pair.
+  constexpr UserId kNobody = std::numeric_limits<UserId>::max();
+  std::vector<UserId> taken_by(n_items, kNobody);
+  const auto take = [&taken_by](UserId u, ItemId v) {
+    if (taken_by[v] == u) return false;
+    taken_by[v] = u;
+    return true;
   };
   auto sample_discrete = [&rng](const std::vector<double>& p) {
     double r = rng.Uniform();
@@ -287,7 +292,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
         }
         v = pick_by_affinity(user_taste[u][k].data(), k);
       }
-      if (!seen.insert(encode(u, v)).second) {
+      if (!take(u, v)) {
         ++failures;
         continue;
       }
@@ -300,7 +305,7 @@ std::shared_ptr<ImplicitDataset> GenerateSyntheticDataset(
     // fresh items so every user meets the leave-one-out minimum.
     while (static_cast<size_t>(ts) < config.min_user_interactions) {
       const ItemId v = static_cast<ItemId>(rng.UniformInt(n_items));
-      if (!seen.insert(encode(u, v)).second) continue;
+      if (!take(u, v)) continue;
       log.push_back(Interaction{u, v, ts});
       ++ts;
     }

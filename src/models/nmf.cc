@@ -10,50 +10,56 @@ namespace {
 
 constexpr float kEps = 1e-9f;
 
-/// One round of multiplicative updates; `numer_*` are scratch matrices.
+/// out row e = Σ over ids in neighbors(e), in order, of rows of `m`.
+/// Each element sums in a register, in the same order as adding whole
+/// rows into a zeroed row would, so the bits are those of that loop.
+template <typename Neighbors>
+void SumRowsOf(const Matrix& m, size_t count, Neighbors neighbors,
+               Matrix* out) {
+  const size_t f = m.cols();
+  const float* data = m.data();
+  for (size_t e = 0; e < count; ++e) {
+    const auto ids = neighbors(static_cast<uint32_t>(e));
+    float* row = out->Row(e);
+    for (size_t j = 0; j < f; ++j) {
+      float s = 0.0f;
+      for (const uint32_t id : ids) s += data[id * f + j];
+      row[j] = s;
+    }
+  }
+}
+
+/// rows[e][j] *= num[e][j] / (ε + Σ_k rows[e][k]·gram[k][j]), j in order,
+/// each j seeing the row's already-updated earlier entries.
+void DivideByGramProducts(const Matrix& num, const Matrix& gram,
+                          Matrix* rows) {
+  const size_t f = rows->cols();
+  const float* g = gram.data();
+  for (size_t e = 0; e < rows->rows(); ++e) {
+    float* row = rows->Row(e);
+    const float* numer = num.Row(e);
+    for (size_t j = 0; j < f; ++j) {
+      float denom = kEps;
+      for (size_t k = 0; k < f; ++k) denom += row[k] * g[k * f + j];
+      row[j] *= numer[j] / denom;
+    }
+  }
+}
+
+/// One round of multiplicative updates; `xh`, `xtw` and `gram` are scratch
+/// matrices.
 void MultiplicativeRound(const ImplicitDataset& x, Matrix* w, Matrix* h,
                          Matrix* xh, Matrix* xtw, Matrix* gram) {
-  const size_t f = w->cols();
-
   // --- Update W: W ← W ⊙ (X H) / (W HᵀH + ε) ------------------------------
   // X H: for each user, sum of H rows over interacted items.
-  xh->Fill(0.0f);
-  for (UserId u = 0; u < x.num_users(); ++u) {
-    float* row = xh->Row(u);
-    for (ItemId v : x.ItemsOf(u)) {
-      Axpy(1.0f, h->Row(v), row, f);
-    }
-  }
+  SumRowsOf(*h, x.num_users(), [&x](UserId u) { return x.ItemsOf(u); }, xh);
   Gram(*h, gram);  // HᵀH, F×F
-  for (UserId u = 0; u < x.num_users(); ++u) {
-    float* wrow = w->Row(u);
-    const float* num = xh->Row(u);
-    for (size_t j = 0; j < f; ++j) {
-      // (W HᵀH)[u][j] = Σ_k W[u][k] gram[k][j]
-      float denom = kEps;
-      for (size_t k = 0; k < f; ++k) denom += wrow[k] * gram->At(k, j);
-      wrow[j] *= num[j] / denom;
-    }
-  }
+  DivideByGramProducts(*xh, *gram, w);
 
   // --- Update H: H ← H ⊙ (Xᵀ W) / (W ᵀW-gram step) -------------------------
-  xtw->Fill(0.0f);
-  for (ItemId v = 0; v < x.num_items(); ++v) {
-    float* row = xtw->Row(v);
-    for (UserId u : x.UsersOf(v)) {
-      Axpy(1.0f, w->Row(u), row, f);
-    }
-  }
+  SumRowsOf(*w, x.num_items(), [&x](ItemId v) { return x.UsersOf(v); }, xtw);
   Gram(*w, gram);  // WᵀW
-  for (ItemId v = 0; v < x.num_items(); ++v) {
-    float* hrow = h->Row(v);
-    const float* num = xtw->Row(v);
-    for (size_t j = 0; j < f; ++j) {
-      float denom = kEps;
-      for (size_t k = 0; k < f; ++k) denom += hrow[k] * gram->At(k, j);
-      hrow[j] *= num[j] / denom;
-    }
-  }
+  DivideByGramProducts(*xtw, *gram, h);
 }
 
 void RunNmf(const ImplicitDataset& train, size_t factors, size_t iterations,

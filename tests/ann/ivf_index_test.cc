@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "ann/candidate_index.h"
+#include "common/crc32.h"
 #include "common/facet_store.h"
 #include "common/kernels.h"
 #include "common/rng.h"
@@ -46,6 +48,8 @@ class DotScorer : public ItemScorer {
   void WriteIndexQuery(UserId u, float* out) const override {
     Copy(user_.data() + u * dim_, out, dim_);
   }
+
+  void SetEntry(ItemId v, size_t i, float x) { item_[v * dim_ + i] = x; }
 
   void PerturbItems(ItemId begin, ItemId end, uint64_t seed) {
     Rng rng(seed);
@@ -185,6 +189,84 @@ TEST(SphericalIvfIndexTest, BuildIsDeterministicAndParallelMatchesSerial) {
   ThreadPool pool4(4);
   const auto pooled = SphericalIvfIndex::Build(wide, kWideItems, opts, &pool4);
   ExpectSameIndex(*serial, *pooled);
+}
+
+/// CRC-32 of every array a built index holds, in a fixed order.
+uint32_t IndexDigest(const SphericalIvfIndex& idx) {
+  std::vector<uint8_t> bytes;
+  const auto put = [&bytes](const auto& span) {
+    const auto* p = reinterpret_cast<const uint8_t*>(span.data());
+    bytes.insert(bytes.end(), p, p + span.size_bytes());
+  };
+  put(idx.centroids());
+  put(idx.assignments());
+  put(idx.offsets());
+  put(idx.list_ids());
+  put(idx.codes());
+  put(idx.scales());
+  return Crc32(bytes.data(), bytes.size());
+}
+
+TEST(SphericalIvfIndexTest, BuildGoldenDigestPinsIndexBytes) {
+  // Serving, the .annidx file and every recall number rest on these
+  // bytes, so a faster k-means or assignment must not change one. The
+  // shapes: the MARS row width with a sample that is not the catalog; a
+  // dim with an 8-float and a scalar tail; and a sample of 50 distinct
+  // rows (six copies of one 100-row block, strided) under 250 centroids,
+  // so most clusters come up empty and Lloyd reseeds them every step.
+  DotScorer wide(4, 5003, 128, 6);
+  AnnIndexOptions wide_opts;
+  wide_opts.kmeans_sample = 4099;
+  EXPECT_EQ(IndexDigest(*SphericalIvfIndex::Build(wide, 5003, wide_opts,
+                                                  nullptr)),
+            0xcd71611fu);
+
+  DotScorer odd(4, 2311, 30, 12);
+  AnnIndexOptions odd_opts;
+  odd_opts.kmeans_sample = 1500;
+  EXPECT_EQ(
+      IndexDigest(*SphericalIvfIndex::Build(odd, 2311, odd_opts, nullptr)),
+      0xadc927b2u);
+
+  DotScorer dup(4, 600, 16, 13);
+  for (ItemId b = 0; b < 6; ++b) dup.PerturbItems(b * 100, b * 100 + 100, 77);
+  AnnIndexOptions dup_opts;
+  dup_opts.num_centroids = 250;
+  dup_opts.kmeans_sample = 300;
+  EXPECT_EQ(
+      IndexDigest(*SphericalIvfIndex::Build(dup, 600, dup_opts, nullptr)),
+      0xe8f932f3u);
+}
+
+TEST(SphericalIvfIndexTest, BuildAssignsEachItemItsFullScanCentroid) {
+  // The catalog assignment starts the k-means sample's items from their
+  // last Lloyd answer and re-scores them against the centroids the final
+  // update moved; that must equal a scan over every final centroid.
+  // Items 300, 699 and 1500 are sample rows (of 1000 strided over 3001)
+  // and item 10 is not; their infinite and NaN entries turn centroid dots
+  // NaN, which the incremental steps must hand to the full scan.
+  const size_t kItems = 3001, kDim = 24;
+  DotScorer model(4, kItems, kDim, 14);
+  model.SetEntry(300, 3, std::numeric_limits<float>::infinity());
+  model.SetEntry(699, 0, -std::numeric_limits<float>::infinity());
+  model.SetEntry(1500, 5, std::numeric_limits<float>::quiet_NaN());
+  model.SetEntry(10, 7, std::numeric_limits<float>::infinity());
+  AnnIndexOptions opts;
+  opts.kmeans_sample = 1000;
+  const auto idx = SphericalIvfIndex::Build(model, kItems, opts, nullptr);
+  const auto assign = idx->assignments();
+  std::vector<float> row(kDim);
+  for (ItemId v = 0; v < kItems; ++v) {
+    model.CopyIndexVectors(v, v + 1, row.data());
+    uint32_t want = 0;
+    NearestCentroidDotBatch(row.data(), 1, kDim, idx->centroids().data(),
+                            idx->num_centroids(), kDim, kDim, &want);
+    EXPECT_EQ(assign[v], want) << "item " << v;
+  }
+  // NaN centroids compare unequal to themselves: compare the bytes.
+  ThreadPool pool(3);
+  EXPECT_EQ(IndexDigest(*idx),
+            IndexDigest(*SphericalIvfIndex::Build(model, kItems, opts, &pool)));
 }
 
 TEST(SphericalIvfIndexTest, RebuiltDirtyShardsEqualsRebuiltAll) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -468,6 +469,12 @@ TEST(KernelsTest, NearestCentroidDotBatchBreaksTiesToLowestIndex) {
   for (size_t r = 0; r < count; ++r) EXPECT_EQ(got[r], 0u) << "row " << r;
 }
 
+uint32_t FloatBits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
 /// Strict-'>' argmax over the public DotBatch scores of `row` against the
 /// centroid block: the oracle the assignment kernel must match exactly.
 uint32_t DotBatchArgmax(const float* row, const float* centroids,
@@ -483,28 +490,75 @@ uint32_t DotBatchArgmax(const float* row, const float* centroids,
 }
 
 TEST(KernelsTest, NearestCentroidDotBatchMatchesDotBatchArgmax) {
-  // Exact equality, no tolerance: the assignment kernel scores rows in
-  // quads, and each lane must carry the same bits as the single-row dot
-  // DotBatch uses. n covers the 16-, 8- and scalar-tail paths of the row
-  // primitive; counts cover whole quads plus every tail length.
-  const size_t num_centroids = 13;
-  for (const size_t n : {5, 8, 16, 19, 32, 37, 128}) {
-    for (const size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33}) {
-      const size_t stride = n + 3, centroid_stride = n + 1;
-      Rng rng(100 * n + count);
-      const auto rows = RandomBlock(&rng, count, stride, n);
-      const auto centroids =
-          RandomBlock(&rng, num_centroids, centroid_stride, n);
-      std::vector<uint32_t> got(count, 0xFFFFFFFFu);
-      NearestCentroidDotBatch(rows.data(), count, stride, centroids.data(),
-                              num_centroids, centroid_stride, n, got.data());
-      for (size_t r = 0; r < count; ++r) {
-        EXPECT_EQ(got[r],
-                  DotBatchArgmax(rows.data() + r * stride, centroids.data(),
-                                 num_centroids, centroid_stride, n))
-            << "n=" << n << " count=" << count << " row " << r;
+  // Exact equality, no tolerance: the AVX2 kernel scores four rows
+  // against three centroids per block, with single-centroid and
+  // single-row remainders, and each lane must carry the bits of the
+  // single-row dot DotBatch uses; best_dot must return that winning float
+  // bit for bit. n covers the 16-, 8- and scalar-tail paths of the row
+  // primitive; counts cover whole quads plus every tail length; centroid
+  // counts cover every remainder of three and the cold k-means shape's
+  // 896. Rows 1 and 2 copy unit centroid 2, which centroid 3 duplicates
+  // across the first block edge (centroid 5 duplicates centroid 4 inside
+  // the second block): each tie must go to the lower index.
+  for (const size_t n : {5, 8, 16, 19, 24, 30, 32, 37, 128}) {
+    for (const size_t num_centroids : {1, 2, 3, 4, 5, 6, 7, 13, 896}) {
+      for (const size_t count : {1, 2, 3, 4, 5, 6, 7, 8, 9, 33}) {
+        const size_t stride = n + 3, centroid_stride = n + 1;
+        Rng rng(100000 * n + 100 * num_centroids + count);
+        auto rows = RandomBlock(&rng, count, stride, n);
+        auto centroids =
+            RandomBlock(&rng, num_centroids, centroid_stride, n);
+        const auto centroid = [&](size_t c) {
+          return centroids.data() + c * centroid_stride;
+        };
+        // Unit centroids, so a row that copies one dots it highest.
+        for (size_t c = 0; c < num_centroids; ++c) {
+          NormalizeInPlace(centroid(c), n);
+        }
+        if (num_centroids >= 4) Copy(centroid(2), centroid(3), n);
+        if (num_centroids >= 6) Copy(centroid(4), centroid(5), n);
+        for (size_t r = 1; r < std::min<size_t>(count, 3); ++r) {
+          Copy(centroid(std::min<size_t>(2, num_centroids - 1)),
+               rows.data() + r * stride, n);
+        }
+        std::vector<uint32_t> got(count, 0xFFFFFFFFu);
+        std::vector<float> got_dot(count, -1.0f);
+        NearestCentroidDotBatch(rows.data(), count, stride, centroids.data(),
+                                num_centroids, centroid_stride, n, got.data(),
+                                got_dot.data());
+        std::vector<float> dots(num_centroids);
+        for (size_t r = 0; r < count; ++r) {
+          const float* row = rows.data() + r * stride;
+          const uint32_t want = DotBatchArgmax(row, centroids.data(),
+                                               num_centroids,
+                                               centroid_stride, n);
+          DotBatch(row, centroids.data(), num_centroids, centroid_stride, n,
+                   dots.data());
+          const std::string where =
+              "n=" + std::to_string(n) +
+              " centroids=" + std::to_string(num_centroids) +
+              " count=" + std::to_string(count) + " row " +
+              std::to_string(r);
+          EXPECT_EQ(got[r], want) << where;
+          EXPECT_EQ(FloatBits(got_dot[r]), FloatBits(dots[want])) << where;
+        }
+        if (num_centroids >= 4 && count >= 2) {
+          EXPECT_EQ(got[1], 2u) << "n=" << n << " count=" << count;
+        }
       }
     }
+  }
+  // Without best_dot the assignment is the same.
+  Rng rng(7);
+  const auto rows = RandomBlock(&rng, 9, 30, 30);
+  const auto centroids = RandomBlock(&rng, 7, 30, 30);
+  std::vector<uint32_t> got(9, 0xFFFFFFFFu);
+  NearestCentroidDotBatch(rows.data(), 9, 30, centroids.data(), 7, 30, 30,
+                          got.data());
+  for (size_t r = 0; r < 9; ++r) {
+    EXPECT_EQ(got[r], DotBatchArgmax(rows.data() + r * 30, centroids.data(),
+                                     7, 30, 30))
+        << "row " << r;
   }
 }
 
