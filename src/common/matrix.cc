@@ -40,18 +40,43 @@ float Matrix::FrobeniusNorm() const {
   return Norm(data_.data(), data_.size());
 }
 
-void GemvTransposed(const Matrix& m, const float* x, float* out) {
-  const size_t rows = m.rows();
-  const size_t cols = m.cols();
-  Fill(0.0f, out, cols);
-  // Axpy's per-element sums, inline: a call per row costs more than a
-  // short row's arithmetic (MARS's init runs this per entity and facet).
-  for (size_t r = 0; r < rows; ++r) {
+namespace {
+
+/// out[c0, c0 + B) of GemvTransposed: each column's sum of x[r]·m[r][c]
+/// over the rows with x[r] != 0, in row order, held in a register across
+/// the rows instead of in `out`.
+template <size_t B>
+void GemvTransposedColumns(const Matrix& m, const float* x, size_t c0,
+                           float* out) {
+  float acc[B] = {};
+  for (size_t r = 0; r < m.rows(); ++r) {
     const float xr = x[r];
     if (xr == 0.0f) continue;
-    const float* row = m.Row(r);
-    for (size_t c = 0; c < cols; ++c) out[c] += xr * row[c];
+    const float* row = m.Row(r) + c0;
+    for (size_t j = 0; j < B; ++j) acc[j] += xr * row[j];
   }
+  for (size_t j = 0; j < B; ++j) out[c0 + j] = acc[j];
+}
+
+}  // namespace
+
+void GemvTransposed(const Matrix& m, const float* x, float* out) {
+  // Column blocks of 16, 8, 4 and 1: each output element gets the sums of
+  // adding x[r]·row r into a zeroed `out` row by row, but a short row
+  // (MARS's init runs this per entity and facet) no longer pays a load
+  // and a store of `out` per row.
+  const size_t cols = m.cols();
+  size_t c = 0;
+  for (; c + 16 <= cols; c += 16) GemvTransposedColumns<16>(m, x, c, out);
+  if (c + 8 <= cols) {
+    GemvTransposedColumns<8>(m, x, c, out);
+    c += 8;
+  }
+  if (c + 4 <= cols) {
+    GemvTransposedColumns<4>(m, x, c, out);
+    c += 4;
+  }
+  for (; c < cols; ++c) GemvTransposedColumns<1>(m, x, c, out);
 }
 
 void Gemv(const Matrix& m, const float* x, float* out) {

@@ -10,9 +10,23 @@ namespace {
 
 constexpr float kEps = 1e-9f;
 
+/// row[c0, c0 + B) = Σ over `ids`, in order, of data rows' columns
+/// [c0, c0 + B): one pass over the ids with the B sums in registers.
+template <size_t B, typename Ids>
+void SumColumns(const float* data, size_t f, size_t c0, const Ids& ids,
+                float* row) {
+  float acc[B] = {};
+  for (const uint32_t id : ids) {
+    const float* src = data + id * f + c0;
+    for (size_t j = 0; j < B; ++j) acc[j] += src[j];
+  }
+  for (size_t j = 0; j < B; ++j) row[c0 + j] = acc[j];
+}
+
 /// out row e = Σ over ids in neighbors(e), in order, of rows of `m`.
-/// Each element sums in a register, in the same order as adding whole
-/// rows into a zeroed row would, so the bits are those of that loop.
+/// Each element sums in a register, four columns per pass over the ids,
+/// in the same order as adding whole rows into a zeroed row would, so the
+/// bits are those of that loop.
 template <typename Neighbors>
 void SumRowsOf(const Matrix& m, size_t count, Neighbors neighbors,
                Matrix* out) {
@@ -21,11 +35,9 @@ void SumRowsOf(const Matrix& m, size_t count, Neighbors neighbors,
   for (size_t e = 0; e < count; ++e) {
     const auto ids = neighbors(static_cast<uint32_t>(e));
     float* row = out->Row(e);
-    for (size_t j = 0; j < f; ++j) {
-      float s = 0.0f;
-      for (const uint32_t id : ids) s += data[id * f + j];
-      row[j] = s;
-    }
+    size_t c = 0;
+    for (; c + 4 <= f; c += 4) SumColumns<4>(data, f, c, ids, row);
+    for (; c < f; ++c) SumColumns<1>(data, f, c, ids, row);
   }
 }
 

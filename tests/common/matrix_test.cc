@@ -94,6 +94,28 @@ TEST(MatrixTest, GemvTransposedBasic) {
   EXPECT_FLOAT_EQ(y[1], 12);
 }
 
+TEST(MatrixTest, GemvTransposedMatchesRowByRowAxpyBits) {
+  // GemvTransposed sums in column blocks of 16, 8, 4 and 1; every width
+  // up to 41 must give the bits of adding x[r]·row r into a zeroed output
+  // in row order (Axpy per row, zero x[r] skipped).
+  for (size_t cols = 1; cols <= 41; ++cols) {
+    Rng rng(1000 + cols);
+    Matrix m(9, cols);
+    m.FillNormal(&rng, 0.0f, 1.0f);
+    std::vector<float> x(9);
+    for (auto& v : x) v = static_cast<float>(rng.Normal());
+    x[3] = 0.0f;
+    std::vector<float> want(cols, 0.0f), got(cols, -1.0f);
+    for (size_t r = 0; r < 9; ++r) {
+      if (x[r] != 0.0f) Axpy(x[r], m.Row(r), want.data(), cols);
+    }
+    GemvTransposed(m, x.data(), got.data());
+    for (size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(got[c], want[c]) << "cols=" << cols << " c=" << c;
+    }
+  }
+}
+
 TEST(MatrixTest, GemvAndTransposedAreAdjoint) {
   // <Mx, y> == <x, Mᵀy> for random matrices.
   Rng rng(4);

@@ -1,7 +1,11 @@
 #include "models/nmf.h"
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "data/synthetic.h"
 
 namespace mars {
@@ -100,6 +104,34 @@ TEST(NmfTest, DeterministicForSeed) {
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a.data()[i], b.data()[i]);
   }
+}
+
+/// CRC-32 of both factor matrices' float bytes after `epochs` rounds.
+uint32_t NmfFactorsDigest(const ImplicitDataset& data, size_t factors,
+                          size_t epochs) {
+  NmfConfig cfg;
+  cfg.factors = factors;
+  Nmf model(cfg);
+  TrainOptions opts;
+  opts.epochs = epochs;
+  model.Fit(data, opts);
+  std::string bytes;
+  for (const Matrix* m : {&model.user_factors(), &model.item_factors()}) {
+    bytes.append(reinterpret_cast<const char*>(m->data()),
+                 m->size() * sizeof(float));
+  }
+  return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()), bytes.size());
+}
+
+TEST(NmfTest, GoldenDigestPinsFactorBytes) {
+  // The multiplicative rounds sum neighbour rows and Gram products in a
+  // fixed per-element order. These CRCs were recorded from the per-row
+  // Axpy loops and pin that order at 8 factors (two four-column blocks)
+  // and 5 and 3 (the single-column remainders) on x86-64.
+  const auto ds = SmallDataset();
+  EXPECT_EQ(NmfFactorsDigest(*ds, 8, 12), 2905722232u);
+  EXPECT_EQ(NmfFactorsDigest(*ds, 5, 12), 3219155604u);
+  EXPECT_EQ(NmfFactorsDigest(*ds, 3, 12), 558018027u);
 }
 
 }  // namespace
