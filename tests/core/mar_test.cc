@@ -1,14 +1,19 @@
 #include "core/mar.h"
 
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/crc32.h"
 #include "common/vec.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "eval/evaluator.h"
+#include "serve/write_tracker.h"
 
 namespace mars {
 namespace {
@@ -46,6 +51,53 @@ class MarFixture : public ::testing::Test {
     opts.learning_rate = 0.05;
     opts.seed = 3;
     return opts;
+  }
+
+  /// CRC-32 of a fitted MAR's float bytes: every user's score row over the
+  /// catalog, a grid of `Score` calls, Θ, the margins and every facet row.
+  /// With `track` set, Fit marks a WriteTracker as it trains.
+  uint32_t FitDigest(const MultiFacetConfig& cfg, bool track) const {
+    const ImplicitDataset& train = *split_.train;
+    TrainOptions opts = FastOptions();
+    opts.epochs = 4;
+    WriteTracker tracker(train.num_users(), train.num_items());
+    if (track) opts.write_tracker = &tracker;
+    Mar model(cfg);
+    model.Fit(train, opts);
+    if (track) EXPECT_TRUE(tracker.AnyDirty());
+
+    std::string bytes;
+    const auto append = [&bytes](const std::vector<float>& floats) {
+      bytes.append(reinterpret_cast<const char*>(floats.data()),
+                   floats.size() * sizeof(float));
+    };
+    std::vector<float> row(train.num_items());
+    for (UserId u = 0; u < train.num_users(); ++u) {
+      model.ScoreItemRange(u, 0, static_cast<ItemId>(train.num_items()),
+                           row.data());
+      append(row);
+    }
+    std::vector<float> grid;
+    for (UserId u = 0; u < 20; ++u) {
+      for (ItemId v = 0; v < 20; ++v) grid.push_back(model.Score(u, v));
+    }
+    append(grid);
+    std::vector<float> margins;
+    for (UserId u = 0; u < train.num_users(); ++u) {
+      append(model.FacetWeights(u));
+      margins.push_back(model.MarginOf(u));
+      for (size_t k = 0; k < cfg.num_facets; ++k) {
+        append(model.UserFacetEmbedding(u, k));
+      }
+    }
+    append(margins);
+    for (ItemId v = 0; v < train.num_items(); ++v) {
+      for (size_t k = 0; k < cfg.num_facets; ++k) {
+        append(model.ItemFacetEmbedding(v, k));
+      }
+    }
+    return Crc32(reinterpret_cast<const uint8_t*>(bytes.data()),
+                 bytes.size());
   }
 
   std::shared_ptr<ImplicitDataset> full_;
@@ -187,6 +239,23 @@ TEST_F(MarFixture, DeterministicTraining) {
       EXPECT_FLOAT_EQ(a.Score(u, v), b.Score(u, v));
     }
   }
+}
+
+// Pins a serial fit's trained floats bit for bit, at K 3 (the facet-pair
+// loss) and K 1, with and without a WriteTracker: the tracker only
+// observes training and must not change a byte. The digests were recorded
+// on x86-64 with glibc's exp (Softmax, Sigmoid and the NMF Θ init call
+// it), so the check runs on x86-64 Linux only.
+TEST_F(MarFixture, GoldenDigestPinsTrainedBytes) {
+#if !defined(__x86_64__) || !defined(__GLIBC__)
+  GTEST_SKIP() << "digests pin x86-64 with glibc exp";
+#endif
+  MultiFacetConfig single = SmallConfig();
+  single.num_facets = 1;
+  EXPECT_EQ(FitDigest(SmallConfig(), false), 734736772u);
+  EXPECT_EQ(FitDigest(SmallConfig(), true), 734736772u);
+  EXPECT_EQ(FitDigest(single, false), 1410266934u);
+  EXPECT_EQ(FitDigest(single, true), 1410266934u);
 }
 
 }  // namespace
