@@ -1,4 +1,4 @@
-// Component ablation of MARS (the design choices DESIGN.md calls out).
+// Component ablation of MARS: one design choice removed at a time.
 //
 // Removes one ingredient at a time on Delicious and Ciao:
 //  * adaptive margin γ_u → fixed margin 0.5           (Eq. 7-8)

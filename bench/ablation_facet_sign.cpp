@@ -1,4 +1,4 @@
-// Facet-separating-loss sign ablation (DESIGN.md §2.1).
+// Facet-separating-loss sign ablation (FacetLossSign, core/facet_config.h).
 //
 // Eq. 12 as printed, (1/α)·log(1+exp(−α·cos)), *rewards* facet
 // similarity; the corrected form penalizes it. This bench shows the

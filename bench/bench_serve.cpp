@@ -85,6 +85,10 @@ struct MtResult {
   double qps = 0.0;
   double speedup_vs_1 = 0.0;
   unsigned long long served = 0;
+  // Cache outcomes of the timed queries (the pre-warm excluded): a run
+  // whose cold tail fits the cache is all hits and measures no miss path.
+  unsigned long long hits = 0;
+  unsigned long long misses = 0;
 };
 
 /// One nprobe operating point of the ANN recall/latency curve.
@@ -566,6 +570,7 @@ int main(int argc, char** argv) {
         mt_opts.cache.max_users = 256;  // cold tail evicts constantly
         TopKServer mt_server(&model, kUsers, num_items, mt_opts);
         for (const UserId u : hot) mt_server.TopK(u);  // pre-warm
+        const TopKServerStats warm = mt_server.stats();
 
         std::atomic<bool> stop{false};
         std::thread publisher([&] {
@@ -626,11 +631,15 @@ int main(int argc, char** argv) {
         mr.qps = elapsed_ms > 0.0 ? mr.served / (elapsed_ms / 1e3) : 0.0;
         mr.speedup_vs_1 =
             mt_results.empty() ? 1.0 : mr.qps / mt_results.front().qps;
+        const TopKServerStats done = mt_server.stats();
+        mr.hits = done.hits - warm.hits;
+        mr.misses = done.misses - warm.misses;
         mt_results.push_back(mr);
         std::printf(
             "             mt qps @%zu threads: %10.0f q/s (%.2fx vs 1 "
-            "thread, %llu served, publisher churning)\n",
-            threads, mr.qps, mr.speedup_vs_1, mr.served);
+            "thread, %llu served, %llu hits, %llu misses, publisher "
+            "churning)\n",
+            threads, mr.qps, mr.speedup_vs_1, mr.served, mr.hits, mr.misses);
       }
     }
   }
@@ -947,9 +956,10 @@ int main(int argc, char** argv) {
     const MtResult& r = mt_results[i];
     std::fprintf(out,
                  "    {\"threads\": %zu, \"qps\": %.1f, "
-                 "\"speedup_vs_1\": %.3f, \"served\": %llu}%s\n",
-                 r.threads, r.qps, r.speedup_vs_1, r.served,
-                 i + 1 < mt_results.size() ? "," : "");
+                 "\"speedup_vs_1\": %.3f, \"served\": %llu, "
+                 "\"hits\": %llu, \"misses\": %llu}%s\n",
+                 r.threads, r.qps, r.speedup_vs_1, r.served, r.hits,
+                 r.misses, i + 1 < mt_results.size() ? "," : "");
   }
   std::fprintf(out, "  ]}\n}\n");
   std::fclose(out);

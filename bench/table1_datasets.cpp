@@ -41,7 +41,7 @@ void Run() {
       "BookX 20K/40K/605K/0.08%%, ML-1M 6K/4K/1M/4.52%%,"
       " ML-20M 62K/27K/17M/1.02%%.\n"
       "The analogues preserve the density ordering and realistic per-user"
-      " history sizes (see DESIGN.md).\n");
+      " history sizes (see src/data/benchmark_datasets.h).\n");
 }
 
 }  // namespace

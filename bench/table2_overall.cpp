@@ -5,7 +5,8 @@
 // HR@10/20 and nDCG@10/20 in the paper's layout, including the Imp1
 // (MAR over best baseline) and Imp2 (MARS over best baseline) columns.
 //
-// Expected shape (not absolute values — see EXPERIMENTS.md):
+// Expected shape (not absolute values: the datasets are synthetic analogues
+// of the paper's corpora, see src/data/benchmark_datasets.h):
 //  * metric-learning models beat the MF family,
 //  * MAR beats every single-space baseline,
 //  * MARS beats MAR, with the largest margins on the sparser datasets.

@@ -9,9 +9,11 @@
 #    build-<sanitizer> unless a build-dir is given)
 #
 # Modes:
-#   (none)    configure + build + ctest + quickstart smokes, plus a build
-#             (not a run) of the wire-to-wire benchmark package wirebench/
-#             in <build-dir>-wirebench, and an informational src/ line count
+#   (none)    a check that every *.md file named in src/, bench/, tests/,
+#             scripts/ or examples/ is tracked, then configure + build +
+#             ctest + quickstart smokes, plus a build (not a run) of the
+#             wire-to-wire benchmark package wirebench/ in
+#             <build-dir>-wirebench, and an informational src/ line count
 #   --bench   additionally run bench_train/bench_serve and gate fresh
 #             timings against the committed BENCH_*.json via
 #             scripts/check_bench.py (>25% single-thread regression fails;
@@ -140,6 +142,24 @@ fi
 
 BUILD_DIR="${BUILD_DIR:-build}"
 check_build_dir "$BUILD_DIR"
+
+echo "== doc references (every *.md the code names is a tracked file) =="
+# A name resolves as given, at the repo root, or under docs/.
+tracked_md="$(git ls-files '*.md')"
+missing_md=0
+for name in $(grep -rhoE '[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b' \
+                src bench tests scripts examples | sort -u); do
+  found=0
+  for candidate in "$name" "${name#./}" "docs/$name"; do
+    if grep -qxF "$candidate" <<<"$tracked_md"; then found=1; break; fi
+  done
+  if [ "$found" = 0 ]; then
+    echo "error: '$name' is named in the code but is not a tracked file:" >&2
+    grep -rnF "$name" src bench tests scripts examples >&2
+    missing_md=1
+  fi
+done
+[ "$missing_md" = 0 ] || exit 1
 
 echo "== configure =="
 # Warnings fail the gate (CMake >= 3.24 maps this to -Werror); set here,

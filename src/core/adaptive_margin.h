@@ -5,8 +5,7 @@
 // The more *distinct* two-hop neighbors a user has, the more diverse their
 // taste, the higher their adoption level — and the smaller the margin the
 // push loss demands for them. The distinct-union reading guarantees the
-// γ_u ∈ [0, 1] range the paper asserts (a multiset count does not; see
-// DESIGN.md §2.4).
+// γ_u ∈ [0, 1] range the paper asserts (a multiset count does not).
 #ifndef MARS_CORE_ADAPTIVE_MARGIN_H_
 #define MARS_CORE_ADAPTIVE_MARGIN_H_
 

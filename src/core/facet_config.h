@@ -6,24 +6,14 @@
 
 namespace mars {
 
-/// Sign convention of the spherical facet-separating loss (DESIGN.md §2.1).
+/// Sign convention of the spherical facet-separating loss
+/// (bench/ablation_facet_sign.cpp measures both).
 enum class FacetLossSign {
   /// Corrected: (1/α) log(1+exp(+α cos)) — penalizes similar facets.
   kSeparate,
   /// As printed in Eq. 12: (1/α) log(1+exp(−α cos)) — included only so the
   /// ablation bench can demonstrate the inversion empirically.
   kAsPrinted,
-};
-
-/// How MAR parameterizes facet embeddings (DESIGN.md §2.2).
-enum class FacetParam {
-  /// Eq. 1–2: shared projection matrices over universal embeddings
-  /// (norm-clipped forward with exact gradients through the clip).
-  kProjected,
-  /// Free per-facet embedding tables (ball-constrained); the
-  /// parameterization MARS uses on the sphere, made available in MAR for
-  /// the ablation.
-  kFree,
 };
 
 /// Hyperparameters shared by MAR and MARS.
@@ -68,13 +58,6 @@ struct MultiFacetConfig {
 
   /// Gradient-norm clip per facet vector (0 disables).
   double grad_clip = 5.0;
-
-  /// Learning-rate multiplier for the shared projection matrices Φ/Ψ
-  /// (MAR kProjected mode only). The projections are global parameters hit
-  /// by every SGD step, so they need a much smaller step than the per-
-  /// entity embeddings to stay stable; 1/K cancels the facet lr
-  /// compensation for them.
-  double projection_lr_scale = 0.25;
 };
 
 }  // namespace mars

@@ -1,6 +1,5 @@
 #include "core/mar.h"
 
-#include <cmath>
 #include <vector>
 
 #include "common/check.h"
@@ -18,41 +17,9 @@
 
 namespace mars {
 
-namespace {
-
-/// Backward through the norm clip: given gradient `g` w.r.t. the clipped
-/// output, writes the gradient w.r.t. the pre-clip vector into `out`.
-/// `clipped` is the post-clip vector and `scale` the clip factor
-/// (1 when the pre-clip norm was ≤ 1, else 1/norm).
-void ClipBackward(const float* clipped, float scale, const float* g,
-                  float* out, size_t d) {
-  if (scale == 1.0f) {
-    Copy(g, out, d);
-    return;
-  }
-  // d(z/||z||)/dz = (I - ẑẑᵀ)/||z||, with ẑ = clipped (unit norm here).
-  const float radial = Dot(clipped, g, d);
-  for (size_t i = 0; i < d; ++i) {
-    out[i] = scale * (g[i] - radial * clipped[i]);
-  }
-}
-
-}  // namespace
-
-Mar::Mar(MultiFacetConfig config, FacetParam param_mode)
-    : config_(config), param_mode_(param_mode) {
+Mar::Mar(MultiFacetConfig config) : config_(config) {
   MARS_CHECK(config_.num_facets >= 1);
   MARS_CHECK(config_.dim >= 1);
-}
-
-float Mar::ProjectFacet(const Matrix& projection, const float* x,
-                        float* clipped) const {
-  GemvTransposed(projection, x, clipped);
-  const float norm = Norm(clipped, config_.dim);
-  if (norm <= 1.0f) return 1.0f;
-  const float scale = 1.0f / norm;
-  Scale(scale, clipped, config_.dim);
-  return scale;
 }
 
 void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
@@ -60,23 +27,10 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   const size_t kf = config_.num_facets;
   Rng rng(options.seed);
 
-  if (param_mode_ == FacetParam::kProjected) {
-    user_universal_ = Matrix(train.num_users(), d);
-    item_universal_ = Matrix(train.num_items(), d);
-    InitEmbeddingInBall(&user_universal_, &rng);
-    InitEmbeddingInBall(&item_universal_, &rng);
-    phi_.assign(kf, Matrix(d, d));
-    psi_.assign(kf, Matrix(d, d));
-    for (size_t k = 0; k < kf; ++k) {
-      phi_[k].FillIdentityPlusNoise(&rng, 0.1f);
-      psi_[k].FillIdentityPlusNoise(&rng, 0.1f);
-    }
-  } else {
-    user_facets_ = FacetStore(train.num_users(), kf, d);
-    item_facets_ = FacetStore(train.num_items(), kf, d);
-    InitFacetStoreInBall(&user_facets_, &rng);
-    InitFacetStoreInBall(&item_facets_, &rng);
-  }
+  user_facets_ = FacetStore(train.num_users(), kf, d);
+  item_facets_ = FacetStore(train.num_items(), kf, d);
+  InitFacetStoreInBall(&user_facets_, &rng);
+  InitFacetStoreInBall(&item_facets_, &rng);
 
   theta_logits_ =
       config_.theta_init_nmf
@@ -103,43 +57,28 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
   const float lr_comp =
       config_.scale_lr_by_facets ? static_cast<float>(kf) : 1.0f;
 
-  // Steps touch only the sampled rows (kFree) — Hogwild workers update the
-  // shared tables lock-free with private scratch, and row collisions are
-  // rare. kProjected is different: every step of every worker reads AND
-  // writes all K global d×d projection matrices, so contention there is
-  // per-step certain, not rare — a worker can read a matrix mid-update
-  // (torn rows) and compute gradients from an inconsistent projection.
-  // Training still proceeds as approximate SGD, but multi-thread quality
-  // for kProjected is unvalidated; prefer num_threads=1 for that mode
-  // (see ROADMAP "shard/ownership model").
+  // Steps touch only the sampled rows — Hogwild workers update the shared
+  // tables lock-free with private scratch, and row collisions are rare.
   ParallelTrainer trainer(options, &rng);
   WriteTracker* const tracker = options.write_tracker;
   // Initialisation rewrote every row: the first publish must refresh all.
   if (tracker != nullptr) tracker->MarkAll();
   struct Scratch {
     std::vector<float> uf, vpf, vqf;
-    std::vector<float> u_scale, vp_scale, vq_scale;
     std::vector<float> gu, gvp, gvq;
     std::vector<float> theta, coeff, b;
-    std::vector<float> gz, du, dv;
   };
   std::vector<Scratch> scratch(trainer.num_workers());
   for (Scratch& sc : scratch) {
     sc.uf.resize(kf * d);
     sc.vpf.resize(kf * d);
     sc.vqf.resize(kf * d);
-    sc.u_scale.resize(kf);
-    sc.vp_scale.resize(kf);
-    sc.vq_scale.resize(kf);
     sc.gu.resize(kf * d);
     sc.gvp.resize(kf * d);
     sc.gvq.resize(kf * d);
     sc.theta.resize(kf);
     sc.coeff.resize(kf);
     sc.b.resize(kf);
-    sc.gz.resize(d);
-    sc.du.resize(d);
-    sc.dv.resize(d);
   }
 
   // Per-epoch learning rates, set before the steps fan out.
@@ -151,9 +90,6 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     std::vector<float>& uf = sc.uf;
     std::vector<float>& vpf = sc.vpf;
     std::vector<float>& vqf = sc.vqf;
-    std::vector<float>& u_scale = sc.u_scale;
-    std::vector<float>& vp_scale = sc.vp_scale;
-    std::vector<float>& vq_scale = sc.vq_scale;
     std::vector<float>& gu = sc.gu;
     std::vector<float>& gvp = sc.gvp;
     std::vector<float>& gvq = sc.gvq;
@@ -164,33 +100,16 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     Triplet t;
     if (!sampler.Sample(&wrng, &t)) return;
     if (tracker != nullptr) {
-      if (param_mode_ == FacetParam::kProjected) {
-        // Every step writes the shared projection matrices, through which
-        // every user and item is scored.
-        tracker->MarkAll();
-      } else {
-        tracker->MarkUser(t.user);
-        tracker->MarkItem(t.positive);
-        tracker->MarkItem(t.negative);
-      }
+      tracker->MarkUser(t.user);
+      tracker->MarkItem(t.positive);
+      tracker->MarkItem(t.negative);
     }
 
     // --- Forward: facet embeddings for u, vp, vq ----------------------
-    if (param_mode_ == FacetParam::kProjected) {
-      for (size_t k = 0; k < kf; ++k) {
-        u_scale[k] = ProjectFacet(phi_[k], user_universal_.Row(t.user),
-                                  &uf[k * d]);
-        vp_scale[k] = ProjectFacet(psi_[k], item_universal_.Row(t.positive),
-                                   &vpf[k * d]);
-        vq_scale[k] = ProjectFacet(psi_[k], item_universal_.Row(t.negative),
-                                   &vqf[k * d]);
-      }
-    } else {
-      // Each entity's K facet rows are one contiguous block.
-      user_facets_.CopyEntityTo(t.user, uf.data());
-      item_facets_.CopyEntityTo(t.positive, vpf.data());
-      item_facets_.CopyEntityTo(t.negative, vqf.data());
-    }
+    // Each entity's K facet rows are one contiguous block.
+    user_facets_.CopyEntityTo(t.user, uf.data());
+    item_facets_.CopyEntityTo(t.positive, vpf.data());
+    item_facets_.CopyEntityTo(t.negative, vqf.data());
     Softmax(theta_logits_.Row(t.user), theta.data(), kf);
 
     // Facet distances.
@@ -260,46 +179,18 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
     }
 
     // --- Apply parameter updates ---------------------------------------
-    if (param_mode_ == FacetParam::kFree) {
-      for (size_t k = 0; k < kf; ++k) {
-        if (clip > 0.0f) {
-          ClipGradient(&gu[k * d], d, clip);
-          ClipGradient(&gvp[k * d], d, clip);
-          ClipGradient(&gvq[k * d], d, clip);
-        }
-        SgdStepBallProjected(user_facets_.Row(t.user, k), &gu[k * d], lr,
-                             d);
-        SgdStepBallProjected(item_facets_.Row(t.positive, k), &gvp[k * d],
-                             lr, d);
-        SgdStepBallProjected(item_facets_.Row(t.negative, k), &gvq[k * d],
-                             lr, d);
+    for (size_t k = 0; k < kf; ++k) {
+      if (clip > 0.0f) {
+        ClipGradient(&gu[k * d], d, clip);
+        ClipGradient(&gvp[k * d], d, clip);
+        ClipGradient(&gvq[k * d], d, clip);
       }
-      return;
+      SgdStepBallProjected(user_facets_.Row(t.user, k), &gu[k * d], lr, d);
+      SgdStepBallProjected(item_facets_.Row(t.positive, k), &gvp[k * d], lr,
+                           d);
+      SgdStepBallProjected(item_facets_.Row(t.negative, k), &gvq[k * d], lr,
+                           d);
     }
-    // kProjected: backprop through the clip into universal embeddings and
-    // projection matrices.
-    const float proj_lr =
-        lr * static_cast<float>(config_.projection_lr_scale);
-    auto backprop_entity = [&](Matrix& universal, std::vector<Matrix>& proj,
-                               UserId row, const std::vector<float>& facets,
-                               const std::vector<float>& scales,
-                               std::vector<float>& grads) {
-      Fill(0.0f, sc.du.data(), d);
-      float* x = universal.Row(row);
-      for (size_t k = 0; k < kf; ++k) {
-        if (clip > 0.0f) ClipGradient(&grads[k * d], d, clip);
-        ClipBackward(&facets[k * d], scales[k], &grads[k * d], sc.gz.data(),
-                     d);
-        // ∂L/∂x += Φ_k gz ; ∂L/∂Φ_k = x gzᵀ (applied directly as update).
-        Gemv(proj[k], sc.gz.data(), sc.dv.data());
-        Axpy(1.0f, sc.dv.data(), sc.du.data(), d);
-        AddOuterProduct(-proj_lr, x, sc.gz.data(), &proj[k]);
-      }
-      SgdStep(x, sc.du.data(), lr, d);
-    };
-    backprop_entity(user_universal_, phi_, t.user, uf, u_scale, gu);
-    backprop_entity(item_universal_, psi_, t.positive, vpf, vp_scale, gvp);
-    backprop_entity(item_universal_, psi_, t.negative, vqf, vq_scale, gvq);
   };
 
   RunTrainingLoop(options, *this, name(), [&](size_t, double lr_d) {
@@ -311,107 +202,50 @@ void Mar::Fit(const ImplicitDataset& train, const TrainOptions& options) {
 }
 
 float Mar::Score(UserId u, ItemId v) const {
-  const size_t d = config_.dim;
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
   Softmax(theta_logits_.Row(u), theta.data(), kf);
-  if (param_mode_ == FacetParam::kFree) {
-    return -WeightedFacetSquaredDistance(
-        user_facets_.EntityBlock(u), user_facets_.row_stride(),
-        item_facets_.EntityBlock(v), item_facets_.row_stride(), theta.data(),
-        kf, d);
-  }
-  std::vector<float> ue(d), ve(d);
-  float score = 0.0f;
-  for (size_t k = 0; k < kf; ++k) {
-    ProjectFacet(phi_[k], user_universal_.Row(u), ue.data());
-    ProjectFacet(psi_[k], item_universal_.Row(v), ve.data());
-    score -= theta[k] * SquaredDistance(ue.data(), ve.data(), d);
-  }
-  return score;
+  return -WeightedFacetSquaredDistance(
+      user_facets_.EntityBlock(u), user_facets_.row_stride(),
+      item_facets_.EntityBlock(v), item_facets_.row_stride(), theta.data(),
+      kf, config_.dim);
 }
 
 void Mar::ScoreItems(UserId u, std::span<const ItemId> items,
                      float* out) const {
-  const size_t d = config_.dim;
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
   Softmax(theta_logits_.Row(u), theta.data(), kf);
-  if (param_mode_ == FacetParam::kFree) {
-    // Batched path: one fused pass over both contiguous entity blocks per
-    // candidate.
-    const float* ublock = user_facets_.EntityBlock(u);
-    const size_t us = user_facets_.row_stride();
-    const size_t vs = item_facets_.row_stride();
-    for (size_t idx = 0; idx < items.size(); ++idx) {
-      out[idx] = -WeightedFacetSquaredDistance(
-          ublock, us, item_facets_.EntityBlock(items[idx]), vs, theta.data(),
-          kf, d);
-    }
-    return;
-  }
-  // Hoist user facet projections out of the item loop.
-  std::vector<float> ufacets(kf * d);
-  for (size_t k = 0; k < kf; ++k) {
-    ProjectFacet(phi_[k], user_universal_.Row(u), &ufacets[k * d]);
-  }
-  std::vector<float> ve(d);
+  // One fused pass over both contiguous entity blocks per candidate.
+  const float* ublock = user_facets_.EntityBlock(u);
+  const size_t us = user_facets_.row_stride();
+  const size_t vs = item_facets_.row_stride();
   for (size_t idx = 0; idx < items.size(); ++idx) {
-    const ItemId v = items[idx];
-    float score = 0.0f;
-    for (size_t k = 0; k < kf; ++k) {
-      ProjectFacet(psi_[k], item_universal_.Row(v), ve.data());
-      score -= theta[k] * SquaredDistance(&ufacets[k * d], ve.data(), d);
-    }
-    out[idx] = score;
+    out[idx] = -WeightedFacetSquaredDistance(
+        ublock, us, item_facets_.EntityBlock(items[idx]), vs, theta.data(),
+        kf, config_.dim);
   }
 }
 
 void Mar::ScoreItemRange(UserId u, ItemId begin, ItemId end,
                          float* out) const {
   if (begin >= end) return;
-  const size_t d = config_.dim;
   const size_t kf = config_.num_facets;
   std::vector<float> theta(kf);
   Softmax(theta_logits_.Row(u), theta.data(), kf);
   const size_t count = end - begin;
-  if (param_mode_ == FacetParam::kFree) {
-    // The contiguous item store makes the sweep one sequential pass over
-    // `count` consecutive entity blocks.
-    WeightedFacetSquaredDistanceBatch(
-        user_facets_.EntityBlock(u), user_facets_.row_stride(),
-        item_facets_.EntityBlock(begin), item_facets_.entity_stride(),
-        item_facets_.row_stride(), theta.data(), kf, count, d, out);
-    for (size_t i = 0; i < count; ++i) out[i] = -out[i];
-    return;
-  }
-  // Hoist user facet projections; items must be projected per candidate.
-  std::vector<float> ufacets(kf * d);
-  for (size_t k = 0; k < kf; ++k) {
-    ProjectFacet(phi_[k], user_universal_.Row(u), &ufacets[k * d]);
-  }
-  std::vector<float> ve(d);
-  for (ItemId v = begin; v < end; ++v) {
-    float score = 0.0f;
-    for (size_t k = 0; k < kf; ++k) {
-      ProjectFacet(psi_[k], item_universal_.Row(v), ve.data());
-      score -= theta[k] * SquaredDistance(&ufacets[k * d], ve.data(), d);
-    }
-    out[v - begin] = score;
-  }
+  // The contiguous item store makes the sweep one sequential pass over
+  // `count` consecutive entity blocks.
+  WeightedFacetSquaredDistanceBatch(
+      user_facets_.EntityBlock(u), user_facets_.row_stride(),
+      item_facets_.EntityBlock(begin), item_facets_.entity_stride(),
+      item_facets_.row_stride(), theta.data(), kf, count, config_.dim, out);
+  for (size_t i = 0; i < count; ++i) out[i] = -out[i];
 }
 
 void Mar::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
                               ItemId end, float* const* out) const {
   if (begin >= end || users.empty()) return;
-  if (param_mode_ != FacetParam::kFree) {
-    // kProjected scores through per-candidate projections — no block
-    // kernel exists, so the batch is just the per-user loop.
-    for (size_t b = 0; b < users.size(); ++b) {
-      ScoreItemRange(users[b], begin, end, out[b]);
-    }
-    return;
-  }
   const size_t kf = config_.num_facets;
   const size_t count = end - begin;
   std::vector<float> thetas(users.size() * kf);
@@ -433,24 +267,14 @@ void Mar::ScoreItemRangeMulti(std::span<const UserId> users, ItemId begin,
 
 std::vector<float> Mar::UserFacetEmbedding(UserId u, size_t k) const {
   MARS_CHECK(k < config_.num_facets);
-  std::vector<float> out(config_.dim);
-  if (param_mode_ == FacetParam::kProjected) {
-    ProjectFacet(phi_[k], user_universal_.Row(u), out.data());
-  } else {
-    Copy(user_facets_.Row(u, k), out.data(), config_.dim);
-  }
-  return out;
+  const float* row = user_facets_.Row(u, k);
+  return std::vector<float>(row, row + config_.dim);
 }
 
 std::vector<float> Mar::ItemFacetEmbedding(ItemId v, size_t k) const {
   MARS_CHECK(k < config_.num_facets);
-  std::vector<float> out(config_.dim);
-  if (param_mode_ == FacetParam::kProjected) {
-    ProjectFacet(psi_[k], item_universal_.Row(v), out.data());
-  } else {
-    Copy(item_facets_.Row(v, k), out.data(), config_.dim);
-  }
-  return out;
+  const float* row = item_facets_.Row(v, k);
+  return std::vector<float>(row, row + config_.dim);
 }
 
 std::vector<float> Mar::FacetWeights(UserId u) const {

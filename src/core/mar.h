@@ -1,20 +1,19 @@
 // MAR — Multi-fAcet Recommender networks (paper Sec. III).
 //
-// Users and items carry universal embeddings u, v ∈ R^D that K shared
-// projection matrices Φ_k, Ψ_k map into K facet-specific metric spaces
-// (Eq. 1–2); similarity is the Θ_u-weighted sum of negative squared
-// Euclidean distances across facets (Eq. 3–4). Training minimizes
+// Users and items carry K facet-specific embeddings u^k, v^k ∈ R^D, one
+// per facet metric space; similarity is the Θ_u-weighted sum of negative
+// squared Euclidean distances across facets (Eq. 3–4). The paper
+// introduces the facet embeddings as shared projections of universal
+// embeddings (Eq. 1–2), but its optimization variables are the facet
+// embeddings themselves (Eq. 19), so MAR trains free facet tables. Training
+// minimizes
 //
 //   L = L_push + λ_pull · L_pull + λ_facet · L_facet          (Eq. 11)
 //
 // with the per-user adaptive margin γ_u (Eq. 7–8), the absolute pulling
 // term (Eq. 9), the facet-separating loss (Eq. 6), frequency-biased user
 // sampling (Eq. 10), and the relaxed ball constraint ||u^k|| ≤ 1 enforced
-// by a norm-clipped forward whose exact Jacobian the backward pass uses.
-//
-// The `FacetParam::kFree` mode replaces the shared-projection
-// parameterization with free ball-constrained facet tables (the ablation
-// of DESIGN.md §2.2).
+// by projecting each SGD step back into the unit ball.
 #ifndef MARS_CORE_MAR_H_
 #define MARS_CORE_MAR_H_
 
@@ -30,12 +29,7 @@ namespace mars {
 /// MAR recommender.
 class Mar : public Recommender {
  public:
-  /// `param_mode` defaults to kFree: per Eq. 19 the optimization variables
-  /// Ω are the facet embeddings themselves, and empirically the free
-  /// parameterization dominates the shared-projection one on sparse data
-  /// (see DESIGN.md §2.2 and bench/ablation_param_mode).
-  explicit Mar(MultiFacetConfig config,
-               FacetParam param_mode = FacetParam::kFree);
+  explicit Mar(MultiFacetConfig config);
 
   void Fit(const ImplicitDataset& train, const TrainOptions& options) override;
   float Score(UserId u, ItemId v) const override;
@@ -48,11 +42,10 @@ class Mar : public Recommender {
   std::string name() const override { return "MAR"; }
 
   const MultiFacetConfig& config() const { return config_; }
-  FacetParam param_mode() const { return param_mode_; }
 
-  /// Facet-specific (clipped) embedding of user `u` in facet `k`.
+  /// Facet-specific embedding of user `u` in facet `k`.
   std::vector<float> UserFacetEmbedding(UserId u, size_t k) const;
-  /// Facet-specific (clipped) embedding of item `v` in facet `k`.
+  /// Facet-specific embedding of item `v` in facet `k`.
   std::vector<float> ItemFacetEmbedding(ItemId v, size_t k) const;
   /// Softmax facet weights Θ_u of user `u`.
   std::vector<float> FacetWeights(UserId u) const;
@@ -60,21 +53,10 @@ class Mar : public Recommender {
   float MarginOf(UserId u) const;
 
  private:
-  /// Projects entity embedding `x` into facet `k` with clip; fills
-  /// `clipped` (D floats) and returns the clip scale (1 when inside ball).
-  float ProjectFacet(const Matrix& projection, const float* x,
-                     float* clipped) const;
-
   MultiFacetConfig config_;
-  FacetParam param_mode_;
 
-  // kProjected parameters.
-  Matrix user_universal_;             // N×D
-  Matrix item_universal_;             // M×D
-  std::vector<Matrix> phi_;           // K of D×D (user projections)
-  std::vector<Matrix> psi_;           // K of D×D (item projections)
-  // kFree parameters: contiguous [entity][facet][dim] tables (see
-  // common/facet_store.h) — the same layout MARS trains on.
+  // Contiguous [entity][facet][dim] tables (see common/facet_store.h) —
+  // the same layout MARS trains on.
   FacetStore user_facets_;            // N×K×D
   FacetStore item_facets_;            // M×K×D
 

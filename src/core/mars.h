@@ -6,15 +6,16 @@
 //   g_s(u, v) = Σ_k θ_u^k cos(u^k, v^k)
 //
 // with the spherical push/pull losses (Eq. 15-16), the spherical
-// facet-separating loss (Eq. 12, sign corrected per DESIGN.md §2.1), and
+// facet-separating loss (Eq. 12 with its sign corrected: as printed it
+// rewards facet similarity, see FacetLossSign in core/facet_config.h), and
 // the *calibrated Riemannian SGD* update of Eq. 21:
 //
 //   x ← R_x( -η (1 + xᵀ∇f/||∇f||) (I - xxᵀ) ∇f )
 //
 // Parameterization: per Eq. 19 the optimization variables Ω are the facet
 // embeddings themselves; they are free spherical parameters *initialized*
-// from the universal-embedding × projection factorization of Eq. 1-2 (see
-// DESIGN.md §2.2), with facet weights Θ seeded by K-factor NMF.
+// from the universal-embedding × projection factorization of Eq. 1-2,
+// with facet weights Θ seeded by K-factor NMF.
 //
 // Storage layout: all facet embeddings live in two contiguous FacetStore
 // buffers ([entity][facet][dim] with cache-line-aligned rows, see

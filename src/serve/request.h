@@ -76,10 +76,6 @@ struct TopKResponse {
   bool from_cache = false;
 };
 
-/// Pre-redesign name of the response type, kept so long-lived callers
-/// (and diffs against older branches) keep reading naturally.
-using TopKResult = TopKResponse;
-
 }  // namespace mars
 
 #endif  // MARS_SERVE_REQUEST_H_

@@ -6,8 +6,8 @@
 // same balanced entity shards the FacetStore is swept in. Each training
 // step marks the shards of the rows it touched with one relaxed atomic
 // store per row; models whose steps also write *global* tables (LRML
-// memory/keys, TransCF neighborhood means, MAR's shared projections, MARS
-// radii) mark the whole catalog instead, since every score depends on them.
+// memory/keys, TransCF neighborhood means, MARS radii) mark the whole
+// catalog instead, since every score depends on them.
 //
 // Concurrency contract (the snapshot / quiesce contract, ARCHITECTURE.md):
 // Mark* calls may race freely with each other; the read/clear side

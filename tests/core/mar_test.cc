@@ -105,14 +105,9 @@ class MarFixture : public ::testing::Test {
   std::unique_ptr<Evaluator> evaluator_;
 };
 
-TEST_F(MarFixture, BeatsChanceProjected) {
-  Mar model(SmallConfig(), FacetParam::kProjected);
-  model.Fit(*split_.train, FastOptions());
-  EXPECT_GT(evaluator_->Evaluate(model).hr10, kChanceHr10 * 1.5);
-}
 
 TEST_F(MarFixture, BeatsChanceFreeMode) {
-  Mar model(SmallConfig(), FacetParam::kFree);
+  Mar model(SmallConfig());
   model.Fit(*split_.train, FastOptions());
   EXPECT_GT(evaluator_->Evaluate(model).hr10, kChanceHr10 * 1.5);
 }

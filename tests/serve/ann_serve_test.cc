@@ -122,10 +122,10 @@ void ExpectAnnServerMatchesBruteForce(Recommender* model,
   }
 }
 
-// --- The ten serving configurations of the equivalence suite. -------------
+// --- The nine serving configurations of the equivalence suite. ------------
 // Probed: the dot models (BPR bias-MIPS, MARS concatenated facets).
-// Fallback: the metric models (CML/SML/MetricF have no index vectors),
-// MAR (per-candidate projections), TransCF and LRML (relation vectors
+// Fallback: the metric models (CML/SML/MetricF and MAR's weighted facet
+// distances have no index vectors), TransCF and LRML (relation vectors
 // built per pair) — they must serve through the exact sweep unchanged.
 
 TEST(TopKServerAnnEquivalence, Mars) {
@@ -158,21 +158,11 @@ TEST(TopKServerAnnEquivalence, MarFree) {
   cfg.dim = 16;
   cfg.num_facets = 3;
   cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kFree);
+  Mar model(cfg);
   model.Fit(*data, QuickTrain());
   ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/false);
 }
 
-TEST(TopKServerAnnEquivalence, MarProjected) {
-  const auto data = SmallDataset();
-  MultiFacetConfig cfg;
-  cfg.dim = 16;
-  cfg.num_facets = 3;
-  cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kProjected);
-  model.Fit(*data, QuickTrain());
-  ExpectAnnServerMatchesBruteForce(&model, *data, /*expect_probed=*/false);
-}
 
 TEST(TopKServerAnnEquivalence, Bpr) {
   const auto data = SmallDataset();

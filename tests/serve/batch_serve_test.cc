@@ -123,21 +123,11 @@ TEST(TopKServerBatchEquivalence, MarFree) {
   cfg.dim = 16;
   cfg.num_facets = 3;
   cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kFree);
+  Mar model(cfg);
   model.Fit(*data, QuickTrain());
   ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
 }
 
-TEST(TopKServerBatchEquivalence, MarProjected) {
-  const auto data = SmallDataset();
-  MultiFacetConfig cfg;
-  cfg.dim = 16;
-  cfg.num_facets = 3;
-  cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kProjected);
-  model.Fit(*data, QuickTrain());
-  ExpectBatchMatchesSolo(&model, *data, ExactOpts(*data));
-}
 
 TEST(TopKServerBatchEquivalence, Bpr) {
   const auto data = SmallDataset();

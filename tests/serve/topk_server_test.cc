@@ -137,21 +137,11 @@ TEST(TopKServerModelEquivalence, MarFree) {
   cfg.dim = 16;
   cfg.num_facets = 3;
   cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kFree);
+  Mar model(cfg);
   model.Fit(*data, QuickTrain());
   ExpectServerMatchesBruteForce(&model, *data);
 }
 
-TEST(TopKServerModelEquivalence, MarProjected) {
-  const auto data = SmallDataset();
-  MultiFacetConfig cfg;
-  cfg.dim = 16;
-  cfg.num_facets = 3;
-  cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kProjected);
-  model.Fit(*data, QuickTrain());
-  ExpectServerMatchesBruteForce(&model, *data);
-}
 
 TEST(TopKServerModelEquivalence, Bpr) {
   const auto data = SmallDataset();
@@ -814,21 +804,11 @@ TEST(TopKServerIncrementalAbsorb, MarFree) {
   cfg.dim = 16;
   cfg.num_facets = 3;
   cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kFree);
+  Mar model(cfg);
   model.Fit(*data, QuickTrain());
   ExpectIncrementalAbsorbMatchesColdSweep(&model, *data);
 }
 
-TEST(TopKServerIncrementalAbsorb, MarProjected) {
-  const auto data = SmallDataset();
-  MultiFacetConfig cfg;
-  cfg.dim = 16;
-  cfg.num_facets = 3;
-  cfg.theta_init_nmf = false;
-  Mar model(cfg, FacetParam::kProjected);
-  model.Fit(*data, QuickTrain());
-  ExpectIncrementalAbsorbMatchesColdSweep(&model, *data);
-}
 
 TEST(TopKServerIncrementalAbsorb, Bpr) {
   const auto data = SmallDataset();
